@@ -1,6 +1,5 @@
 """Stay-up-late detection and behavioral-network analysis for campus event logs."""
 
-from ._kernels import BACKEND, USE_NUMBA
 from .bayesnet import (
     BdeuConfig,
     Cpt,

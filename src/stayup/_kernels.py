@@ -1,25 +1,15 @@
-"""Hot numeric kernels, numba-jitted with a pure-numpy fallback.
+"""The two numeric kernels of the hot loops, in plain numpy.
 
-Set ``STAYUP_NO_NUMBA=1`` in the environment to force the numpy path (the
-fallback is also selected automatically when numba is not importable).
-``BACKEND`` reports which path is active; both implementations are exported
-so they can be benchmarked against each other.
+``family_counts`` feeds BDeu scoring and MLE fitting; ``poisson_scores``
+feeds every E-step and objective of the mixture fit.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_FLAG = "STAYUP_NO_NUMBA"
 
-
-def numba_disabled() -> bool:
-    return os.environ.get(ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-def family_counts_numpy(data, parent_cols, child_col, arities):
+def family_counts(data, parent_cols, child_col, arities):
     """Tally child values per parent configuration.
 
     data: (N, n) uint8 matrix of discrete values.
@@ -44,61 +34,10 @@ def family_counts_numpy(data, parent_cols, child_col, arities):
     return counts.reshape(q, r)
 
 
-def _family_counts_loop(data, parent_cols, child_col, arities):
-    n_rows = data.shape[0]
-    r = arities[child_col]
-    q = 1
-    for k in range(parent_cols.size):
-        q *= arities[parent_cols[k]]
-    counts = np.zeros((q, r), dtype=np.float64)
-    for i in range(n_rows):
-        j = 0
-        for k in range(parent_cols.size):
-            c = parent_cols[k]
-            j = j * arities[c] + data[i, c]
-        counts[j, data[i, child_col]] += 1.0
-    return counts
-
-
-def poisson_scores_numpy(counts, log_rates, rate_totals):
+def poisson_scores(counts, log_rates, rate_totals):
     """Per-student, per-component Poisson score sum(s_d*ln(rate_d)) - sum(rate_d).
 
     counts: (N, D) float64; log_rates: (M, D); rate_totals: (M,).
     The count-factorial term is component-independent and handled separately.
     """
     return counts @ log_rates.T - rate_totals[None, :]
-
-
-def _poisson_scores_loop(counts, log_rates, rate_totals):
-    n, d = counts.shape
-    m = log_rates.shape[0]
-    out = np.empty((n, m), dtype=np.float64)
-    for i in range(n):
-        for k in range(m):
-            acc = 0.0
-            for j in range(d):
-                acc += counts[i, j] * log_rates[k, j]
-            out[i, k] = acc - rate_totals[k]
-    return out
-
-
-try:
-    import numba
-
-    family_counts_jit = numba.njit(cache=True)(_family_counts_loop)
-    poisson_scores_jit = numba.njit(cache=True)(_poisson_scores_loop)
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    family_counts_jit = None
-    poisson_scores_jit = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not numba_disabled()
-BACKEND = "numba" if USE_NUMBA else "numpy"
-
-if USE_NUMBA:
-    family_counts = family_counts_jit
-    poisson_scores = poisson_scores_jit
-else:
-    family_counts = family_counts_numpy
-    poisson_scores = poisson_scores_numpy

@@ -529,10 +529,8 @@ class CptSet:
         return cls(variables, tuple(cpts))
 
 
-def fit_mle(dag: Dag, data: DatasetTable, fallback: str = "uniform") -> CptSet:
+def fit_mle(dag: Dag, data: DatasetTable) -> CptSet:
     """Maximum-likelihood CPTs; unobserved parent configurations get uniform rows."""
-    if fallback != "uniform":
-        raise ValueError("only the uniform fallback is supported")
     arities = np.asarray(data.variables.arities, dtype=np.int64)
     cpts = []
     for i in range(data.variables.n):

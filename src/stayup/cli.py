@@ -87,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the full pipeline")
     p.add_argument("--config", type=Path, help="JSON file of PipelineConfig fields")
-    p.add_argument("--data", type=Path)
-    p.add_argument("--out", type=Path)
+    p.add_argument("--data", dest="data_dir", type=Path)
+    p.add_argument("--out", dest="out_dir", type=Path)
     p.add_argument("--seed", type=int)
     p.add_argument("--cohort", choices=list(pipeline.COHORT_CHOICES))
     p.add_argument("--restarts", type=int)
@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-nights", type=int)
     p.add_argument("--median-scope", choices=["per_cohort", "global"])
     p.add_argument("--in-sample", action="store_true", default=None)
-    p.add_argument("--strict", action="store_true", default=None)
+    p.add_argument("--strict", dest="strict_parse", action="store_true", default=None)
 
     return parser
 
@@ -176,7 +176,8 @@ def _cmd_sleep_fit(args) -> int:
     assignments = sleepmix.assign_and_label(resp, model, args.threshold)
     args.out.mkdir(parents=True, exist_ok=True)
     sleepmix.write_model_json(args.out / "model.json", model, cfg)
-    sleepmix.write_assignments_csv(args.out / "assignments.csv", assignments)
+    sleepmix.write_assignments_csv(args.out / "assignments.csv", zip(
+        assignments.student_ids, assignments.omega_stay_up, assignments.labels))
     n_up = sum(1 for lab in assignments.labels if lab == sleepmix.STAY_UP)
     print(f"[sleep-fit] best restart {diag.best_restart_index}, "
           f"{diag.iterations_used} iterations, converged={diag.converged}")
@@ -283,28 +284,11 @@ def _cmd_run(args) -> int:
     fields = {}
     if args.config is not None:
         fields.update(pipeline.load_config_file(args.config))
-    overrides = {
-        "data_dir": args.data,
-        "out_dir": args.out,
-        "seed": args.seed,
-        "cohort": args.cohort,
-        "restarts": args.restarts,
-        "ess": args.ess,
-        "variant": args.variant,
-        "folds": args.folds,
-        "em_restarts": args.em_restarts,
-        "null_replicas": args.null_replicas,
-        "eval_restarts": args.eval_restarts,
-        "edge_probability": args.edge_probability,
-        "min_nights": args.min_nights,
-        "median_scope": args.median_scope,
-        "in_sample": args.in_sample,
-        "strict_parse": args.strict,
-    }
-    fields.update({k: v for k, v in overrides.items() if v is not None})
+    known = {f.name for f in dataclasses.fields(pipeline.PipelineConfig)}
+    # each run flag's dest is a PipelineConfig field name; flags left unset are None
+    fields.update({k: v for k, v in vars(args).items() if k in known and v is not None})
     if "data_dir" not in fields or "out_dir" not in fields:
         raise ConfigError("run needs --data and --out (or a config file providing them)")
-    known = {f.name for f in dataclasses.fields(pipeline.PipelineConfig)}
     unknown = set(fields) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")

@@ -93,13 +93,11 @@ class ConsensusDag:
 
 def learn_ensemble(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuConfig,
                    n_restarts: int = DEFAULT_RESTARTS, seed: SeedLike = 0,
-                   edge_probability: float = DEFAULT_EDGE_PROBABILITY,
-                   cache: FamilyScoreCache | None = None) -> EnsembleResult:
+                   edge_probability: float = DEFAULT_EDGE_PROBABILITY) -> EnsembleResult:
     """Independent hill climbs from random starts; the family cache is shared."""
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
-    if cache is None:
-        cache = FamilyScoreCache(data, cfg)
+    cache = FamilyScoreCache(data, cfg)
     base = _seed_list(seed)
     members = []
     for r in range(n_restarts):
@@ -195,13 +193,12 @@ def threshold_survivors(freqs: EdgeFrequencyTable, threshold: float) -> dict[Edg
     return {e: c for e, c in freqs.counts.items() if c > threshold}
 
 
-def _resolve_directions(survivors: dict[Edge, int], high_score: EdgeFrequencyTable,
-                        provenance: list[dict]) -> dict[Edge, int]:
+def _resolve_directions(survivors: dict[Edge, int], provenance: list[dict]) -> dict[Edge, int]:
     out = dict(survivors)
     for u, v in sorted(survivors):
         if (u, v) not in out or (v, u) not in out:
             continue
-        fwd, rev = high_score.get(u, v), high_score.get(v, u)
+        fwd, rev = survivors[(u, v)], survivors[(v, u)]
         if fwd > rev:
             keep, drop = (u, v), (v, u)
         elif rev > fwd:
@@ -254,20 +251,17 @@ def _repair_cycles(edges: dict[Edge, int], provenance: list[dict]) -> dict[Edge,
         del out[victim]
 
 
-def build_consensus(freqs: EdgeFrequencyTable, high_score_freqs: EdgeFrequencyTable,
-                    threshold: float) -> ConsensusDag:
+def build_consensus(freqs: EdgeFrequencyTable, threshold: float) -> ConsensusDag:
     """Consensus DAG of edges above the threshold.
 
-    When both directions of a pair survive, the one with the higher count
-    among the high-scoring networks wins. Remaining cycles are broken by
-    repeatedly dropping the lowest-frequency edge on a cycle; every such
-    decision lands in the provenance log.
+    ``freqs`` counts edges among the high-scoring networks. When both
+    directions of a pair survive, the one with the higher count wins.
+    Remaining cycles are broken by repeatedly dropping the lowest-frequency
+    edge on a cycle; every such decision lands in the provenance log.
     """
-    if freqs.variables != high_score_freqs.variables:
-        raise ValueError("frequency tables are over different variable sets")
     provenance: list[dict] = []
     kept = threshold_survivors(freqs, threshold)
-    kept = _resolve_directions(kept, high_score_freqs, provenance)
+    kept = _resolve_directions(kept, provenance)
     kept = _repair_cycles(kept, provenance)
     dag = Dag(freqs.variables, sorted(kept))
     return ConsensusDag(dag, kept, threshold, provenance)
@@ -339,10 +333,9 @@ def consensus_pipeline(data: DatasetTable, constraints: LayerConstraints, cfg: B
                        resample: str = "permute",
                        ) -> tuple[ConsensusDag, EdgeFrequencyTable, NullModelResult, EnsembleResult]:
     """Ensemble, top-fraction selection, null threshold, consensus; one call."""
-    cache = FamilyScoreCache(data, cfg)
     ensemble = learn_ensemble(
         data, constraints, cfg, n_restarts=n_restarts, seed=seed,
-        edge_probability=edge_probability, cache=cache,
+        edge_probability=edge_probability,
     )
     selected = top_fraction(ensemble, fraction)
     freqs = edge_frequencies([d for d, _ in selected], constraints.variables)
@@ -351,7 +344,7 @@ def consensus_pipeline(data: DatasetTable, constraints: LayerConstraints, cfg: B
         n_restarts=n_restarts, fraction=fraction, edge_probability=edge_probability,
         resample=resample,
     )
-    consensus = build_consensus(freqs, freqs, null.threshold)
+    consensus = build_consensus(freqs, null.threshold)
     return consensus, freqs, null, ensemble
 
 

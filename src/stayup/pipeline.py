@@ -200,8 +200,7 @@ def _stage_ingest(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
 def _stage_sleep_fit(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
     groups = _groups(cfg, state["store"].demographics)
     state["groups"] = groups
-    labels: dict[str, str] = {}
-    omegas: dict[str, float] = {}
+    rows: list[tuple[str, float, str]] = []
     cluster_sizes: dict[str, dict[str, int]] = {}
     for gi, (cohort, members) in enumerate(groups):
         group_counts = {sid: state["counts"][sid] for sid in members if sid in state["counts"]}
@@ -213,11 +212,8 @@ def _stage_sleep_fit(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
             **sleepmix.model_to_json(model, mix_cfg), "master_seed": cfg.seed,
         })
         artifacts.register(model_path)
-        for sid, omega, label in zip(assignments.student_ids, assignments.omega_stay_up,
-                                     assignments.labels):
-            labels[sid] = label
-            omegas[sid] = float(omega)
-        n_up = sum(1 for sid in group_counts if labels[sid] == sleepmix.STAY_UP)
+        rows.extend(zip(assignments.student_ids, assignments.omega_stay_up, assignments.labels))
+        n_up = assignments.labels.count(sleepmix.STAY_UP)
         cluster_sizes[cohort] = {
             "stay_up": n_up,
             "non_stay_up": len(group_counts) - n_up,
@@ -227,17 +223,12 @@ def _stage_sleep_fit(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
         key: sum(row[key] for c, row in cluster_sizes.items() if c != "total")
         for key in ("stay_up", "non_stay_up", "total")
     }
+    rows.sort(key=lambda row: row[0])
     assignments_path = cfg.out_dir / "assignments.csv"
-    with open(assignments_path, "w", newline="") as fh:
-        import csv
-
-        writer = csv.writer(fh)
-        writer.writerow(["student_id", "omega_stayup", "label"])
-        for sid in sorted(labels):
-            writer.writerow([sid, f"{omegas[sid]:.12g}", labels[sid]])
+    sleepmix.write_assignments_csv(assignments_path, rows)
     artifacts.register(assignments_path)
 
-    state["sleep_labels"] = labels
+    state["sleep_labels"] = {sid: label for sid, _, label in rows}
     state["report"]["cluster_sizes"] = cluster_sizes
 
 

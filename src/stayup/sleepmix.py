@@ -19,7 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -145,27 +145,24 @@ def _log_prior_per_component(model: PoissonMixtureModel, cfg: MixtureConfig) -> 
     return per_rate.sum(axis=1)
 
 
-def _log_weights(counts: np.ndarray, model: PoissonMixtureModel, cfg: MixtureConfig,
-                 row_lgamma: np.ndarray | None = None) -> np.ndarray:
-    """Unnormalized log membership scores, one row per student."""
-    if row_lgamma is None:
-        row_lgamma = gammaln(counts + 1).sum(axis=1)
-    log_rates = np.log(model.rates)
+def _scores(counts: np.ndarray, model: PoissonMixtureModel, row_lgamma: np.ndarray) -> np.ndarray:
+    """Log of mixing weight times Poisson likelihood, one row per student."""
     with np.errstate(over="ignore"):  # -inf scores become the underflow error
-        scores = poisson_scores(counts, log_rates, model.rates.sum(axis=1))
+        scores = poisson_scores(counts, np.log(model.rates), model.rates.sum(axis=1))
     scores = scores - row_lgamma[:, None]
     with np.errstate(divide="ignore"):
-        scores = scores + np.log(model.mixing)[None, :]
+        return scores + np.log(model.mixing)[None, :]
+
+
+def _objective(scores: np.ndarray, model: PoissonMixtureModel, cfg: MixtureConfig) -> float:
+    return float(logsumexp(scores, axis=1).sum() + _log_prior_per_component(model, cfg).sum())
+
+
+def _responsibilities(scores: np.ndarray, model: PoissonMixtureModel, cfg: MixtureConfig,
+                      ids: tuple[str, ...] | None) -> Responsibilities:
+    """Normalize the scores per student with log-sum-exp."""
     if cfg.estep_variant == "paper_literal":
         scores = scores + _log_prior_per_component(model, cfg)[None, :]
-    return scores
-
-
-def e_step(data, model: PoissonMixtureModel, cfg: MixtureConfig) -> Responsibilities:
-    """Posterior membership weights, normalized per student with log-sum-exp."""
-    counts, ids = count_matrix(data)
-    model.validate()
-    scores = _log_weights(counts, model, cfg)
     norm = logsumexp(scores, axis=1)
     bad = ~np.isfinite(norm)
     if np.any(bad):
@@ -173,6 +170,14 @@ def e_step(data, model: PoissonMixtureModel, cfg: MixtureConfig) -> Responsibili
         who = ids[i] if ids is not None else f"row {i}"
         raise MixtureError(f"all component scores underflowed for student {who}")
     return Responsibilities(np.exp(scores - norm[:, None]), ids)
+
+
+def e_step(data, model: PoissonMixtureModel, cfg: MixtureConfig) -> Responsibilities:
+    """Posterior membership weights, normalized per student with log-sum-exp."""
+    counts, ids = count_matrix(data)
+    model.validate()
+    scores = _scores(counts, model, gammaln(counts + 1).sum(axis=1))
+    return _responsibilities(scores, model, cfg, ids)
 
 
 def m_step(data, resp: Responsibilities, cfg: MixtureConfig) -> PoissonMixtureModel:
@@ -193,12 +198,7 @@ def m_step(data, resp: Responsibilities, cfg: MixtureConfig) -> PoissonMixtureMo
 def log_joint(data, model: PoissonMixtureModel, cfg: MixtureConfig) -> float:
     """Log of data likelihood times the Gamma prior over all rates."""
     counts, _ = count_matrix(data)
-    row_lgamma = gammaln(counts + 1).sum(axis=1)
-    log_rates = np.log(model.rates)
-    scores = poisson_scores(counts, log_rates, model.rates.sum(axis=1)) - row_lgamma[:, None]
-    with np.errstate(divide="ignore"):
-        scores = scores + np.log(model.mixing)[None, :]
-    return float(logsumexp(scores, axis=1).sum() + _log_prior_per_component(model, cfg).sum())
+    return _objective(_scores(counts, model, gammaln(counts + 1).sum(axis=1)), model, cfg)
 
 
 def _row_entropy_seeds(counts: np.ndarray) -> list[int]:
@@ -228,29 +228,24 @@ def initial_responsibilities(counts: np.ndarray, cfg: MixtureConfig, restart: in
 
 def _em_run(counts: np.ndarray, init: np.ndarray, cfg: MixtureConfig,
             ids: tuple[str, ...] | None):
+    """EM from one start; each E-step reuses the scores of the last objective."""
     row_lgamma = gammaln(counts + 1).sum(axis=1)
-    resp = Responsibilities(init, ids)
-    model = m_step(counts, resp, cfg)
-    trace = [log_joint(counts, model, cfg)]
+    model = m_step(counts, Responsibilities(init, ids), cfg)
+    scores = _scores(counts, model, row_lgamma)
+    trace = [_objective(scores, model, cfg)]
     converged = False
     for it in range(1, cfg.max_iterations + 1):
-        scores = _log_weights(counts, model, cfg, row_lgamma)
-        norm = logsumexp(scores, axis=1)
-        bad = ~np.isfinite(norm)
-        if np.any(bad):
-            i = int(np.nonzero(bad)[0][0])
-            who = ids[i] if ids is not None else f"row {i}"
-            raise MixtureError(f"all component scores underflowed for student {who}")
-        resp = Responsibilities(np.exp(scores - norm[:, None]), ids)
+        resp = _responsibilities(scores, model, cfg, ids)
         model = m_step(counts, resp, cfg)
-        objective = log_joint(counts, model, cfg)
+        scores = _scores(counts, model, row_lgamma)
+        objective = _objective(scores, model, cfg)
         if not np.isfinite(objective):
             raise MixtureError(f"non-finite objective at iteration {it}")
         trace.append(objective)
         if abs(objective - trace[-2]) / max(abs(trace[-2]), 1e-300) < cfg.tolerance:
             converged = True
             break
-    return model, resp, trace, converged
+    return model, trace, converged
 
 
 def fit(data, cfg: MixtureConfig) -> tuple[PoissonMixtureModel, Responsibilities, FitDiagnostics]:
@@ -270,7 +265,7 @@ def fit(data, cfg: MixtureConfig) -> tuple[PoissonMixtureModel, Responsibilities
     best = None
     for restart in range(cfg.restarts):
         init = initial_responsibilities(counts, cfg, restart)
-        model, resp, trace, converged = _em_run(counts, init, cfg, ids)
+        model, trace, converged = _em_run(counts, init, cfg, ids)
         if best is None or trace[-1] > best[0]:
             best = (trace[-1], restart, model, trace, converged)
     _, restart, model, trace, converged = best
@@ -350,12 +345,12 @@ def write_model_json(path, model: PoissonMixtureModel, cfg: MixtureConfig):
     Path(path).write_text(json.dumps(model_to_json(model, cfg), indent=2, sort_keys=True))
 
 
-def write_assignments_csv(path, assignments: Assignments):
-    ids = assignments.student_ids or tuple(str(i) for i in range(len(assignments.labels)))
+def write_assignments_csv(path, rows: Iterable[tuple[str, float, str]]):
+    """Write (student_id, omega_stayup, label) rows in the order given."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["student_id", "omega_stayup", "label"])
-        for sid, omega, label in zip(ids, assignments.omega_stay_up, assignments.labels):
+        for sid, omega, label in rows:
             writer.writerow([sid, f"{omega:.12g}", label])
 
 

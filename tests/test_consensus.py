@@ -129,30 +129,29 @@ class TestNullThreshold:
 
 class TestBuildConsensus:
     def test_direction_resolved_by_high_score_table(self):
-        freqs = make_table({("A", "B"): 40, ("B", "A"): 40})
-        high = make_table({("A", "B"): 30, ("B", "A"): 12})
-        result = cons.build_consensus(freqs, high, threshold=10)
+        freqs = make_table({("A", "B"): 40, ("B", "A"): 25})
+        result = cons.build_consensus(freqs, threshold=10)
         assert result.dag.edges() == [("A", "B")]
         assert any(p["action"] == "direction" for p in result.provenance)
 
     def test_no_edge_above_threshold(self):
         freqs = make_table({("A", "B"): 5})
-        result = cons.build_consensus(freqs, freqs, threshold=10)
+        result = cons.build_consensus(freqs, threshold=10)
         assert result.dag.edges() == []
 
     def test_single_edge_survives(self):
         freqs = make_table({("A", "B"): 50, ("B", "C"): 3})
-        result = cons.build_consensus(freqs, freqs, threshold=10)
+        result = cons.build_consensus(freqs, threshold=10)
         assert result.dag.edges() == [("A", "B")]
         assert result.edge_frequencies[("A", "B")] == 50
 
     def test_threshold_comparison_is_strict(self):
         freqs = make_table({("A", "B"): 10})
-        assert cons.build_consensus(freqs, freqs, threshold=10).dag.edges() == []
+        assert cons.build_consensus(freqs, threshold=10).dag.edges() == []
 
     def test_cycle_repair_drops_weakest(self):
         freqs = make_table({("A", "B"): 50, ("B", "C"): 40, ("C", "A"): 30})
-        result = cons.build_consensus(freqs, freqs, threshold=10)
+        result = cons.build_consensus(freqs, threshold=10)
         edges = result.dag.edges()
         assert ("C", "A") not in edges and len(edges) == 2
         assert any(p["action"] == "cycle_repair" for p in result.provenance)
@@ -168,7 +167,7 @@ class TestBuildConsensus:
                         counts[(u, v)] = int(rng.integers(1, 67))
             freqs = make_table(counts, names)
             threshold = float(rng.integers(0, 40))
-            result = cons.build_consensus(freqs, freqs, threshold)
+            result = cons.build_consensus(freqs, threshold)
             for edge in result.dag.edges():
                 assert result.edge_frequencies[edge] > threshold
             assert bn.Dag(freqs.variables, result.dag.edges())  # acyclic by construction
@@ -198,7 +197,7 @@ class TestBuildConsensus:
                     if u < v and rng.random() < 0.7:
                         counts[(u, v)] = int(rng.integers(1, 67))
             freqs = make_table(counts, names)
-            kept = [set(cons.build_consensus(freqs, freqs, t).dag.edges())
+            kept = [set(cons.build_consensus(freqs, t).dag.edges())
                     for t in (5, 15, 30)]
             assert kept[2] <= kept[1] <= kept[0]
 

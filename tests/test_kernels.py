@@ -1,56 +1,11 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
-from stayup import _kernels as kernels
-
-
-def _random_family(rng, n_rows, n_vars):
-    arities = rng.integers(2, 4, size=n_vars).astype(np.int64)
-    data = (rng.random((n_rows, n_vars)) * arities[None, :]).astype(np.uint8)
-    child = int(rng.integers(n_vars))
-    others = [c for c in range(n_vars) if c != child]
-    k = int(rng.integers(0, min(3, len(others)) + 1))
-    parents = np.array(sorted(rng.choice(others, size=k, replace=False)), dtype=np.int64)
-    return data, parents, child, arities
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_family_counts_backends_agree():
-    rng = np.random.default_rng(0)
-    for _ in range(30):
-        data, parents, child, arities = _random_family(rng, int(rng.integers(0, 400)), 5)
-        a = kernels.family_counts_numpy(data, parents, child, arities)
-        b = kernels.family_counts_jit(data, parents, child, arities)
-        np.testing.assert_array_equal(a, b)
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_poisson_scores_backends_agree():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        counts = rng.poisson(3.0, size=(50, 16)).astype(np.float64)
-        rates = rng.uniform(0.1, 8.0, size=(3, 16))
-        a = kernels.poisson_scores_numpy(counts, np.log(rates), rates.sum(axis=1))
-        b = kernels.poisson_scores_jit(counts, np.log(rates), rates.sum(axis=1))
-        np.testing.assert_allclose(a, b, rtol=1e-12)
+from stayup._kernels import family_counts
 
 
 def test_family_counts_counts_every_row():
     data = np.array([[0, 1], [1, 1], [1, 0], [1, 1]], dtype=np.uint8)
     arities = np.array([2, 2], dtype=np.int64)
-    counts = kernels.family_counts_numpy(data, np.array([0], dtype=np.int64), 1, arities)
+    counts = family_counts(data, np.array([0], dtype=np.int64), 1, arities)
     np.testing.assert_array_equal(counts, [[0.0, 1.0], [1.0, 2.0]])
     assert counts.sum() == len(data)
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, STAYUP_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from stayup import _kernels as k; print(k.BACKEND)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "numpy"

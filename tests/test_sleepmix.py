@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammaln, logsumexp
 
 from stayup import sleepmix as sm
 from stayup import synth
+from stayup._kernels import poisson_scores
 
 
 def two_peak_data(n_students, n_nights, seed):
@@ -177,6 +179,89 @@ class TestFit:
         assert np.all(model.rates > 0)
 
 
+# Reference EM loop that computes the score matrix twice per iteration, once
+# for the objective and again for the next E-step. fit, which computes it once,
+# must match it bit for bit.
+def _ref_log_weights(counts, model, cfg, row_lgamma=None):
+    if row_lgamma is None:
+        row_lgamma = gammaln(counts + 1).sum(axis=1)
+    log_rates = np.log(model.rates)
+    with np.errstate(over="ignore"):
+        scores = poisson_scores(counts, log_rates, model.rates.sum(axis=1))
+    scores = scores - row_lgamma[:, None]
+    with np.errstate(divide="ignore"):
+        scores = scores + np.log(model.mixing)[None, :]
+    if cfg.estep_variant == "paper_literal":
+        scores = scores + sm._log_prior_per_component(model, cfg)[None, :]
+    return scores
+
+
+def _ref_log_joint(counts, model, cfg):
+    row_lgamma = gammaln(counts + 1).sum(axis=1)
+    log_rates = np.log(model.rates)
+    scores = poisson_scores(counts, log_rates, model.rates.sum(axis=1)) - row_lgamma[:, None]
+    with np.errstate(divide="ignore"):
+        scores = scores + np.log(model.mixing)[None, :]
+    return float(logsumexp(scores, axis=1).sum() + sm._log_prior_per_component(model, cfg).sum())
+
+
+def _ref_responsibilities(scores, ids):
+    norm = logsumexp(scores, axis=1)
+    assert np.all(np.isfinite(norm))
+    return sm.Responsibilities(np.exp(scores - norm[:, None]), ids)
+
+
+def _ref_em_run(counts, init, cfg, ids):
+    row_lgamma = gammaln(counts + 1).sum(axis=1)
+    resp = sm.Responsibilities(init, ids)
+    model = sm.m_step(counts, resp, cfg)
+    trace = [_ref_log_joint(counts, model, cfg)]
+    converged = False
+    for _ in range(1, cfg.max_iterations + 1):
+        resp = _ref_responsibilities(_ref_log_weights(counts, model, cfg, row_lgamma), ids)
+        model = sm.m_step(counts, resp, cfg)
+        objective = _ref_log_joint(counts, model, cfg)
+        trace.append(objective)
+        if abs(objective - trace[-2]) / max(abs(trace[-2]), 1e-300) < cfg.tolerance:
+            converged = True
+            break
+    return model, resp, trace, converged
+
+
+def _ref_fit(data, cfg):
+    counts, ids = sm.count_matrix(data)
+    best = None
+    for restart in range(cfg.restarts):
+        init = sm.initial_responsibilities(counts, cfg, restart)
+        model, _, trace, converged = _ref_em_run(counts, init, cfg, ids)
+        if best is None or trace[-1] > best[0]:
+            best = (trace[-1], restart, model, trace, converged)
+    _, restart, model, trace, converged = best
+    resp = _ref_responsibilities(_ref_log_weights(counts, model, cfg), ids)
+    return model, resp, trace, restart, converged
+
+
+class TestFitMatchesReferenceLoop:
+    @pytest.mark.parametrize("estep,mstep", [
+        ("standard", "exact_map"),
+        ("paper_literal", "paper_literal"),
+        ("standard", "paper_literal"),
+    ])
+    @pytest.mark.parametrize("seed,max_iterations", [(21, 500), (22, 500), (23, 12)])
+    def test_bit_identical(self, estep, mstep, seed, max_iterations):
+        _, vectors, _ = two_peak_data(120, 40, seed=seed)
+        cfg = sm.MixtureConfig(seed=seed, restarts=3, max_iterations=max_iterations,
+                               estep_variant=estep, mstep_variant=mstep)
+        model, resp, diag = sm.fit(vectors, cfg)
+        ref_model, ref_resp, ref_trace, ref_restart, ref_converged = _ref_fit(vectors, cfg)
+        np.testing.assert_array_equal(model.rates, ref_model.rates)
+        np.testing.assert_array_equal(model.mixing, ref_model.mixing)
+        np.testing.assert_array_equal(resp.weights, ref_resp.weights)
+        assert resp.student_ids == ref_resp.student_ids
+        assert diag.objective_trace == ref_trace
+        assert (diag.best_restart_index, diag.converged) == (ref_restart, ref_converged)
+
+
 class TestAssignAndLabel:
     def _fitted(self, seed=13):
         truth, vectors, labels = two_peak_data(200, 80, seed=seed)
@@ -249,6 +334,7 @@ class TestSerialization:
         model, resp, _ = sm.fit(vectors, sm.MixtureConfig(seed=8, restarts=2))
         assignments = sm.assign_and_label(resp, model)
         path = tmp_path / "assignments.csv"
-        sm.write_assignments_csv(path, assignments)
+        sm.write_assignments_csv(path, zip(
+            assignments.student_ids, assignments.omega_stay_up, assignments.labels))
         labels = sm.read_assignments_csv(path)
         assert labels == assignments.as_dict()
