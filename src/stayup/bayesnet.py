@@ -1,15 +1,17 @@
 """Discrete Bayesian-network core.
 
 DAGs under layer constraints, BDeu scoring with a family cache, steepest
-ascent hill climbing, MLE parameter fitting, exact inference by enumeration,
-and Markov blankets. Everything operates on small all-discrete variable
-sets, so enumeration-based inference is exact and cheap.
+ascent hill climbing on parent and child bitmasks, MLE parameter fitting,
+exact inference by enumeration, and Markov blankets. Everything operates on
+small all-discrete variable sets, so enumeration-based inference is exact
+and cheap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -72,8 +74,8 @@ class Dag:
     """Directed acyclic graph over a fixed variable set.
 
     Acyclicity is enforced on every edge insertion, so instances are valid
-    DAGs at all times. Adjacency is kept as per-node bitmasks, which keeps
-    reachability checks cheap inside the search loop.
+    DAGs at all times. Adjacency is kept as per-node bitmasks, the form the
+    search loop works on.
     """
 
     def __init__(self, variables: VariableSet, edges: Iterable[Edge] = ()):
@@ -215,6 +217,12 @@ class LayerConstraints:
     def allows(self, u: int, v: int) -> bool:
         return u != v and self.layers[u] <= self.layers[v]
 
+    @cached_property
+    def child_masks(self) -> tuple[int, ...]:
+        """Per variable u, the bitmask of every variable that u may point to."""
+        n = self.variables.n
+        return tuple(sum(1 << v for v in range(n) if self.allows(u, v)) for u in range(n))
+
     def allows_edge(self, u: str, v: str) -> bool:
         return self.allows(self.variables.index(u), self.variables.index(v))
 
@@ -296,8 +304,8 @@ def _family_score(values: np.ndarray, arities: np.ndarray, child: int,
 class FamilyScoreCache:
     """Memoized BDeu family scores for one dataset and ESS.
 
-    Keyed by (child, frozenset(parents)); safe to share across hill-climbing
-    restarts over the same data.
+    Keyed by child index and parent bitmask; safe to share across
+    hill-climbing restarts over the same data.
     """
 
     def __init__(self, data: DatasetTable, cfg: BdeuConfig):
@@ -305,18 +313,18 @@ class FamilyScoreCache:
         self.cfg = cfg
         self._values = data.values
         self._arities = np.asarray(data.variables.arities, dtype=np.int64)
-        self._scores: dict[tuple[int, frozenset[int]], float] = {}
+        self._scores: list[dict[int, float]] = [{} for _ in range(data.variables.n)]
 
-    def score(self, child: int, parents: frozenset[int]) -> float:
-        key = (child, parents)
-        got = self._scores.get(key)
+    def score(self, child: int, parents: int) -> float:
+        table = self._scores[child]
+        got = table.get(parents)
         if got is None:
-            got = _family_score(self._values, self._arities, child, tuple(sorted(parents)), self.cfg.ess)
-            self._scores[key] = got
+            got = _family_score(self._values, self._arities, child, tuple(_bits(parents)), self.cfg.ess)
+            table[parents] = got
         return got
 
     def __len__(self):
-        return len(self._scores)
+        return sum(len(table) for table in self._scores)
 
 
 def _resolve_family(data: DatasetTable, child, parents) -> tuple[int, tuple[int, ...]]:
@@ -346,28 +354,51 @@ def bdeu_score(dag: Dag, data: DatasetTable, cfg: BdeuConfig,
         raise ValueError("dag and data are over different variable sets")
     if cache is None:
         cache = FamilyScoreCache(data, cfg)
-    return math.fsum(
-        cache.score(i, frozenset(dag.parent_indices(i))) for i in range(data.variables.n)
-    )
+    return math.fsum(cache.score(i, parents) for i, parents in enumerate(dag._pa))
 
 
-def _move_candidates(dag: Dag, constraints: LayerConstraints):
-    """Yield (kind, u, v) index moves that keep the graph legal."""
-    n = dag.variables.n
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            if dag.has_edge(u, v):
+def _descendants(pa: list[int], ch: list[int]) -> tuple[list[int], list[int]]:
+    """Descendant closure of a DAG given as parent and child bitmasks.
+
+    Returns (desc, via): desc[u] holds every node reachable from u, via[u]
+    every node reachable from u through one of its children, that is by a
+    path of two or more edges. Nodes are closed children before parents.
+    """
+    n = len(ch)
+    desc, via = [0] * n, [0] * n
+    open_children = list(ch)
+    ready = [u for u in range(n) if not ch[u]]
+    while ready:
+        v = ready.pop()
+        reach = desc[v] = ch[v] | via[v]
+        bit = 1 << v
+        for p in _bits(pa[v]):
+            via[p] |= reach
+            open_children[p] ^= bit
+            if not open_children[p]:
+                ready.append(p)
+    return desc, via
+
+
+def _move_candidates(pa: list[int], ch: list[int], allowed: Sequence[int]):
+    """Yield (kind, u, v) index moves that keep the graph acyclic and layered.
+
+    `pa` and `ch` are the graph's parent and child bitmasks per node and
+    `allowed[u]` the bitmask of nodes that u may point to. Moves come in
+    order of u, then v, with the delete of an edge before its reversal;
+    hill_climb's tie-breaking depends on that order.
+    """
+    desc, via = _descendants(pa, ch)
+    nodes = range(len(ch))
+    for u in nodes:
+        cu, au = ch[u], allowed[u]
+        for v in nodes:
+            if cu >> v & 1:
                 yield ("delete", u, v)
-                if constraints.allows(v, u):
-                    # reversal is legal iff no alternative path u ~> v remains
-                    dag.remove_edge(u, v)
-                    ok = not dag.reaches(u, v)
-                    dag.add_edge(u, v)
-                    if ok:
-                        yield ("reverse", u, v)
-            elif constraints.allows(u, v) and not dag.reaches(v, u):
+                # reversal is legal iff no other path u ~> v remains
+                if allowed[v] >> u & 1 and not via[u] >> v & 1:
+                    yield ("reverse", u, v)
+            elif au >> v & 1 and not desc[v] >> u & 1:
                 yield ("add", u, v)
 
 
@@ -376,7 +407,8 @@ def legal_moves(dag: Dag, constraints: LayerConstraints) -> list[tuple[str, str,
     if dag.variables != constraints.variables:
         raise ValueError("dag and constraints are over different variable sets")
     names = dag.variables.names
-    return [(kind, names[u], names[v]) for kind, u, v in _move_candidates(dag, constraints)]
+    moves = _move_candidates(dag._pa, dag._ch, constraints.child_masks)
+    return [(kind, names[u], names[v]) for kind, u, v in moves]
 
 
 def apply_move(dag: Dag, move: tuple[str, str, str]) -> Dag:
@@ -399,31 +431,30 @@ def hill_climb(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuConfi
     """Steepest-ascent hill climbing from `start`.
 
     Applies the best-scoring legal move until no move improves the score by
-    more than IMPROVEMENT_EPS. Deltas touch only the affected families and
-    come from the shared score cache. Near-ties (within TIE_EPS of the best
-    delta) are broken by a seeded random choice.
+    more than IMPROVEMENT_EPS. The graph is kept as parent and child
+    bitmasks; deltas touch only the affected families and come from the
+    shared score cache. Near-ties (within TIE_EPS of the best delta) are
+    broken by a seeded random choice.
     """
     if cache is None:
         cache = FamilyScoreCache(data, cfg)
+    score = cache.score
     rng = np.random.default_rng(seed)
-    n = data.variables.n
-    dag = start.copy()
-    pa = [frozenset(dag.parent_indices(i)) for i in range(n)]
-    fam = [cache.score(i, pa[i]) for i in range(n)]
+    allowed = constraints.child_masks
+    pa, ch = list(start._pa), list(start._ch)
+    fam = [score(i, m) for i, m in enumerate(pa)]
 
     while True:
         best = 0.0
         candidates: list[tuple[float, tuple[str, int, int]]] = []
-        for move in _move_candidates(dag, constraints):
+        for move in _move_candidates(pa, ch, allowed):
             kind, u, v = move
             if kind == "add":
-                delta = cache.score(v, pa[v] | {u}) - fam[v]
+                delta = score(v, pa[v] | 1 << u) - fam[v]
             elif kind == "delete":
-                delta = cache.score(v, pa[v] - {u}) - fam[v]
-            else:
-                delta = (cache.score(v, pa[v] - {u}) - fam[v]) + (
-                    cache.score(u, pa[u] | {v}) - fam[u]
-                )
+                delta = removed = score(v, pa[v] ^ 1 << u) - fam[v]
+            else:  # the delete of the same edge came just before
+                delta = removed + (score(u, pa[u] | 1 << v) - fam[u])
             if delta > IMPROVEMENT_EPS:
                 candidates.append((delta, move))
                 if delta > best:
@@ -433,22 +464,19 @@ def hill_climb(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuConfi
         ties = [m for d, m in candidates if best - d <= TIE_EPS]
         kind, u, v = ties[int(rng.integers(len(ties)))] if len(ties) > 1 else ties[0]
         if kind == "add":
-            dag.add_edge(u, v)
-            pa[v] = pa[v] | {u}
-            fam[v] = cache.score(v, pa[v])
-        elif kind == "delete":
-            dag.remove_edge(u, v)
-            pa[v] = pa[v] - {u}
-            fam[v] = cache.score(v, pa[v])
-        else:
-            dag.remove_edge(u, v)
-            dag.add_edge(v, u)
-            pa[v] = pa[v] - {u}
-            pa[u] = pa[u] | {v}
-            fam[v] = cache.score(v, pa[v])
-            fam[u] = cache.score(u, pa[u])
+            pa[v] |= 1 << u
+            ch[u] |= 1 << v
+        else:  # delete and reverse both drop u -> v
+            pa[v] ^= 1 << u
+            ch[u] ^= 1 << v
+        fam[v] = score(v, pa[v])
+        if kind == "reverse":
+            pa[u] |= 1 << v
+            ch[v] |= 1 << u
+            fam[u] = score(u, pa[u])
 
-    return dag, math.fsum(fam)
+    edges = [(u, v) for u, cu in enumerate(ch) for v in _bits(cu)]
+    return Dag(start.variables, edges), math.fsum(fam)
 
 
 def random_start(constraints: LayerConstraints, edge_probability: float, seed=0) -> Dag:
@@ -456,15 +484,12 @@ def random_start(constraints: LayerConstraints, edge_probability: float, seed=0)
     if not 0 <= edge_probability <= 1:
         raise ValueError("edge_probability must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    n = constraints.variables.n
-    order = rng.permutation(n)
-    dag = Dag(constraints.variables)
-    for a in range(n):
-        for b in range(a + 1, n):
-            u, v = int(order[a]), int(order[b])
-            if constraints.allows(u, v) and rng.random() < edge_probability:
-                dag.add_edge(u, v)
-    return dag
+    allowed = constraints.child_masks
+    order = rng.permutation(constraints.variables.n).tolist()
+    pairs = [(u, v) for a, u in enumerate(order) for v in order[a + 1:] if allowed[u] >> v & 1]
+    draws = rng.random(len(pairs))
+    return Dag(constraints.variables,
+               [pair for pair, x in zip(pairs, draws) if x < edge_probability])
 
 
 @dataclass

@@ -228,7 +228,11 @@ def initial_responsibilities(counts: np.ndarray, cfg: MixtureConfig, restart: in
 
 def _em_run(counts: np.ndarray, init: np.ndarray, cfg: MixtureConfig,
             ids: tuple[str, ...] | None):
-    """EM from one start; each E-step reuses the scores of the last objective."""
+    """EM from one start; each E-step reuses the scores of the last objective.
+
+    Returns the final model, the objective trace, whether it converged and
+    the final model's score matrix.
+    """
     row_lgamma = gammaln(counts + 1).sum(axis=1)
     model = m_step(counts, Responsibilities(init, ids), cfg)
     scores = _scores(counts, model, row_lgamma)
@@ -245,7 +249,7 @@ def _em_run(counts: np.ndarray, init: np.ndarray, cfg: MixtureConfig,
         if abs(objective - trace[-2]) / max(abs(trace[-2]), 1e-300) < cfg.tolerance:
             converged = True
             break
-    return model, trace, converged
+    return model, trace, converged, scores
 
 
 def fit(data, cfg: MixtureConfig) -> tuple[PoissonMixtureModel, Responsibilities, FitDiagnostics]:
@@ -265,12 +269,12 @@ def fit(data, cfg: MixtureConfig) -> tuple[PoissonMixtureModel, Responsibilities
     best = None
     for restart in range(cfg.restarts):
         init = initial_responsibilities(counts, cfg, restart)
-        model, trace, converged = _em_run(counts, init, cfg, ids)
+        model, trace, converged, scores = _em_run(counts, init, cfg, ids)
         if best is None or trace[-1] > best[0]:
-            best = (trace[-1], restart, model, trace, converged)
-    _, restart, model, trace, converged = best
-    resp = e_step(counts, model, cfg)
-    resp = Responsibilities(resp.weights, ids)
+            best = (trace[-1], restart, model, trace, converged, scores)
+    _, restart, model, trace, converged, scores = best
+    model.validate()
+    resp = _responsibilities(scores, model, cfg, ids)
     diag = FitDiagnostics(
         objective_trace=trace,
         iterations_used=len(trace) - 1,

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stayup import bayesnet as bn
 
@@ -198,33 +200,69 @@ class TestLayerConstraints:
         assert ("G", "S") not in forbidden
 
 
+def brute_force_moves(dag, constraints):
+    """Legal moves found by building every candidate graph, in generator order."""
+    var = dag.variables
+    edges = dag.edges()
+    want = []
+    for u, v in itertools.permutations(var.names, 2):
+        if dag.has_edge(u, v):
+            want.append(("delete", u, v))
+            rev = [e for e in edges if e != (u, v)] + [(v, u)]
+            if constraints.allows_edge(v, u):
+                try:
+                    bn.Dag(var, rev)
+                    want.append(("reverse", u, v))
+                except ValueError:
+                    pass
+        elif constraints.allows_edge(u, v):
+            try:
+                bn.Dag(var, edges + [(u, v)])
+                want.append(("add", u, v))
+            except ValueError:
+                pass
+    return want
+
+
+@st.composite
+def layered_dags(draw):
+    """A random DAG (random order, random forward edges) under random layers."""
+    n = draw(st.integers(2, 6))
+    names = tuple("ABCDEF"[:n])
+    var = bn.VariableSet.binary(names)
+    constraints = bn.LayerConstraints(var, tuple(draw(st.lists(
+        st.integers(1, 3), min_size=n, max_size=n))))
+    order = draw(st.permutations(range(n)))
+    pairs = [(order[a], order[b]) for a in range(n) for b in range(a + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(names[u], names[v]) for (u, v), k in zip(pairs, keep) if k]
+    return bn.Dag(var, edges), constraints
+
+
 class TestLegalMoves:
     def test_matches_brute_force(self):
-        rng = np.random.default_rng(12)
         var = bn.VariableSet.binary(["A", "B", "C", "D"])
         constraints = bn.LayerConstraints(var, (1, 2, 2, 3))
         for trial in range(25):
             dag = bn.random_start(constraints, 0.4, seed=trial)
-            got = set(bn.legal_moves(dag, constraints))
-            want = set()
-            edges = dag.edges()
-            for u, v in itertools.permutations(var.names, 2):
-                if dag.has_edge(u, v):
-                    want.add(("delete", u, v))
-                    rev = [e for e in edges if e != (u, v)] + [(v, u)]
-                    if constraints.allows_edge(v, u):
-                        try:
-                            bn.Dag(var, rev)
-                            want.add(("reverse", u, v))
-                        except ValueError:
-                            pass
-                elif constraints.allows_edge(u, v):
-                    try:
-                        bn.Dag(var, edges + [(u, v)])
-                        want.add(("add", u, v))
-                    except ValueError:
-                        pass
-            assert got == want
+            assert bn.legal_moves(dag, constraints) == brute_force_moves(dag, constraints)
+
+    @settings(max_examples=300, deadline=None)
+    @given(layered_dags())
+    def test_matches_brute_force_on_random_layered_dags(self, case):
+        # the start may break its layers; deletes and reversals still apply
+        dag, constraints = case
+        assert bn.legal_moves(dag, constraints) == brute_force_moves(dag, constraints)
+
+    def test_same_order_as_reference_generator(self):
+        for constraints in (bn.default_layer_constraints(),
+                            bn.LayerConstraints.unconstrained(bn.profile_variables())):
+            names = constraints.variables.names
+            for seed in range(60):
+                dag = bn.random_start(constraints, (0.0, 0.15, 0.4, 1.0)[seed % 4], seed=seed)
+                want = [(kind, names[u], names[v])
+                        for kind, u, v in ref_move_candidates(dag, constraints)]
+                assert bn.legal_moves(dag, constraints) == want
 
     def test_delete_and_reverse_present_for_existing_edge(self):
         var = bn.VariableSet.binary(["R", "S"])
@@ -269,6 +307,16 @@ class TestRandomStart:
         for seed in range(40):
             dag = bn.random_start(constraints, 0.5, seed=seed)
             assert constraints.satisfied_by(dag)
+
+    def test_matches_reference_draws(self):
+        # one bulk draw gives the same edges as one scalar draw per pair
+        for constraints in (bn.default_layer_constraints(),
+                            bn.LayerConstraints.unconstrained(bn.profile_variables())):
+            for p in (0.0, 0.15, 0.4, 1.0):
+                for seed in range(200):
+                    got = bn.random_start(constraints, p, seed=seed)
+                    want = ref_random_start(constraints, p, seed=seed)
+                    assert got.edges() == want.edges()
 
 
 def _sample_from_dag(rng, dag, cpts, n):
@@ -366,6 +414,150 @@ class TestHillClimb:
             start = bn.random_start(constraints, 0.2, seed=seed)
             dag, _ = bn.hill_climb(data, constraints, CFG, start, seed=seed)
             assert constraints.satisfied_by(dag)
+
+
+def profile_table(rng, tie_heavy):
+    """Nine binary columns with planted dependencies; optionally with exact ties.
+
+    Tie-heavy tables copy two columns into others and hold one constant, so
+    many moves score exactly alike and the seeded tie-break decides.
+    """
+    n_rows = int(rng.integers(30, 400))
+    values = rng.integers(0, 2, size=(n_rows, 9))
+    for j in range(1, 9):
+        src = int(rng.integers(j))
+        values[:, j] = np.where(rng.random(n_rows) < 0.3, values[:, src], values[:, j])
+    if tie_heavy:
+        values[:, 3] = values[:, 1]
+        values[:, 6] = values[:, 2]
+        values[:, int(rng.choice([4, 5, 7]))] = 0
+    return bn.DatasetTable(bn.profile_variables(), values)
+
+
+class TestHillClimbMatchesReference:
+    def test_same_networks_and_scores(self):
+        rng = np.random.default_rng(31)
+        constraint_sets = (bn.default_layer_constraints(),
+                           bn.LayerConstraints.unconstrained(bn.profile_variables()))
+        climbs = tie_draws = 0
+        for t in range(20):
+            data = profile_table(rng, tie_heavy=t % 2 == 1)
+            for c, constraints in enumerate(constraint_sets):
+                cache = bn.FamilyScoreCache(data, CFG)
+                ref_cache = RefFamilyScoreCache(data, CFG)
+                for r in range(16):
+                    start = bn.random_start(constraints, (0.0, 0.15, 0.4)[r % 3], seed=[t, c, r])
+                    got, score = bn.hill_climb(data, constraints, CFG, start,
+                                               seed=[t, c, r, 1], cache=cache if r else None)
+                    want, ref_score, draws = ref_hill_climb(data, constraints, CFG, start,
+                                                            [t, c, r, 1], ref_cache)
+                    assert got.edges() == want.edges()
+                    assert score == ref_score
+                    climbs += 1
+                    tie_draws += draws
+        assert climbs >= 600
+        assert tie_draws > 0
+
+
+# Reference search: the Dag-based move generator, frozenset-keyed cache,
+# hill climb and per-pair random start that the bitmask search replaced.
+# The bitmask code must reproduce their networks, scores and draws exactly.
+
+class RefFamilyScoreCache:
+    def __init__(self, data, cfg):
+        self._values = data.values
+        self._arities = np.asarray(data.variables.arities, dtype=np.int64)
+        self._ess = cfg.ess
+        self._scores = {}
+
+    def score(self, child, parents):
+        key = (child, parents)
+        got = self._scores.get(key)
+        if got is None:
+            got = bn._family_score(self._values, self._arities, child,
+                                   tuple(sorted(parents)), self._ess)
+            self._scores[key] = got
+        return got
+
+
+def ref_move_candidates(dag, constraints):
+    n = dag.variables.n
+    for u in range(n):
+        for v in range(n):
+            if u == v:
+                continue
+            if dag.has_edge(u, v):
+                yield ("delete", u, v)
+                if constraints.allows(v, u):
+                    dag.remove_edge(u, v)
+                    ok = not dag.reaches(u, v)
+                    dag.add_edge(u, v)
+                    if ok:
+                        yield ("reverse", u, v)
+            elif constraints.allows(u, v) and not dag.reaches(v, u):
+                yield ("add", u, v)
+
+
+def ref_hill_climb(data, constraints, cfg, start, seed, cache):
+    """Returns (dag, score, number of random tie-break draws)."""
+    rng = np.random.default_rng(seed)
+    n = data.variables.n
+    dag = start.copy()
+    pa = [frozenset(dag.parent_indices(i)) for i in range(n)]
+    fam = [cache.score(i, pa[i]) for i in range(n)]
+    draws = 0
+    while True:
+        best = 0.0
+        candidates = []
+        for move in ref_move_candidates(dag, constraints):
+            kind, u, v = move
+            if kind == "add":
+                delta = cache.score(v, pa[v] | {u}) - fam[v]
+            elif kind == "delete":
+                delta = cache.score(v, pa[v] - {u}) - fam[v]
+            else:
+                delta = (cache.score(v, pa[v] - {u}) - fam[v]) + (
+                    cache.score(u, pa[u] | {v}) - fam[u]
+                )
+            if delta > bn.IMPROVEMENT_EPS:
+                candidates.append((delta, move))
+                if delta > best:
+                    best = delta
+        if not candidates:
+            break
+        ties = [m for d, m in candidates if best - d <= bn.TIE_EPS]
+        if len(ties) > 1:
+            draws += 1
+        kind, u, v = ties[int(rng.integers(len(ties)))] if len(ties) > 1 else ties[0]
+        if kind == "add":
+            dag.add_edge(u, v)
+            pa[v] = pa[v] | {u}
+            fam[v] = cache.score(v, pa[v])
+        elif kind == "delete":
+            dag.remove_edge(u, v)
+            pa[v] = pa[v] - {u}
+            fam[v] = cache.score(v, pa[v])
+        else:
+            dag.remove_edge(u, v)
+            dag.add_edge(v, u)
+            pa[v] = pa[v] - {u}
+            pa[u] = pa[u] | {v}
+            fam[v] = cache.score(v, pa[v])
+            fam[u] = cache.score(u, pa[u])
+    return dag, math.fsum(fam), draws
+
+
+def ref_random_start(constraints, edge_probability, seed=0):
+    rng = np.random.default_rng(seed)
+    n = constraints.variables.n
+    order = rng.permutation(n)
+    dag = bn.Dag(constraints.variables)
+    for a in range(n):
+        for b in range(a + 1, n):
+            u, v = int(order[a]), int(order[b])
+            if constraints.allows(u, v) and rng.random() < edge_probability:
+                dag.add_edge(u, v)
+    return dag
 
 
 class TestFitMle:
