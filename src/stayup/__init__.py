@@ -43,7 +43,8 @@ from .evaluate import (
     roc_auc,
 )
 from .ingest import (
-    BedtimeObservation,
+    Bedtimes,
+    EventColumns,
     EventStore,
     IngestError,
     LogPaths,

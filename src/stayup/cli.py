@@ -142,23 +142,13 @@ def _cmd_ingest(args) -> int:
     paths = ingest.LogPaths.from_dir(_require(args.data, "data directory"))
     for p in paths.as_dict().values():
         _require(p, "input file")
-    store = ingest.parse_logs(paths, strict=args.strict, gpa_max=args.gpa_max)
-    night_cfg = ingest.NightWindowConfig()
-    observations = ingest.extract_bedtimes(store.sessions, night_cfg)
-    counts = ingest.aggregate_sleep_counts(observations, night_cfg, args.min_nights)
-    features = ingest.compute_raw_features(store, ingest.infer_study_days(store))
     args.out.mkdir(parents=True, exist_ok=True)
-    ingest.write_sleep_counts_csv(args.out / "sleep_counts.csv", counts, night_cfg.bin_count)
-    ingest.write_features_csv(args.out / "features.csv", features)
-    report = {
-        "loaded": store.report.loaded,
-        "skipped": store.report.skipped,
-        "reasons": store.report.reasons,
-        "students_with_counts": len(counts),
-        "students_with_features": len(features),
-    }
+    result = ingest.ingest_logs(args.data, args.out, strict=args.strict,
+                                gpa_max=args.gpa_max, min_nights=args.min_nights)
+    report = {**result.summary(), "reasons": result.report.reasons}
     (args.out / "ingest_report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
-    print(f"[ingest] {len(counts)} students with counts, {len(features)} with features")
+    print(f"[ingest] {len(result.counts)} students with counts, "
+          f"{len(result.features)} with features")
     return 0
 
 

@@ -6,15 +6,25 @@ day's boundary, so signals after midnight attach to the preceding evening.
 The bedtime of a night is the end time of the last network session falling
 inside the observation window (21:00 plus 16 half-hour bins by default);
 bins are half-open, so a signal exactly on a boundary lands in the later bin.
+
+The three event logs are read into numpy columns (``EventColumns``): a
+student index, an int64 timestamp in microseconds since 1970-01-01 (naive
+local time), a category or venue code and a duration or amount. Rows in a
+narrow grammar are decoded with array ops: fixed-width
+``YYYY-MM-DD[ T]HH:MM[:SS]`` timestamps, plain-digit durations, plain decimal
+amounts and known ids without surrounding whitespace. Every other row goes
+through the per-row checks, which accept what ``datetime.fromisoformat``,
+``int`` and ``float`` accept and give each rejected row its reason.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -35,37 +45,13 @@ CSV_SCHEMAS = {
     "demographics": ["student_id", "gender", "cohort"],
 }
 
+DAY_US = 86_400_000_000
+_EPOCH = datetime(1970, 1, 1)
+_MICROSECOND = timedelta(microseconds=1)
+
 
 class IngestError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class NetSessionRecord:
-    student_id: str
-    end_time: datetime
-    app_category: str
-    duration_minutes: int
-
-
-@dataclass(frozen=True)
-class TransactionRecord:
-    student_id: str
-    time: datetime
-    venue: str
-    amount: float
-
-
-@dataclass(frozen=True)
-class BorrowRecord:
-    student_id: str
-    time: datetime
-
-
-@dataclass(frozen=True)
-class GradeRecord:
-    student_id: str
-    gpa: float
 
 
 @dataclass(frozen=True)
@@ -73,6 +59,11 @@ class DemographicRecord:
     student_id: str
     gender: str
     cohort: str
+
+
+def _time_us(t: time) -> int:
+    """Microseconds from midnight to a time of day."""
+    return ((t.hour * 60 + t.minute) * 60 + t.second) * 1_000_000 + t.microsecond
 
 
 @dataclass(frozen=True)
@@ -117,11 +108,29 @@ class NightWindowConfig:
         )
 
 
-@dataclass(frozen=True)
-class BedtimeObservation:
-    student_id: str
-    night_index: int
-    bin_index: int
+@dataclass
+class EventColumns:
+    """One event log as columns in file order; row i is the i-th loaded event."""
+    students: tuple[str, ...]   # sorted demographics ids; ``student`` indexes them
+    student: np.ndarray         # int32
+    time: np.ndarray            # int64 microseconds since 1970-01-01, naive
+    code: np.ndarray            # int8 index into APP_CATEGORIES or VENUES (0 for borrows)
+    value: np.ndarray           # float64 duration in minutes or amount (0 for borrows)
+
+    def __len__(self) -> int:
+        return self.student.size
+
+
+@dataclass
+class Bedtimes:
+    """One row per student-night with an in-window signal, sorted by student, night."""
+    students: tuple[str, ...]
+    student: np.ndarray   # index into students
+    night: np.ndarray     # nights since the earliest night touched by any session
+    bin: np.ndarray       # bin of the night's last in-window signal
+
+    def __len__(self) -> int:
+        return self.student.size
 
 
 @dataclass
@@ -163,12 +172,16 @@ class ParseReport:
 
 @dataclass
 class EventStore:
-    sessions: list[NetSessionRecord]
-    transactions: list[TransactionRecord]
-    borrows: list[BorrowRecord]
-    grades: dict[str, GradeRecord]
+    sessions: EventColumns
+    transactions: EventColumns
+    borrows: EventColumns
+    grades: dict[str, float]
     demographics: dict[str, DemographicRecord]
     report: ParseReport
+
+    @property
+    def students(self) -> tuple[str, ...]:
+        return self.sessions.students
 
 
 @dataclass(frozen=True)
@@ -188,35 +201,307 @@ class LogPaths:
         return {kind: getattr(self, kind) for kind in CSV_SCHEMAS}
 
 
-def _parse_timestamp(text: str) -> datetime:
+# --- per-row checks -----------------------------------------------------------
+
+def _parse_timestamp(text: str) -> int:
+    """Microseconds since 1970-01-01 of a naive ISO timestamp."""
     try:
-        return datetime.fromisoformat(text.strip())
+        dt = datetime.fromisoformat(text.strip())
     except ValueError:
-        raise ValueError(f"bad timestamp {text!r}") from None
+        dt = None
+    if dt is None or dt.tzinfo is not None:
+        raise ValueError(f"bad timestamp {text!r}")
+    return (dt - _EPOCH) // _MICROSECOND
+
+
+def _session_row(row) -> tuple[str, int, int, float]:
+    sid = (row["student_id"] or "").strip()
+    end_time = _parse_timestamp(row["end_time"] or "")
+    category = (row["app_category"] or "").strip()
+    duration = int(row["duration_minutes"])
+    if category not in APP_CATEGORIES:
+        raise ValueError(f"bad app_category {category!r}")
+    if duration < 0:
+        raise ValueError("negative duration")
+    return sid, end_time, APP_CATEGORIES.index(category), float(duration)
+
+
+def _transaction_row(row) -> tuple[str, int, int, float]:
+    sid = (row["student_id"] or "").strip()
+    ts = _parse_timestamp(row["time"] or "")
+    venue = (row["venue"] or "").strip()
+    amount = float(row["amount"])
+    if venue not in VENUES:
+        raise ValueError(f"bad venue {venue!r}")
+    if amount < 0:
+        raise ValueError("negative amount")
+    if not math.isfinite(amount):
+        raise ValueError("non-finite amount")
+    return sid, ts, VENUES.index(venue), amount
+
+
+def _borrow_row(row) -> tuple[str, int, int, float]:
+    return (row["student_id"] or "").strip(), _parse_timestamp(row["time"] or ""), 0, 0.0
+
+
+def _check_header(path: Path, header, columns):
+    if header is None or set(header) != set(columns):
+        raise IngestError(
+            f"{path}: header {header!r} does not match expected columns {columns}"
+        )
 
 
 def _read_rows(path: Path, kind: str):
+    """(physical line number, row dict) of every non-blank record after the header."""
     columns = CSV_SCHEMAS[kind]
     if not path.exists():
         raise IngestError(f"missing input file: {path}")
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames
-        if header is None or set(header) != set(columns):
-            raise IngestError(
-                f"{path}: header {header!r} does not match expected columns {columns}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            yield line_no, row
+        _check_header(path, reader.fieldnames, columns)
+        for row in reader:
+            yield reader.line_num, row
+
+
+# --- columnar reader of the event logs -----------------------------------------
+
+@dataclass(frozen=True)
+class _EventLog:
+    check: Callable            # per-row checks: row -> (sid, time, code, value)
+    time: str                  # timestamp column
+    code: str | None = None    # category column and its values
+    codes: tuple[str, ...] = ()
+    value: str | None = None   # number column
+    decimal: bool = False      # the number may hold one decimal point
+
+
+_EVENT_LOGS = {
+    "net_sessions": _EventLog(_session_row, "end_time", "app_category", APP_CATEGORIES,
+                              "duration_minutes"),
+    "transactions": _EventLog(_transaction_row, "time", "venue", VENUES, "amount", decimal=True),
+    "borrows": _EventLog(_borrow_row, "time"),
+}
+
+# Longest digit string the columnar reader decodes: below 2**53, so the
+# integer and its quotient by a power of ten are exact or correctly rounded,
+# as int() and float() give them.
+_MAX_DIGITS = 15
+_POW10 = np.array([float(10 ** k) for k in range(_MAX_DIGITS + 1)])
+
+
+def _student_index(buf, lo, hi, students: tuple[str, ...]) -> np.ndarray:
+    """Index into ``students`` of each id field; -1 where it is none of them.
+
+    Known ids hold no surrounding whitespace, so an id that needs stripping
+    is not found here and takes the row path.
+    """
+    width = hi - lo
+    index = np.full(width.size, -1, dtype=np.int32)
+    if not students or not width.size:
+        return index
+    keys = np.array([s.encode() for s in students])
+    order = np.argsort(keys, kind="stable").astype(np.int32)
+    keys = keys[order]
+    fits = (width > 0) & (width <= keys.itemsize)   # others are no known id
+    if not fits.any():
+        return index
+    span = int(width[fits].max())
+    text = np.zeros((width.size, span), dtype=np.uint8)
+    for j in range(span):
+        text[:, j] = np.where(j < width, buf[lo + j], 0)
+    ids = text.view(f"S{span}").ravel()
+    at = np.minimum(np.searchsorted(keys, ids), keys.size - 1)
+    found = fits & (keys[at] == ids)
+    index[found] = order[at[found]]
+    return index
+
+
+def _timestamps(buf, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """(ok, microseconds) of fixed-width ``YYYY-MM-DD[ T]HH:MM[:SS]`` fields."""
+    width = hi - lo
+    seconds = width == 19
+    ok = (width == 16) | seconds
+
+    def number(at: int, count: int, where=None) -> np.ndarray:
+        nonlocal ok
+        out = np.zeros(width.size, dtype=np.int64)
+        for j in range(at, at + count):
+            digit = buf[lo + j].astype(np.int64) - 48
+            hit = (digit >= 0) & (digit <= 9)
+            ok &= hit if where is None else hit | ~where
+            out = out * 10 + digit
+        return out
+
+    def char(at: int, *allowed: str, where=None):
+        nonlocal ok
+        got = buf[lo + at]
+        hit = np.zeros(width.size, dtype=bool)
+        for c in allowed:
+            hit |= got == ord(c)
+        ok &= hit if where is None else hit | ~where
+
+    year, month, day = number(0, 4), number(5, 2), number(8, 2)
+    hour, minute = number(11, 2), number(14, 2)
+    second = np.where(seconds, number(17, 2, where=seconds), 0)
+    char(4, "-")
+    char(7, "-")
+    char(10, " ", "T")
+    char(13, ":")
+    char(16, ":", where=seconds)
+    ok &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+           & (hour < 24) & (minute < 60) & (second < 60))
+    months = np.where(ok, (year - 1970) * 12 + month - 1, 0).astype("datetime64[M]")
+    first = months.astype("datetime64[D]").astype(np.int64)
+    ok &= day <= (months + 1).astype("datetime64[D]").astype(np.int64) - first
+    us = (((first + day - 1) * 24 + hour) * 60 + minute) * 60 + second
+    return ok, us * 1_000_000
+
+
+def _codes(buf, lo, hi, names: tuple[str, ...]) -> np.ndarray:
+    """Index into ``names`` of each field that spells one exactly; -1 elsewhere."""
+    width = hi - lo
+    code = np.full(width.size, -1, dtype=np.int8)
+    for c, name in enumerate(names):
+        hit = width == len(name)
+        for j, ch in enumerate(name.encode()):
+            hit &= buf[lo + j] == ch
+        code[hit] = c
+    return code
+
+
+def _numbers(buf, lo, hi, decimal: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(ok, value) of plain-digit fields, with one decimal point if ``decimal``."""
+    width = hi - lo
+    ok = (width > 0) & (width <= _MAX_DIGITS + decimal)
+    mantissa = np.zeros(width.size, dtype=np.int64)
+    digits = np.zeros(width.size, dtype=np.int64)
+    points = np.zeros(width.size, dtype=np.int64)
+    scale = np.zeros(width.size, dtype=np.int64)
+    for j in range(int(width[ok].max()) if ok.any() else 0):
+        inside = j < width
+        b = buf[lo + j]
+        is_digit = inside & (b >= 48) & (b <= 57)
+        is_point = inside & (b == 46)
+        ok &= ~inside | is_digit | (is_point & decimal)
+        mantissa = np.where(is_digit, mantissa * 10 + (b.astype(np.int64) - 48), mantissa)
+        digits += is_digit
+        scale += is_digit & (points > 0)
+        points += is_point
+    ok &= (digits >= 1) & (digits <= _MAX_DIGITS) & (points <= 1)
+    return ok, mantissa / _POW10[np.where(ok, scale, 0)]
+
+
+def _columnar(data: bytes) -> bool:
+    """Whether every record is one line of fields split by commas.
+
+    That holds for plain ASCII with no quote, NUL or bare carriage return;
+    other files are read by the csv module.
+    """
+    return (data.isascii() and b'"' not in data and b"\0" not in data
+            and data.count(b"\r") == data.count(b"\r\n"))
+
+
+def _columnar_header(data: bytes) -> list[str] | None:
+    """The header ``csv.DictReader`` reads from a columnar file: None if it is empty."""
+    if not data:
+        return None
+    end = data.find(b"\n")
+    first = (data if end < 0 else data[:end]).rstrip(b"\r").decode()
+    return first.split(",") if first else []
+
+
+def _event_row(log: _EventLog, kind, path, line_no, row, index, handle):
+    """(student, time, code, value) of a row that passes the checks, else None."""
+    try:
+        sid, ts, code, value = log.check(row)
+    except (ValueError, TypeError) as exc:
+        handle(kind, path, line_no, str(exc))
+        return None
+    student = index.get(sid)
+    if student is None:
+        handle(kind, path, line_no, f"unknown student {sid}")
+        return None
+    return student, ts, code, value
+
+
+def _read_events(path: Path, kind: str, students: tuple[str, ...],
+                 index: dict[str, int], handle) -> EventColumns:
+    """Load one event log into columns; rows outside the columnar grammar take the row path."""
+    log = _EVENT_LOGS[kind]
+    columns = CSV_SCHEMAS[kind]
+    if not path.exists():
+        raise IngestError(f"missing input file: {path}")
+    data = path.read_bytes()
+    header = _columnar_header(data) if _columnar(data) else None
+    if header is not None:
+        _check_header(path, header, columns)
+    if header is None or len(header) != len(columns):
+        # the csv module reads this file; duplicate header names land here too
+        got = [_event_row(log, kind, path, line_no, row, index, handle)
+               for line_no, row in _read_rows(path, kind)]
+        got = [g for g in got if g is not None]
+        student, ts, code, value = zip(*got) if got else ((),) * 4
+        return EventColumns(students, np.array(student, np.int32), np.array(ts, np.int64),
+                            np.array(code, np.int8), np.array(value, np.float64))
+
+    scan = np.frombuffer(data, dtype=np.uint8)
+    breaks = np.flatnonzero(scan == ord("\n"))
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.concatenate((breaks, [scan.size]))
+    if starts[-1] == scan.size:
+        starts, ends = starts[:-1], ends[:-1]
+    ends -= (ends > starts) & (scan[ends - 1] == ord("\r"))
+    lines = starts.size                     # line i is physical line i + 1; line 0 is the header
+
+    commas = np.flatnonzero(scan == ord(","))
+    per_line = np.diff(np.append(np.searchsorted(commas, starts), commas.size))
+    split = (per_line == len(columns) - 1) & (ends > starts)
+    split[0] = False
+    rows = np.flatnonzero(split)
+    cuts = commas[np.repeat(split, per_line)].reshape(rows.size, len(columns) - 1)
+    # field reads may run past a field's end but not past this padding
+    buf = np.frombuffer(data + bytes(int((ends - starts).max()) + 32), dtype=np.uint8)
+    bounds = {}
+    for j, name in enumerate(header):
+        bounds[name] = (starts[rows] if j == 0 else cuts[:, j - 1] + 1,
+                        ends[rows] if j == len(columns) - 1 else cuts[:, j])
+
+    student = np.full(lines, -1, dtype=np.int32)
+    ts = np.zeros(lines, dtype=np.int64)
+    code = np.zeros(lines, dtype=np.int8)
+    value = np.zeros(lines, dtype=np.float64)
+    got_student = _student_index(buf, *bounds["student_id"], students)
+    ok, got_ts = _timestamps(buf, *bounds[log.time])
+    ok &= got_student >= 0
+    if log.code is not None:
+        got_code = _codes(buf, *bounds[log.code], log.codes)
+        number_ok, got_value = _numbers(buf, *bounds[log.value], log.decimal)
+        ok &= (got_code >= 0) & number_ok
+        code[rows[ok]] = got_code[ok]
+        value[rows[ok]] = got_value[ok]
+    student[rows[ok]] = got_student[ok]
+    ts[rows[ok]] = got_ts[ok]
+
+    slow = np.flatnonzero((student < 0) & (ends > starts))
+    for line in slow[slow > 0].tolist():
+        fields = data[starts[line]:ends[line]].decode().split(",")
+        row = dict(zip(header, fields))
+        row.update((name, None) for name in header[len(fields):])
+        got = _event_row(log, kind, path, line + 1, row, index, handle)
+        if got is not None:
+            student[line], ts[line], code[line], value[line] = got
+    keep = student >= 0
+    return EventColumns(students, student[keep], ts[keep], code[keep], value[keep])
 
 
 def parse_logs(paths: LogPaths, strict: bool = False,
                gpa_max: float = DEFAULT_GPA_MAX) -> EventStore:
     """Load the five event-log CSVs.
 
-    Malformed rows raise IngestError (with file and line) in strict mode and
-    are skipped and counted otherwise. A student id that never appears in
-    the demographics file is treated the same way.
+    Malformed rows raise IngestError (with file and physical line) in strict
+    mode and are skipped and counted otherwise. A student id that never
+    appears in the demographics file is treated the same way. Files are read
+    in a fixed order, so in strict mode the first bad row wins.
     """
     report = ParseReport()
     mapping = paths.as_dict()
@@ -247,67 +532,14 @@ def parse_logs(paths: LogPaths, strict: bool = False,
         demographics[sid] = DemographicRecord(sid, gender, cohort)
     report.loaded["demographics"] = len(demographics)
 
-    def known(kind: str, path: Path, line_no: int, sid: str) -> bool:
-        if sid in demographics:
-            return True
-        handle(kind, path, line_no, f"unknown student {sid}")
-        return False
+    students = tuple(sorted(demographics))
+    index = {sid: i for i, sid in enumerate(students)}
+    events = {}
+    for kind in _EVENT_LOGS:
+        events[kind] = _read_events(mapping[kind], kind, students, index, handle)
+        report.loaded[kind] = len(events[kind])
 
-    sessions: list[NetSessionRecord] = []
-    path = mapping["net_sessions"]
-    for line_no, row in _read_rows(path, "net_sessions"):
-        try:
-            sid = (row["student_id"] or "").strip()
-            end_time = _parse_timestamp(row["end_time"] or "")
-            category = (row["app_category"] or "").strip()
-            duration = int(row["duration_minutes"])
-            if category not in APP_CATEGORIES:
-                raise ValueError(f"bad app_category {category!r}")
-            if duration < 0:
-                raise ValueError("negative duration")
-        except (ValueError, TypeError) as exc:
-            handle("net_sessions", path, line_no, str(exc))
-            continue
-        if not known("net_sessions", path, line_no, sid):
-            continue
-        sessions.append(NetSessionRecord(sid, end_time, category, duration))
-    report.loaded["net_sessions"] = len(sessions)
-
-    transactions: list[TransactionRecord] = []
-    path = mapping["transactions"]
-    for line_no, row in _read_rows(path, "transactions"):
-        try:
-            sid = (row["student_id"] or "").strip()
-            ts = _parse_timestamp(row["time"] or "")
-            venue = (row["venue"] or "").strip()
-            amount = float(row["amount"])
-            if venue not in VENUES:
-                raise ValueError(f"bad venue {venue!r}")
-            if amount < 0:
-                raise ValueError("negative amount")
-        except (ValueError, TypeError) as exc:
-            handle("transactions", path, line_no, str(exc))
-            continue
-        if not known("transactions", path, line_no, sid):
-            continue
-        transactions.append(TransactionRecord(sid, ts, venue, amount))
-    report.loaded["transactions"] = len(transactions)
-
-    borrows: list[BorrowRecord] = []
-    path = mapping["borrows"]
-    for line_no, row in _read_rows(path, "borrows"):
-        try:
-            sid = (row["student_id"] or "").strip()
-            ts = _parse_timestamp(row["time"] or "")
-        except (ValueError, TypeError) as exc:
-            handle("borrows", path, line_no, str(exc))
-            continue
-        if not known("borrows", path, line_no, sid):
-            continue
-        borrows.append(BorrowRecord(sid, ts))
-    report.loaded["borrows"] = len(borrows)
-
-    grades: dict[str, GradeRecord] = {}
+    grades: dict[str, float] = {}
     path = mapping["grades"]
     for line_no, row in _read_rows(path, "grades"):
         try:
@@ -318,71 +550,70 @@ def parse_logs(paths: LogPaths, strict: bool = False,
         except (ValueError, TypeError) as exc:
             handle("grades", path, line_no, str(exc))
             continue
-        if not known("grades", path, line_no, sid):
+        if sid not in index:
+            handle("grades", path, line_no, f"unknown student {sid}")
             continue
         if sid in grades:
             handle("grades", path, line_no, f"duplicate student {sid}")
             continue
-        grades[sid] = GradeRecord(sid, gpa)
+        grades[sid] = gpa
     report.loaded["grades"] = len(grades)
 
-    return EventStore(sessions, transactions, borrows, grades, demographics, report)
+    return EventStore(events["net_sessions"], events["transactions"], events["borrows"],
+                      grades, demographics, report)
 
 
-def extract_bedtimes(sessions: Iterable[NetSessionRecord],
-                     cfg: NightWindowConfig) -> list[BedtimeObservation]:
+def extract_bedtimes(sessions: EventColumns, cfg: NightWindowConfig) -> Bedtimes:
     """Latest in-window signal per student per night, mapped to its bin.
 
     Night indices count from the earliest night touched by any session, so
     they are comparable across students. Nights without an in-window signal
     yield no observation.
     """
-    last_signal: dict[tuple[str, date], datetime] = {}
-    first_night: date | None = None
-    for rec in sessions:
-        night, bin_index = cfg.locate(rec.end_time)
-        if first_night is None or night < first_night:
-            first_night = night
-        if bin_index is None:
-            continue
-        key = (rec.student_id, night)
-        if key not in last_signal or rec.end_time > last_signal[key]:
-            last_signal[key] = rec.end_time
-    observations = []
-    for (sid, night), end_time in last_signal.items():
-        _, bin_index = cfg.locate(end_time)
-        observations.append(BedtimeObservation(sid, (night - first_night).days, bin_index))
-    observations.sort(key=lambda o: (o.student_id, o.night_index))
-    return observations
+    t = sessions.time
+    day = t // DAY_US
+    night = day - (t - day * DAY_US < _time_us(cfg.night_boundary))
+    offset = t - night * DAY_US - _time_us(cfg.window_start)
+    bin_us = cfg.bin_minutes * 60_000_000
+    inside = (offset >= 0) & (offset < bin_us * cfg.bin_count)
+    if not inside.any():
+        empty = np.zeros(0, dtype=np.int64)
+        return Bedtimes(sessions.students, empty, empty, empty)
+    first = night.min()
+    span = int(night.max() - first) + 1
+    pair = sessions.student[inside].astype(np.int64) * span + (night[inside] - first)
+    # the last signal of a night is its latest bin: keep the largest key per pair
+    keys = np.sort(pair * cfg.bin_count + offset[inside] // bin_us)
+    pair = keys // cfg.bin_count
+    keys = keys[np.append(pair[1:] != pair[:-1], True)]
+    pair = keys // cfg.bin_count
+    return Bedtimes(sessions.students, pair // span, pair % span, keys % cfg.bin_count)
 
 
-def aggregate_sleep_counts(observations: Iterable[BedtimeObservation],
-                           cfg: NightWindowConfig,
+def aggregate_sleep_counts(bedtimes: Bedtimes, cfg: NightWindowConfig,
                            min_nights: int = DEFAULT_MIN_NIGHTS) -> dict[str, SleepCountVector]:
     """Per-student counts of nights per bin; thin students are dropped."""
     if min_nights < 1:
         raise ValueError("min_nights must be >= 1")
-    per_student: dict[str, np.ndarray] = {}
-    for obs in observations:
-        if obs.bin_index >= cfg.bin_count:
-            raise ValueError("bin index outside the configured window")
-        counts = per_student.setdefault(obs.student_id, np.zeros(cfg.bin_count, dtype=np.int64))
-        counts[obs.bin_index] += 1
+    if len(bedtimes) and (bedtimes.bin.min() < 0 or bedtimes.bin.max() >= cfg.bin_count):
+        raise ValueError("bin index outside the configured window")
+    n = len(bedtimes.students)
+    counts = np.bincount(bedtimes.student * cfg.bin_count + bedtimes.bin,
+                         minlength=n * cfg.bin_count).reshape(n, cfg.bin_count)
     return {
-        sid: SleepCountVector(sid, counts)
-        for sid, counts in sorted(per_student.items())
-        if int(counts.sum()) >= min_nights
+        bedtimes.students[i]: SleepCountVector(bedtimes.students[i], counts[i])
+        for i in np.flatnonzero(counts.sum(axis=1) >= min_nights).tolist()
     }
 
 
 def infer_study_days(store: EventStore) -> int:
     """Span in days covered by any timestamp in the store."""
-    stamps = [r.end_time for r in store.sessions]
-    stamps += [r.time for r in store.transactions]
-    stamps += [r.time for r in store.borrows]
+    stamps = [c.time for c in (store.sessions, store.transactions, store.borrows) if len(c)]
     if not stamps:
         raise ValueError("no timestamped records to infer the study span from")
-    return (max(stamps).date() - min(stamps).date()).days + 1
+    first = min(int(s.min()) for s in stamps)
+    last = max(int(s.max()) for s in stamps)
+    return last // DAY_US - first // DAY_US + 1
 
 
 def compute_raw_features(store: EventStore, study_days: int,
@@ -392,60 +623,93 @@ def compute_raw_features(store: EventStore, study_days: int,
 
     Students present in demographics but missing a grade record are omitted.
     Students with fewer than two bath transactions get a None
-    bath_interval_variance; excluding them is the caller's call.
+    bath_interval_variance; excluding them is the caller's call. Sums run
+    in file order, as np.bincount adds its weights.
     """
     if study_days < 1:
         raise ValueError("study_days must be >= 1")
-    bf_start, bf_end = breakfast_window
+    students = store.students
+    n = len(students)
 
-    surf = {sid: 0.0 for sid in store.demographics}
-    game = dict(surf)
-    video = dict(surf)
-    for rec in store.sessions:
-        surf[rec.student_id] += rec.duration_minutes
-        if rec.app_category == "game":
-            game[rec.student_id] += rec.duration_minutes
-        elif rec.app_category == "video":
-            video[rec.student_id] += rec.duration_minutes
+    s = store.sessions
+    surf = np.bincount(s.student, weights=s.value, minlength=n)
+    game, video = (np.bincount(s.student[hit], weights=s.value[hit], minlength=n)
+                   for hit in (s.code == APP_CATEGORIES.index("game"),
+                               s.code == APP_CATEGORIES.index("video")))
 
-    spend = {sid: 0.0 for sid in store.demographics}
-    breakfast_days: dict[str, set[date]] = {sid: set() for sid in store.demographics}
-    bath_times: dict[str, list[datetime]] = {sid: [] for sid in store.demographics}
-    for rec in store.transactions:
-        spend[rec.student_id] += rec.amount
-        if rec.venue == "canteen" and bf_start <= rec.time.time() < bf_end:
-            breakfast_days[rec.student_id].add(rec.time.date())
-        elif rec.venue == "bath":
-            bath_times[rec.student_id].append(rec.time)
+    tx = store.transactions
+    spend = np.bincount(tx.student, weights=tx.value, minlength=n)
+    day = tx.time // DAY_US
+    tod = tx.time - day * DAY_US
+    morning = ((tx.code == VENUES.index("canteen")) & (tod >= _time_us(breakfast_window[0]))
+               & (tod < _time_us(breakfast_window[1])))
+    breakfast = np.zeros(n, dtype=np.int64)
+    if morning.any():
+        first = day[morning].min()
+        span = int(day[morning].max() - first) + 1
+        student_days = np.sort(tx.student[morning].astype(np.int64) * span + day[morning] - first)
+        student_days = student_days[np.append(True, student_days[1:] != student_days[:-1])]
+        breakfast = np.bincount(student_days // span, minlength=n)
+    bath = tx.code == VENUES.index("bath")
+    order = np.lexsort((tx.time[bath], tx.student[bath]))
+    bath_days = day[bath][order]
+    bath_from = np.searchsorted(tx.student[bath][order], np.arange(n + 1))
 
-    borrowed: dict[str, int] = {sid: 0 for sid in store.demographics}
-    for rec in store.borrows:
-        borrowed[rec.student_id] += 1
+    borrowed = np.bincount(store.borrows.student, minlength=n)
 
     features: dict[str, RawFeatureRecord] = {}
-    for sid in sorted(store.demographics):
-        grade = store.grades.get(sid)
-        if grade is None:
+    for i, sid in enumerate(students):
+        gpa = store.grades.get(sid)
+        if gpa is None:
             continue
-        baths = sorted(bath_times[sid])
-        if len(baths) >= 2:
-            gaps = np.diff([b.toordinal() for b in (t.date() for t in baths)])
-            variance = float(np.var(gaps))
-        else:
-            variance = None
+        baths = bath_days[bath_from[i]:bath_from[i + 1]]
+        variance = float(np.var(np.diff(baths))) if baths.size >= 2 else None
         features[sid] = RawFeatureRecord(
             student_id=sid,
-            books_borrowed=borrowed[sid],
-            mean_daily_surf_minutes=surf[sid] / study_days,
-            game_minutes=game[sid],
-            video_minutes=video[sid],
-            breakfast_count=len(breakfast_days[sid]),
+            books_borrowed=int(borrowed[i]),
+            mean_daily_surf_minutes=float(surf[i]) / study_days,
+            game_minutes=float(game[i]),
+            video_minutes=float(video[i]),
+            breakfast_count=int(breakfast[i]),
             bath_interval_variance=variance,
-            mean_daily_spend=spend[sid] / study_days,
-            gpa=grade.gpa,
+            mean_daily_spend=float(spend[i]) / study_days,
+            gpa=gpa,
             gender=store.demographics[sid].gender,
         )
     return features
+
+
+@dataclass
+class IngestResult:
+    counts: dict[str, SleepCountVector]
+    features: dict[str, RawFeatureRecord]
+    demographics: dict[str, DemographicRecord]
+    report: ParseReport
+
+    def summary(self) -> dict:
+        return {
+            "loaded": self.report.loaded,
+            "skipped": self.report.skipped,
+            "students_with_counts": len(self.counts),
+            "students_with_features": len(self.features),
+        }
+
+
+INGEST_OUTPUTS = ("sleep_counts.csv", "features.csv")
+
+
+def ingest_logs(data_dir, out_dir, strict: bool = False, gpa_max: float = DEFAULT_GPA_MAX,
+                min_nights: int = DEFAULT_MIN_NIGHTS) -> IngestResult:
+    """The ingest stage: parse the five logs, write INGEST_OUTPUTS into out_dir."""
+    store = parse_logs(LogPaths.from_dir(data_dir), strict=strict, gpa_max=gpa_max)
+    night_cfg = NightWindowConfig()
+    counts = aggregate_sleep_counts(extract_bedtimes(store.sessions, night_cfg),
+                                    night_cfg, min_nights)
+    features = compute_raw_features(store, infer_study_days(store))
+    out_dir = Path(out_dir)
+    write_sleep_counts_csv(out_dir / INGEST_OUTPUTS[0], counts, night_cfg.bin_count)
+    write_features_csv(out_dir / INGEST_OUTPUTS[1], features)
+    return IngestResult(counts, features, store.demographics, store.report)
 
 
 def write_sleep_counts_csv(path, counts: Mapping[str, SleepCountVector], bin_count: int = 16):

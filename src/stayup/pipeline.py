@@ -174,31 +174,17 @@ def _groups(cfg: PipelineConfig, demographics) -> list[tuple[str, list[str]]]:
 
 
 def _stage_ingest(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
-    paths = ingest.LogPaths.from_dir(cfg.data_dir)
-    store = ingest.parse_logs(paths, strict=cfg.strict_parse, gpa_max=cfg.gpa_max)
-    night_cfg = ingest.NightWindowConfig()
-    observations = ingest.extract_bedtimes(store.sessions, night_cfg)
-    counts = ingest.aggregate_sleep_counts(observations, night_cfg, cfg.min_nights)
-    features = ingest.compute_raw_features(store, ingest.infer_study_days(store))
-
-    counts_path = cfg.out_dir / "sleep_counts.csv"
-    ingest.write_sleep_counts_csv(counts_path, counts, night_cfg.bin_count)
-    artifacts.register(counts_path)
-    features_path = cfg.out_dir / "features.csv"
-    ingest.write_features_csv(features_path, features)
-    artifacts.register(features_path)
-
-    state.update(store=store, counts=counts, features=features, night_cfg=night_cfg)
-    state["report"]["ingest"] = {
-        "loaded": store.report.loaded,
-        "skipped": store.report.skipped,
-        "students_with_counts": len(counts),
-        "students_with_features": len(features),
-    }
+    result = ingest.ingest_logs(cfg.data_dir, cfg.out_dir, strict=cfg.strict_parse,
+                                gpa_max=cfg.gpa_max, min_nights=cfg.min_nights)
+    for name in ingest.INGEST_OUTPUTS:
+        artifacts.register(cfg.out_dir / name)
+    state.update(demographics=result.demographics, counts=result.counts,
+                 features=result.features)
+    state["report"]["ingest"] = result.summary()
 
 
 def _stage_sleep_fit(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
-    groups = _groups(cfg, state["store"].demographics)
+    groups = _groups(cfg, state["demographics"])
     state["groups"] = groups
     rows: list[tuple[str, float, str]] = []
     cluster_sizes: dict[str, dict[str, int]] = {}

@@ -68,6 +68,22 @@ class TestSubcommands:
         report = json.loads((out / "prediction_report.json").read_text())
         assert len(report["auc_per_fold"]) == 3
 
+    def test_ingest_matches_the_run_stage(self, data_dir, tmp_path):
+        cli_out, run_out = tmp_path / "cli", tmp_path / "run"
+        assert cli.main([
+            "ingest", "--data", str(data_dir), "--out", str(cli_out), "--min-nights", "5",
+        ]) == 0
+        run_out.mkdir()
+        state = {"report": {}}
+        cfg = PipelineConfig(data_dir=data_dir, out_dir=run_out, min_nights=5)
+        pipeline._stage_ingest(cfg, state, pipeline._Artifacts(run_out))
+        for name in ("sleep_counts.csv", "features.csv"):
+            assert (cli_out / name).read_bytes() == (run_out / name).read_bytes()
+        report = json.loads((cli_out / "ingest_report.json").read_text())
+        assert report.pop("reasons") == {}
+        assert report == state["report"]["ingest"]
+        assert "store" not in state and len(state["demographics"]) == 450
+
     def test_synth_profiles_mode(self, tmp_path):
         assert cli.main([
             "synth", "--out", str(tmp_path), "--students", "50", "--nights", "5",
