@@ -6,11 +6,11 @@ from .bayesnet import (
     CptSet,
     Dag,
     DatasetTable,
-    FamilyScoreCache,
     LayerConstraints,
     VariableSet,
     bdeu_family_score,
     bdeu_score,
+    climb_batch,
     default_layer_constraints,
     fit_mle,
     hill_climb,
@@ -20,6 +20,7 @@ from .bayesnet import (
     posterior_query,
     profile_variables,
     random_start,
+    score_table,
     structural_hamming_distance,
 )
 from .consensus import (

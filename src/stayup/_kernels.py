@@ -1,7 +1,7 @@
-"""The two numeric kernels of the hot loops, in plain numpy.
+"""Two numeric kernels, in plain numpy.
 
-``family_counts`` feeds BDeu scoring and MLE fitting; ``poisson_scores``
-feeds every E-step and objective of the mixture fit.
+``family_counts`` feeds MLE fitting; ``poisson_scores`` feeds every E-step
+and objective of the mixture fit.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Discrete Bayesian-network core.
 
-DAGs under layer constraints, BDeu scoring with a family cache, steepest
-ascent hill climbing on parent and child bitmasks, MLE parameter fitting,
-exact inference by enumeration, and Markov blankets. Everything operates on
-small all-discrete variable sets, so enumeration-based inference is exact
-and cheap.
+DAGs under layer constraints, a dense table of BDeu family scores,
+steepest-ascent hill climbing that advances many restarts in lockstep as
+array code over parent bitmasks, MLE parameter fitting, exact inference by
+enumeration, and Markov blankets. Everything operates on small
+all-discrete variable sets, so a table of every family and
+enumeration-based inference are exact and cheap.
 """
 
 from __future__ import annotations
@@ -85,6 +86,16 @@ class Dag:
         self._ch = [0] * n
         for u, v in edges:
             self.add_edge(u, v)
+
+    @classmethod
+    def _from_parents(cls, variables: VariableSet, parents: Sequence[int]) -> "Dag":
+        """A Dag from parent bitmasks that the caller knows to be acyclic."""
+        dag = cls(variables)
+        dag._pa = list(parents)
+        for v, mask in enumerate(dag._pa):
+            for u in _bits(mask):
+                dag._ch[u] |= 1 << v
+        return dag
 
     def _idx(self, v) -> int:
         return v if isinstance(v, int) else self.variables.index(v)
@@ -218,10 +229,21 @@ class LayerConstraints:
         return u != v and self.layers[u] <= self.layers[v]
 
     @cached_property
-    def child_masks(self) -> tuple[int, ...]:
-        """Per variable u, the bitmask of every variable that u may point to."""
+    def allowed(self) -> np.ndarray:
+        """(n, n) bool array, true at [u, v] when u may point to v."""
         n = self.variables.n
-        return tuple(sum(1 << v for v in range(n) if self.allows(u, v)) for u in range(n))
+        out = np.array([[self.allows(u, v) for v in range(n)] for u in range(n)])
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def score_plan(self) -> list[_FamilyGroup]:
+        """How score_table projects the joint counts onto every layer-legal family."""
+        n = self.variables.n
+        most_parents = [sum(1 << u for u in range(n) if self.allows(u, v)) for v in range(n)]
+        families = [(v, mask) for v, most in enumerate(most_parents)
+                    for mask in range(most + 1) if not mask & ~most]
+        return _score_plan(self.variables.arities, families)
 
     def allows_edge(self, u: str, v: str) -> bool:
         return self.allows(self.variables.index(u), self.variables.index(v))
@@ -286,45 +308,84 @@ class BdeuConfig:
             raise ValueError("ess must be positive")
 
 
-def _family_score(values: np.ndarray, arities: np.ndarray, child: int,
-                  parents: tuple[int, ...], ess: float) -> float:
-    r = int(arities[child])
-    q = 1
-    for p in parents:
-        q *= int(arities[p])
-    counts = family_counts(values, np.asarray(parents, dtype=np.int64), child, arities)
+# --- BDeu scores ----------------------------------------------------------------
+#
+# Every family's counts are a marginal of one joint count table over all
+# variables. A projection maps each joint cell to its family cell (parent
+# configuration * r + child value, the last parent varying fastest), so a
+# weighted bincount through it gives the counts of many families at once.
+
+_CHUNK = 64   # families projected per bincount; bounds the (families, cells) temporaries
+
+
+@dataclass(frozen=True)
+class _FamilyGroup:
+    """Families with q parent configurations and child arity r."""
+
+    q: int
+    r: int
+    child: np.ndarray      # (F,) child index
+    parents: np.ndarray    # (F,) parent bitmask
+    cells: np.ndarray      # (F, joint cells) family cell of each joint cell
+
+
+def _score_plan(arities: Sequence[int], families) -> list[_FamilyGroup]:
+    """Projections of the joint table onto (child, parent mask) families, by shape."""
+    size = math.prod(arities)
+    grid = np.unravel_index(np.arange(size), arities)
+    dtype = np.min_scalar_type(size - 1)
+    groups: dict[tuple[int, int], list] = {}
+    for child, mask in families:
+        parents = tuple(_bits(mask))
+        dims = tuple(arities[p] for p in parents) + (arities[child],)
+        cells = np.ravel_multi_index(tuple(grid[p] for p in parents) + (grid[child],), dims)
+        groups.setdefault((math.prod(dims[:-1]), dims[-1]), []).append(
+            (child, mask, cells.astype(dtype)))
+    return [_FamilyGroup(q, r, np.array([f[0] for f in fams]), np.array([f[1] for f in fams]),
+                         np.stack([f[2] for f in fams]))
+            for (q, r), fams in groups.items()]
+
+
+def _bdeu(cells: np.ndarray, weights: np.ndarray, q: int, r: int, ess: float) -> np.ndarray:
+    """BDeu scores of families of one (q, r) shape.
+
+    `cells[f]` maps each unit (a row, or an occupied joint cell) to its cell
+    of family f, and `weights` holds each unit's count.
+    """
+    f, m = cells.shape[0], q * r
+    index = cells + np.arange(0, f * m, m)[:, None]
+    counts = np.bincount(index.ravel(), np.broadcast_to(weights, index.shape).ravel(), f * m)
+    counts = counts.astype(np.intp).reshape(f, q, r)
+    n_j = counts.sum(axis=2)
+    k = np.arange(n_j.max(initial=0) + 1)
     a_jk = ess / (q * r)
     a_j = ess / q
-    n_j = counts.sum(axis=1)
-    row_terms = gammaln(a_j) - gammaln(a_j + n_j)
-    cell_terms = gammaln(a_jk + counts) - gammaln(a_jk)
-    return float(np.sum(row_terms) + np.sum(cell_terms))
+    # each count's gammaln is looked up: the same numbers as evaluated in place
+    row_terms = (gammaln(a_j) - gammaln(a_j + k))[n_j]
+    cell_terms = (gammaln(a_jk + k) - gammaln(a_jk))[counts]
+    return row_terms.sum(axis=1) + cell_terms.reshape(f, m).sum(axis=1)
 
 
-class FamilyScoreCache:
-    """Memoized BDeu family scores for one dataset and ESS.
+def score_table(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuConfig) -> np.ndarray:
+    """BDeu score of every layer-legal family as an (n, 2**n) array.
 
-    Keyed by child index and parent bitmask; safe to share across
-    hill-climbing restarts over the same data.
+    Entry [v, mask] scores child v under the parents in bitmask `mask`;
+    families the layers rule out hold NaN.
     """
-
-    def __init__(self, data: DatasetTable, cfg: BdeuConfig):
-        self.data = data
-        self.cfg = cfg
-        self._values = data.values
-        self._arities = np.asarray(data.variables.arities, dtype=np.int64)
-        self._scores: list[dict[int, float]] = [{} for _ in range(data.variables.n)]
-
-    def score(self, child: int, parents: int) -> float:
-        table = self._scores[child]
-        got = table.get(parents)
-        if got is None:
-            got = _family_score(self._values, self._arities, child, tuple(_bits(parents)), self.cfg.ess)
-            table[parents] = got
-        return got
-
-    def __len__(self):
-        return sum(len(table) for table in self._scores)
+    if data.variables != constraints.variables:
+        raise ValueError("data and constraints are over different variable sets")
+    arities = data.variables.arities
+    n = data.variables.n
+    joint = np.bincount(np.ravel_multi_index(tuple(data.values.T), arities),
+                        minlength=math.prod(arities))
+    occupied = np.flatnonzero(joint)
+    table = np.full((n, 1 << n), np.nan)
+    for g in constraints.score_plan:
+        for lo in range(0, len(g.child), _CHUNK):
+            part = slice(lo, lo + _CHUNK)
+            table[g.child[part], g.parents[part]] = _bdeu(
+                g.cells[part][:, occupied], joint[occupied], g.q, g.r, cfg.ess)
+    return table
 
 
 def _resolve_family(data: DatasetTable, child, parents) -> tuple[int, tuple[int, ...]]:
@@ -343,72 +404,73 @@ def _resolve_family(data: DatasetTable, child, parents) -> tuple[int, tuple[int,
 def bdeu_family_score(data: DatasetTable, child, parents, cfg: BdeuConfig) -> float:
     """BDeu contribution of one family (child given its parent set)."""
     c, ps = _resolve_family(data, child, parents)
-    arities = np.asarray(data.variables.arities, dtype=np.int64)
-    return _family_score(data.values, arities, c, ps, cfg.ess)
+    columns = list(ps) + [c]
+    dims = tuple(data.variables.arities[j] for j in columns)
+    cells = np.ravel_multi_index(tuple(data.values[:, columns].T), dims)
+    return float(_bdeu(cells[None], np.ones(cells.size), math.prod(dims[:-1]), dims[-1],
+                       cfg.ess)[0])
 
 
 def bdeu_score(dag: Dag, data: DatasetTable, cfg: BdeuConfig,
-               cache: FamilyScoreCache | None = None) -> float:
-    """Decomposable BDeu score: sum of family scores over all variables."""
+               table: np.ndarray | None = None) -> float:
+    """Decomposable BDeu score: sum of family scores over all variables.
+
+    With `table` (see score_table) the family scores are read from it.
+    """
     if dag.variables != data.variables:
         raise ValueError("dag and data are over different variable sets")
-    if cache is None:
-        cache = FamilyScoreCache(data, cfg)
-    return math.fsum(cache.score(i, parents) for i, parents in enumerate(dag._pa))
+    if table is None:
+        return math.fsum(bdeu_family_score(data, i, _bits(mask), cfg)
+                         for i, mask in enumerate(dag._pa))
+    scores = table[np.arange(dag.variables.n), dag._pa]
+    if np.isnan(scores).any():
+        raise ValueError("the score table lacks a family of this dag")
+    return math.fsum(scores.tolist())
 
 
-def _descendants(pa: list[int], ch: list[int]) -> tuple[list[int], list[int]]:
-    """Descendant closure of a DAG given as parent and child bitmasks.
+# --- search -----------------------------------------------------------------------
+#
+# A batch of R graphs is an (R, n) array of parent bitmasks. Moves sit in an
+# (R, n, n, 2) array in the order hill climbing breaks ties by: u, then v,
+# then slot 0 (delete u -> v if present, else add it) before slot 1 (reverse
+# u -> v).
 
-    Returns (desc, via): desc[u] holds every node reachable from u, via[u]
-    every node reachable from u through one of its children, that is by a
-    path of two or more edges. Nodes are closed children before parents.
+def _closures(pa: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(adj, desc, via), each (R, n, n) bool, of graphs given by parent bitmasks.
+
+    adj[r, u, v] is the edge u -> v, desc[r, u, v] a path u ~> v of one or
+    more edges, and via[r, u, v] one of two or more edges, that is through a
+    child of u.
     """
-    n = len(ch)
-    desc, via = [0] * n, [0] * n
-    open_children = list(ch)
-    ready = [u for u in range(n) if not ch[u]]
-    while ready:
-        v = ready.pop()
-        reach = desc[v] = ch[v] | via[v]
-        bit = 1 << v
-        for p in _bits(pa[v]):
-            via[p] |= reach
-            open_children[p] ^= bit
-            if not open_children[p]:
-                ready.append(p)
-    return desc, via
+    n = pa.shape[1]
+    adj = (pa[:, None, :] >> np.arange(n)[:, None] & 1).astype(np.float32)
+    desc = adj   # 0/1 floats: float matmul is many times faster than bool matmul
+    for _ in range(max(n - 2, 0).bit_length()):   # paths of up to 2**k >= n - 1 edges
+        desc = np.minimum(desc + desc @ desc, 1)
+    return adj > 0, desc > 0, adj @ desc > 0
 
 
-def _move_candidates(pa: list[int], ch: list[int], allowed: Sequence[int]):
-    """Yield (kind, u, v) index moves that keep the graph acyclic and layered.
+def _legal(adj: np.ndarray, desc: np.ndarray, via: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """(R, n, n, 2) mask of the moves that keep each graph acyclic and layered.
 
-    `pa` and `ch` are the graph's parent and child bitmasks per node and
-    `allowed[u]` the bitmask of nodes that u may point to. Moves come in
-    order of u, then v, with the delete of an edge before its reversal;
-    hill_climb's tie-breaking depends on that order.
+    An add u -> v needs the layers' consent and no path v ~> u; a reversal
+    needs the layers to allow v -> u and no other path u ~> v.
     """
-    desc, via = _descendants(pa, ch)
-    nodes = range(len(ch))
-    for u in nodes:
-        cu, au = ch[u], allowed[u]
-        for v in nodes:
-            if cu >> v & 1:
-                yield ("delete", u, v)
-                # reversal is legal iff no other path u ~> v remains
-                if allowed[v] >> u & 1 and not via[u] >> v & 1:
-                    yield ("reverse", u, v)
-            elif au >> v & 1 and not desc[v] >> u & 1:
-                yield ("add", u, v)
+    legal = np.empty(adj.shape + (2,), dtype=bool)
+    legal[..., 0] = adj | allowed & ~desc.swapaxes(1, 2)
+    legal[..., 1] = adj & allowed.T & ~via
+    return legal
 
 
 def legal_moves(dag: Dag, constraints: LayerConstraints) -> list[tuple[str, str, str]]:
-    """All add/delete/reverse moves producing a legal acyclic graph."""
+    """All add/delete/reverse moves producing a legal acyclic graph, in tie-break order."""
     if dag.variables != constraints.variables:
         raise ValueError("dag and constraints are over different variable sets")
     names = dag.variables.names
-    moves = _move_candidates(dag._pa, dag._ch, constraints.child_masks)
-    return [(kind, names[u], names[v]) for kind, u, v in moves]
+    adj, desc, via = _closures(np.array([dag._pa], dtype=np.int64))
+    legal = _legal(adj, desc, via, constraints.allowed)[0]
+    return [("reverse" if slot else "delete" if adj[0, u, v] else "add", names[u], names[v])
+            for u, v, slot in zip(*np.nonzero(legal))]
 
 
 def apply_move(dag: Dag, move: tuple[str, str, str]) -> Dag:
@@ -426,70 +488,105 @@ def apply_move(dag: Dag, move: tuple[str, str, str]) -> Dag:
     return out
 
 
-def hill_climb(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuConfig,
-               start: Dag, seed=0, cache: FamilyScoreCache | None = None) -> tuple[Dag, float]:
-    """Steepest-ascent hill climbing from `start`.
+def climb_batch(table: np.ndarray, constraints: LayerConstraints, start_masks,
+                seeds: Sequence) -> list[tuple[Dag, float]]:
+    """Steepest-ascent hill climbs from R starts, advanced in lockstep.
 
-    Applies the best-scoring legal move until no move improves the score by
-    more than IMPROVEMENT_EPS. The graph is kept as parent and child
-    bitmasks; deltas touch only the affected families and come from the
-    shared score cache. Near-ties (within TIE_EPS of the best delta) are
-    broken by a seeded random choice.
+    `start_masks` holds each start's parent bitmasks and `table` the family
+    scores (see score_table). Every step scores all moves of all running
+    climbs, and each climb applies its best legal move until none improves
+    its score by more than IMPROVEMENT_EPS. A reversal's delta is the
+    delete's delta plus the second family's. Near-ties (within TIE_EPS of
+    the best delta) are broken by a draw from the climb's own
+    default_rng(seed), made when the climb first meets one. Returns each
+    climb's DAG and its score.
     """
-    if cache is None:
-        cache = FamilyScoreCache(data, cfg)
-    score = cache.score
-    rng = np.random.default_rng(seed)
-    allowed = constraints.child_masks
-    pa, ch = list(start._pa), list(start._ch)
-    fam = [score(i, m) for i, m in enumerate(pa)]
+    n = constraints.variables.n
+    pa = np.array(start_masks, dtype=np.int64).reshape(-1, n)
+    if len(seeds) != len(pa):
+        raise ValueError("one seed per start required")
+    if table.shape != (n, 1 << n):
+        raise ValueError(f"score table must be ({n}, {1 << n}) for {n} variables")
+    bits = 1 << np.arange(n)
+    flat = table.ravel()
+    rows = np.arange(n) << n   # where each child's scores start in `flat`
+    if np.isnan(flat.take(pa | rows)).any():
+        raise ValueError("a start has a family outside the score table")
+    if _closures(pa)[1].diagonal(axis1=1, axis2=2).any():
+        raise ValueError("a start graph has a cycle")
+    allowed = constraints.allowed
+    rngs: list[np.random.Generator | None] = [None] * len(pa)
+    active = np.arange(len(pa))
+    while active.size:
+        cur = pa[active]
+        adj, desc, via = _closures(cur)
+        family = cur | rows
+        fam = flat.take(family)
+        delta = np.empty(adj.shape + (2,))
+        delta[..., 0] = flat.take(family[:, None, :] ^ bits[:, None]) - fam[:, None, :]
+        delta[..., 1] = delta[..., 0] + (flat.take(family[:, :, None] | bits) - fam[:, :, None])
+        moves = (_legal(adj, desc, via, allowed) & (delta > IMPROVEMENT_EPS)).reshape(len(cur), -1)
+        going = moves.any(axis=1)
+        active, moves, delta = active[going], moves[going], delta.reshape(len(cur), -1)[going]
+        best = np.where(moves, delta, -np.inf).max(axis=1)
+        ties = moves & (best[:, None] - delta <= TIE_EPS)
+        count = ties.sum(axis=1)
+        pick = ties.argmax(axis=1)
+        for i in np.flatnonzero(count > 1).tolist():
+            c = active[i]
+            if rngs[c] is None:
+                rngs[c] = np.random.default_rng(seeds[c])
+            pick[i] = np.flatnonzero(ties[i])[rngs[c].integers(int(count[i]))]
+        u, v, reverse = pick // (2 * n), pick // 2 % n, pick % 2 == 1
+        pa[active, v] ^= bits[u]   # add, delete, or drop u -> v before the reversal
+        pa[active[reverse], u[reverse]] |= bits[v[reverse]]
+    variables = constraints.variables
+    return [(Dag._from_parents(variables, p), math.fsum(scores))
+            for p, scores in zip(pa.tolist(), flat.take(pa | rows).tolist())]
 
-    while True:
-        best = 0.0
-        candidates: list[tuple[float, tuple[str, int, int]]] = []
-        for move in _move_candidates(pa, ch, allowed):
-            kind, u, v = move
-            if kind == "add":
-                delta = score(v, pa[v] | 1 << u) - fam[v]
-            elif kind == "delete":
-                delta = removed = score(v, pa[v] ^ 1 << u) - fam[v]
-            else:  # the delete of the same edge came just before
-                delta = removed + (score(u, pa[u] | 1 << v) - fam[u])
-            if delta > IMPROVEMENT_EPS:
-                candidates.append((delta, move))
-                if delta > best:
-                    best = delta
-        if not candidates:
-            break
-        ties = [m for d, m in candidates if best - d <= TIE_EPS]
-        kind, u, v = ties[int(rng.integers(len(ties)))] if len(ties) > 1 else ties[0]
-        if kind == "add":
-            pa[v] |= 1 << u
-            ch[u] |= 1 << v
-        else:  # delete and reverse both drop u -> v
-            pa[v] ^= 1 << u
-            ch[u] ^= 1 << v
-        fam[v] = score(v, pa[v])
-        if kind == "reverse":
-            pa[u] |= 1 << v
-            ch[v] |= 1 << u
-            fam[u] = score(u, pa[u])
 
-    edges = [(u, v) for u, cu in enumerate(ch) for v in _bits(cu)]
-    return Dag(start.variables, edges), math.fsum(fam)
+def hill_climb(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuConfig,
+               start: Dag, seed=0, table: np.ndarray | None = None) -> tuple[Dag, float]:
+    """Steepest-ascent hill climbing from `start`: climb_batch with one climb.
+
+    Without `table` every family is scored, so a start that breaks the
+    layers can still be climbed; pass a score_table to climb the same data
+    more than once.
+    """
+    if table is None:
+        table = score_table(data, LayerConstraints.unconstrained(data.variables), cfg)
+    return climb_batch(table, constraints, [start._pa], [seed])[0]
+
+
+def random_start_masks(constraints: LayerConstraints, edge_probability: float,
+                       seeds: Sequence) -> np.ndarray:
+    """(R, n) parent bitmasks of random legal DAGs, one per seed.
+
+    Each seed's generator draws a topological order, then one uniform per
+    layer-allowed forward pair in order; a pair becomes an edge when its
+    draw is below `edge_probability`.
+    """
+    if not 0 <= edge_probability <= 1:
+        raise ValueError("edge_probability must be in [0, 1]")
+    n = constraints.variables.n
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    order = np.array([rng.permutation(n) for rng in rngs]).reshape(-1, n)
+    # forward[r, a, b]: order[r, a] -> order[r, b] is allowed and a < b
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    forward = constraints.allowed[order[:, :, None], order[:, None, :]] & upper
+    keep = np.zeros_like(forward)
+    for pairs, kept, rng in zip(forward, keep, rngs):
+        kept[pairs] = rng.random(int(pairs.sum())) < edge_probability
+    r, a, b = np.nonzero(keep)
+    parents = np.zeros((len(rngs), n), dtype=np.int64)
+    np.bitwise_or.at(parents, (r, order[r, b]), 1 << order[r, a])
+    return parents
 
 
 def random_start(constraints: LayerConstraints, edge_probability: float, seed=0) -> Dag:
     """Sample a legal DAG: random topological order, edges kept with fixed probability."""
-    if not 0 <= edge_probability <= 1:
-        raise ValueError("edge_probability must be in [0, 1]")
-    rng = np.random.default_rng(seed)
-    allowed = constraints.child_masks
-    order = rng.permutation(constraints.variables.n).tolist()
-    pairs = [(u, v) for a, u in enumerate(order) for v in order[a + 1:] if allowed[u] >> v & 1]
-    draws = rng.random(len(pairs))
-    return Dag(constraints.variables,
-               [pair for pair, x in zip(pairs, draws) if x < edge_probability])
+    parents = random_start_masks(constraints, edge_probability, [seed])[0]
+    return Dag._from_parents(constraints.variables, parents.tolist())
 
 
 @dataclass

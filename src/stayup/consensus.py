@@ -23,11 +23,11 @@ from .bayesnet import (
     Dag,
     DatasetTable,
     Edge,
-    FamilyScoreCache,
     LayerConstraints,
     VariableSet,
-    hill_climb,
-    random_start,
+    climb_batch,
+    random_start_masks,
+    score_table,
 )
 
 DEFAULT_RESTARTS = 200
@@ -94,16 +94,20 @@ class ConsensusDag:
 def learn_ensemble(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuConfig,
                    n_restarts: int = DEFAULT_RESTARTS, seed: SeedLike = 0,
                    edge_probability: float = DEFAULT_EDGE_PROBABILITY) -> EnsembleResult:
-    """Independent hill climbs from random starts; the family cache is shared."""
+    """Independent hill climbs from random starts.
+
+    The data are scored once into a table of every layer-legal family, and
+    all restarts climb over it together in one climb_batch call. Restart r
+    starts from random_start_masks(seed + [r, 0]) and breaks ties with
+    seed + [r, 1].
+    """
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
-    cache = FamilyScoreCache(data, cfg)
     base = _seed_list(seed)
-    members = []
-    for r in range(n_restarts):
-        start = random_start(constraints, edge_probability, seed=base + [r, 0])
-        dag, score = hill_climb(data, constraints, cfg, start, seed=base + [r, 1], cache=cache)
-        members.append((dag, score))
+    starts = random_start_masks(constraints, edge_probability,
+                                [base + [r, 0] for r in range(n_restarts)])
+    members = climb_batch(score_table(data, constraints, cfg), constraints, starts,
+                          [base + [r, 1] for r in range(n_restarts)])
     return EnsembleResult(members, n_restarts, seed)
 
 

@@ -162,23 +162,35 @@ def fold_indices(n_rows: int, folds: int, seed: SeedLike) -> list[np.ndarray]:
     return [np.sort(part) for part in np.array_split(perm, folds)]
 
 
+def cv_splits(y: np.ndarray, experiment: PredictionExperiment,
+              seed: SeedLike) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(training rows, test rows) of each fold, or of the one in-sample split.
+
+    Raises ValueError unless every split's training and test rows hold both
+    classes of the target: a network needs both to learn from, a ROC curve
+    both to score. This needs only the target column, so a pipeline can
+    check it before any search.
+    """
+    rows = np.arange(len(y))
+    if experiment.mode == "in_sample":
+        splits = [(rows, rows)]
+    else:
+        splits = [(np.setdiff1d(rows, test), test)
+                  for test in fold_indices(len(y), experiment.folds, seed)]
+    for f, (train, test) in enumerate(splits):
+        for part, which in ((train, "training"), (test, "test")):
+            if len(np.unique(y[part])) < 2:
+                raise ValueError(f"fold {f}: {which} rows contain a single {experiment.target} class")
+    return splits
+
+
 def predict_sleep_experiment(profiles: DatasetTable, constraints: LayerConstraints,
                              cfg: BdeuConfig, experiment: PredictionExperiment,
                              seed: SeedLike = 0) -> PredictionResult:
     """Cross-validated (or in-sample) predictability of the target variable."""
     base = _seed_list(seed)
     y = profiles.column(experiment.target).astype(np.int64)
-    if experiment.mode == "in_sample":
-        splits = [(np.arange(profiles.n_rows), np.arange(profiles.n_rows))]
-    else:
-        parts = fold_indices(profiles.n_rows, experiment.folds, seed)
-        all_rows = np.arange(profiles.n_rows)
-        splits = []
-        for f, test_rows in enumerate(parts):
-            train_rows = np.setdiff1d(all_rows, test_rows)
-            if len(np.unique(y[train_rows])) < 2:
-                raise ValueError(f"fold {f}: training rows contain a single {experiment.target} class")
-            splits.append((train_rows, test_rows))
+    splits = cv_splits(y, experiment, seed)
 
     curves, aucs = [], []
     degenerate = False

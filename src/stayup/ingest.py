@@ -223,7 +223,11 @@ def _session_row(row) -> tuple[str, int, int, float]:
         raise ValueError(f"bad app_category {category!r}")
     if duration < 0:
         raise ValueError("negative duration")
-    return sid, end_time, APP_CATEGORIES.index(category), float(duration)
+    try:
+        minutes = float(duration)
+    except OverflowError:
+        raise ValueError("duration too large") from None
+    return sid, end_time, APP_CATEGORIES.index(category), minutes
 
 
 def _transaction_row(row) -> tuple[str, int, int, float]:

@@ -263,6 +263,13 @@ def _stage_profile(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
         "students_profiled": len(all_profiles),
         "excluded": {g: dict(sorted(e.items())) for g, e in excluded.items() if e},
     }
+    # fail on tables the predict stage cannot cross-validate now, not after consensus
+    experiment, tasks = _prediction_tasks(cfg, state)
+    for name, table, seed in tasks:
+        try:
+            evaluate.cv_splits(table.column(experiment.target), experiment, seed)
+        except ValueError as exc:
+            raise ValueError(f"{name} profiles: {exc}") from None
 
 
 def _stage_consensus(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
@@ -318,8 +325,8 @@ def _stage_total_network(cfg: PipelineConfig, state: dict, artifacts: _Artifacts
     }
 
 
-def _stage_predict(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
-    constraints = state["constraints"]
+def _prediction_tasks(cfg: PipelineConfig, state: dict):
+    """The predict stage's experiment and its (name, table, seed) per profile table."""
     experiment = evaluate.PredictionExperiment(
         folds=cfg.folds,
         mode="in_sample" if cfg.in_sample else "cross_validated",
@@ -330,11 +337,17 @@ def _stage_predict(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
     if len(tables) > 1:
         pooled = np.concatenate([t.values for t in tables.values()])
         tables["total"] = bayesnet.DatasetTable(bayesnet.profile_variables(), pooled)
+    return experiment, [(name, table, derive_seed(cfg.seed, 4, gi))
+                        for gi, (name, table) in enumerate(sorted(tables.items()))]
+
+
+def _stage_predict(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
+    constraints = state["constraints"]
+    experiment, tasks = _prediction_tasks(cfg, state)
     results = {}
-    for gi, (name, table) in enumerate(sorted(tables.items())):
+    for name, table, seed in tasks:
         result = evaluate.predict_sleep_experiment(
-            table, constraints, bayesnet.BdeuConfig(cfg.ess), experiment,
-            seed=derive_seed(cfg.seed, 4, gi),
+            table, constraints, bayesnet.BdeuConfig(cfg.ess), experiment, seed=seed,
         )
         results[name] = evaluate.report_json(result)
         for k, curve in enumerate(result.curves):

@@ -203,14 +203,14 @@ def test_criterion_4_search_optimality():
             values[:, i] = rng.random(500) < cpts.cpts[i].table[j, 1]
         data = bn.DatasetTable(var, values)
 
-        cache = bn.FamilyScoreCache(data, BDEU)
+        table = bn.score_table(data, constraints, BDEU)
         best = -np.inf
         for r in range(20):
             start = bn.random_start(constraints, 0.3, seed=[trial, r])
             _, score = bn.hill_climb(data, constraints, BDEU, start,
-                                     seed=[trial, r, 1], cache=cache)
+                                     seed=[trial, r, 1], table=table)
             best = max(best, score)
-        optimum = max(bn.bdeu_score(d, data, BDEU, cache=cache) for d in all_dags)
+        optimum = max(bn.bdeu_score(d, data, BDEU, table=table) for d in all_dags)
         if best >= optimum - 1e-9:
             hits += 1
     check(

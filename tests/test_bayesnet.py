@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.special import gammaln
+
 from stayup import bayesnet as bn
+from stayup._kernels import family_counts
+from stayup.consensus import permute_columns
 
 CFG = bn.BdeuConfig()
 
@@ -370,13 +374,13 @@ class TestHillClimb:
             data = _sample_from_dag(rng, truth, cpts, 500)
             constraints = bn.LayerConstraints.unconstrained(data.variables)
             best = -np.inf
-            cache = bn.FamilyScoreCache(data, CFG)
+            table = bn.score_table(data, constraints, CFG)
             for r in range(20):
                 start = bn.random_start(constraints, 0.3, seed=[trial, r])
                 _, score = bn.hill_climb(data, constraints, CFG, start,
-                                         seed=[trial, r, 1], cache=cache)
+                                         seed=[trial, r, 1], table=table)
                 best = max(best, score)
-            optimum = max(bn.bdeu_score(d, data, CFG, cache=cache) for d in all_dags(["A", "B", "C"]))
+            optimum = max(bn.bdeu_score(d, data, CFG, table=table) for d in all_dags(["A", "B", "C"]))
             if abs(best - optimum) <= 1e-9:
                 hits += 1
         assert hits >= 0.95 * trials
@@ -386,12 +390,12 @@ class TestHillClimb:
         data = random_table(rng, 150, ("A", "B", "C", "D"))
         constraints = bn.LayerConstraints.unconstrained(data.variables)
         dag = bn.Dag(data.variables)
-        cache = bn.FamilyScoreCache(data, CFG)
+        table = bn.score_table(data, constraints, CFG)
         for _ in range(30):
             moves = bn.legal_moves(dag, constraints)
             move = moves[int(rng.integers(len(moves)))]
             nxt = bn.apply_move(dag, move)
-            full = bn.bdeu_score(nxt, data, CFG, cache=cache) - bn.bdeu_score(dag, data, CFG, cache=cache)
+            full = bn.bdeu_score(nxt, data, CFG, table=table) - bn.bdeu_score(dag, data, CFG, table=table)
             kind, u, v = move
             if kind == "reverse":
                 inc = (
@@ -434,34 +438,246 @@ def profile_table(rng, tie_heavy):
     return bn.DatasetTable(bn.profile_variables(), values)
 
 
+def with_ternary(rng, data, column=4):
+    """The table with one column redrawn over three values."""
+    names = data.variables.names
+    arities = tuple(3 if j == column else a for j, a in enumerate(data.variables.arities))
+    values = data.values.copy()
+    values[:, column] = (values[:, column] + rng.integers(0, 2, data.n_rows)) % 3
+    return bn.DatasetTable(bn.VariableSet(names, arities), values)
+
+
+def layer_sets(variables):
+    return (bn.LayerConstraints(variables, bn.default_layer_constraints().layers),
+            bn.LayerConstraints.unconstrained(variables))
+
+
+class TestScoreTable:
+    def test_equals_reference_scores(self):
+        rng = np.random.default_rng(41)
+        for t in range(16):
+            data = profile_table(rng, tie_heavy=t % 2 == 1)
+            if t % 4 == 0:
+                data = data.subset(np.arange(0))
+            if t % 4 == 2:
+                data = permute_columns(data, rng)
+            if t % 3 == 1:
+                data = with_ternary(rng, data)
+            cfg = bn.BdeuConfig(float(rng.choice([0.5, 1.0, 4.0])))
+            cache = FamilyScoreCache(data, cfg)
+            for layered, constraints in zip((True, False), layer_sets(data.variables)):
+                table = bn.score_table(data, constraints, cfg)
+                assert table.shape == (9, 512)
+                n_legal = 0
+                for v in range(9):
+                    most = sum(1 << u for u in range(9) if constraints.allows(u, v))
+                    for mask in range(512):
+                        if mask & ~most:
+                            assert np.isnan(table[v, mask])
+                        else:
+                            assert table[v, mask] == cache.score(v, mask)
+                            n_legal += 1
+                assert n_legal == (1153 if layered else 9 * 256)
+
+    def test_bdeu_score_reads_the_table(self):
+        rng = np.random.default_rng(42)
+        data = profile_table(rng, tie_heavy=False)
+        constraints = bn.default_layer_constraints()
+        table = bn.score_table(data, constraints, CFG)
+        for seed in range(20):
+            dag = bn.random_start(constraints, 0.3, seed=seed)
+            assert bn.bdeu_score(dag, data, CFG, table=table) == bn.bdeu_score(dag, data, CFG)
+        against_layers = bn.Dag(data.variables, [("S", "G")])
+        with pytest.raises(ValueError, match="lacks a family"):
+            bn.bdeu_score(against_layers, data, CFG, table=table)
+
+    def test_other_variables_rejected(self):
+        data = random_table(np.random.default_rng(0), 10)
+        with pytest.raises(ValueError, match="different variable sets"):
+            bn.score_table(data, bn.default_layer_constraints(), CFG)
+
+
 class TestHillClimbMatchesReference:
     def test_same_networks_and_scores(self):
         rng = np.random.default_rng(31)
-        constraint_sets = (bn.default_layer_constraints(),
-                           bn.LayerConstraints.unconstrained(bn.profile_variables()))
-        climbs = tie_draws = 0
+        climbs = tie_draws = uneven_batches = 0
         for t in range(20):
             data = profile_table(rng, tie_heavy=t % 2 == 1)
-            for c, constraints in enumerate(constraint_sets):
-                cache = bn.FamilyScoreCache(data, CFG)
+            for c, constraints in enumerate(layer_sets(data.variables)):
+                starts = [bn.random_start(constraints, (0.0, 0.15, 0.4)[r % 3], seed=[t, c, r])
+                          for r in range(16)]
+                seeds = [[t, c, r, 1] for r in range(16)]
+                # one climb on its own, fifteen in lockstep over one table
+                got = [bn.hill_climb(data, constraints, CFG, starts[0], seed=seeds[0])]
+                got += bn.climb_batch(bn.score_table(data, constraints, CFG), constraints,
+                                      [start._pa for start in starts[1:]], seeds[1:])
                 ref_cache = RefFamilyScoreCache(data, CFG)
-                for r in range(16):
-                    start = bn.random_start(constraints, (0.0, 0.15, 0.4)[r % 3], seed=[t, c, r])
-                    got, score = bn.hill_climb(data, constraints, CFG, start,
-                                               seed=[t, c, r, 1], cache=cache if r else None)
-                    want, ref_score, draws = ref_hill_climb(data, constraints, CFG, start,
-                                                            [t, c, r, 1], ref_cache)
-                    assert got.edges() == want.edges()
+                steps = set()
+                for start, seed, (dag, score) in zip(starts, seeds, got):
+                    want, ref_score, draws, moves = ref_hill_climb(data, constraints, CFG, start,
+                                                                   seed, ref_cache)
+                    assert dag.edges() == want.edges()
                     assert score == ref_score
                     climbs += 1
                     tie_draws += draws
+                    steps.add(moves)
+                uneven_batches += len(steps) > 1
         assert climbs >= 600
         assert tie_draws > 0
+        assert uneven_batches >= 30   # climbs of one batch that finish at different steps
+
+    def test_mixed_arity_matches_bitmask_reference(self):
+        rng = np.random.default_rng(37)
+        for t in range(8):
+            data = with_ternary(rng, profile_table(rng, tie_heavy=t % 2 == 1), column=t % 9)
+            for c, constraints in enumerate(layer_sets(data.variables)):
+                cache = FamilyScoreCache(data, CFG)
+                starts = [bn.random_start(constraints, 0.2, seed=[t, c, r]) for r in range(10)]
+                seeds = [[t, c, r, 1] for r in range(10)]
+                got = bn.climb_batch(bn.score_table(data, constraints, CFG), constraints,
+                                     [start._pa for start in starts], seeds)
+                for start, seed, (dag, score) in zip(starts, seeds, got):
+                    want, ref_score = bitmask_hill_climb(constraints, start, seed, cache)
+                    assert dag == want
+                    assert score == ref_score
+
+    def test_bad_starts_rejected(self):
+        data = profile_table(np.random.default_rng(3), tie_heavy=False)
+        constraints = bn.default_layer_constraints()
+        table = bn.score_table(data, constraints, CFG)
+        s, g = data.variables.index("S"), data.variables.index("G")
+        layer_breaking = [0] * 9
+        layer_breaking[g] = 1 << s
+        with pytest.raises(ValueError, match="outside the score table"):
+            bn.climb_batch(table, constraints, [layer_breaking], [0])
+        cyclic = [0] * 9
+        cyclic[s], cyclic[1] = 1 << 1, 1 << s
+        with pytest.raises(ValueError, match="cycle"):
+            bn.climb_batch(table, constraints, [cyclic], [0])
+        with pytest.raises(ValueError, match="score table must be"):
+            bn.climb_batch(table[:, :256], constraints, [[0] * 9], [0])
+
+    def test_start_breaking_its_layers_still_climbs(self):
+        data = profile_table(np.random.default_rng(4), tie_heavy=False)
+        constraints = bn.default_layer_constraints()
+        start = bn.Dag(data.variables, [("S", "G"), ("Ac", "T")])
+        got, score = bn.hill_climb(data, constraints, CFG, start, seed=5)
+        want, ref_score, _, _ = ref_hill_climb(data, constraints, CFG, start, 5,
+                                               RefFamilyScoreCache(data, CFG))
+        assert got == want and score == ref_score
 
 
-# Reference search: the Dag-based move generator, frozenset-keyed cache,
-# hill climb and per-pair random start that the bitmask search replaced.
-# The bitmask code must reproduce their networks, scores and draws exactly.
+# Reference search, in two generations. The Dag-based move generator,
+# frozenset-keyed cache, hill climb and per-pair random start came first;
+# the bitmask move generator, parent-mask-keyed cache and hill climb
+# replaced them; the score table and lockstep climb replaced those. Each
+# must reproduce the others' scores, networks and draws exactly.
+
+def family_score(values, arities, child, parents, ess):
+    r = int(arities[child])
+    q = 1
+    for p in parents:
+        q *= int(arities[p])
+    counts = family_counts(values, np.asarray(parents, dtype=np.int64), child, arities)
+    a_jk = ess / (q * r)
+    a_j = ess / q
+    n_j = counts.sum(axis=1)
+    row_terms = gammaln(a_j) - gammaln(a_j + n_j)
+    cell_terms = gammaln(a_jk + counts) - gammaln(a_jk)
+    return float(np.sum(row_terms) + np.sum(cell_terms))
+
+
+class FamilyScoreCache:
+    """Scores keyed by child index and parent bitmask."""
+
+    def __init__(self, data, cfg):
+        self._values = data.values
+        self._arities = np.asarray(data.variables.arities, dtype=np.int64)
+        self._ess = cfg.ess
+        self._scores = [{} for _ in range(data.variables.n)]
+
+    def score(self, child, parents):
+        table = self._scores[child]
+        got = table.get(parents)
+        if got is None:
+            got = family_score(self._values, self._arities, child, tuple(bn._bits(parents)),
+                               self._ess)
+            table[parents] = got
+        return got
+
+
+def bitmask_descendants(pa, ch):
+    """(desc, via) bitmasks per node, closed children before parents."""
+    n = len(ch)
+    desc, via = [0] * n, [0] * n
+    open_children = list(ch)
+    ready = [u for u in range(n) if not ch[u]]
+    while ready:
+        v = ready.pop()
+        reach = desc[v] = ch[v] | via[v]
+        bit = 1 << v
+        for p in bn._bits(pa[v]):
+            via[p] |= reach
+            open_children[p] ^= bit
+            if not open_children[p]:
+                ready.append(p)
+    return desc, via
+
+
+def bitmask_move_candidates(pa, ch, allowed):
+    desc, via = bitmask_descendants(pa, ch)
+    nodes = range(len(ch))
+    for u in nodes:
+        cu, au = ch[u], allowed[u]
+        for v in nodes:
+            if cu >> v & 1:
+                yield ("delete", u, v)
+                if allowed[v] >> u & 1 and not via[u] >> v & 1:
+                    yield ("reverse", u, v)
+            elif au >> v & 1 and not desc[v] >> u & 1:
+                yield ("add", u, v)
+
+
+def bitmask_hill_climb(constraints, start, seed, cache):
+    score = cache.score
+    rng = np.random.default_rng(seed)
+    n = constraints.variables.n
+    allowed = [sum(1 << v for v in range(n) if constraints.allows(u, v)) for u in range(n)]
+    pa, ch = list(start._pa), list(start._ch)
+    fam = [score(i, m) for i, m in enumerate(pa)]
+    while True:
+        best = 0.0
+        candidates = []
+        for move in bitmask_move_candidates(pa, ch, allowed):
+            kind, u, v = move
+            if kind == "add":
+                delta = score(v, pa[v] | 1 << u) - fam[v]
+            elif kind == "delete":
+                delta = removed = score(v, pa[v] ^ 1 << u) - fam[v]
+            else:
+                delta = removed + (score(u, pa[u] | 1 << v) - fam[u])
+            if delta > bn.IMPROVEMENT_EPS:
+                candidates.append((delta, move))
+                if delta > best:
+                    best = delta
+        if not candidates:
+            break
+        ties = [m for d, m in candidates if best - d <= bn.TIE_EPS]
+        kind, u, v = ties[int(rng.integers(len(ties)))] if len(ties) > 1 else ties[0]
+        if kind == "add":
+            pa[v] |= 1 << u
+            ch[u] |= 1 << v
+        else:
+            pa[v] ^= 1 << u
+            ch[u] ^= 1 << v
+        fam[v] = score(v, pa[v])
+        if kind == "reverse":
+            pa[u] |= 1 << v
+            ch[v] |= 1 << u
+            fam[u] = score(u, pa[u])
+    edges = [(u, v) for u, cu in enumerate(ch) for v in bn._bits(cu)]
+    return bn.Dag(start.variables, edges), math.fsum(fam)
+
 
 class RefFamilyScoreCache:
     def __init__(self, data, cfg):
@@ -474,8 +690,8 @@ class RefFamilyScoreCache:
         key = (child, parents)
         got = self._scores.get(key)
         if got is None:
-            got = bn._family_score(self._values, self._arities, child,
-                                   tuple(sorted(parents)), self._ess)
+            got = family_score(self._values, self._arities, child,
+                               tuple(sorted(parents)), self._ess)
             self._scores[key] = got
         return got
 
@@ -499,13 +715,13 @@ def ref_move_candidates(dag, constraints):
 
 
 def ref_hill_climb(data, constraints, cfg, start, seed, cache):
-    """Returns (dag, score, number of random tie-break draws)."""
+    """Returns (dag, score, number of random tie-break draws, number of moves)."""
     rng = np.random.default_rng(seed)
     n = data.variables.n
     dag = start.copy()
     pa = [frozenset(dag.parent_indices(i)) for i in range(n)]
     fam = [cache.score(i, pa[i]) for i in range(n)]
-    draws = 0
+    draws = moves = 0
     while True:
         best = 0.0
         candidates = []
@@ -529,6 +745,7 @@ def ref_hill_climb(data, constraints, cfg, start, seed, cache):
         if len(ties) > 1:
             draws += 1
         kind, u, v = ties[int(rng.integers(len(ties)))] if len(ties) > 1 else ties[0]
+        moves += 1
         if kind == "add":
             dag.add_edge(u, v)
             pa[v] = pa[v] | {u}
@@ -544,7 +761,7 @@ def ref_hill_climb(data, constraints, cfg, start, seed, cache):
             pa[u] = pa[u] | {v}
             fam[v] = cache.score(v, pa[v])
             fam[u] = cache.score(u, pa[u])
-    return dag, math.fsum(fam), draws
+    return dag, math.fsum(fam), draws, moves
 
 
 def ref_random_start(constraints, edge_probability, seed=0):

@@ -1,5 +1,7 @@
 import json
+from datetime import date, datetime, time, timedelta
 
+import numpy as np
 import pytest
 
 from stayup import cli, pipeline
@@ -172,6 +174,62 @@ class TestRun:
         manifest = json.loads((out / "MANIFEST.json").read_text())
         assert manifest["incomplete"] == ["sleep_fit"]
         assert "ingest" in manifest["stages"]
+
+
+def write_skewed_cohort(directory, n_students=40, n_late=3, nights=20, seed=0):
+    """Logs of one freshman cohort where only `n_late` students go to bed late."""
+    rng = np.random.default_rng(seed)
+    demographics, sessions, transactions, borrows, grades = [], [], [], [], []
+    for i in range(n_students):
+        sid = f"s{i:02d}"
+        demographics.append(f"{sid},{('male', 'female')[i % 2]},freshman")
+        grades.append(f"{sid},{rng.uniform(1.0, 4.0):.2f}")
+        late = i < n_late
+        for night in range(nights):
+            day = date(2018, 11, 1) + timedelta(days=night)
+            # 21:00 plus the bin (30 min each): late students in bins 12-15
+            minutes = 30 * int(rng.integers(12, 16) if late else rng.integers(0, 4)) + 10
+            end = datetime.combine(day, time(21, 0)) + timedelta(minutes=minutes)
+            app = ("game", "video", "other")[int(rng.integers(3))]
+            sessions.append(f"{sid},{end:%Y-%m-%d %H:%M},{app},{int(rng.integers(5, 120))}")
+            if rng.random() < 0.5:
+                transactions.append(f"{sid},{day} 07:{int(rng.integers(10, 59))},canteen,"
+                                    f"{rng.uniform(2, 9):.2f}")
+            if rng.random() < 0.3:
+                transactions.append(f"{sid},{day} 20:{int(rng.integers(10, 59))},bath,3.00")
+        transactions.append(f"{sid},2018-11-02 19:00,bath,3.00")
+        transactions.append(f"{sid},2018-11-05 19:00,bath,3.00")
+        borrows.extend(f"{sid},2018-11-03 10:00" for _ in range(int(rng.integers(0, 3))))
+    files = {
+        "demographics": ("student_id,gender,cohort", demographics),
+        "net_sessions": ("student_id,end_time,app_category,duration_minutes", sessions),
+        "transactions": ("student_id,time,venue,amount", transactions),
+        "borrows": ("student_id,time", borrows),
+        "grades": ("student_id,gpa", grades),
+    }
+    for kind, (header, lines) in files.items():
+        (directory / f"{kind}.csv").write_text("\n".join([header] + lines) + "\n")
+
+
+class TestSkewedCohort:
+    def test_fails_before_consensus(self, tmp_path, capsys):
+        # 40 students, 3 of them stay up: with 5 folds some test folds hold no
+        # stay-up student, so the predict stage could not score them
+        data, out = tmp_path / "data", tmp_path / "out"
+        data.mkdir()
+        write_skewed_cohort(data)
+        rc = cli.main(["run", "--data", str(data), "--out", str(out), "--cohort", "freshman",
+                       "--min-nights", "5", "--em-restarts", "3", "--seed", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "stage 'profile' failed" in err and "rows contain a single S class" in err
+        rows = (out / "profiles.csv").read_text().splitlines()[1:]
+        assert len(rows) == 40
+        assert sum(row.endswith(",1") for row in rows) == 3
+        manifest = json.loads((out / "MANIFEST.json").read_text())
+        assert manifest["incomplete"] == ["profile"]
+        assert not list(out.glob("consensus_*.json"))
+        assert not list(out.glob("edge_frequencies_*.csv"))
 
 
 def test_help_lists_subcommands(capsys):

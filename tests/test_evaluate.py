@@ -96,6 +96,26 @@ class TestFolds:
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
+    def test_skewed_target_fails_before_any_search(self):
+        # 3 stay-up students in 40 rows: some of the 5 test folds hold none
+        y = np.zeros(40, dtype=np.int64)
+        y[[4, 17, 30]] = 1
+        experiment = ev.PredictionExperiment()
+        for seed in range(10):
+            with pytest.raises(ValueError, match="test rows contain a single S class"):
+                ev.cv_splits(y, experiment, seed)
+
+    def test_splits_are_the_folds(self):
+        y = np.arange(103) % 2
+        experiment = ev.PredictionExperiment(folds=5)
+        splits = ev.cv_splits(y, experiment, seed=4)
+        for (train, test), part in zip(splits, ev.fold_indices(103, 5, seed=4)):
+            np.testing.assert_array_equal(test, part)
+            np.testing.assert_array_equal(np.sort(np.concatenate([train, test])), np.arange(103))
+        (train, test), = ev.cv_splits(y, ev.PredictionExperiment(mode="in_sample"), seed=4)
+        np.testing.assert_array_equal(train, np.arange(103))
+        np.testing.assert_array_equal(test, np.arange(103))
+
     def test_experiment_validation(self):
         with pytest.raises(ValueError):
             ev.PredictionExperiment(folds=1)

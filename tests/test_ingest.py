@@ -1,5 +1,6 @@
 import csv
 import math
+import sys
 import tempfile
 from dataclasses import dataclass
 from datetime import date, datetime, time
@@ -469,6 +470,8 @@ def ref_parse_logs(paths, strict=False, gpa_max=ingest.DEFAULT_GPA_MAX) -> RefSt
                 raise ValueError(f"bad app_category {category!r}")
             if duration < 0:
                 raise ValueError("negative duration")
+            if duration > sys.float_info.max:
+                raise ValueError("duration too large")
         except (ValueError, TypeError) as exc:
             handle("net_sessions", path, line_no, str(exc))
             continue
@@ -751,6 +754,33 @@ class TestIngestFixes:
         with pytest.raises(ingest.IngestError, match=r"transactions\.csv:2: non-finite amount"):
             ingest.parse_logs(paths, strict=True)
 
+    def test_duration_too_large_for_a_float(self, tmp_path):
+        huge = "1" + "0" * 400
+        paths = write_logs(
+            tmp_path,
+            net_sessions=f"s1,2018-11-05 23:40,game,{huge}\ns1,2018-11-06 23:40,game,30",
+            grades="s1,3.0\ns2,2.5",
+            demographics=BASE_DEMO,
+        )
+        store = ingest.parse_logs(paths)
+        assert store.report.reasons["net_sessions"] == {"duration too large": 1}
+        assert store.report.loaded["net_sessions"] == 1
+        feats = ingest.compute_raw_features(store, study_days=2)
+        assert feats["s1"].game_minutes == 30.0
+        with pytest.raises(ingest.IngestError, match=r"net_sessions\.csv:2: duration too large"):
+            ingest.parse_logs(paths, strict=True)
+
+    def test_duration_too_large_does_not_fail_the_cli(self, tmp_path, capsys):
+        from stayup import cli
+
+        huge = "1" + "0" * 400
+        write_logs(tmp_path, net_sessions=f"s1,2018-11-05 23:40,game,{huge}\ns1,2018-11-06 23:40,game,30",
+                   grades="s1,3.0\ns2,2.5", demographics=BASE_DEMO)
+        out = tmp_path / "out"
+        assert cli.main(["ingest", "--data", str(tmp_path), "--out", str(out)]) == 0
+        assert cli.main(["ingest", "--data", str(tmp_path), "--out", str(out), "--strict"]) == 1
+        assert "net_sessions.csv:2: duration too large" in capsys.readouterr().err
+
     def test_negative_infinity_stays_a_negative_amount(self, tmp_path):
         paths = write_logs(tmp_path, transactions="s1,2018-11-05 12:00,other,-inf",
                            demographics=BASE_DEMO)
@@ -844,7 +874,8 @@ def field(draw, good, odd) -> str:
 
 
 NUMBER_ODDITIES = ("+5", "1_0", "", " 5", "-3", "12.5", "1e3", "007", "0", "-0",
-                   "1234567890123456", "12345678901234567890")
+                   "1234567890123456", "12345678901234567890", "1" + "0" * 400, "9" * 308,
+                   "9" * 309)
 AMOUNT_ODDITIES = NUMBER_ODDITIES + ("nan", "inf", "-inf", ".5", "5.", "1.2.3", "n/a", "0.1",
                                      "123456789.123456", "1e-400", "4.50 ")
 
@@ -895,6 +926,13 @@ class TestColumnarMatchesRowReference:
     @example(logs={  # every id field that could be a known one is empty
         "net_sessions": "student_id,end_time,app_category,duration_minutes",
         "transactions": "student_id,time,venue,amount\n,2018-13-40 22:10,gym,+5",
+        "borrows": "student_id,time",
+    }, geometry=False, strict=False)
+    @example(logs={  # durations too large for a float
+        "net_sessions": "student_id,end_time,app_category,duration_minutes\n"
+                        "s1,2018-11-05 23:40,game," + "9" * 309 + "\n"
+                        "s2,2018-11-05 23:40,game," + "1" + "0" * 400,
+        "transactions": "student_id,time,venue,amount",
         "borrows": "student_id,time",
     }, geometry=False, strict=False)
     def test_same_outputs_reports_and_errors(self, logs, geometry, strict):
