@@ -1,10 +1,11 @@
+import csv
 import json
 from datetime import date, datetime, time, timedelta
 
 import numpy as np
 import pytest
 
-from stayup import cli, pipeline
+from stayup import cli, ingest, pipeline
 from stayup.pipeline import PipelineConfig, run_pipeline
 
 FAST = dict(
@@ -100,6 +101,126 @@ class TestSubcommands:
         ]) == 0
         assert (tmp_path / "sleep_counts.csv").exists()
         assert (tmp_path / "true_components.json").exists()
+
+
+SEED = 5
+
+
+@pytest.fixture(scope="module")
+def run_dir(data_dir, tmp_path_factory):
+    """One `stayup run` of the FAST settings, for the stage commands to match."""
+    out = tmp_path_factory.mktemp("run")
+    argv = ["run", "--data", str(data_dir), "--out", str(out), "--seed", str(SEED)]
+    for name, value in FAST.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    assert cli.main(argv) == 0
+    return out
+
+
+def cohort_members(data_dir, cohort):
+    with open(data_dir / "demographics.csv", newline="") as fh:
+        return {row["student_id"] for row in csv.DictReader(fh) if row["cohort"] == cohort}
+
+
+def cohort_file(src, dst, members):
+    """Copy a stage CSV keeping its header and the rows of the given students."""
+    lines = src.read_bytes().splitlines(keepends=True)
+    dst.write_bytes(b"".join([lines[0]] + [ln for ln in lines[1:]
+                                          if ln.split(b",", 1)[0].decode() in members]))
+    return dst
+
+
+def without_seed(path):
+    obj = json.loads(path.read_text())
+    obj.pop("master_seed", None)
+    return obj
+
+
+def csv_rows(path):
+    with open(path, newline="") as fh:
+        return {row["student_id"]: row for row in csv.DictReader(fh)}
+
+
+class TestStagesMatchRun:
+    """Each stage command, given one cohort's inputs and the seed `run` derived
+    for that cohort, writes what the `run` stage wrote for it."""
+
+    COHORT = "sophomore"
+
+    def test_sleep_fit_matches_the_run_stage(self, data_dir, run_dir, tmp_path):
+        members = cohort_members(data_dir, self.COHORT)
+        counts = cohort_file(run_dir / "sleep_counts.csv", tmp_path / "counts.csv", members)
+        seed = pipeline.derive_seed(SEED, 1, ingest.COHORTS.index(self.COHORT))
+        out = tmp_path / "out"
+        assert cli.main(["sleep-fit", "--counts", str(counts), "--out", str(out),
+                         "--seed", str(seed), "--em-restarts", str(FAST["em_restarts"])]) == 0
+        assert without_seed(out / "model.json") == without_seed(
+            run_dir / f"model_{self.COHORT}.json")
+        got = csv_rows(out / "assignments.csv")
+        assert len(got) > 100
+        want = csv_rows(run_dir / "assignments.csv")
+        assert got == {sid: want[sid] for sid in want if sid in members}
+
+    def test_profile_matches_the_run_stage(self, data_dir, run_dir, tmp_path):
+        inputs = ["--features", str(run_dir / "features.csv"),
+                  "--assignments", str(run_dir / "assignments.csv")]
+        out = tmp_path / "per_cohort"
+        assert cli.main(["profile", *inputs, "--demographics", str(data_dir / "demographics.csv"),
+                         "--out", str(out)]) == 0
+        assert (out / "profiles.csv").read_bytes() == (run_dir / "profiles.csv").read_bytes()
+        got, run_meta = without_seed(out / "profile_meta.json"), without_seed(
+            run_dir / "profile_meta.json")
+        # features.csv keeps 12 significant digits, so medians read back from it can move
+        assert got.pop("group_medians") == {
+            cohort: pytest.approx(medians, rel=1e-11)
+            for cohort, medians in run_meta.pop("group_medians").items()}
+        assert got == run_meta
+
+        # one cohort's inputs, with its medians taken over the whole input
+        members = cohort_members(data_dir, self.COHORT)
+        features = cohort_file(run_dir / "features.csv", tmp_path / "features.csv", members)
+        labels = cohort_file(run_dir / "assignments.csv", tmp_path / "labels.csv", members)
+        out = tmp_path / "one"
+        assert cli.main(["profile", "--features", str(features), "--assignments", str(labels),
+                         "--median-scope", "global", "--out", str(out)]) == 0
+        want = cohort_file(run_dir / "profiles.csv", tmp_path / "want.csv", members)
+        assert (out / "profiles.csv").read_bytes() == want.read_bytes()
+        got = without_seed(out / "profile_meta.json")
+        run_meta = without_seed(run_dir / "profile_meta.json")
+        assert got.pop("group_medians") == {"global": pytest.approx(
+            run_meta.pop("group_medians")[self.COHORT], rel=1e-11)}
+        assert got == run_meta
+
+    def test_consensus_matches_the_run_stage(self, data_dir, run_dir, tmp_path):
+        members = cohort_members(data_dir, self.COHORT)
+        table = cohort_file(run_dir / "profiles.csv", tmp_path / "profiles.csv", members)
+        seed = pipeline.derive_seed(SEED, 3, ingest.COHORTS.index(self.COHORT))
+        out = tmp_path / "out"
+        assert cli.main(["consensus", "--profiles", str(table), "--out", str(out),
+                         "--seed", str(seed), "--restarts", str(FAST["restarts"]),
+                         "--null-replicas", str(FAST["null_replicas"])]) == 0
+        assert without_seed(out / "consensus.json") == without_seed(
+            run_dir / f"consensus_{self.COHORT}.json")
+        assert (out / "edge_frequencies.csv").read_bytes() == (
+            run_dir / f"edge_frequencies_{self.COHORT}.csv").read_bytes()
+
+    def test_predict_matches_the_run_stage(self, data_dir, run_dir, tmp_path):
+        members = cohort_members(data_dir, self.COHORT)
+        table = cohort_file(run_dir / "profiles.csv", tmp_path / "profiles.csv", members)
+        # run numbers its prediction tables in name order, the pooled "total" among them
+        gi = sorted([*ingest.COHORTS, "total"]).index(self.COHORT)
+        out = tmp_path / "out"
+        assert cli.main(["predict", "--profiles", str(table), "--out", str(out),
+                         "--seed", str(pipeline.derive_seed(SEED, 4, gi)),
+                         "--folds", str(FAST["folds"]),
+                         "--restarts", str(FAST["eval_restarts"])]) == 0
+        for k in range(FAST["folds"]):
+            assert (out / f"roc_fold{k}.csv").read_bytes() == (
+                run_dir / f"roc_{self.COHORT}_fold{k}.csv").read_bytes()
+        assert not (out / f"roc_fold{FAST['folds']}.csv").exists()
+        report = json.loads((run_dir / "report.json").read_text())
+        assert json.loads((out / "prediction_report.json").read_text()) == (
+            report["auc"][self.COHORT])
 
 
 class TestRun:
