@@ -2,21 +2,22 @@
 
 Subcommands mirror the pipeline stages (ingest, sleep-fit, profile,
 bn-learn, consensus, predict), plus synth for generated data and run for
-the whole pipeline. Each stage consumes the previous stage's files, so any
-stage can be re-run in isolation. Exit codes: 0 success, 1 stage failure,
-2 I/O or configuration error.
+the whole pipeline. A stage command reads the previous stage's files and
+calls the function of ``pipeline`` that ``run`` calls per cohort, but treats
+its input as one group and uses --seed as given, where ``run`` splits by
+cohort and derives a seed per stage and cohort. Exit codes: 0 success,
+1 stage failure or malformed input, 2 missing input, I/O or configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from . import bayesnet, consensus, evaluate, ingest, pipeline, profiles, sleepmix, synth
-from .pipeline import ConfigError, StageError
+from .pipeline import ConfigError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--components", type=int, default=2)
     p.add_argument("--em-restarts", type=int, default=10)
     p.add_argument("--variant", choices=["standard", "paper"], default="standard")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=sleepmix.DEFAULT_THRESHOLD)
 
     p = sub.add_parser("profile", help="binarize features and sleep labels")
     p.add_argument("--features", type=Path, required=True)
@@ -107,12 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(path: Path, what: str) -> Path:
-    if not path.exists():
-        raise ConfigError(f"missing {what}: {path}")
-    return path
-
-
 def _cmd_synth(args) -> int:
     truth = synth.default_ground_truth() if args.truth == "default" else synth.structure_recovery_truth()
     cfg = synth.GeneratorConfig(args.students, args.nights, args.seed, args.emit)
@@ -133,81 +128,64 @@ def _cmd_synth(args) -> int:
         out = args.out / "sleep_counts.csv"
         ingest.write_sleep_counts_csv(out, vectors, truth.mixture.rates.shape[1])
         labels_path = args.out / "true_components.json"
-        labels_path.write_text(json.dumps(labels, indent=2, sort_keys=True))
+        pipeline.write_json(labels_path, labels)
         print(f"[synth] wrote {out} and {labels_path}")
     return 0
 
 
 def _cmd_ingest(args) -> int:
-    paths = ingest.LogPaths.from_dir(_require(args.data, "data directory"))
-    for p in paths.as_dict().values():
-        _require(p, "input file")
+    pipeline.require("data directory", args.data)
+    pipeline.require("input file", *ingest.LogPaths.from_dir(args.data).as_dict().values())
     args.out.mkdir(parents=True, exist_ok=True)
     result = ingest.ingest_logs(args.data, args.out, strict=args.strict,
                                 gpa_max=args.gpa_max, min_nights=args.min_nights)
-    report = {**result.summary(), "reasons": result.report.reasons}
-    (args.out / "ingest_report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
+    pipeline.write_json(args.out / "ingest_report.json",
+                        {**result.summary(), "reasons": result.report.reasons})
     print(f"[ingest] {len(result.counts)} students with counts, "
           f"{len(result.features)} with features")
     return 0
 
 
 def _cmd_sleep_fit(args) -> int:
-    counts = ingest.read_sleep_counts_csv(_require(args.counts, "counts file"))
-    literal = args.variant == "paper"
-    cfg = sleepmix.MixtureConfig(
-        components=args.components,
-        restarts=args.em_restarts,
-        estep_variant="paper_literal" if literal else "standard",
-        mstep_variant="paper_literal" if literal else "exact_map",
-        seed=args.seed,
-    )
-    model, resp, diag = sleepmix.fit(counts, cfg)
-    assignments = sleepmix.assign_and_label(resp, model, args.threshold)
+    pipeline.require("counts file", args.counts)
+    counts = ingest.read_sleep_counts_csv(args.counts)
+    mix_cfg = pipeline.mixture_config(args.variant, args.components, args.em_restarts, args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
-    sleepmix.write_model_json(args.out / "model.json", model, cfg)
-    sleepmix.write_assignments_csv(args.out / "assignments.csv", zip(
-        assignments.student_ids, assignments.omega_stay_up, assignments.labels))
-    n_up = sum(1 for lab in assignments.labels if lab == sleepmix.STAY_UP)
+    rows, diag = pipeline.sleep_fit_group(counts, mix_cfg, args.threshold,
+                                          args.out / "model.json", {})
+    sleepmix.write_assignments_csv(args.out / "assignments.csv", rows)
+    n_up = sum(label == sleepmix.STAY_UP for _, _, label in rows)
     print(f"[sleep-fit] best restart {diag.best_restart_index}, "
           f"{diag.iterations_used} iterations, converged={diag.converged}")
-    print(f"[sleep-fit] {n_up} stay_up / {len(assignments.labels) - n_up} non_stay_up")
+    print(f"[sleep-fit] {n_up} stay_up / {len(rows) - n_up} non_stay_up")
     return 0
 
 
 def _cmd_profile(args) -> int:
-    features = ingest.read_features_csv(_require(args.features, "features file"))
-    labels = sleepmix.read_assignments_csv(_require(args.assignments, "assignments file"))
-    spec = profiles.default_discretization_spec()
-    if args.median_scope == "per_cohort":
-        if args.demographics is None:
-            raise ConfigError("--median-scope per_cohort needs --demographics")
-        cohorts: dict[str, list[str]] = {}
-        import csv as _csv
-
-        with open(_require(args.demographics, "demographics file"), newline="") as fh:
-            for row in _csv.DictReader(fh):
-                cohorts.setdefault(row["cohort"], []).append(row["student_id"])
-        scopes = sorted(cohorts.items())
-    else:
+    pipeline.require("features file", args.features)
+    pipeline.require("assignments file", args.assignments)
+    features = ingest.read_features_csv(args.features)
+    labels = sleepmix.read_assignments_csv(args.assignments)
+    if args.median_scope == "global":
         scopes = [("global", sorted(set(features) | set(labels)))]
-    all_rows: list[profiles.StudentProfile] = []
-    medians = {}
-    for name, members in scopes:
-        sub_f = {sid: features[sid] for sid in members if sid in features}
-        sub_l = {sid: labels[sid] for sid in members if sid in labels}
-        result = profiles.build_profiles(sub_f, sub_l, spec)
-        all_rows.extend(result.profiles)
-        medians[name] = result.medians
+    elif args.demographics is None:
+        raise ConfigError("--median-scope per_cohort needs --demographics")
+    else:
+        pipeline.require("demographics file", args.demographics)
+        # bad rows are skipped, as `run` skips them unless --strict
+        demographics = ingest.read_demographics(args.demographics, lambda *skipped: None)
+        scopes = [(c, ids) for c, ids in pipeline.cohort_groups("all", demographics) if ids]
     args.out.mkdir(parents=True, exist_ok=True)
-    profiles.write_profiles_csv(args.out / "profiles.csv", all_rows)
-    profiles.write_profile_metadata(args.out / "profile_meta.json", spec, medians)
-    print(f"[profile] wrote {len(all_rows)} profiles")
+    results = pipeline.profile_groups(scopes, features, labels, args.out, {})
+    print(f"[profile] wrote {sum(len(r.profiles) for r in results.values())} profiles")
     return 0
 
 
 def _load_table(path: Path) -> bayesnet.DatasetTable:
-    rows = profiles.read_profiles_csv(_require(path, "profiles file"))
+    pipeline.require("profiles file", path)
+    rows = profiles.read_profiles_csv(path)
+    if len(rows) < 2:
+        raise ValueError(f"{path}: need at least two profiles, got {len(rows)}")
     table, _ = profiles.profiles_to_table(rows)
     return table
 
@@ -222,8 +200,8 @@ def _cmd_bn_learn(args) -> int:
     dag, score = max(ensemble.members, key=lambda m: m[1])
     cpts = bayesnet.fit_mle(dag, table)
     args.out.mkdir(parents=True, exist_ok=True)
-    (args.out / "dag.json").write_text(json.dumps(dag.to_json(), indent=2, sort_keys=True))
-    (args.out / "cpts.json").write_text(json.dumps(cpts.to_json(), indent=2, sort_keys=True))
+    pipeline.write_json(args.out / "dag.json", dag.to_json())
+    pipeline.write_json(args.out / "cpts.json", cpts.to_json())
     print(f"[bn-learn] best of {args.restarts} restarts, score {score:.6f}, "
           f"{len(dag.edges())} edges")
     return 0
@@ -231,41 +209,25 @@ def _cmd_bn_learn(args) -> int:
 
 def _cmd_consensus(args) -> int:
     table = _load_table(args.profiles)
-    constraints = bayesnet.default_layer_constraints()
-    result, freqs, null, _ = consensus.consensus_pipeline(
-        table, constraints, bayesnet.BdeuConfig(args.ess),
-        n_restarts=args.restarts, fraction=args.fraction,
-        replicas=args.null_replicas, edge_probability=args.edge_probability,
-        seed=args.seed,
-    )
     args.out.mkdir(parents=True, exist_ok=True)
-    payload = {
-        **result.to_json(),
-        "null": {"mean": null.mean, "std": null.std, "replicas": args.null_replicas},
-    }
-    (args.out / "consensus.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
-    consensus.write_edge_frequency_csv(args.out / "edge_frequencies.csv", freqs)
+    result, _, null = pipeline.consensus_group(
+        table, bayesnet.default_layer_constraints(), args.ess, args.seed,
+        args.out / "consensus.json", args.out / "edge_frequencies.csv", {},
+        n_restarts=args.restarts, fraction=args.fraction, replicas=args.null_replicas,
+        edge_probability=args.edge_probability,
+    )
     print(f"[consensus] threshold {null.threshold:.3f}, kept {len(result.dag.edges())} edges")
     return 0
 
 
 def _cmd_predict(args) -> int:
     table = _load_table(args.profiles)
-    constraints = bayesnet.default_layer_constraints()
-    experiment = evaluate.PredictionExperiment(
-        folds=args.folds,
-        mode="in_sample" if args.in_sample else "cross_validated",
-        restarts=args.restarts,
-    )
-    result = evaluate.predict_sleep_experiment(
-        table, constraints, bayesnet.BdeuConfig(args.ess), experiment, seed=args.seed
-    )
+    experiment = pipeline.prediction_experiment(args.folds, args.in_sample, args.restarts,
+                                                consensus.DEFAULT_EDGE_PROBABILITY)
     args.out.mkdir(parents=True, exist_ok=True)
-    for k, curve in enumerate(result.curves):
-        evaluate.write_roc_csv(args.out / f"roc_fold{k}.csv", curve)
-    (args.out / "prediction_report.json").write_text(
-        json.dumps(evaluate.report_json(result), indent=2, sort_keys=True)
-    )
+    result, _ = pipeline.predict_group(table, bayesnet.default_layer_constraints(), args.ess,
+                                       experiment, args.seed, args.out, "roc_")
+    pipeline.write_json(args.out / "prediction_report.json", evaluate.report_json(result))
     print(f"[predict] mean AUC {result.auc_mean:.4f} over {len(result.curves)} fold(s)")
     return 0
 
@@ -309,10 +271,7 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ingest.IngestError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:   # IngestError and StageError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -255,6 +255,13 @@ def _check_header(path: Path, header, columns):
         )
 
 
+def check_columns(path, header, columns):
+    """Raise ValueError naming the first of columns that a stage file's header lacks."""
+    for name in columns:
+        if name not in (header or ()):
+            raise ValueError(f"{path}: missing column {name!r}")
+
+
 def _read_rows(path: Path, kind: str):
     """(physical line number, row dict) of every non-blank record after the header."""
     columns = CSV_SCHEMAS[kind]
@@ -498,6 +505,27 @@ def _read_events(path: Path, kind: str, students: tuple[str, ...],
     return EventColumns(students, student[keep], ts[keep], code[keep], value[keep])
 
 
+def read_demographics(path: Path, handle) -> dict[str, DemographicRecord]:
+    """The demographics file; each bad row goes to handle(kind, path, line, reason),
+    which raises it or skips it. A student's first valid row wins."""
+    demographics: dict[str, DemographicRecord] = {}
+    for line_no, row in _read_rows(path, "demographics"):
+        sid = (row["student_id"] or "").strip()
+        gender = (row["gender"] or "").strip()
+        cohort = (row["cohort"] or "").strip()
+        if not sid:
+            handle("demographics", path, line_no, "empty student_id")
+        elif gender not in GENDERS:
+            handle("demographics", path, line_no, f"bad gender {gender!r}")
+        elif cohort not in COHORTS:
+            handle("demographics", path, line_no, f"bad cohort {cohort!r}")
+        elif sid in demographics:
+            handle("demographics", path, line_no, f"duplicate student {sid}")
+        else:
+            demographics[sid] = DemographicRecord(sid, gender, cohort)
+    return demographics
+
+
 def parse_logs(paths: LogPaths, strict: bool = False,
                gpa_max: float = DEFAULT_GPA_MAX) -> EventStore:
     """Load the five event-log CSVs.
@@ -515,25 +543,7 @@ def parse_logs(paths: LogPaths, strict: bool = False,
             raise IngestError(f"{path}:{line_no}: {reason}")
         report.note_skip(kind, reason)
 
-    demographics: dict[str, DemographicRecord] = {}
-    path = mapping["demographics"]
-    for line_no, row in _read_rows(path, "demographics"):
-        sid = (row["student_id"] or "").strip()
-        gender = (row["gender"] or "").strip()
-        cohort = (row["cohort"] or "").strip()
-        if not sid:
-            handle("demographics", path, line_no, "empty student_id")
-            continue
-        if gender not in GENDERS:
-            handle("demographics", path, line_no, f"bad gender {gender!r}")
-            continue
-        if cohort not in COHORTS:
-            handle("demographics", path, line_no, f"bad cohort {cohort!r}")
-            continue
-        if sid in demographics:
-            handle("demographics", path, line_no, f"duplicate student {sid}")
-            continue
-        demographics[sid] = DemographicRecord(sid, gender, cohort)
+    demographics = read_demographics(mapping["demographics"], handle)
     report.loaded["demographics"] = len(demographics)
 
     students = tuple(sorted(demographics))
@@ -728,8 +738,9 @@ def read_sleep_counts_csv(path) -> dict[str, SleepCountVector]:
     out = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         bins = len(header) - 1
+        check_columns(path, header, ["student_id"] + [f"c{i}" for i in range(max(bins, 1))])
         for row in reader:
             out[row[0]] = SleepCountVector(row[0], np.array([int(x) for x in row[1:1 + bins]]))
     return out
@@ -759,7 +770,9 @@ def write_features_csv(path, features: Mapping[str, RawFeatureRecord]):
 def read_features_csv(path) -> dict[str, RawFeatureRecord]:
     out = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        check_columns(path, reader.fieldnames, FEATURE_COLUMNS)
+        for row in reader:
             variance = row["bath_interval_variance"]
             out[row["student_id"]] = RawFeatureRecord(
                 student_id=row["student_id"],

@@ -63,16 +63,6 @@ class PipelineConfig:
         if self.variant not in ("standard", "paper"):
             raise ConfigError("variant must be standard or paper")
 
-    def mixture_config(self, group_index: int) -> sleepmix.MixtureConfig:
-        literal = self.variant == "paper"
-        return sleepmix.MixtureConfig(
-            components=self.components,
-            restarts=self.em_restarts,
-            estep_variant="paper_literal" if literal else "standard",
-            mstep_variant="paper_literal" if literal else "exact_map",
-            seed=derive_seed(self.seed, 1, group_index),
-        )
-
     def echo(self) -> dict:
         out = dataclasses.asdict(self)
         out["data_dir"] = str(self.data_dir)
@@ -99,12 +89,20 @@ def load_config_file(path) -> dict:
     return obj
 
 
+def require(what: str, *paths: Path):
+    """Raise ConfigError naming the first of paths that does not exist."""
+    for path in paths:
+        if not path.exists():
+            raise ConfigError(f"missing {what}: {path}")
+
+
+def write_json(path: Path, obj):
+    """Write obj as sorted, indented JSON ending in a newline."""
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _dump_json(path: Path, obj):
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 class _Artifacts:
@@ -112,8 +110,9 @@ class _Artifacts:
         self.out_dir = out_dir
         self.files: dict[str, str] = {}
 
-    def register(self, path: Path):
-        self.files[path.name] = _sha256(path)
+    def register(self, *paths: Path):
+        for path in paths:
+            self.files[path.name] = _sha256(path)
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
@@ -123,10 +122,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     on stage failure the MANIFEST still lands on disk with the incomplete
     stage named.
     """
-    paths = ingest.LogPaths.from_dir(cfg.data_dir)
-    for p in paths.as_dict().values():
-        if not p.exists():
-            raise ConfigError(f"missing input file: {p}")
+    require("input file", *ingest.LogPaths.from_dir(cfg.data_dir).as_dict().values())
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = _Artifacts(cfg.out_dir)
     manifest = {
@@ -154,17 +150,18 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         except Exception as exc:
             manifest["incomplete"] = [name]
             manifest["files"] = artifacts.files
-            _dump_json(cfg.out_dir / "MANIFEST.json", manifest)
+            write_json(cfg.out_dir / "MANIFEST.json", manifest)
             raise StageError(name, exc) from exc
         manifest["stages"].append(name)
 
     manifest["files"] = artifacts.files
-    _dump_json(cfg.out_dir / "MANIFEST.json", manifest)
+    write_json(cfg.out_dir / "MANIFEST.json", manifest)
     return state["report"]
 
 
-def _groups(cfg: PipelineConfig, demographics) -> list[tuple[str, list[str]]]:
-    selected = list(ingest.COHORTS) if cfg.cohort == "all" else [cfg.cohort]
+def cohort_groups(cohort: str, demographics) -> list[tuple[str, list[str]]]:
+    """(cohort, sorted student ids) for the selected cohort, or each cohort for "all"."""
+    selected = list(ingest.COHORTS) if cohort == "all" else [cohort]
     by_cohort = {c: [] for c in selected}
     for sid in sorted(demographics):
         cohort = demographics[sid].cohort
@@ -172,6 +169,83 @@ def _groups(cfg: PipelineConfig, demographics) -> list[tuple[str, list[str]]]:
             by_cohort[cohort].append(sid)
     return [(c, by_cohort[c]) for c in selected]
 
+
+# --- one group of each stage; the run stages below and the CLI both call these ---
+
+def mixture_config(variant: str, components: int, restarts: int,
+                   seed: int) -> sleepmix.MixtureConfig:
+    """The E/M-step pair of a --variant: "standard" or the paper's literal "paper"."""
+    literal = "paper_literal" if variant == "paper" else None
+    return sleepmix.MixtureConfig(components=components, restarts=restarts,
+                                  estep_variant=literal or "standard",
+                                  mstep_variant=literal or "exact_map", seed=seed)
+
+
+def sleep_fit_group(counts, mix_cfg: sleepmix.MixtureConfig, threshold: float,
+                    model_path: Path, extra: dict):
+    """Write the group's fitted model plus extra keys; return its (student,
+    omega, label) rows and the fit diagnostics."""
+    model, resp, diag = sleepmix.fit(counts, mix_cfg)
+    write_json(model_path, {**sleepmix.model_to_json(model, mix_cfg), **extra})
+    assigned = sleepmix.assign_and_label(resp, model, threshold)
+    return list(zip(assigned.student_ids, assigned.omega_stay_up, assigned.labels)), diag
+
+
+def profile_groups(scopes, features, labels, out_dir: Path,
+                   extra: dict) -> dict[str, profiles.ProfileResult]:
+    """Profile each (name, student ids) scope on its own medians; write
+    profiles.csv and profile_meta.json (plus extra keys) into out_dir."""
+    spec = profiles.default_discretization_spec()
+    results = {name: profiles.build_profiles(
+        {sid: features[sid] for sid in members if sid in features},
+        {sid: labels[sid] for sid in members if sid in labels}, spec,
+    ) for name, members in scopes}
+    profiles.write_profiles_csv(out_dir / "profiles.csv",
+                                [p for result in results.values() for p in result.profiles])
+    write_json(out_dir / "profile_meta.json", {
+        **profiles.metadata_json(spec, {name: r.medians for name, r in results.items()}),
+        **extra,
+    })
+    return results
+
+
+def consensus_group(table: bayesnet.DatasetTable, constraints, ess: float, seed: int,
+                    json_path: Path, csv_path: Path, extra: dict, **search):
+    """Consensus network of one table, search going to consensus_pipeline; writes
+    it plus extra keys to json_path and the edge frequencies to csv_path."""
+    result, freqs, null, _ = consensus.consensus_pipeline(
+        table, constraints, bayesnet.BdeuConfig(ess), seed=seed, **search)
+    write_json(json_path, {
+        **result.to_json(),
+        "null": {"mean": null.mean, "std": null.std, "replicas": len(null.replicate_tables)},
+        **extra,
+    })
+    consensus.write_edge_frequency_csv(csv_path, freqs)
+    return result, freqs, null
+
+
+def prediction_experiment(folds: int, in_sample: bool, restarts: int,
+                          edge_probability: float) -> evaluate.PredictionExperiment:
+    return evaluate.PredictionExperiment(
+        folds=folds, mode="in_sample" if in_sample else "cross_validated",
+        restarts=restarts, edge_probability=edge_probability,
+    )
+
+
+def predict_group(table: bayesnet.DatasetTable, constraints, ess: float,
+                  experiment: evaluate.PredictionExperiment, seed: int,
+                  out_dir: Path, prefix: str):
+    """Predictability of one table; writes out_dir / f"{prefix}fold{k}.csv" per
+    ROC curve and returns the result and those paths."""
+    result = evaluate.predict_sleep_experiment(
+        table, constraints, bayesnet.BdeuConfig(ess), experiment, seed=seed)
+    paths = [out_dir / f"{prefix}fold{k}.csv" for k in range(len(result.curves))]
+    for path, curve in zip(paths, result.curves):
+        evaluate.write_roc_csv(path, curve)
+    return result, paths
+
+
+# --- the run stages ---
 
 def _stage_ingest(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
     result = ingest.ingest_logs(cfg.data_dir, cfg.out_dir, strict=cfg.strict_parse,
@@ -184,22 +258,20 @@ def _stage_ingest(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
 
 
 def _stage_sleep_fit(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
-    groups = _groups(cfg, state["demographics"])
+    groups = cohort_groups(cfg.cohort, state["demographics"])
     state["groups"] = groups
     rows: list[tuple[str, float, str]] = []
     cluster_sizes: dict[str, dict[str, int]] = {}
     for gi, (cohort, members) in enumerate(groups):
         group_counts = {sid: state["counts"][sid] for sid in members if sid in state["counts"]}
-        mix_cfg = cfg.mixture_config(gi)
-        model, resp, diag = sleepmix.fit(group_counts, mix_cfg)
-        assignments = sleepmix.assign_and_label(resp, model)
+        mix_cfg = mixture_config(cfg.variant, cfg.components, cfg.em_restarts,
+                                 derive_seed(cfg.seed, 1, gi))
         model_path = cfg.out_dir / f"model_{cohort}.json"
-        _dump_json(model_path, {
-            **sleepmix.model_to_json(model, mix_cfg), "master_seed": cfg.seed,
-        })
+        group_rows, _ = sleep_fit_group(group_counts, mix_cfg, sleepmix.DEFAULT_THRESHOLD,
+                                        model_path, {"master_seed": cfg.seed})
         artifacts.register(model_path)
-        rows.extend(zip(assignments.student_ids, assignments.omega_stay_up, assignments.labels))
-        n_up = assignments.labels.count(sleepmix.STAY_UP)
+        rows.extend(group_rows)
+        n_up = sum(label == sleepmix.STAY_UP for _, _, label in group_rows)
         cluster_sizes[cohort] = {
             "stay_up": n_up,
             "non_stay_up": len(group_counts) - n_up,
@@ -219,49 +291,27 @@ def _stage_sleep_fit(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
 
 
 def _stage_profile(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
-    spec = profiles.default_discretization_spec()
-    labels = state["sleep_labels"]
-    features = state["features"]
-    all_profiles: list[profiles.StudentProfile] = []
-    group_medians: dict[str, dict[str, float]] = {}
-    excluded: dict[str, dict[str, str]] = {}
-    group_tables: dict[str, bayesnet.DatasetTable] = {}
-
     if cfg.median_scope == "global":
-        pool = [sid for _, members in state["groups"] for sid in members]
-        scopes = [("global", pool)]
+        scopes = [("global", [sid for _, members in state["groups"] for sid in members])]
     else:
         scopes = state["groups"]
-    results: dict[str, profiles.ProfileResult] = {}
-    for scope_name, members in scopes:
-        sub_features = {sid: features[sid] for sid in members if sid in features}
-        sub_labels = {sid: labels[sid] for sid in members if sid in labels}
-        result = profiles.build_profiles(sub_features, sub_labels, spec)
-        results[scope_name] = result
-        group_medians[scope_name] = result.medians
-        excluded[scope_name] = result.excluded
-        all_profiles.extend(result.profiles)
+    results = profile_groups(scopes, state["features"], state["sleep_labels"], cfg.out_dir,
+                             {"master_seed": cfg.seed})
+    artifacts.register(cfg.out_dir / "profiles.csv", cfg.out_dir / "profile_meta.json")
 
-    by_id = {p.student_id: p for p in all_profiles}
+    # scopes are disjoint, so each student is profiled at most once
+    by_id = {p.student_id: p for result in results.values() for p in result.profiles}
+    group_tables: dict[str, bayesnet.DatasetTable] = {}
     for cohort, members in state["groups"]:
         rows = [by_id[sid] for sid in members if sid in by_id]
         if rows:
-            table, _ = profiles.profiles_to_table(rows)
-            group_tables[cohort] = table
-
-    profiles_path = cfg.out_dir / "profiles.csv"
-    profiles.write_profiles_csv(profiles_path, all_profiles)
-    artifacts.register(profiles_path)
-    meta_path = cfg.out_dir / "profile_meta.json"
-    _dump_json(meta_path, {
-        **profiles.metadata_json(spec, group_medians), "master_seed": cfg.seed,
-    })
-    artifacts.register(meta_path)
+            group_tables[cohort], _ = profiles.profiles_to_table(rows)
 
     state["group_tables"] = group_tables
     state["report"]["profiling"] = {
-        "students_profiled": len(all_profiles),
-        "excluded": {g: dict(sorted(e.items())) for g, e in excluded.items() if e},
+        "students_profiled": len(by_id),
+        "excluded": {g: dict(sorted(r.excluded.items()))
+                     for g, r in results.items() if r.excluded},
     }
     # fail on tables the predict stage cannot cross-validate now, not after consensus
     experiment, tasks = _prediction_tasks(cfg, state)
@@ -279,31 +329,25 @@ def _stage_consensus(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
     state["high_score_freqs"] = {}
     summary = {}
     for gi, (cohort, _) in enumerate(state["groups"]):
-        table = state["group_tables"][cohort]
-        result, freqs, null, _ = consensus.consensus_pipeline(
-            table, constraints, bayesnet.BdeuConfig(cfg.ess),
-            n_restarts=cfg.restarts, fraction=cfg.top_fraction,
-            replicas=cfg.null_replicas, edge_probability=cfg.edge_probability,
-            seed=derive_seed(cfg.seed, 3, gi), resample=cfg.null_resample,
+        cons_path = cfg.out_dir / f"consensus_{cohort}.json"
+        freq_path = cfg.out_dir / f"edge_frequencies_{cohort}.csv"
+        result, freqs, _ = consensus_group(
+            state["group_tables"][cohort], constraints, cfg.ess, derive_seed(cfg.seed, 3, gi),
+            cons_path, freq_path, {"master_seed": cfg.seed},
+            n_restarts=cfg.restarts, fraction=cfg.top_fraction, replicas=cfg.null_replicas,
+            edge_probability=cfg.edge_probability, resample=cfg.null_resample,
         )
+        artifacts.register(cons_path, freq_path)
         state["consensus"][cohort] = result
         state["high_score_freqs"][cohort] = freqs
-        cons_path = cfg.out_dir / f"consensus_{cohort}.json"
-        _dump_json(cons_path, {
-            **result.to_json(),
-            "null": {"mean": null.mean, "std": null.std, "replicas": len(null.replicate_tables)},
-            "master_seed": cfg.seed,
-        })
-        artifacts.register(cons_path)
-        freq_path = cfg.out_dir / f"edge_frequencies_{cohort}.csv"
-        consensus.write_edge_frequency_csv(freq_path, freqs)
-        artifacts.register(freq_path)
-        summary[cohort] = {
-            "threshold": result.threshold,
-            "n_edges": len(result.dag.edges()),
-            "edges": [list(e) for e in result.dag.edges()],
-        }
+        summary[cohort] = _network_summary(result)
     state["report"]["consensus"] = summary
+
+
+def _network_summary(result: consensus.ConsensusDag) -> dict:
+    edges = result.dag.edges()
+    return {"threshold": result.threshold, "n_edges": len(edges),
+            "edges": [list(e) for e in edges]}
 
 
 def _stage_total_network(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
@@ -316,23 +360,15 @@ def _stage_total_network(cfg: PipelineConfig, state: dict, artifacts: _Artifacts
     )
     state["consensus"]["total"] = merged
     path = cfg.out_dir / "consensus_total.json"
-    _dump_json(path, {**merged.to_json(), "master_seed": cfg.seed})
+    write_json(path, {**merged.to_json(), "master_seed": cfg.seed})
     artifacts.register(path)
-    state["report"]["consensus"]["total"] = {
-        "threshold": None,
-        "n_edges": len(merged.dag.edges()),
-        "edges": [list(e) for e in merged.dag.edges()],
-    }
+    state["report"]["consensus"]["total"] = _network_summary(merged)
 
 
 def _prediction_tasks(cfg: PipelineConfig, state: dict):
     """The predict stage's experiment and its (name, table, seed) per profile table."""
-    experiment = evaluate.PredictionExperiment(
-        folds=cfg.folds,
-        mode="in_sample" if cfg.in_sample else "cross_validated",
-        restarts=cfg.eval_restarts,
-        edge_probability=cfg.edge_probability,
-    )
+    experiment = prediction_experiment(cfg.folds, cfg.in_sample, cfg.eval_restarts,
+                                       cfg.edge_probability)
     tables = dict(state["group_tables"])
     if len(tables) > 1:
         pooled = np.concatenate([t.values for t in tables.values()])
@@ -342,18 +378,13 @@ def _prediction_tasks(cfg: PipelineConfig, state: dict):
 
 
 def _stage_predict(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
-    constraints = state["constraints"]
     experiment, tasks = _prediction_tasks(cfg, state)
     results = {}
     for name, table, seed in tasks:
-        result = evaluate.predict_sleep_experiment(
-            table, constraints, bayesnet.BdeuConfig(cfg.ess), experiment, seed=seed,
-        )
+        result, roc_paths = predict_group(table, state["constraints"], cfg.ess, experiment,
+                                          seed, cfg.out_dir, f"roc_{name}_")
         results[name] = evaluate.report_json(result)
-        for k, curve in enumerate(result.curves):
-            roc_path = cfg.out_dir / f"roc_{name}_fold{k}.csv"
-            evaluate.write_roc_csv(roc_path, curve)
-            artifacts.register(roc_path)
+        artifacts.register(*roc_paths)
     state["report"]["auc"] = results
 
 
@@ -384,5 +415,5 @@ def _stage_report(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
         "times_in_children": dict(sorted(counts["children"].items())),
     }
     report_path = cfg.out_dir / "report.json"
-    _dump_json(report_path, state["report"])
+    write_json(report_path, state["report"])
     artifacts.register(report_path)

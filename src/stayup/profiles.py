@@ -10,15 +10,13 @@ with ties going to the game side.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from .bayesnet import DatasetTable, profile_variables
-from .ingest import RawFeatureRecord
+from .ingest import RawFeatureRecord, check_columns
 from .sleepmix import STAY_UP
 
 TIE_AT_MEDIAN_LOW = "at-median-low"
@@ -170,7 +168,9 @@ def write_profiles_csv(path, profiles: list[StudentProfile]):
 def read_profiles_csv(path) -> list[StudentProfile]:
     out = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        check_columns(path, reader.fieldnames, PROFILE_HEADER)
+        for row in reader:
             out.append(StudentProfile(
                 student_id=row["student_id"],
                 **{k: int(row[k]) for k in PROFILE_HEADER[1:]},
@@ -193,8 +193,3 @@ def metadata_json(spec: DiscretizationSpec, group_medians: Mapping[str, Mapping[
         },
         "group_medians": {g: dict(sorted(m.items())) for g, m in sorted(group_medians.items())},
     }
-
-
-def write_profile_metadata(path, spec: DiscretizationSpec,
-                           group_medians: Mapping[str, Mapping[str, float]]):
-    Path(path).write_text(json.dumps(metadata_json(spec, group_medians), indent=2, sort_keys=True))

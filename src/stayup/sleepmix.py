@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from ._kernels import poisson_scores
+from .ingest import check_columns
 
 ESTEP_VARIANTS = ("standard", "paper_literal")
 MSTEP_VARIANTS = ("exact_map", "paper_literal")
@@ -34,6 +33,7 @@ MASS_FLOOR = 1e-12
 
 STAY_UP = "stay_up"
 NON_STAY_UP = "non_stay_up"
+DEFAULT_THRESHOLD = 0.5
 
 
 class MixtureError(RuntimeError):
@@ -311,7 +311,7 @@ def stay_up_component(model: PoissonMixtureModel) -> int:
 
 
 def assign_and_label(resp: Responsibilities, model: PoissonMixtureModel,
-                     threshold: float = 0.5) -> Assignments:
+                     threshold: float = DEFAULT_THRESHOLD) -> Assignments:
     """Label each student stay_up when its stay-up responsibility reaches the threshold."""
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie strictly between 0 and 1")
@@ -345,10 +345,6 @@ def model_from_json(obj: dict) -> tuple[PoissonMixtureModel, MixtureConfig]:
     return model, cfg
 
 
-def write_model_json(path, model: PoissonMixtureModel, cfg: MixtureConfig):
-    Path(path).write_text(json.dumps(model_to_json(model, cfg), indent=2, sort_keys=True))
-
-
 def write_assignments_csv(path, rows: Iterable[tuple[str, float, str]]):
     """Write (student_id, omega_stayup, label) rows in the order given."""
     with open(path, "w", newline="") as fh:
@@ -361,6 +357,8 @@ def write_assignments_csv(path, rows: Iterable[tuple[str, float, str]]):
 def read_assignments_csv(path) -> dict[str, str]:
     out = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        check_columns(path, reader.fieldnames, ["student_id", "label"])
+        for row in reader:
             out[row["student_id"]] = row["label"]
     return out

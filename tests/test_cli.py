@@ -70,6 +70,11 @@ class TestSubcommands:
         ]) == 0
         report = json.loads((out / "prediction_report.json").read_text())
         assert len(report["auc_per_fold"]) == 3
+        json_files = sorted(path.name for path in out.glob("*.json"))
+        assert json_files == ["consensus.json", "cpts.json", "dag.json", "ingest_report.json",
+                              "model.json", "prediction_report.json", "profile_meta.json"]
+        for name in json_files:
+            assert (out / name).read_text().endswith("}\n"), name
 
     def test_ingest_matches_the_run_stage(self, data_dir, tmp_path):
         cli_out, run_out = tmp_path / "cli", tmp_path / "run"
@@ -86,6 +91,23 @@ class TestSubcommands:
         assert report.pop("reasons") == {}
         assert report == state["report"]["ingest"]
         assert "store" not in state and len(state["demographics"]) == 450
+
+    @pytest.mark.parametrize("variant, steps, threshold", [
+        ("standard", {"estep": "standard", "mstep": "exact_map"}, 1e-6),
+        ("paper", {"estep": "paper_literal", "mstep": "paper_literal"}, 1 - 1e-6),
+    ])
+    def test_sleep_fit_variant_and_threshold(self, run_dir, tmp_path, variant, steps, threshold):
+        out = tmp_path / "out"
+        assert cli.main(["sleep-fit", "--counts", str(run_dir / "sleep_counts.csv"),
+                         "--out", str(out), "--em-restarts", "2", "--variant", variant,
+                         "--threshold", str(threshold)]) == 0
+        assert load_json(out / "model.json")["variant"] == steps
+        rows = csv_rows(out / "assignments.csv").values()
+        omegas = [float(row["omega_stayup"]) for row in rows]
+        # some students fall between this threshold and the default one
+        assert any(min(threshold, 0.5) <= w < max(threshold, 0.5) for w in omegas)
+        for row, w in zip(rows, omegas):
+            assert (row["label"] == "stay_up") == (w >= threshold)
 
     def test_synth_profiles_mode(self, tmp_path):
         assert cli.main([
@@ -130,9 +152,14 @@ def cohort_file(src, dst, members):
     return dst
 
 
-def without_seed(path):
-    obj = json.loads(path.read_text())
-    obj.pop("master_seed", None)
+def load_json(path):
+    return json.loads(path.read_text())
+
+
+def run_json(path):
+    """A JSON file of `run` minus its master_seed, which stage commands do not write."""
+    obj = load_json(path)
+    assert obj.pop("master_seed") == SEED
     return obj
 
 
@@ -154,8 +181,7 @@ class TestStagesMatchRun:
         out = tmp_path / "out"
         assert cli.main(["sleep-fit", "--counts", str(counts), "--out", str(out),
                          "--seed", str(seed), "--em-restarts", str(FAST["em_restarts"])]) == 0
-        assert without_seed(out / "model.json") == without_seed(
-            run_dir / f"model_{self.COHORT}.json")
+        assert load_json(out / "model.json") == run_json(run_dir / f"model_{self.COHORT}.json")
         got = csv_rows(out / "assignments.csv")
         assert len(got) > 100
         want = csv_rows(run_dir / "assignments.csv")
@@ -168,7 +194,7 @@ class TestStagesMatchRun:
         assert cli.main(["profile", *inputs, "--demographics", str(data_dir / "demographics.csv"),
                          "--out", str(out)]) == 0
         assert (out / "profiles.csv").read_bytes() == (run_dir / "profiles.csv").read_bytes()
-        got, run_meta = without_seed(out / "profile_meta.json"), without_seed(
+        got, run_meta = load_json(out / "profile_meta.json"), run_json(
             run_dir / "profile_meta.json")
         # features.csv keeps 12 significant digits, so medians read back from it can move
         assert got.pop("group_medians") == {
@@ -176,20 +202,29 @@ class TestStagesMatchRun:
             for cohort, medians in run_meta.pop("group_medians").items()}
         assert got == run_meta
 
-        # one cohort's inputs, with its medians taken over the whole input
+        for cohort, excluded in load_json(run_dir / "report.json")["profiling"]["excluded"].items():
+            assert set(excluded) <= cohort_members(data_dir, cohort)
+
+        # one cohort: its own inputs with global medians, or the whole input with
+        # demographics of that cohort alone
         members = cohort_members(data_dir, self.COHORT)
         features = cohort_file(run_dir / "features.csv", tmp_path / "features.csv", members)
         labels = cohort_file(run_dir / "assignments.csv", tmp_path / "labels.csv", members)
-        out = tmp_path / "one"
-        assert cli.main(["profile", "--features", str(features), "--assignments", str(labels),
-                         "--median-scope", "global", "--out", str(out)]) == 0
+        demographics = cohort_file(data_dir / "demographics.csv", tmp_path / "demo.csv", members)
         want = cohort_file(run_dir / "profiles.csv", tmp_path / "want.csv", members)
-        assert (out / "profiles.csv").read_bytes() == want.read_bytes()
-        got = without_seed(out / "profile_meta.json")
-        run_meta = without_seed(run_dir / "profile_meta.json")
-        assert got.pop("group_medians") == {"global": pytest.approx(
-            run_meta.pop("group_medians")[self.COHORT], rel=1e-11)}
-        assert got == run_meta
+        for scope, argv in [
+            ("global", ["--features", str(features), "--assignments", str(labels),
+                        "--median-scope", "global"]),
+            (self.COHORT, [*inputs, "--demographics", str(demographics)]),
+        ]:
+            out = tmp_path / scope
+            assert cli.main(["profile", *argv, "--out", str(out)]) == 0
+            assert (out / "profiles.csv").read_bytes() == want.read_bytes()
+            got = load_json(out / "profile_meta.json")
+            run_meta = run_json(run_dir / "profile_meta.json")
+            assert got.pop("group_medians") == {scope: pytest.approx(
+                run_meta.pop("group_medians")[self.COHORT], rel=1e-11)}
+            assert got == run_meta
 
     def test_consensus_matches_the_run_stage(self, data_dir, run_dir, tmp_path):
         members = cohort_members(data_dir, self.COHORT)
@@ -199,8 +234,9 @@ class TestStagesMatchRun:
         assert cli.main(["consensus", "--profiles", str(table), "--out", str(out),
                          "--seed", str(seed), "--restarts", str(FAST["restarts"]),
                          "--null-replicas", str(FAST["null_replicas"])]) == 0
-        assert without_seed(out / "consensus.json") == without_seed(
-            run_dir / f"consensus_{self.COHORT}.json")
+        got = load_json(out / "consensus.json")
+        assert got["null"]["replicas"] == FAST["null_replicas"]
+        assert got == run_json(run_dir / f"consensus_{self.COHORT}.json")
         assert (out / "edge_frequencies.csv").read_bytes() == (
             run_dir / f"edge_frequencies_{self.COHORT}.csv").read_bytes()
 
@@ -218,9 +254,65 @@ class TestStagesMatchRun:
             assert (out / f"roc_fold{k}.csv").read_bytes() == (
                 run_dir / f"roc_{self.COHORT}_fold{k}.csv").read_bytes()
         assert not (out / f"roc_fold{FAST['folds']}.csv").exists()
-        report = json.loads((run_dir / "report.json").read_text())
-        assert json.loads((out / "prediction_report.json").read_text()) == (
-            report["auc"][self.COHORT])
+        report = load_json(run_dir / "report.json")
+        assert load_json(out / "prediction_report.json") == report["auc"][self.COHORT]
+
+
+class TestStageInputs:
+    def test_profile_counts_a_student_listed_twice_once(self, data_dir, run_dir, tmp_path):
+        text = (data_dir / "demographics.csv").read_text()
+        sid, gender, cohort = text.splitlines()[1].split(",")
+        other = next(c for c in ingest.COHORTS if c != cohort)
+        demographics = tmp_path / "demographics.csv"
+        demographics.write_text(text + f"{sid},{gender},{other}\n")
+        out = tmp_path / "out"
+        assert cli.main(["profile", "--features", str(run_dir / "features.csv"),
+                         "--assignments", str(run_dir / "assignments.csv"),
+                         "--demographics", str(demographics), "--out", str(out)]) == 0
+        assert (out / "profiles.csv").read_bytes() == (run_dir / "profiles.csv").read_bytes()
+
+    def test_profile_demographics_without_cohort(self, run_dir, tmp_path, capsys):
+        demographics = tmp_path / "demographics.csv"
+        demographics.write_text("student_id,gender\ns1,male\ns2,female\n")
+        rc = cli.main(["profile", "--features", str(run_dir / "features.csv"),
+                       "--assignments", str(run_dir / "assignments.csv"),
+                       "--demographics", str(demographics), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {demographics}: header")
+
+    @pytest.mark.parametrize("command, flag, text, missing", [
+        ("sleep-fit", "--counts", "", "student_id"),
+        ("sleep-fit", "--counts", "student_id\ns1\ns2\n", "c0"),
+        ("profile", "--features", "student_id,books_borrowed\ns1,3\n", "mean_daily_surf_minutes"),
+        ("profile", "--assignments", "student_id,omega_stayup\ns1,0.5\n", "label"),
+        ("predict", "--profiles", "student_id,G\ns1,0\ns2,1\n", "R"),
+    ])
+    def test_stage_file_without_a_column(self, run_dir, tmp_path, capsys,
+                                         command, flag, text, missing):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        argv = [command, flag, str(bad), "--out", str(tmp_path / "out")]
+        if command == "profile":
+            inputs = {"--features": run_dir / "features.csv",
+                      "--assignments": run_dir / "assignments.csv"}
+            inputs[flag] = bad
+            argv = ["profile", "--median-scope", "global", "--out", str(tmp_path / "out")]
+            for name, path in inputs.items():
+                argv += [name, str(path)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {bad}: missing column {missing!r}\n"
+
+    @pytest.mark.parametrize("command", ["bn-learn", "consensus", "predict"])
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_table_of_fewer_than_two_profiles(self, run_dir, tmp_path, capsys, command, rows):
+        lines = (run_dir / "profiles.csv").read_bytes().splitlines(keepends=True)
+        table = tmp_path / "profiles.csv"
+        table.write_bytes(b"".join(lines[:1 + rows]))
+        out = tmp_path / "out"
+        assert cli.main([command, "--profiles", str(table), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {table}: need at least two profiles, got {rows}\n")
+        assert not out.exists()
 
 
 class TestRun:

@@ -3,6 +3,7 @@ import pytest
 
 from stayup import profiles as pr
 from stayup.ingest import RawFeatureRecord
+from stayup.pipeline import write_json
 
 
 def record(sid, **overrides):
@@ -165,7 +166,7 @@ class TestTableAndCsv:
     def test_metadata_json(self, tmp_path):
         spec = pr.default_discretization_spec()
         path = tmp_path / "meta.json"
-        pr.write_profile_metadata(path, spec, {"freshman": {"R": 3.0}})
+        write_json(path, pr.metadata_json(spec, {"freshman": {"R": 3.0}}))
         import json
 
         meta = json.loads(path.read_text())

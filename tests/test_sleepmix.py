@@ -8,6 +8,7 @@ from scipy.special import gammaln, logsumexp
 from stayup import sleepmix as sm
 from stayup import synth
 from stayup._kernels import poisson_scores
+from stayup.pipeline import write_json
 
 
 def two_peak_data(n_students, n_nights, seed):
@@ -319,7 +320,7 @@ class TestSerialization:
         cfg = sm.MixtureConfig(seed=4, restarts=2)
         model, resp, _ = sm.fit(vectors, cfg)
         path = tmp_path / "model.json"
-        sm.write_model_json(path, model, cfg)
+        write_json(path, sm.model_to_json(model, cfg))
         import json
 
         obj = json.loads(path.read_text())
