@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.special import gammaln
 
+from . import seeding
 from ._kernels import family_counts
 
 Edge = tuple[str, str]
@@ -497,9 +498,10 @@ def climb_batch(table: np.ndarray, constraints: LayerConstraints, start_masks,
     climbs, and each climb applies its best legal move until none improves
     its score by more than IMPROVEMENT_EPS. A reversal's delta is the
     delete's delta plus the second family's. Near-ties (within TIE_EPS of
-    the best delta) are broken by a draw from the climb's own
-    default_rng(seed), made when the climb first meets one. Returns each
-    climb's DAG and its score.
+    the best delta) are broken by a draw from the climb's own generator,
+    the same stream as default_rng(seed): all seeds are hashed up front
+    and a climb's generator is built the first time it meets a tie.
+    Returns each climb's DAG and its score.
     """
     n = constraints.variables.n
     pa = np.array(start_masks, dtype=np.int64).reshape(-1, n)
@@ -515,6 +517,7 @@ def climb_batch(table: np.ndarray, constraints: LayerConstraints, start_masks,
     if _closures(pa)[1].diagonal(axis1=1, axis2=2).any():
         raise ValueError("a start graph has a cycle")
     allowed = constraints.allowed
+    seed_words = seeding.pcg64_words(seeds)
     rngs: list[np.random.Generator | None] = [None] * len(pa)
     active = np.arange(len(pa))
     while active.size:
@@ -535,7 +538,7 @@ def climb_batch(table: np.ndarray, constraints: LayerConstraints, start_masks,
         for i in np.flatnonzero(count > 1).tolist():
             c = active[i]
             if rngs[c] is None:
-                rngs[c] = np.random.default_rng(seeds[c])
+                rngs[c] = seeding.generator(seed_words[c])
             pick[i] = np.flatnonzero(ties[i])[rngs[c].integers(int(count[i]))]
         u, v, reverse = pick // (2 * n), pick // 2 % n, pick % 2 == 1
         pa[active, v] ^= bits[u]   # add, delete, or drop u -> v before the reversal
@@ -562,14 +565,15 @@ def random_start_masks(constraints: LayerConstraints, edge_probability: float,
                        seeds: Sequence) -> np.ndarray:
     """(R, n) parent bitmasks of random legal DAGs, one per seed.
 
-    Each seed's generator draws a topological order, then one uniform per
-    layer-allowed forward pair in order; a pair becomes an edge when its
-    draw is below `edge_probability`.
+    Each seed's generator, the same stream as default_rng(seed), draws a
+    topological order, then one uniform per layer-allowed forward pair in
+    order; a pair becomes an edge when its draw is below `edge_probability`.
+    The seeds are hashed together (seeding.generators).
     """
     if not 0 <= edge_probability <= 1:
         raise ValueError("edge_probability must be in [0, 1]")
     n = constraints.variables.n
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = seeding.generators(seeds)
     order = np.array([rng.permutation(n) for rng in rngs]).reshape(-1, n)
     # forward[r, a, b]: order[r, a] -> order[r, b] is allowed and a < b
     upper = np.triu(np.ones((n, n), dtype=bool), 1)

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import seeding
 from .bayesnet import (
     BdeuConfig,
     Dag,
@@ -119,7 +120,7 @@ def top_fraction(ensemble: EnsembleResult, fraction: float = DEFAULT_TOP_FRACTIO
     size = len(ensemble.members)
     k = math.ceil(fraction * size)
     tiebreak_seed = ensemble.seed if seed is None else seed
-    perm = np.random.default_rng(_seed_list(tiebreak_seed) + [97]).permutation(size)
+    perm = seeding.rng(_seed_list(tiebreak_seed) + [97]).permutation(size)
     order = sorted(range(size), key=lambda i: (-ensemble.members[i][1], perm[i]))
     return [ensemble.members[i] for i in order[:k]]
 
@@ -175,8 +176,8 @@ def null_threshold(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuC
     legal = [(names[u], names[v]) for u, v in constraints.legal_pairs()]
     tables = []
     pooled = []
-    for rep in range(replicas):
-        rng = np.random.default_rng(base + [11, rep])
+    rngs = seeding.generators([base + [11, rep] for rep in range(replicas)])
+    for rep, rng in enumerate(rngs):
         replica = permute_columns(data, rng) if resample == "permute" else bootstrap_rows(data, rng)
         ensemble = learn_ensemble(
             replica, constraints, cfg, n_restarts=n_restarts,

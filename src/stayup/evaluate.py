@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass
 import numpy as np
 
+from . import seeding
 from .bayesnet import (
     BdeuConfig,
     DatasetTable,
@@ -96,6 +97,7 @@ class PredictionResult:
     auc_per_fold: list[float]
     auc_mean: float
     degenerate_blanket: bool
+    degraded_folds: dict | None = None   # set when the folds had to be stratified
 
 
 def _learn_structure(train: DatasetTable, constraints: LayerConstraints, cfg: BdeuConfig,
@@ -158,18 +160,42 @@ def _blanket_scores(train: DatasetTable, test: DatasetTable,
 
 def fold_indices(n_rows: int, folds: int, seed: SeedLike) -> list[np.ndarray]:
     """Seeded disjoint cover of all rows in `folds` near-equal parts."""
-    perm = np.random.default_rng(_seed_list(seed) + [23]).permutation(n_rows)
+    perm = seeding.rng(_seed_list(seed) + [23]).permutation(n_rows)
     return [np.sort(part) for part in np.array_split(perm, folds)]
 
 
-def cv_splits(y: np.ndarray, experiment: PredictionExperiment,
-              seed: SeedLike) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(training rows, test rows) of each fold, or of the one in-sample split.
+def stratified_fold_indices(y: np.ndarray, folds: int, seed: SeedLike) -> list[np.ndarray]:
+    """Seeded disjoint cover of all rows in `folds` parts that splits each
+    class near-evenly: the class's rows, in the order of fold_indices'
+    permutation, cut into `folds` runs."""
+    perm = seeding.rng(_seed_list(seed) + [23]).permutation(len(y))
+    per_class = [np.array_split(perm[y[perm] == c], folds) for c in np.unique(y)]
+    return [np.sort(np.concatenate(parts)) for parts in zip(*per_class)]
 
-    Raises ValueError unless every split's training and test rows hold both
-    classes of the target: a network needs both to learn from, a ROC curve
-    both to score. This needs only the target column, so a pipeline can
-    check it before any search.
+
+def _single_class_split(y: np.ndarray, splits, target: str) -> str | None:
+    """Why the first split whose training or test rows hold one class fails, if any."""
+    for f, (train, test) in enumerate(splits):
+        for part, which in ((train, "training"), (test, "test")):
+            if len(np.unique(y[part])) < 2:
+                return f"fold {f}: {which} rows contain a single {target} class"
+    return None
+
+
+def cv_plan(y: np.ndarray, experiment: PredictionExperiment,
+            seed: SeedLike) -> tuple[list[tuple[np.ndarray, np.ndarray]], dict | None]:
+    """(training rows, test rows) of each fold, or of the one in-sample split,
+    and the report's degraded_folds entry, None unless the folds degraded.
+
+    Every split's training and test rows must hold both classes of the
+    target: a network needs both to learn from, a ROC curve both to score.
+    Cross-validation keeps the seeded folds of fold_indices when they do.
+    Otherwise it stratifies (stratified_fold_indices) over min(folds,
+    minority class count) folds, and the entry names the folds requested,
+    the folds used and the reason. Raises ValueError when that cannot work
+    either: an in-sample split or a minority class of fewer than two rows.
+    This needs only the target column, so a pipeline can check it before
+    any search.
     """
     rows = np.arange(len(y))
     if experiment.mode == "in_sample":
@@ -177,11 +203,21 @@ def cv_splits(y: np.ndarray, experiment: PredictionExperiment,
     else:
         splits = [(np.setdiff1d(rows, test), test)
                   for test in fold_indices(len(y), experiment.folds, seed)]
-    for f, (train, test) in enumerate(splits):
-        for part, which in ((train, "training"), (test, "test")):
-            if len(np.unique(y[part])) < 2:
-                raise ValueError(f"fold {f}: {which} rows contain a single {experiment.target} class")
-    return splits
+    reason = _single_class_split(y, splits, experiment.target)
+    if reason is None:
+        return splits, None
+    counts = np.unique(y, return_counts=True)[1]
+    used = min(experiment.folds, int(counts.min()) if len(counts) > 1 else 0)
+    if experiment.mode == "in_sample" or used < 2:
+        raise ValueError(reason)
+    splits = [(np.setdiff1d(rows, test), test) for test in stratified_fold_indices(y, used, seed)]
+    return splits, {"requested": experiment.folds, "used": used, "reason": reason}
+
+
+def cv_splits(y: np.ndarray, experiment: PredictionExperiment,
+              seed: SeedLike) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The splits of cv_plan: raises ValueError when no folds can hold both classes."""
+    return cv_plan(y, experiment, seed)[0]
 
 
 def predict_sleep_experiment(profiles: DatasetTable, constraints: LayerConstraints,
@@ -190,7 +226,7 @@ def predict_sleep_experiment(profiles: DatasetTable, constraints: LayerConstrain
     """Cross-validated (or in-sample) predictability of the target variable."""
     base = _seed_list(seed)
     y = profiles.column(experiment.target).astype(np.int64)
-    splits = cv_splits(y, experiment, seed)
+    splits, degraded = cv_plan(y, experiment, seed)
 
     curves, aucs = [], []
     degenerate = False
@@ -204,7 +240,7 @@ def predict_sleep_experiment(profiles: DatasetTable, constraints: LayerConstrain
         curve = roc_auc(scores, y[test_rows])
         curves.append(curve)
         aucs.append(curve.auc)
-    return PredictionResult(curves, aucs, float(np.mean(aucs)), degenerate)
+    return PredictionResult(curves, aucs, float(np.mean(aucs)), degenerate, degraded)
 
 
 def write_roc_csv(path, curve: RocCurve):
@@ -216,8 +252,11 @@ def write_roc_csv(path, curve: RocCurve):
 
 
 def report_json(result: PredictionResult) -> dict:
-    return {
+    out = {
         "auc_per_fold": [float(a) for a in result.auc_per_fold],
         "auc_mean": float(result.auc_mean),
         "degenerate_blanket": result.degenerate_blanket,
     }
+    if result.degraded_folds is not None:
+        out["degraded_folds"] = result.degraded_folds
+    return out

@@ -262,6 +262,22 @@ def check_columns(path, header, columns):
             raise ValueError(f"{path}: missing column {name!r}")
 
 
+def stage_records(path, reader: csv.DictReader, parse):
+    """Yield parse(row) for each data row of a stage file whose header was checked.
+
+    A row with fewer fields than the header, or one that parse rejects with
+    ValueError (a non-numeric count, say), raises ValueError("<path>: line
+    N: <reason>"), N being the row's last physical line.
+    """
+    for row in reader:
+        try:
+            if None in row.values():
+                raise ValueError(f"fewer fields than the {len(reader.fieldnames)} of the header")
+            yield parse(row)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _read_rows(path: Path, kind: str):
     """(physical line number, row dict) of every non-blank record after the header."""
     columns = CSV_SCHEMAS[kind]
@@ -735,15 +751,14 @@ def write_sleep_counts_csv(path, counts: Mapping[str, SleepCountVector], bin_cou
 
 
 def read_sleep_counts_csv(path) -> dict[str, SleepCountVector]:
-    out = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        bins = len(header) - 1
-        check_columns(path, header, ["student_id"] + [f"c{i}" for i in range(max(bins, 1))])
-        for row in reader:
-            out[row[0]] = SleepCountVector(row[0], np.array([int(x) for x in row[1:1 + bins]]))
-    return out
+        reader = csv.DictReader(fh)
+        bins = len(reader.fieldnames or ()) - 1
+        check_columns(path, reader.fieldnames,
+                      ["student_id"] + [f"c{i}" for i in range(max(bins, 1))])
+        columns = [f"c{i}" for i in range(bins)]
+        return {v.student_id: v for v in stage_records(path, reader, lambda row: SleepCountVector(
+            row["student_id"], np.array([int(row[c]) for c in columns])))}
 
 
 FEATURE_COLUMNS = [
@@ -767,23 +782,24 @@ def write_features_csv(path, features: Mapping[str, RawFeatureRecord]):
             ])
 
 
+def _feature_record(row) -> RawFeatureRecord:
+    variance = row["bath_interval_variance"]
+    return RawFeatureRecord(
+        student_id=row["student_id"],
+        books_borrowed=int(row["books_borrowed"]),
+        mean_daily_surf_minutes=float(row["mean_daily_surf_minutes"]),
+        game_minutes=float(row["game_minutes"]),
+        video_minutes=float(row["video_minutes"]),
+        breakfast_count=int(row["breakfast_count"]),
+        bath_interval_variance=float(variance) if variance else None,
+        mean_daily_spend=float(row["mean_daily_spend"]),
+        gpa=float(row["gpa"]),
+        gender=row["gender"],
+    )
+
+
 def read_features_csv(path) -> dict[str, RawFeatureRecord]:
-    out = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         check_columns(path, reader.fieldnames, FEATURE_COLUMNS)
-        for row in reader:
-            variance = row["bath_interval_variance"]
-            out[row["student_id"]] = RawFeatureRecord(
-                student_id=row["student_id"],
-                books_borrowed=int(row["books_borrowed"]),
-                mean_daily_surf_minutes=float(row["mean_daily_surf_minutes"]),
-                game_minutes=float(row["game_minutes"]),
-                video_minutes=float(row["video_minutes"]),
-                breakfast_count=int(row["breakfast_count"]),
-                bath_interval_variance=float(variance) if variance else None,
-                mean_daily_spend=float(row["mean_daily_spend"]),
-                gpa=float(row["gpa"]),
-                gender=row["gender"],
-            )
-    return out
+        return {r.student_id: r for r in stage_records(path, reader, _feature_record)}

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bayesnet, consensus, evaluate, ingest, profiles, sleepmix
+from . import bayesnet, consensus, evaluate, ingest, profiles, seeding, sleepmix
 
 SCHEMA_VERSION = 1
 
@@ -72,7 +72,7 @@ class PipelineConfig:
 
 def derive_seed(*parts: int) -> int:
     """Stable 64-bit stream seed from integer parts."""
-    state = np.random.SeedSequence(list(parts)).generate_state(2)
+    state = seeding.seed_states([list(parts)], 2)[0]
     return int(state[0]) << 32 | int(state[1])
 
 

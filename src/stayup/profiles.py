@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .bayesnet import DatasetTable, profile_variables
-from .ingest import RawFeatureRecord, check_columns
+from .ingest import RawFeatureRecord, check_columns, stage_records
 from .sleepmix import STAY_UP
 
 TIE_AT_MEDIAN_LOW = "at-median-low"
@@ -166,16 +166,11 @@ def write_profiles_csv(path, profiles: list[StudentProfile]):
 
 
 def read_profiles_csv(path) -> list[StudentProfile]:
-    out = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         check_columns(path, reader.fieldnames, PROFILE_HEADER)
-        for row in reader:
-            out.append(StudentProfile(
-                student_id=row["student_id"],
-                **{k: int(row[k]) for k in PROFILE_HEADER[1:]},
-            ))
-    return out
+        return list(stage_records(path, reader, lambda row: StudentProfile(
+            student_id=row["student_id"], **{k: int(row[k]) for k in PROFILE_HEADER[1:]})))
 
 
 def metadata_json(spec: DiscretizationSpec, group_medians: Mapping[str, Mapping[str, float]]) -> dict:

@@ -22,8 +22,9 @@ from typing import Iterable, Mapping
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
+from . import seeding
 from ._kernels import poisson_scores
-from .ingest import check_columns
+from .ingest import check_columns, stage_records
 
 ESTEP_VARIANTS = ("standard", "paper_literal")
 MSTEP_VARIANTS = ("exact_map", "paper_literal")
@@ -201,29 +202,37 @@ def log_joint(data, model: PoissonMixtureModel, cfg: MixtureConfig) -> float:
     return _objective(_scores(counts, model, gammaln(counts + 1).sum(axis=1)), model, cfg)
 
 
-def _row_entropy_seeds(counts: np.ndarray) -> list[int]:
-    """Stable per-row entropy derived from row content.
+def _row_entropy_seeds(counts: np.ndarray) -> np.ndarray:
+    """Stable per-row entropy derived from row content, as uint64 keys.
 
     Keying the initial draw on the counts themselves (not the row position)
     makes initialization invariant under row permutation and duplication.
     """
-    out = []
-    for row in counts:
-        digest = hashlib.sha256(row.tobytes()).digest()
-        out.append(int.from_bytes(digest[:8], "little"))
-    return out
+    return np.array([int.from_bytes(hashlib.sha256(row.tobytes()).digest()[:8], "little")
+                     for row in counts], dtype=np.uint64)
 
 
-def initial_responsibilities(counts: np.ndarray, cfg: MixtureConfig, restart: int) -> np.ndarray:
-    """Symmetric random simplex draw per student for one restart."""
-    m = cfg.components
-    row_seeds = _row_entropy_seeds(counts)
-    weights = np.empty((counts.shape[0], m))
-    ones = np.ones(m)
-    for i, h in enumerate(row_seeds):
-        rng = np.random.default_rng([cfg.seed, restart, h])
-        weights[i] = rng.dirichlet(ones)
-    return weights
+def initial_responsibilities(counts: np.ndarray, cfg: MixtureConfig) -> np.ndarray:
+    """(restarts, N, M) symmetric Dirichlet starts, one per restart and student.
+
+    Row i's start in restart r is the same stream as
+    default_rng([cfg.seed, r, h]).dirichlet(ones(M)), where h is a hash of
+    the row's counts. The rows are hashed once and the seed words of each
+    restart in one batch (seeding.keyed_pcg64_words); each student's
+    generator then fills its row with M standard exponentials, and the
+    rows are normalised as dirichlet does: the sum taken left to right
+    from 0.0, then each draw times its reciprocal.
+    """
+    row_keys = _row_entropy_seeds(counts)
+    draws = np.empty((cfg.restarts, counts.shape[0], cfg.components))
+    for restart, rows in enumerate(draws):
+        for words, row in zip(seeding.keyed_pcg64_words([cfg.seed, restart], row_keys), rows):
+            seeding.generator(words).standard_exponential(out=row)
+    total = np.zeros(draws.shape[:2])
+    for j in range(cfg.components):
+        total += draws[..., j]
+    draws *= (1.0 / total)[..., None]
+    return draws
 
 
 def _em_run(counts: np.ndarray, init: np.ndarray, cfg: MixtureConfig,
@@ -255,9 +264,11 @@ def _em_run(counts: np.ndarray, init: np.ndarray, cfg: MixtureConfig,
 def fit(data, cfg: MixtureConfig) -> tuple[PoissonMixtureModel, Responsibilities, FitDiagnostics]:
     """Best-of-restarts EM fit.
 
-    Each restart draws fresh per-student starting responsibilities from its
-    own stream derived from (seed, restart index, row content) and iterates
-    E/M until the relative objective change drops below the tolerance.
+    Each restart starts from per-student Dirichlet responsibilities, each
+    student's drawn from the same stream as default_rng([seed, restart, h])
+    with h a hash of the student's counts (see initial_responsibilities),
+    and iterates E/M until the relative objective change drops below the
+    tolerance.
     """
     counts, ids = count_matrix(data)
     if counts.ndim != 2:
@@ -267,8 +278,7 @@ def fit(data, cfg: MixtureConfig) -> tuple[PoissonMixtureModel, Responsibilities
             f"need at least {cfg.components} students, got {counts.shape[0]}"
         )
     best = None
-    for restart in range(cfg.restarts):
-        init = initial_responsibilities(counts, cfg, restart)
+    for restart, init in enumerate(initial_responsibilities(counts, cfg)):
         model, trace, converged, scores = _em_run(counts, init, cfg, ids)
         if best is None or trace[-1] > best[0]:
             best = (trace[-1], restart, model, trace, converged, scores)
@@ -355,10 +365,7 @@ def write_assignments_csv(path, rows: Iterable[tuple[str, float, str]]):
 
 
 def read_assignments_csv(path) -> dict[str, str]:
-    out = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         check_columns(path, reader.fieldnames, ["student_id", "label"])
-        for row in reader:
-            out[row["student_id"]] = row["label"]
-    return out
+        return dict(stage_records(path, reader, lambda row: (row["student_id"], row["label"])))

@@ -322,6 +322,17 @@ class TestRandomStart:
                     want = ref_random_start(constraints, p, seed=seed)
                     assert got.edges() == want.edges()
 
+    def test_masks_match_per_seed_generators(self):
+        # ensemble-shaped seed lists (a 64-bit run seed, then restart and role)
+        # next to ints and lists of other lengths, all in one batch
+        seeds = [[2**64 - 1 - r, r, 0] for r in range(40)] + [[2**63, 7, r, 0] for r in range(20)]
+        seeds += [0, 1, 2**32, 2**70, [3], [2**32 + 5, 0], [0, 0, 0, 0, 0, 0, 0, 0]]
+        for constraints in (bn.default_layer_constraints(),
+                            bn.LayerConstraints.unconstrained(bn.profile_variables())):
+            for p in (0.0, 0.3, 1.0):
+                np.testing.assert_array_equal(bn.random_start_masks(constraints, p, seeds),
+                                              ref_random_start_masks(constraints, p, seeds))
+
 
 def _sample_from_dag(rng, dag, cpts, n):
     var = dag.variables
@@ -775,6 +786,23 @@ def ref_random_start(constraints, edge_probability, seed=0):
             if constraints.allows(u, v) and rng.random() < edge_probability:
                 dag.add_edge(u, v)
     return dag
+
+
+def ref_random_start_masks(constraints, edge_probability, seeds):
+    """random_start_masks with one default_rng per seed, as it was built
+    before the seeds were hashed in batches."""
+    n = constraints.variables.n
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    order = np.array([rng.permutation(n) for rng in rngs]).reshape(-1, n)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    forward = constraints.allowed[order[:, :, None], order[:, None, :]] & upper
+    keep = np.zeros_like(forward)
+    for pairs, kept, rng in zip(forward, keep, rngs):
+        kept[pairs] = rng.random(int(pairs.sum())) < edge_probability
+    r, a, b = np.nonzero(keep)
+    parents = np.zeros((len(rngs), n), dtype=np.int64)
+    np.bitwise_or.at(parents, (r, order[r, b]), 1 << order[r, a])
+    return parents
 
 
 class TestFitMle:

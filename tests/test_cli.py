@@ -302,6 +302,32 @@ class TestStageInputs:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == f"error: {bad}: missing column {missing!r}\n"
 
+    @pytest.mark.parametrize("flag, line, reason", [
+        ("--counts", "s2," + "1," * 15 + "x", "invalid literal for int() with base 10: 'x'"),
+        ("--features", "s2,0", "fewer fields than the 10 of the header"),
+        ("--assignments", "s2", "fewer fields than the 3 of the header"),
+        ("--profiles", "s2,0", "fewer fields than the 10 of the header"),
+    ])
+    def test_stage_file_with_a_bad_row(self, run_dir, tmp_path, capsys, flag, line, reason):
+        # the named file keeps its header and first row, then the bad row on line 3
+        source = {"--counts": "sleep_counts.csv", "--features": "features.csv",
+                  "--assignments": "assignments.csv", "--profiles": "profiles.csv"}[flag]
+        header, first = (run_dir / source).read_text().splitlines()[:2]
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{header}\n{first}\n{line}\n")
+        out = str(tmp_path / "out")
+        argv = {
+            "--counts": ["sleep-fit", "--counts", str(bad), "--out", out],
+            "--features": ["profile", "--features", str(bad), "--assignments",
+                           str(run_dir / "assignments.csv"), "--median-scope", "global",
+                           "--out", out],
+            "--assignments": ["profile", "--features", str(run_dir / "features.csv"),
+                              "--assignments", str(bad), "--median-scope", "global", "--out", out],
+            "--profiles": ["consensus", "--profiles", str(bad), "--out", out],
+        }[flag]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 3: {reason}\n"
+
     @pytest.mark.parametrize("command", ["bn-learn", "consensus", "predict"])
     @pytest.mark.parametrize("rows", [0, 1])
     def test_table_of_fewer_than_two_profiles(self, run_dir, tmp_path, capsys, command, rows):
@@ -426,11 +452,11 @@ def write_skewed_cohort(directory, n_students=40, n_late=3, nights=20, seed=0):
 
 class TestSkewedCohort:
     def test_fails_before_consensus(self, tmp_path, capsys):
-        # 40 students, 3 of them stay up: with 5 folds some test folds hold no
-        # stay-up student, so the predict stage could not score them
+        # 40 students, 1 of them stays up: no two folds can both hold a stay-up
+        # student, so the predict stage could not score them, stratified or not
         data, out = tmp_path / "data", tmp_path / "out"
         data.mkdir()
-        write_skewed_cohort(data)
+        write_skewed_cohort(data, n_late=1)
         rc = cli.main(["run", "--data", str(data), "--out", str(out), "--cohort", "freshman",
                        "--min-nights", "5", "--em-restarts", "3", "--seed", "1"])
         assert rc == 1
@@ -438,11 +464,31 @@ class TestSkewedCohort:
         assert "stage 'profile' failed" in err and "rows contain a single S class" in err
         rows = (out / "profiles.csv").read_text().splitlines()[1:]
         assert len(rows) == 40
-        assert sum(row.endswith(",1") for row in rows) == 3
+        assert sum(row.endswith(",1") for row in rows) == 1
         manifest = json.loads((out / "MANIFEST.json").read_text())
         assert manifest["incomplete"] == ["profile"]
         assert not list(out.glob("consensus_*.json"))
         assert not list(out.glob("edge_frequencies_*.csv"))
+
+    def test_three_stay_up_students_degrade_the_folds(self, tmp_path):
+        # 40 students, 3 of them stay up: the seeded 5 folds leave some test
+        # fold without a stay-up student, so the run stratifies over 3 folds
+        data, out = tmp_path / "data", tmp_path / "out"
+        data.mkdir()
+        write_skewed_cohort(data)
+        assert cli.main(["run", "--data", str(data), "--out", str(out), "--cohort", "freshman",
+                         "--min-nights", "5", "--em-restarts", "3", "--seed", "1",
+                         "--restarts", "20", "--null-replicas", "2"]) == 0
+        rows = (out / "profiles.csv").read_text().splitlines()[1:]
+        assert sum(row.endswith(",1") for row in rows) == 3
+        auc = json.loads((out / "report.json").read_text())["auc"]["freshman"]
+        assert auc["degraded_folds"]["requested"] == 5
+        assert auc["degraded_folds"]["used"] == 3
+        assert "rows contain a single S class" in auc["degraded_folds"]["reason"]
+        assert len(auc["auc_per_fold"]) == 3
+        assert sorted(p.name for p in out.glob("roc_freshman_fold*.csv")) == [
+            f"roc_freshman_fold{k}.csv" for k in range(3)]
+        assert json.loads((out / "MANIFEST.json").read_text())["incomplete"] == []
 
 
 def test_help_lists_subcommands(capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,13 +99,40 @@ class TestFolds:
             np.testing.assert_array_equal(x, y)
 
     def test_skewed_target_fails_before_any_search(self):
-        # 3 stay-up students in 40 rows: some of the 5 test folds hold none
+        # 1 stay-up student in 40 rows: no two test folds can both hold one
+        y = np.zeros(40, dtype=np.int64)
+        y[17] = 1
+        experiment = ev.PredictionExperiment()
+        for seed in range(10):
+            with pytest.raises(ValueError, match="rows contain a single S class"):
+                ev.cv_splits(y, experiment, seed)
+
+    def test_skewed_target_degrades_to_stratified_folds(self):
+        # 3 stay-up students in 40 rows: some of the 5 seeded test folds hold
+        # none, so every seed falls back to 3 folds with one stay-up student each
         y = np.zeros(40, dtype=np.int64)
         y[[4, 17, 30]] = 1
         experiment = ev.PredictionExperiment()
         for seed in range(10):
-            with pytest.raises(ValueError, match="test rows contain a single S class"):
-                ev.cv_splits(y, experiment, seed)
+            splits, degraded = ev.cv_plan(y, experiment, seed)
+            assert degraded == {"requested": 5, "used": 3, "reason": degraded["reason"]}
+            assert "test rows contain a single S class" in degraded["reason"]
+            tests = [test for _, test in splits]
+            assert [len(t) for t in tests] == [14, 13, 13]
+            assert [int(y[t].sum()) for t in tests] == [1, 1, 1]
+            np.testing.assert_array_equal(np.sort(np.concatenate(tests)), np.arange(40))
+            for (train, test), part in zip(splits, ev.stratified_fold_indices(y, 3, seed)):
+                np.testing.assert_array_equal(test, part)
+                np.testing.assert_array_equal(train, np.setdiff1d(np.arange(40), test))
+            assert [t.tolist() for _, t in ev.cv_splits(y, experiment, seed)] == [
+                t.tolist() for t in tests]
+
+    def test_folds_that_hold_both_classes_are_kept(self):
+        y = np.arange(103) % 2
+        splits, degraded = ev.cv_plan(y, ev.PredictionExperiment(folds=5), seed=4)
+        assert degraded is None
+        for (_, test), part in zip(splits, ev.fold_indices(103, 5, seed=4)):
+            np.testing.assert_array_equal(test, part)
 
     def test_splits_are_the_folds(self):
         y = np.arange(103) % 2
@@ -183,6 +212,23 @@ class TestPredictSleepExperiment:
         with pytest.raises(ValueError, match="single"):
             ev.predict_sleep_experiment(table, bn.default_layer_constraints(), CFG,
                                         experiment, seed=6)
+
+    def test_skewed_target_predicts_over_degraded_folds(self):
+        # 40 rows, 3 of them stay up: every seed fails on the parent's 5 folds
+        var = bn.profile_variables()
+        values = np.random.default_rng(8).integers(0, 2, size=(40, 9)).astype(np.uint8)
+        values[:, var.index("S")] = 0
+        values[[4, 17, 30], var.index("S")] = 1
+        table = bn.DatasetTable(var, values)
+        experiment = ev.PredictionExperiment(restarts=4)
+        for seed in range(10):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # a blanket may be empty
+                result = ev.predict_sleep_experiment(table, bn.default_layer_constraints(), CFG,
+                                                     experiment, seed=seed)
+            assert len(result.curves) == 3
+            assert result.degraded_folds["used"] == 3
+            assert ev.report_json(result)["degraded_folds"] == result.degraded_folds
 
     def test_seeded_reruns_identical(self):
         table, constraints = self._profiles(n=500)

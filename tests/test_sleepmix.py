@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -229,11 +230,38 @@ def _ref_em_run(counts, init, cfg, ids):
     return model, resp, trace, converged
 
 
+def ref_initial_responsibilities(counts, cfg, restart):
+    """One restart's starts the per-student way: a default_rng and a Dirichlet
+    draw per student, keyed on (seed, restart, hash of the row's counts)."""
+    weights = np.empty((counts.shape[0], cfg.components))
+    for i, row in enumerate(counts):
+        h = int.from_bytes(hashlib.sha256(row.tobytes()).digest()[:8], "little")
+        weights[i] = np.random.default_rng([cfg.seed, restart, h]).dirichlet(np.ones(cfg.components))
+    return weights
+
+
+class TestInitialResponsibilities:
+    @pytest.mark.parametrize("components", [1, 2, 3, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2**54, 2**64 - 1, 2**70])
+    def test_bit_equal_to_per_student_generators(self, components, seed):
+        counts = np.random.default_rng(components).poisson(2.0, size=(60, 16)).astype(float)
+        cfg = sm.MixtureConfig(components=components, restarts=3, seed=seed)
+        starts = sm.initial_responsibilities(counts, cfg)
+        assert starts.shape == (3, 60, components)
+        for restart in range(3):
+            np.testing.assert_array_equal(starts[restart],
+                                          ref_initial_responsibilities(counts, cfg, restart))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            sm.initial_responsibilities(np.ones((4, 16)), sm.MixtureConfig(seed=-1))
+
+
 def _ref_fit(data, cfg):
     counts, ids = sm.count_matrix(data)
     best = None
     for restart in range(cfg.restarts):
-        init = sm.initial_responsibilities(counts, cfg, restart)
+        init = ref_initial_responsibilities(counts, cfg, restart)
         model, _, trace, converged = _ref_em_run(counts, init, cfg, ids)
         if best is None or trace[-1] > best[0]:
             best = (trace[-1], restart, model, trace, converged)
