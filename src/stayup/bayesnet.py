@@ -16,10 +16,10 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import seeding
 from ._kernels import family_counts
+from .special import lgamma_table
 
 Edge = tuple[str, str]
 
@@ -238,13 +238,11 @@ class LayerConstraints:
         return out
 
     @cached_property
-    def score_plan(self) -> list[_FamilyGroup]:
-        """How score_table projects the joint counts onto every layer-legal family."""
+    def score_plan(self) -> list[_ScoreGroup]:
+        """Where score_table reads the counts of every layer-legal family."""
         n = self.variables.n
         most_parents = [sum(1 << u for u in range(n) if self.allows(u, v)) for v in range(n)]
-        families = [(v, mask) for v, most in enumerate(most_parents)
-                    for mask in range(most + 1) if not mask & ~most]
-        return _score_plan(self.variables.arities, families)
+        return _score_plan(self.variables.arities, most_parents)
 
     def allows_edge(self, u: str, v: str) -> bool:
         return self.allows(self.variables.index(u), self.variables.index(v))
@@ -309,62 +307,86 @@ class BdeuConfig:
             raise ValueError("ess must be positive")
 
 
-# --- BDeu scores ----------------------------------------------------------------
+# --- BDeu scores ---------------------------------------------------------------
 #
-# Every family's counts are a marginal of one joint count table over all
-# variables. A projection maps each joint cell to its family cell (parent
-# configuration * r + child value, the last parent varying fastest), so a
-# weighted bincount through it gives the counts of many families at once.
+# Every family's counts are a marginal of the joint counts. The lattice holds
+# all marginals at once: it has arity + 1 cells along each variable's axis,
+# and the extra last cell of an axis holds the sum over that variable, so a
+# subset's marginal is read where the variables outside it sit at their
+# extra cell. That is prod(arity + 1) integer cells, 3**9 for nine binary
+# variables.
 
-_CHUNK = 64   # families projected per bincount; bounds the (families, cells) temporaries
+
+def _lattice_shape(arities: Sequence[int]) -> tuple[int, ...]:
+    return tuple(a + 1 for a in arities)
+
+
+def _lattice_counts(values: np.ndarray, arities: Sequence[int]) -> np.ndarray:
+    """The flat lattice of every subset marginal of the rows' joint counts."""
+    shape = _lattice_shape(arities)
+    cube = np.bincount(np.ravel_multi_index(tuple(values.T), shape),
+                       minlength=math.prod(shape)).reshape(shape)
+    for axis, a in enumerate(arities):
+        head = (slice(None),) * axis
+        np.sum(cube[head + (slice(0, a),)], axis=axis, keepdims=True,
+               out=cube[head + (slice(a, a + 1),)])
+    return cube.ravel()
 
 
 @dataclass(frozen=True)
-class _FamilyGroup:
-    """Families with q parent configurations and child arity r."""
+class _ScoreGroup:
+    """Families with q parent configurations and child arity r, as lattice cells."""
 
     q: int
     r: int
     child: np.ndarray      # (F,) child index
     parents: np.ndarray    # (F,) parent bitmask
-    cells: np.ndarray      # (F, joint cells) family cell of each joint cell
+    totals: np.ndarray     # (F, q) cell of each parent configuration, child summed out
+    cells: np.ndarray      # (F, q * r) cell of each family cell
 
 
-def _score_plan(arities: Sequence[int], families) -> list[_FamilyGroup]:
-    """Projections of the joint table onto (child, parent mask) families, by shape."""
-    size = math.prod(arities)
-    grid = np.unravel_index(np.arange(size), arities)
-    dtype = np.min_scalar_type(size - 1)
+def _score_plan(arities: Sequence[int], most_parents: Sequence[int]) -> list[_ScoreGroup]:
+    """Lattice cells of each child v with each parent mask inside most_parents[v].
+
+    A family's cells are ordered by parent configuration, the last parent
+    varying fastest, then by child value.
+    """
+    shape = _lattice_shape(arities)
+    strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
+    top = sum(a * stride for a, stride in zip(arities, strides))   # every variable summed out
+    dtype = np.min_scalar_type(math.prod(shape) - 1)
+    # offsets[mask]: from the top cell to each configuration of the parents in mask
+    offsets = {0: np.zeros(1, dtype=np.intp)}
     groups: dict[tuple[int, int], list] = {}
-    for child, mask in families:
-        parents = tuple(_bits(mask))
-        dims = tuple(arities[p] for p in parents) + (arities[child],)
-        cells = np.ravel_multi_index(tuple(grid[p] for p in parents) + (grid[child],), dims)
-        groups.setdefault((math.prod(dims[:-1]), dims[-1]), []).append(
-            (child, mask, cells.astype(dtype)))
-    return [_FamilyGroup(q, r, np.array([f[0] for f in fams]), np.array([f[1] for f in fams]),
-                         np.stack([f[2] for f in fams]))
+    for child, most in enumerate(most_parents):
+        values = np.arange(arities[child]) - arities[child]
+        child_steps = values * strides[child]
+        for mask in range(most + 1):
+            if mask & ~most:
+                continue
+            if mask not in offsets:
+                last = mask.bit_length() - 1
+                steps = (np.arange(arities[last]) - arities[last]) * strides[last]
+                offsets[mask] = (offsets[mask ^ 1 << last][:, None] + steps).ravel()
+            totals = top + offsets[mask]
+            groups.setdefault((len(totals), arities[child]), []).append(
+                (child, mask, totals, (totals[:, None] + child_steps).ravel()))
+    return [_ScoreGroup(q, r, np.array([f[0] for f in fams]), np.array([f[1] for f in fams]),
+                        np.array([f[2] for f in fams], dtype=dtype),
+                        np.array([f[3] for f in fams], dtype=dtype))
             for (q, r), fams in groups.items()]
 
 
-def _bdeu(cells: np.ndarray, weights: np.ndarray, q: int, r: int, ess: float) -> np.ndarray:
-    """BDeu scores of families of one (q, r) shape.
-
-    `cells[f]` maps each unit (a row, or an occupied joint cell) to its cell
-    of family f, and `weights` holds each unit's count.
-    """
-    f, m = cells.shape[0], q * r
-    index = cells + np.arange(0, f * m, m)[:, None]
-    counts = np.bincount(index.ravel(), np.broadcast_to(weights, index.shape).ravel(), f * m)
-    counts = counts.astype(np.intp).reshape(f, q, r)
-    n_j = counts.sum(axis=2)
-    k = np.arange(n_j.max(initial=0) + 1)
+def _bdeu(counts: np.ndarray, totals: np.ndarray, q: int, r: int, ess: float) -> np.ndarray:
+    """BDeu scores of families of one (q, r) shape from their (F, q * r)
+    counts and (F, q) parent-configuration totals."""
     a_jk = ess / (q * r)
     a_j = ess / q
-    # each count's gammaln is looked up: the same numbers as evaluated in place
-    row_terms = (gammaln(a_j) - gammaln(a_j + k))[n_j]
-    cell_terms = (gammaln(a_jk + k) - gammaln(a_jk))[counts]
-    return row_terms.sum(axis=1) + cell_terms.reshape(f, m).sum(axis=1)
+    row = lgamma_table(a_j, int(totals.max(initial=0)))
+    cell = lgamma_table(a_jk, int(counts.max(initial=0)))
+    row_terms = (row[0] - row)[totals]
+    cell_terms = (cell - cell[0])[counts]
+    return row_terms.sum(axis=1) + cell_terms.sum(axis=1)
 
 
 def score_table(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuConfig) -> np.ndarray:
@@ -375,17 +397,11 @@ def score_table(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuConf
     """
     if data.variables != constraints.variables:
         raise ValueError("data and constraints are over different variable sets")
-    arities = data.variables.arities
     n = data.variables.n
-    joint = np.bincount(np.ravel_multi_index(tuple(data.values.T), arities),
-                        minlength=math.prod(arities))
-    occupied = np.flatnonzero(joint)
+    lattice = _lattice_counts(data.values, data.variables.arities)
     table = np.full((n, 1 << n), np.nan)
     for g in constraints.score_plan:
-        for lo in range(0, len(g.child), _CHUNK):
-            part = slice(lo, lo + _CHUNK)
-            table[g.child[part], g.parents[part]] = _bdeu(
-                g.cells[part][:, occupied], joint[occupied], g.q, g.r, cfg.ess)
+        table[g.child, g.parents] = _bdeu(lattice[g.cells], lattice[g.totals], g.q, g.r, cfg.ess)
     return table
 
 
@@ -407,9 +423,10 @@ def bdeu_family_score(data: DatasetTable, child, parents, cfg: BdeuConfig) -> fl
     c, ps = _resolve_family(data, child, parents)
     columns = list(ps) + [c]
     dims = tuple(data.variables.arities[j] for j in columns)
-    cells = np.ravel_multi_index(tuple(data.values[:, columns].T), dims)
-    return float(_bdeu(cells[None], np.ones(cells.size), math.prod(dims[:-1]), dims[-1],
-                       cfg.ess)[0])
+    q, r = math.prod(dims[:-1]), dims[-1]
+    counts = np.bincount(np.ravel_multi_index(tuple(data.values[:, columns].T), dims),
+                         minlength=q * r)
+    return float(_bdeu(counts[None], counts.reshape(1, q, r).sum(axis=2), q, r, cfg.ess)[0])
 
 
 def bdeu_score(dag: Dag, data: DatasetTable, cfg: BdeuConfig,
@@ -499,8 +516,8 @@ def climb_batch(table: np.ndarray, constraints: LayerConstraints, start_masks,
     its score by more than IMPROVEMENT_EPS. A reversal's delta is the
     delete's delta plus the second family's. Near-ties (within TIE_EPS of
     the best delta) are broken by a draw from the climb's own generator,
-    the same stream as default_rng(seed): all seeds are hashed up front
-    and a climb's generator is built the first time it meets a tie.
+    the same stream as default_rng(seed), built the first time the climb
+    meets a tie: most climbs never do.
     Returns each climb's DAG and its score.
     """
     n = constraints.variables.n
@@ -517,7 +534,6 @@ def climb_batch(table: np.ndarray, constraints: LayerConstraints, start_masks,
     if _closures(pa)[1].diagonal(axis1=1, axis2=2).any():
         raise ValueError("a start graph has a cycle")
     allowed = constraints.allowed
-    seed_words = seeding.pcg64_words(seeds)
     rngs: list[np.random.Generator | None] = [None] * len(pa)
     active = np.arange(len(pa))
     while active.size:
@@ -538,7 +554,7 @@ def climb_batch(table: np.ndarray, constraints: LayerConstraints, start_masks,
         for i in np.flatnonzero(count > 1).tolist():
             c = active[i]
             if rngs[c] is None:
-                rngs[c] = seeding.generator(seed_words[c])
+                rngs[c] = seeding.rng(seeds[c])
             pick[i] = np.flatnonzero(ties[i])[rngs[c].integers(int(count[i]))]
         u, v, reverse = pick // (2 * n), pick // 2 % n, pick % 2 == 1
         pa[active, v] ^= bits[u]   # add, delete, or drop u -> v before the reversal
@@ -578,10 +594,10 @@ def random_start_masks(constraints: LayerConstraints, edge_probability: float,
     # forward[r, a, b]: order[r, a] -> order[r, b] is allowed and a < b
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     forward = constraints.allowed[order[:, :, None], order[:, None, :]] & upper
-    keep = np.zeros_like(forward)
-    for pairs, kept, rng in zip(forward, keep, rngs):
-        kept[pairs] = rng.random(int(pairs.sum())) < edge_probability
-    r, a, b = np.nonzero(keep)
+    # np.nonzero lists each seed's pairs in order, where its draws go
+    draws = np.concatenate([np.empty(0)] + [rng.random(int(k)) for rng, k
+                                            in zip(rngs, forward.sum(axis=(1, 2)))])
+    r, a, b = (index[draws < edge_probability] for index in np.nonzero(forward))
     parents = np.zeros((len(rngs), n), dtype=np.int64)
     np.bitwise_or.at(parents, (r, order[r, b]), 1 << order[r, a])
     return parents

@@ -149,6 +149,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_sleep_fit(args) -> int:
     pipeline.require("counts file", args.counts)
     counts = ingest.read_sleep_counts_csv(args.counts)
+    pipeline.require_students(str(args.counts), len(counts), args.components, "--min-nights")
     mix_cfg = pipeline.mixture_config(args.variant, args.components, args.em_restarts, args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     rows, diag = pipeline.sleep_fit_group(counts, mix_cfg, args.threshold,

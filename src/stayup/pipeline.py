@@ -181,6 +181,15 @@ def mixture_config(variant: str, components: int, restarts: int,
                                   mstep_variant=literal or "exact_map", seed=seed)
 
 
+def require_students(what: str, n_students: int, components: int, min_nights: str):
+    """Raise ValueError, before any EM, when `what` holds fewer students with
+    sleep counts than the mixture has components."""
+    if n_students < components:
+        raise ValueError(f"{what} has {n_students} students with sleep counts, fewer than the "
+                         f"{components} mixture components; ingest drops students with a "
+                         f"bedtime on fewer than {min_nights} nights")
+
+
 def sleep_fit_group(counts, mix_cfg: sleepmix.MixtureConfig, threshold: float,
                     model_path: Path, extra: dict):
     """Write the group's fitted model plus extra keys; return its (student,
@@ -262,8 +271,12 @@ def _stage_sleep_fit(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
     state["groups"] = groups
     rows: list[tuple[str, float, str]] = []
     cluster_sizes: dict[str, dict[str, int]] = {}
-    for gi, (cohort, members) in enumerate(groups):
-        group_counts = {sid: state["counts"][sid] for sid in members if sid in state["counts"]}
+    all_counts = [{sid: state["counts"][sid] for sid in members if sid in state["counts"]}
+                  for _, members in groups]
+    for (cohort, _), group_counts in zip(groups, all_counts):
+        require_students(f"cohort {cohort!r}", len(group_counts), cfg.components,
+                         f"min_nights={cfg.min_nights}")
+    for gi, ((cohort, _), group_counts) in enumerate(zip(groups, all_counts)):
         mix_cfg = mixture_config(cfg.variant, cfg.components, cfg.em_restarts,
                                  derive_seed(cfg.seed, 1, gi))
         model_path = cfg.out_dir / f"model_{cohort}.json"

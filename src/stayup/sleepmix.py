@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from . import seeding
 from ._kernels import poisson_scores
+from .special import gammaln, logsumexp
 from .ingest import check_columns, stage_records
 
 ESTEP_VARIANTS = ("standard", "paper_literal")

@@ -508,6 +508,108 @@ class TestScoreTable:
             bn.score_table(data, bn.default_layer_constraints(), CFG)
 
 
+# The score table that the subset-marginal lattice replaced: one projection
+# of the joint cells per family, through which a weighted bincount of the
+# occupied joint cells gives the family's counts, 64 families at a time.
+
+def projection_plan(arities, families):
+    """(q, r, children, parent masks, (F, joint cells) family cell of each joint cell) per shape."""
+    size = math.prod(arities)
+    grid = np.unravel_index(np.arange(size), arities)
+    groups = {}
+    for child, mask in families:
+        parents = tuple(bn._bits(mask))
+        dims = tuple(arities[p] for p in parents) + (arities[child],)
+        cells = np.ravel_multi_index(tuple(grid[p] for p in parents) + (grid[child],), dims)
+        groups.setdefault((math.prod(dims[:-1]), dims[-1]), []).append((child, mask, cells))
+    return [(q, r, np.array([f[0] for f in fams]), np.array([f[1] for f in fams]),
+             np.stack([f[2] for f in fams])) for (q, r), fams in groups.items()]
+
+
+def projection_bdeu(cells, weights, q, r, ess):
+    f, m = cells.shape[0], q * r
+    index = cells + np.arange(0, f * m, m)[:, None]
+    counts = np.bincount(index.ravel(), np.broadcast_to(weights, index.shape).ravel(), f * m)
+    counts = counts.astype(np.intp).reshape(f, q, r)
+    n_j = counts.sum(axis=2)
+    k = np.arange(n_j.max(initial=0) + 1)
+    a_jk = ess / (q * r)
+    a_j = ess / q
+    row_terms = (gammaln(a_j) - gammaln(a_j + k))[n_j]
+    cell_terms = (gammaln(a_jk + k) - gammaln(a_jk))[counts]
+    return row_terms.sum(axis=1) + cell_terms.reshape(f, m).sum(axis=1)
+
+
+def projection_score_table(data, constraints, cfg):
+    arities = data.variables.arities
+    n = data.variables.n
+    families = [(v, mask) for v in range(n) for mask in range(1 << n)
+                if all(constraints.allows(u, v) for u in bn._bits(mask))]
+    joint = np.bincount(np.ravel_multi_index(tuple(data.values.T), arities),
+                        minlength=math.prod(arities))
+    occupied = np.flatnonzero(joint)
+    table = np.full((n, 1 << n), np.nan)
+    for q, r, child, parents, cells in projection_plan(arities, families):
+        for lo in range(0, len(child), 64):
+            part = slice(lo, lo + 64)
+            table[child[part], parents[part]] = projection_bdeu(
+                cells[part][:, occupied], joint[occupied], q, r, cfg.ess)
+    return table
+
+
+@st.composite
+def scored_tables(draw):
+    """A table of 0, 1 or many rows over 1-6 variables of arity 2-4, with
+    random layers and ESS; columns copy others at times, so counts pile up."""
+    n = draw(st.integers(1, 6))
+    arities = tuple(draw(st.lists(st.integers(2, 4), min_size=n, max_size=n)))
+    layers = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    n_rows = draw(st.sampled_from([0, 1, 2, 57, 400]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(0, arities, size=(n_rows, n))
+    for j in range(1, n):
+        if draw(st.booleans()):
+            src = int(rng.integers(j))
+            copied = values[:, src] % arities[j]
+            values[:, j] = np.where(rng.random(n_rows) < 0.7, copied, values[:, j])
+    variables = bn.VariableSet(tuple("ABCDEF"[:n]), arities)
+    ess = draw(st.sampled_from([0.37, 1.0, 10.0, 100.0]))
+    return bn.DatasetTable(variables, values), bn.LayerConstraints(variables, layers), ess
+
+
+class TestScoreTableMatchesProjection:
+    @settings(max_examples=150, deadline=None)
+    @given(scored_tables())
+    def test_bit_equal_tables(self, case):
+        data, constraints, ess = case
+        cfg = bn.BdeuConfig(ess)
+        assert np.array_equal(bn.score_table(data, constraints, cfg),
+                              projection_score_table(data, constraints, cfg), equal_nan=True)
+
+    def test_profile_tables(self):
+        rng = np.random.default_rng(43)
+        for t in range(6):
+            data = profile_table(rng, tie_heavy=t % 2 == 1)
+            if t >= 3:
+                data = with_ternary(rng, data, column=t)
+            for constraints in layer_sets(data.variables):
+                assert np.array_equal(bn.score_table(data, constraints, CFG),
+                                      projection_score_table(data, constraints, CFG),
+                                      equal_nan=True)
+
+    def test_lattice_holds_every_marginal(self):
+        rng = np.random.default_rng(44)
+        arities = (2, 3, 4)
+        values = rng.integers(0, arities, size=(90, 3))
+        lattice = bn._lattice_counts(values, arities).reshape(3, 4, 5)
+        joint = np.zeros(arities, dtype=np.intp)
+        np.add.at(joint, tuple(values.T), 1)
+        for summed in itertools.product([False, True], repeat=3):
+            axes = tuple(j for j in range(3) if summed[j])
+            index = tuple(a if s else slice(0, a) for a, s in zip(arities, summed))
+            assert np.array_equal(lattice[index], joint.sum(axis=axes))
+
+
 class TestHillClimbMatchesReference:
     def test_same_networks_and_scores(self):
         rng = np.random.default_rng(31)

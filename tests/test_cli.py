@@ -415,6 +415,46 @@ class TestRun:
         assert "ingest" in manifest["stages"]
 
 
+class TestEmptyCohort:
+    """A cohort that min_nights empties fails before any EM, naming the cause."""
+
+    def test_run_names_the_emptied_cohort(self, data_dir, tmp_path, capsys):
+        data, out = tmp_path / "data", tmp_path / "out"
+        data.mkdir()
+        for path in data_dir.glob("*.csv"):
+            (data / path.name).write_bytes(path.read_bytes())
+        cohort = dict(line.split(",")[::2] for line in
+                      (data_dir / "demographics.csv").read_text().splitlines()[1:])
+        header, *sessions = (data_dir / "net_sessions.csv").read_text().splitlines()
+        kept, seen = [header], {}
+        for line in sessions:   # every junior keeps 3 sessions, fewer than min_nights
+            sid = line.split(",")[0]
+            seen[sid] = seen.get(sid, 0) + 1
+            if cohort[sid] != "junior" or seen[sid] <= 3:
+                kept.append(line)
+        (data / "net_sessions.csv").write_text("\n".join(kept) + "\n")
+        rc = cli.main(["run", "--data", str(data), "--out", str(out), "--min-nights", "5",
+                       "--em-restarts", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: stage 'sleep_fit' failed: cohort 'junior' has 0 students with sleep counts, "
+            "fewer than the 2 mixture components; ingest drops students with a bedtime on "
+            "fewer than min_nights=5 nights\n")
+        assert not list(out.glob("model_*.json"))
+        assert json.loads((out / "MANIFEST.json").read_text())["incomplete"] == ["sleep_fit"]
+
+    def test_sleep_fit_names_the_empty_counts_file(self, tmp_path, capsys):
+        counts = tmp_path / "sleep_counts.csv"
+        counts.write_text("student_id," + ",".join(f"c{i}" for i in range(12)) + "\n")
+        rc = cli.main(["sleep-fit", "--counts", str(counts), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {counts} has 0 students with sleep counts, fewer than the 2 mixture "
+            "components; ingest drops students with a bedtime on fewer than --min-nights "
+            "nights\n")
+        assert not (tmp_path / "out" / "model.json").exists()
+
+
 def write_skewed_cohort(directory, n_students=40, n_late=3, nights=20, seed=0):
     """Logs of one freshman cohort where only `n_late` students go to bed late."""
     rng = np.random.default_rng(seed)
