@@ -769,16 +769,18 @@ FEATURE_COLUMNS = [
 
 
 def write_features_csv(path, features: Mapping[str, RawFeatureRecord]):
+    """One row per student; floats in shortest round-trip form, so a reader
+    gets back the very values written, and a missing variance empty."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FEATURE_COLUMNS)
         for sid in sorted(features):
             rec = features[sid]
-            variance = "" if rec.bath_interval_variance is None else f"{rec.bath_interval_variance:.12g}"
             writer.writerow([
-                rec.student_id, rec.books_borrowed, f"{rec.mean_daily_surf_minutes:.12g}",
-                f"{rec.game_minutes:.12g}", f"{rec.video_minutes:.12g}", rec.breakfast_count,
-                variance, f"{rec.mean_daily_spend:.12g}", f"{rec.gpa:.12g}", rec.gender,
+                rec.student_id, rec.books_borrowed, repr(rec.mean_daily_surf_minutes),
+                repr(rec.game_minutes), repr(rec.video_minutes), rec.breakfast_count,
+                "" if rec.bath_interval_variance is None else repr(rec.bath_interval_variance),
+                repr(rec.mean_daily_spend), repr(rec.gpa), rec.gender,
             ])
 
 

@@ -196,10 +196,7 @@ class TestStagesMatchRun:
         assert (out / "profiles.csv").read_bytes() == (run_dir / "profiles.csv").read_bytes()
         got, run_meta = load_json(out / "profile_meta.json"), run_json(
             run_dir / "profile_meta.json")
-        # features.csv keeps 12 significant digits, so medians read back from it can move
-        assert got.pop("group_medians") == {
-            cohort: pytest.approx(medians, rel=1e-11)
-            for cohort, medians in run_meta.pop("group_medians").items()}
+        # features.csv holds round-trip floats, so medians read back from it are exact
         assert got == run_meta
 
         for cohort, excluded in load_json(run_dir / "report.json")["profiling"]["excluded"].items():
@@ -222,8 +219,7 @@ class TestStagesMatchRun:
             assert (out / "profiles.csv").read_bytes() == want.read_bytes()
             got = load_json(out / "profile_meta.json")
             run_meta = run_json(run_dir / "profile_meta.json")
-            assert got.pop("group_medians") == {scope: pytest.approx(
-                run_meta.pop("group_medians")[self.COHORT], rel=1e-11)}
+            assert got.pop("group_medians") == {scope: run_meta.pop("group_medians")[self.COHORT]}
             assert got == run_meta
 
     def test_consensus_matches_the_run_stage(self, data_dir, run_dir, tmp_path):

@@ -344,11 +344,16 @@ class TestCsvRoundTrips:
     def test_features(self, tmp_path):
         rec = ingest.RawFeatureRecord("s1", 3, 22.5, 120.0, 300.0, 18, None, 14.25, 3.4, "female")
         rec2 = ingest.RawFeatureRecord("s2", 0, 5.0, 10.0, 2.0, 2, 1.25, 8.0, 2.1, "male")
+        # values that 12 significant digits would round
+        rec3 = ingest.RawFeatureRecord("s3", 1, 1.7938888888888886, 0.1 + 0.2, 1 / 3, 0,
+                                       2 / 7, 1 + 2**-52, 3.3000000000000003, "male")
         path = tmp_path / "features.csv"
-        ingest.write_features_csv(path, {"s1": rec, "s2": rec2})
+        ingest.write_features_csv(path, {"s1": rec, "s2": rec2, "s3": rec3})
         again = ingest.read_features_csv(path)
-        assert again["s1"] == rec
-        assert again["s2"] == rec2
+        assert again == {"s1": rec, "s2": rec2, "s3": rec3}
+        assert path.read_text().splitlines()[3] == (
+            "s3,1,1.7938888888888886,0.30000000000000004,0.3333333333333333,0,"
+            "0.2857142857142857,1.0000000000000002,3.3000000000000003,male")
 
 
 # --- row-based reference ingest ----------------------------------------------
