@@ -317,13 +317,9 @@ class BdeuConfig:
 # variables.
 
 
-def _lattice_shape(arities: Sequence[int]) -> tuple[int, ...]:
-    return tuple(a + 1 for a in arities)
-
-
 def _lattice_counts(values: np.ndarray, arities: Sequence[int]) -> np.ndarray:
     """The flat lattice of every subset marginal of the rows' joint counts."""
-    shape = _lattice_shape(arities)
+    shape = tuple(a + 1 for a in arities)
     cube = np.bincount(np.ravel_multi_index(tuple(values.T), shape),
                        minlength=math.prod(shape)).reshape(shape)
     for axis, a in enumerate(arities):
@@ -351,26 +347,25 @@ def _score_plan(arities: Sequence[int], most_parents: Sequence[int]) -> list[_Sc
     A family's cells are ordered by parent configuration, the last parent
     varying fastest, then by child value.
     """
-    shape = _lattice_shape(arities)
+    shape = tuple(a + 1 for a in arities)
     strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
     top = sum(a * stride for a, stride in zip(arities, strides))   # every variable summed out
-    dtype = np.min_scalar_type(math.prod(shape) - 1)
+    # steps[v]: from a cell where v is summed out to the cells of each value of v
+    steps = [(np.arange(a) - a) * stride for a, stride in zip(arities, strides)]
     # offsets[mask]: from the top cell to each configuration of the parents in mask
     offsets = {0: np.zeros(1, dtype=np.intp)}
     groups: dict[tuple[int, int], list] = {}
     for child, most in enumerate(most_parents):
-        values = np.arange(arities[child]) - arities[child]
-        child_steps = values * strides[child]
         for mask in range(most + 1):
             if mask & ~most:
                 continue
             if mask not in offsets:
                 last = mask.bit_length() - 1
-                steps = (np.arange(arities[last]) - arities[last]) * strides[last]
-                offsets[mask] = (offsets[mask ^ 1 << last][:, None] + steps).ravel()
+                offsets[mask] = (offsets[mask ^ 1 << last][:, None] + steps[last]).ravel()
             totals = top + offsets[mask]
             groups.setdefault((len(totals), arities[child]), []).append(
-                (child, mask, totals, (totals[:, None] + child_steps).ravel()))
+                (child, mask, totals, (totals[:, None] + steps[child]).ravel()))
+    dtype = np.min_scalar_type(math.prod(shape) - 1)
     return [_ScoreGroup(q, r, np.array([f[0] for f in fams]), np.array([f[1] for f in fams]),
                         np.array([f[2] for f in fams], dtype=dtype),
                         np.array([f[3] for f in fams], dtype=dtype))

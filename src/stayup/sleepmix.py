@@ -23,8 +23,8 @@ import numpy as np
 
 from . import seeding
 from ._kernels import poisson_scores
-from .special import gammaln, logsumexp
 from .ingest import check_columns, stage_records
+from .special import gammaln, logsumexp
 
 ESTEP_VARIANTS = ("standard", "paper_literal")
 MSTEP_VARIANTS = ("exact_map", "paper_literal")
@@ -235,14 +235,14 @@ def initial_responsibilities(counts: np.ndarray, cfg: MixtureConfig) -> np.ndarr
     return draws
 
 
-def _em_run(counts: np.ndarray, init: np.ndarray, cfg: MixtureConfig,
+def _em_run(counts: np.ndarray, row_lgamma: np.ndarray, init: np.ndarray, cfg: MixtureConfig,
             ids: tuple[str, ...] | None):
     """EM from one start; each E-step reuses the scores of the last objective.
 
-    Returns the final model, the objective trace, whether it converged and
-    the final model's score matrix.
+    `row_lgamma` holds each row's sum of log count factorials. Returns the
+    final model, the objective trace, whether it converged and the final
+    model's score matrix.
     """
-    row_lgamma = gammaln(counts + 1).sum(axis=1)
     model = m_step(counts, Responsibilities(init, ids), cfg)
     scores = _scores(counts, model, row_lgamma)
     trace = [_objective(scores, model, cfg)]
@@ -277,9 +277,10 @@ def fit(data, cfg: MixtureConfig) -> tuple[PoissonMixtureModel, Responsibilities
         raise ValueError(
             f"need at least {cfg.components} students, got {counts.shape[0]}"
         )
+    row_lgamma = gammaln(counts + 1).sum(axis=1)
     best = None
     for restart, init in enumerate(initial_responsibilities(counts, cfg)):
-        model, trace, converged, scores = _em_run(counts, init, cfg, ids)
+        model, trace, converged, scores = _em_run(counts, row_lgamma, init, cfg, ids)
         if best is None or trace[-1] > best[0]:
             best = (trace[-1], restart, model, trace, converged, scores)
     _, restart, model, trace, converged, scores = best

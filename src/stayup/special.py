@@ -1,12 +1,12 @@
-"""Log-gamma and log-sum-exp in plain numpy, equal bit for bit to scipy.special.
+"""Log-gamma and log-sum-exp in plain numpy, equal bit for bit to SciPy's.
 
-`lgam` ports the cephes routine behind `scipy.special.gammaln` (Stephen L.
-Moshier's Cephes Math Library, as shipped in scipy 1.17.1): the same
-polynomials, the same argument shifts and the same operation order, with
-`math.log` and `math.sin` as the C library calls. numpy's own `np.log` is
-not used for it, since its vectorised loops may round differently from the
-C library on some arguments. `logsumexp` performs the numpy operations of
-`scipy.special.logsumexp` (real input, no weights) in the same order.
+`lgam` ports the cephes `lgam` routine (Stephen L. Moshier's Cephes Math
+Library) that SciPy 1.17.1's `gammaln` runs: the same polynomials, the
+same argument shifts and the same operation order, with `math.log` and
+`math.sin` as the C library calls. numpy's own `np.log` is not used for
+it, since its vectorised loops may round differently from the C library
+on some arguments. `logsumexp` performs the numpy operations of SciPy's
+`logsumexp` (real input, no weights) in the same order.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def lgam(x: float) -> float:
     if x < -34.0:
         q = -x
         w = lgam(q)
-        p = math.floor(q)
+        p = float(math.floor(q))
         if p == q:
             return math.inf
         z = q - p
@@ -124,7 +124,7 @@ def lgamma_table(a: float, kmax: int) -> np.ndarray:
 
 
 def logsumexp(a, axis=None) -> np.ndarray:
-    """log(sum(exp(a))) over `axis`, as scipy.special.logsumexp computes it.
+    """log(sum(exp(a))) over `axis`, computed as SciPy's logsumexp computes it.
 
     The largest element is shifted out and its count m added back as
     log(m); sums that come out non-finite are recomputed directly as
@@ -143,8 +143,7 @@ def logsumexp(a, axis=None) -> np.ndarray:
         i_max = a == a_max
         m = np.sum(i_max, axis=axis, keepdims=True, dtype=np.float64)
         s = np.sum(np.exp(np.where(i_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
+        out = np.log1p(s / m) + np.log(m) + a_max
         bad = ~np.isfinite(out)
         if bad.any():
             direct = np.exp(a, out=np.zeros_like(a), where=np.broadcast_to(bad, a.shape))

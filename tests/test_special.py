@@ -50,6 +50,17 @@ class TestGammaln:
                 got = np.fromiter(map(special.lgam, x.tolist()), np.float64, len(x))
                 assert same(got, scipy.special.gammaln(x)), (ess, m)
 
+    def test_decades_and_branch_edges(self):
+        # both signs over 45 decades, dense runs across each branch point, and
+        # the reflected branch below -34 where log(z) is not swamped by lgam(-x)
+        rng = np.random.default_rng(9)
+        x = np.concatenate([rng.choice([-1.0, 1.0], 200_000) * 10.0 ** rng.uniform(-20, 25, 200_000),
+                            np.linspace(-200.0, -34.0, 100_001)]
+                           + [edge + np.linspace(-0.5, 0.5, 20_001)
+                              for edge in (-34.0, 0.0, 2.0, 3.0, 13.0, 1000.0)])
+        got = np.fromiter(map(special.lgam, x.tolist()), np.float64, len(x))
+        assert same(got, scipy.special.gammaln(x))
+
     def test_log_factorials(self):
         x = np.arange(10_001, dtype=np.float64) + 1
         assert same(special.gammaln(x), scipy.special.gammaln(x))
