@@ -124,20 +124,15 @@ def lgamma_table(a: float, kmax: int) -> np.ndarray:
 
 
 def logsumexp(a, axis=None) -> np.ndarray:
-    """log(sum(exp(a))) over `axis`, computed as SciPy's logsumexp computes it.
+    """log(sum(exp(a))) over `axis` of a non-empty array, computed as SciPy's
+    logsumexp computes it.
 
     The largest element is shifted out and its count m added back as
     log(m); sums that come out non-finite are recomputed directly as
     log(sum(exp(a))), on their rows only.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim == 0:
-        a = a.reshape(1)
+    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
     axis = tuple(range(a.ndim)) if axis is None else axis
-    if a.size == 0:
-        shape = np.asarray(a.shape)
-        shape[np.asarray(axis)] = 1
-        return np.squeeze(np.full(tuple(shape), -np.inf), axis=axis)[()]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = np.max(a, axis=axis, keepdims=True)
         i_max = a == a_max

@@ -108,11 +108,10 @@ class TestLogsumexp:
         assert same(got, scipy.special.logsumexp(a, axis=1))
         assert got[1] == -math.inf and got[2] == math.inf and math.isnan(got[3])
 
-    @pytest.mark.parametrize("a, axis", [(5.0, None), ([], None), ([], 0), (np.zeros((0, 3)), 0),
-                                         (np.zeros((0, 3)), 1), (np.zeros((3, 0)), 1)])
-    def test_scalars_and_empty(self, a, axis):
-        got, want = special.logsumexp(a, axis=axis), scipy.special.logsumexp(a, axis=axis)
-        assert same(got, want) and np.shape(got) == np.shape(want)
+    def test_scalar(self):
+        for a in (5.0, -math.inf, math.nan):
+            got, want = special.logsumexp(a), scipy.special.logsumexp(a)
+            assert same(got, want) and np.shape(got) == np.shape(want)
 
 
 def test_runs_without_scipy(tmp_path):
