@@ -512,7 +512,8 @@ def climb_batch(table: np.ndarray, constraints: LayerConstraints, start_masks,
     delete's delta plus the second family's. Near-ties (within TIE_EPS of
     the best delta) are broken by a draw from the climb's own generator,
     the same stream as default_rng(seed), built the first time the climb
-    meets a tie: most climbs never do.
+    meets a tie (most climbs never do); the climbs that first tie in one
+    step hash their seeds together.
     Returns each climb's DAG and its score.
     """
     n = constraints.variables.n
@@ -546,11 +547,13 @@ def climb_batch(table: np.ndarray, constraints: LayerConstraints, start_masks,
         ties = moves & (best[:, None] - delta <= TIE_EPS)
         count = ties.sum(axis=1)
         pick = ties.argmax(axis=1)
-        for i in np.flatnonzero(count > 1).tolist():
-            c = active[i]
-            if rngs[c] is None:
-                rngs[c] = seeding.rng(seeds[c])
-            pick[i] = np.flatnonzero(ties[i])[rngs[c].integers(int(count[i]))]
+        tied = np.flatnonzero(count > 1).tolist()
+        fresh = [c for c in active[tied].tolist() if rngs[c] is None]
+        if fresh:
+            for c, generator in zip(fresh, seeding.generators([seeds[c] for c in fresh])):
+                rngs[c] = generator
+        for i in tied:
+            pick[i] = np.flatnonzero(ties[i])[rngs[active[i]].integers(int(count[i]))]
         u, v, reverse = pick // (2 * n), pick // 2 % n, pick % 2 == 1
         pa[active, v] ^= bits[u]   # add, delete, or drop u -> v before the reversal
         pa[active[reverse], u[reverse]] |= bits[v[reverse]]

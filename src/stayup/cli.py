@@ -211,12 +211,14 @@ def _cmd_bn_learn(args) -> int:
 def _cmd_consensus(args) -> int:
     table = _load_table(args.profiles)
     args.out.mkdir(parents=True, exist_ok=True)
-    result, _, null = pipeline.consensus_group(
+    found = pipeline.consensus_group(
         table, bayesnet.default_layer_constraints(), args.ess, args.seed,
-        args.out / "consensus.json", args.out / "edge_frequencies.csv", {},
         n_restarts=args.restarts, fraction=args.fraction, replicas=args.null_replicas,
         edge_probability=args.edge_probability,
     )
+    pipeline.write_consensus_group(found, args.out / "consensus.json",
+                                   args.out / "edge_frequencies.csv", {})
+    result, _, null = found
     print(f"[consensus] threshold {null.threshold:.3f}, kept {len(result.dag.edges())} edges")
     return 0
 
@@ -226,8 +228,9 @@ def _cmd_predict(args) -> int:
     experiment = pipeline.prediction_experiment(args.folds, args.in_sample, args.restarts,
                                                 consensus.DEFAULT_EDGE_PROBABILITY)
     args.out.mkdir(parents=True, exist_ok=True)
-    result, _ = pipeline.predict_group(table, bayesnet.default_layer_constraints(), args.ess,
-                                       experiment, args.seed, args.out, "roc_")
+    result = pipeline.predict_group(table, bayesnet.default_layer_constraints(), args.ess,
+                                    experiment, args.seed)
+    pipeline.write_roc_curves(result, args.out, "roc_")
     pipeline.write_json(args.out / "prediction_report.json", evaluate.report_json(result))
     print(f"[predict] mean AUC {result.auc_mean:.4f} over {len(result.curves)} fold(s)")
     return 0

@@ -177,7 +177,8 @@ def _single_class_split(y: np.ndarray, splits, target: str) -> str | None:
     """Why the first split whose training or test rows hold one class fails, if any."""
     for f, (train, test) in enumerate(splits):
         for part, which in ((train, "training"), (test, "test")):
-            if len(np.unique(y[part])) < 2:
+            labels = y[part]
+            if not (labels[1:] != labels[:1]).any():   # fewer than two distinct labels
                 return f"fold {f}: {which} rows contain a single {target} class"
     return None
 
@@ -195,13 +196,14 @@ def cv_plan(y: np.ndarray, experiment: PredictionExperiment,
     the folds used and the reason. Raises ValueError when that cannot work
     either: an in-sample split or a minority class of fewer than two rows.
     This needs only the target column, so a pipeline can check it before
-    any search.
+    any search. Training rows are np.delete(rows, test) rather than
+    np.setdiff1d, whose np.unique imports numpy.ma on its first call.
     """
     rows = np.arange(len(y))
     if experiment.mode == "in_sample":
         splits = [(rows, rows)]
     else:
-        splits = [(np.setdiff1d(rows, test), test)
+        splits = [(np.delete(rows, test), test)
                   for test in fold_indices(len(y), experiment.folds, seed)]
     reason = _single_class_split(y, splits, experiment.target)
     if reason is None:
@@ -210,7 +212,7 @@ def cv_plan(y: np.ndarray, experiment: PredictionExperiment,
     used = min(experiment.folds, int(counts.min()) if len(counts) > 1 else 0)
     if experiment.mode == "in_sample" or used < 2:
         raise ValueError(reason)
-    splits = [(np.setdiff1d(rows, test), test) for test in stratified_fold_indices(y, used, seed)]
+    splits = [(np.delete(rows, test), test) for test in stratified_fold_indices(y, used, seed)]
     return splits, {"requested": experiment.folds, "used": used, "reason": reason}
 
 

@@ -5,10 +5,15 @@ a MANIFEST of every emitted artifact."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import os
+import pickle
+import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -219,18 +224,24 @@ def profile_groups(scopes, features, labels, out_dir: Path,
 
 
 def consensus_group(table: bayesnet.DatasetTable, constraints, ess: float, seed: int,
-                    json_path: Path, csv_path: Path, extra: dict, **search):
-    """Consensus network of one table, search going to consensus_pipeline; writes
-    it plus extra keys to json_path and the edge frequencies to csv_path."""
+                    **search):
+    """(consensus network, high-score edge frequencies, null model) of one
+    table, search going to consensus_pipeline."""
     result, freqs, null, _ = consensus.consensus_pipeline(
         table, constraints, bayesnet.BdeuConfig(ess), seed=seed, **search)
+    return result, freqs, null
+
+
+def write_consensus_group(found, json_path: Path, csv_path: Path, extra: dict):
+    """Write consensus_group's network plus extra keys to json_path and its
+    edge frequencies to csv_path."""
+    result, freqs, null = found
     write_json(json_path, {
         **result.to_json(),
         "null": {"mean": null.mean, "std": null.std, "replicas": len(null.replicate_tables)},
         **extra,
     })
     consensus.write_edge_frequency_csv(csv_path, freqs)
-    return result, freqs, null
 
 
 def prediction_experiment(folds: int, in_sample: bool, restarts: int,
@@ -242,16 +253,121 @@ def prediction_experiment(folds: int, in_sample: bool, restarts: int,
 
 
 def predict_group(table: bayesnet.DatasetTable, constraints, ess: float,
-                  experiment: evaluate.PredictionExperiment, seed: int,
-                  out_dir: Path, prefix: str):
-    """Predictability of one table; writes out_dir / f"{prefix}fold{k}.csv" per
-    ROC curve and returns the result and those paths."""
-    result = evaluate.predict_sleep_experiment(
+                  experiment: evaluate.PredictionExperiment, seed: int) -> evaluate.PredictionResult:
+    """Predictability of one table."""
+    return evaluate.predict_sleep_experiment(
         table, constraints, bayesnet.BdeuConfig(ess), experiment, seed=seed)
+
+
+def write_roc_curves(result: evaluate.PredictionResult, out_dir: Path, prefix: str) -> list[Path]:
+    """Write out_dir / f"{prefix}fold{k}.csv" per ROC curve; return those paths."""
     paths = [out_dir / f"{prefix}fold{k}.csv" for k in range(len(result.curves))]
     for path, curve in zip(paths, result.curves):
         evaluate.write_roc_csv(path, curve)
-    return result, paths
+    return paths
+
+
+def split_jobs(costs: Sequence[float]) -> tuple[list[int], list[int]]:
+    """(this process's, the child's) job indices: longest first, each job to
+    the side with less cost so far, ties to this process."""
+    sides: tuple[list[int], list[int]] = ([], [])
+    load = [0.0, 0.0]
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        side = min((0, 1), key=lambda k: (load[k], len(sides[k])))
+        sides[side].append(i)
+        load[side] += costs[i]
+    return sides
+
+
+def _attempt(job: Callable[[], object]) -> tuple[Exception | None, object]:
+    try:
+        return None, job()
+    except Exception as exc:
+        return exc, None
+
+
+def _pickled(outcome: tuple[Exception | None, object]) -> bytes:
+    """One outcome of the child's, pickled. A traceback does not pickle, so an
+    error carries its traceback's text as a note."""
+    if outcome[0] is not None:
+        import traceback
+
+        outcome[0].add_note("".join(traceback.format_exception(outcome[0])).rstrip())
+    try:
+        return pickle.dumps(outcome)
+    except Exception as exc:
+        kind = type(outcome[0] or outcome[1]).__name__
+        return pickle.dumps((RuntimeError(f"cannot send a job's {kind} outcome: {exc}"), None))
+
+
+def _unpickled(blob: bytes) -> tuple[Exception | None, object]:
+    try:
+        return pickle.loads(blob)
+    except Exception as exc:
+        return RuntimeError(f"cannot read a job's outcome: {exc}"), None
+
+
+def _read_all(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _exit_description(status: int) -> str:
+    code = os.waitstatus_to_exitcode(status)
+    return f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+
+
+def run_split(jobs: Sequence[Callable[[], object]],
+              costs: Sequence[float]) -> list[tuple[Exception | None, object]]:
+    """Run every job once, split by split_jobs between this process and one
+    child made with os.fork; return (error, value) per job, in job order.
+
+    The child pickles its outcomes into a pipe and always ends with
+    os._exit; this process always reaps it. With fewer than two jobs
+    nothing is forked. Raises RuntimeError when the child ends without
+    writing its outcomes.
+    """
+    mine, theirs = split_jobs(costs)
+    outcomes: list = [None] * len(jobs)
+    if not theirs:
+        for i in mine:
+            outcomes[i] = _attempt(jobs[i])
+        return outcomes
+    sys.stdout.flush()   # else both processes would flush what is buffered
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            data = pickle.dumps([(i, _pickled(_attempt(jobs[i]))) for i in theirs])
+            with open(write_fd, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        for i in mine:
+            outcomes[i] = _attempt(jobs[i])
+        data = _read_all(read_fd)
+    finally:
+        os.close(read_fd)
+        _, status = os.waitpid(pid, 0)
+    if status != 0 or not data:
+        raise RuntimeError(f"the child process of the split {_exit_description(status)} "
+                           "before sending its outcomes")
+    for i, blob in pickle.loads(data):
+        outcomes[i] = _unpickled(blob)
+    return outcomes
 
 
 # --- the run stages ---
@@ -327,7 +443,7 @@ def _stage_profile(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
                      for g, r in results.items() if r.excluded},
     }
     # fail on tables the predict stage cannot cross-validate now, not after consensus
-    experiment, tasks = _prediction_tasks(cfg, state)
+    experiment, tasks = state["prediction"] = _prediction_tasks(cfg, state)
     for name, table, seed in tasks:
         try:
             evaluate.cv_splits(table.column(experiment.target), experiment, seed)
@@ -336,21 +452,36 @@ def _stage_profile(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
 
 
 def _stage_consensus(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
+    """Search every cohort's consensus network and every table's predictability,
+    split over two processes; write the consensus files and keep the
+    predict outcomes for _stage_predict."""
     constraints = bayesnet.default_layer_constraints()
-    state["constraints"] = constraints
+    groups = state["groups"]
+    experiment, tasks = state["prediction"]
+    search = dict(n_restarts=cfg.restarts, fraction=cfg.top_fraction, replicas=cfg.null_replicas,
+                  edge_probability=cfg.edge_probability, resample=cfg.null_resample)
+    jobs = [functools.partial(consensus_group, state["group_tables"][cohort], constraints,
+                              cfg.ess, derive_seed(cfg.seed, 3, gi), **search)
+            for gi, (cohort, _) in enumerate(groups)]
+    jobs += [functools.partial(predict_group, table, constraints, cfg.ess, experiment, seed)
+             for _, table, seed in tasks]
+    folds = 1 if cfg.in_sample else cfg.folds
+    costs = ([cfg.restarts * (1 + cfg.null_replicas)] * len(groups)
+             + [folds * cfg.eval_restarts] * len(tasks))
+    outcomes = run_split(jobs, costs)
+    state["predict_outcomes"] = outcomes[len(groups):]
+
     state["consensus"] = {}
     state["high_score_freqs"] = {}
     summary = {}
-    for gi, (cohort, _) in enumerate(state["groups"]):
+    for (cohort, _), (error, found) in zip(groups, outcomes):
+        if error is not None:
+            raise error
         cons_path = cfg.out_dir / f"consensus_{cohort}.json"
         freq_path = cfg.out_dir / f"edge_frequencies_{cohort}.csv"
-        result, freqs, _ = consensus_group(
-            state["group_tables"][cohort], constraints, cfg.ess, derive_seed(cfg.seed, 3, gi),
-            cons_path, freq_path, {"master_seed": cfg.seed},
-            n_restarts=cfg.restarts, fraction=cfg.top_fraction, replicas=cfg.null_replicas,
-            edge_probability=cfg.edge_probability, resample=cfg.null_resample,
-        )
+        write_consensus_group(found, cons_path, freq_path, {"master_seed": cfg.seed})
         artifacts.register(cons_path, freq_path)
+        result, freqs, _ = found
         state["consensus"][cohort] = result
         state["high_score_freqs"][cohort] = freqs
         summary[cohort] = _network_summary(result)
@@ -391,13 +522,13 @@ def _prediction_tasks(cfg: PipelineConfig, state: dict):
 
 
 def _stage_predict(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
-    experiment, tasks = _prediction_tasks(cfg, state)
+    _, tasks = state["prediction"]
     results = {}
-    for name, table, seed in tasks:
-        result, roc_paths = predict_group(table, state["constraints"], cfg.ess, experiment,
-                                          seed, cfg.out_dir, f"roc_{name}_")
+    for (name, _, _), (error, result) in zip(tasks, state["predict_outcomes"]):
+        if error is not None:
+            raise error
         results[name] = evaluate.report_json(result)
-        artifacts.register(*roc_paths)
+        artifacts.register(*write_roc_curves(result, cfg.out_dir, f"roc_{name}_"))
     state["report"]["auc"] = results
 
 

@@ -70,8 +70,26 @@ class StudentProfile:
         return (self.G, self.R, self.A, self.T, self.Br, self.Ba, self.F, self.Ac, self.S)
 
 
+def _median(values) -> float:
+    """np.median of a list of floats, bit for bit, without np.median's first-call
+    import of numpy.ma: NaN if any value is NaN (or there is none), else the
+    middle value or the mean (a + b) / 2 of the two middle values.
+
+    np.median takes that mean with np.mean, whose sum starts from +0.0, so
+    adding 0.0 gives a median of -0.0 the same sign.
+    """
+    ordered = np.sort(np.asarray(values, dtype=np.float64))
+    n = len(ordered)
+    if n == 0 or np.isnan(ordered[-1]):   # np.sort puts NaN last
+        return float("nan")
+    mid = n // 2
+    if n % 2:
+        return float(0.0 + ordered[mid])
+    return float((0.0 + ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def _split(values: Mapping[str, float], high_is_one: bool) -> tuple[dict[str, int], float]:
-    med = float(np.median(list(values.values())))
+    med = _median(list(values.values()))
     if high_is_one:
         return {k: int(v > med) for k, v in values.items()}, med
     return {k: int(v <= med) for k, v in values.items()}, med

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from datetime import date, datetime, time, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,6 +413,72 @@ class TestRun:
         manifest = json.loads((out / "MANIFEST.json").read_text())
         assert manifest["incomplete"] == ["sleep_fit"]
         assert "ingest" in manifest["stages"]
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestRunSplit:
+    """run searches consensus networks and predictability in two processes."""
+
+    ARGV = ["--seed", "5", "--restarts", "30", "--null-replicas", "2", "--folds", "3",
+            "--eval-restarts", "6", "--em-restarts", "3", "--min-nights", "5"]
+
+    def test_piped_stdout_prints_each_line_once(self, data_dir, tmp_path):
+        out = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-m", "stayup.cli", "run", "--data", str(data_dir),
+             "--out", str(out), *self.ARGV],
+            env={**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+                 "PYTHONPATH": str(Path(pipeline.__file__).parent.parent)},
+            stdout=subprocess.PIPE, text=True, check=True)
+        lines = proc.stdout.splitlines()
+        assert lines[0] == f"[run] report written to {out / 'report.json'}"
+        assert [line.split(":")[0] for line in lines[1:]] == [
+            f"[run] {name}" for name in ("freshman", "junior", "sophomore", "total")]
+
+    def test_failed_predict_job_keeps_the_networks(self, data_dir, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("planted predict failure")
+
+        monkeypatch.setattr(pipeline, "predict_group", failing)
+        out = tmp_path / "run"
+        with pytest.raises(pipeline.StageError) as info:
+            run_pipeline(PipelineConfig(data_dir=data_dir, out_dir=out, seed=5, **FAST))
+        assert info.value.stage == "predict"
+        assert "planted predict failure" in str(info.value)
+        manifest = json.loads((out / "MANIFEST.json").read_text())
+        assert manifest["incomplete"] == ["predict"]
+        assert manifest["stages"][-1] == "total_network"
+        for name in ("consensus_freshman.json", "edge_frequencies_junior.csv",
+                     "consensus_total.json"):
+            assert name in manifest["files"] and (out / name).is_file()
+        assert not list(out.glob("roc_*.csv"))
+        assert_no_children()
+
+    def test_failed_consensus_job_fails_in_cohort_order(self, data_dir, tmp_path, monkeypatch):
+        search = pipeline.consensus_group
+
+        def failing(table, constraints, ess, seed, **kwargs):
+            if seed in (pipeline.derive_seed(5, 3, 1), pipeline.derive_seed(5, 3, 2)):
+                raise ValueError(f"planted consensus failure {seed}")
+            return search(table, constraints, ess, seed, **kwargs)
+
+        monkeypatch.setattr(pipeline, "consensus_group", failing)
+        out = tmp_path / "run"
+        with pytest.raises(pipeline.StageError) as info:
+            run_pipeline(PipelineConfig(data_dir=data_dir, out_dir=out, seed=5, **FAST))
+        assert info.value.stage == "consensus"
+        # sophomore's job runs in the child and junior's here; sophomore comes first
+        assert str(pipeline.derive_seed(5, 3, 1)) in str(info.value)
+        manifest = json.loads((out / "MANIFEST.json").read_text())
+        assert manifest["incomplete"] == ["consensus"]
+        assert "consensus_freshman.json" in manifest["files"]
+        assert sorted(p.name for p in out.glob("consensus_*.json")) == ["consensus_freshman.json"]
+        assert not list(out.glob("roc_*.csv"))
+        assert_no_children()
 
 
 class TestEmptyCohort:

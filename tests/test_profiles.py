@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stayup import profiles as pr
 from stayup.ingest import RawFeatureRecord
@@ -28,6 +30,23 @@ class TestMedianSplit:
     def test_all_equal_all_low(self):
         got = pr.median_split({"a": 5, "b": 5, "c": 5})
         assert got == {"a": 0, "b": 0, "c": 0}
+
+    # few distinct values, so that draws tie; both zeros, infinities and NaN among them
+    TIED = st.sampled_from([-2.5, -0.0, 0.0, 0.1, 0.30000000000000004, 7.0, 1e308,
+                            float("inf"), float("-inf"), float("nan")])
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @given(values=st.lists(TIED | st.floats(), min_size=1, max_size=30))
+    def test_median_is_np_median_bit_for_bit(self, parity, values):
+        if len(values) % 2 != parity:
+            values = values + values[:1]
+        with np.errstate(all="ignore"):
+            want = float(np.median(values))
+            got = pr._median(values)
+        if np.isnan(want):
+            assert np.isnan(got)
+        else:
+            assert got == want and np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
