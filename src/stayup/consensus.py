@@ -149,28 +149,20 @@ def permute_columns(data: DatasetTable, rng: np.random.Generator) -> DatasetTabl
     return DatasetTable(data.variables, values)
 
 
-def bootstrap_rows(data: DatasetTable, rng: np.random.Generator) -> DatasetTable:
-    rows = rng.integers(0, data.n_rows, size=data.n_rows)
-    return DatasetTable(data.variables, data.values[rows])
-
-
 def null_threshold(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuConfig,
                    replicas: int = DEFAULT_NULL_REPLICAS, seed: SeedLike = 0,
                    n_restarts: int = DEFAULT_RESTARTS,
                    fraction: float = DEFAULT_TOP_FRACTION,
-                   edge_probability: float = DEFAULT_EDGE_PROBABILITY,
-                   resample: str = "permute") -> NullModelResult:
+                   edge_probability: float = DEFAULT_EDGE_PROBABILITY) -> NullModelResult:
     """Edge-frequency threshold from dependence-destroyed replicas.
 
-    Each replica rebuilds an ensemble of the same size on permuted (or,
-    behind the flag, row-bootstrapped) data and takes its top fraction.
+    Each replica rebuilds an ensemble of the same size on column-permuted
+    data and takes its top fraction.
     Frequencies over every layer-legal directed edge are pooled across
     replicas; the threshold is their mean plus two standard deviations.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    if resample not in ("permute", "bootstrap"):
-        raise ValueError("resample must be 'permute' or 'bootstrap'")
     base = _seed_list(seed)
     names = constraints.variables.names
     legal = [(names[u], names[v]) for u, v in constraints.legal_pairs()]
@@ -178,9 +170,8 @@ def null_threshold(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuC
     pooled = []
     rngs = seeding.generators([base + [11, rep] for rep in range(replicas)])
     for rep, rng in enumerate(rngs):
-        replica = permute_columns(data, rng) if resample == "permute" else bootstrap_rows(data, rng)
         ensemble = learn_ensemble(
-            replica, constraints, cfg, n_restarts=n_restarts,
+            permute_columns(data, rng), constraints, cfg, n_restarts=n_restarts,
             seed=base + [13, rep], edge_probability=edge_probability,
         )
         selected = top_fraction(ensemble, fraction, seed=base + [17, rep])
@@ -335,7 +326,6 @@ def consensus_pipeline(data: DatasetTable, constraints: LayerConstraints, cfg: B
                        replicas: int = DEFAULT_NULL_REPLICAS,
                        edge_probability: float = DEFAULT_EDGE_PROBABILITY,
                        seed: SeedLike = 0,
-                       resample: str = "permute",
                        ) -> tuple[ConsensusDag, EdgeFrequencyTable, NullModelResult, EnsembleResult]:
     """Ensemble, top-fraction selection, null threshold, consensus; one call."""
     ensemble = learn_ensemble(
@@ -347,7 +337,6 @@ def consensus_pipeline(data: DatasetTable, constraints: LayerConstraints, cfg: B
     null = null_threshold(
         data, constraints, cfg, replicas=replicas, seed=seed,
         n_restarts=n_restarts, fraction=fraction, edge_probability=edge_probability,
-        resample=resample,
     )
     consensus = build_consensus(freqs, null.threshold)
     return consensus, freqs, null, ensemble

@@ -22,13 +22,9 @@ from .bayesnet import (
     joint_table,
     markov_blanket,
 )
-from .consensus import (
-    DEFAULT_EDGE_PROBABILITY,
-    SeedLike,
-    _seed_list,
-    consensus_pipeline,
-    learn_ensemble,
-)
+from .consensus import DEFAULT_EDGE_PROBABILITY, SeedLike, _seed_list, learn_ensemble
+
+TARGET = "S"
 
 
 @dataclass
@@ -75,18 +71,13 @@ def roc_auc(scores, labels) -> RocCurve:
 @dataclass(frozen=True)
 class PredictionExperiment:
     folds: int = 5
-    target: str = "S"
     mode: str = "cross_validated"          # or "in_sample"
-    structure: str = "best_restart"        # or "consensus"
     restarts: int = 20
     edge_probability: float = DEFAULT_EDGE_PROBABILITY
-    consensus_replicas: int = 3
 
     def __post_init__(self):
         if self.mode not in ("cross_validated", "in_sample"):
             raise ValueError("mode must be cross_validated or in_sample")
-        if self.structure not in ("best_restart", "consensus"):
-            raise ValueError("structure must be best_restart or consensus")
         if self.mode == "cross_validated" and self.folds < 2:
             raise ValueError("cross validation needs at least 2 folds")
 
@@ -102,15 +93,7 @@ class PredictionResult:
 
 def _learn_structure(train: DatasetTable, constraints: LayerConstraints, cfg: BdeuConfig,
                      experiment: PredictionExperiment, seed: list[int]):
-    if experiment.structure == "consensus":
-        consensus, _, _, _ = consensus_pipeline(
-            train, constraints, cfg,
-            n_restarts=experiment.restarts,
-            replicas=experiment.consensus_replicas,
-            edge_probability=experiment.edge_probability,
-            seed=seed,
-        )
-        return consensus.dag
+    """The best-scoring network of a restart ensemble on the training rows."""
     ensemble = learn_ensemble(
         train, constraints, cfg, n_restarts=experiment.restarts,
         seed=seed, edge_probability=experiment.edge_probability,
@@ -122,19 +105,18 @@ def _learn_structure(train: DatasetTable, constraints: LayerConstraints, cfg: Bd
 def _blanket_scores(train: DatasetTable, test: DatasetTable,
                     constraints: LayerConstraints, cfg: BdeuConfig,
                     experiment: PredictionExperiment, seed: list[int]) -> tuple[np.ndarray, bool]:
-    target = experiment.target
     var = train.variables
     dag = _learn_structure(train, constraints, cfg, experiment, seed)
     cpts = fit_mle(dag, train)
-    ti = var.index(target)
+    ti = var.index(TARGET)
 
-    blanket = sorted(var.index(name) for name in markov_blanket(dag, target))
+    blanket = sorted(var.index(name) for name in markov_blanket(dag, TARGET))
     grids, probs = joint_table(dag, cpts)
     target_mass = np.array([probs[grids[:, ti] == k].sum() for k in range(var.arities[ti])])
     marginal = float(target_mass[1] / target_mass.sum())
 
     if not blanket:
-        warnings.warn(f"Markov blanket of {target} is empty; scoring by its marginal")
+        warnings.warn(f"Markov blanket of {TARGET} is empty; scoring by its marginal")
         return np.full(test.n_rows, marginal), True
 
     # Enumerate the posterior once per blanket configuration, then look up.
@@ -167,19 +149,21 @@ def fold_indices(n_rows: int, folds: int, seed: SeedLike) -> list[np.ndarray]:
 def stratified_fold_indices(y: np.ndarray, folds: int, seed: SeedLike) -> list[np.ndarray]:
     """Seeded disjoint cover of all rows in `folds` parts that splits each
     class near-evenly: the class's rows, in the order of fold_indices'
-    permutation, cut into `folds` runs."""
+    permutation, cut into `folds` runs. The classes come from np.bincount,
+    as plain np.unique imports numpy.ma on its first call."""
     perm = seeding.rng(_seed_list(seed) + [23]).permutation(len(y))
-    per_class = [np.array_split(perm[y[perm] == c], folds) for c in np.unique(y)]
+    classes = np.flatnonzero(np.bincount(y))
+    per_class = [np.array_split(perm[y[perm] == c], folds) for c in classes]
     return [np.sort(np.concatenate(parts)) for parts in zip(*per_class)]
 
 
-def _single_class_split(y: np.ndarray, splits, target: str) -> str | None:
+def _single_class_split(y: np.ndarray, splits) -> str | None:
     """Why the first split whose training or test rows hold one class fails, if any."""
     for f, (train, test) in enumerate(splits):
         for part, which in ((train, "training"), (test, "test")):
             labels = y[part]
             if not (labels[1:] != labels[:1]).any():   # fewer than two distinct labels
-                return f"fold {f}: {which} rows contain a single {target} class"
+                return f"fold {f}: {which} rows contain a single {TARGET} class"
     return None
 
 
@@ -205,7 +189,7 @@ def cv_plan(y: np.ndarray, experiment: PredictionExperiment,
     else:
         splits = [(np.delete(rows, test), test)
                   for test in fold_indices(len(y), experiment.folds, seed)]
-    reason = _single_class_split(y, splits, experiment.target)
+    reason = _single_class_split(y, splits)
     if reason is None:
         return splits, None
     counts = np.unique(y, return_counts=True)[1]
@@ -216,18 +200,12 @@ def cv_plan(y: np.ndarray, experiment: PredictionExperiment,
     return splits, {"requested": experiment.folds, "used": used, "reason": reason}
 
 
-def cv_splits(y: np.ndarray, experiment: PredictionExperiment,
-              seed: SeedLike) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The splits of cv_plan: raises ValueError when no folds can hold both classes."""
-    return cv_plan(y, experiment, seed)[0]
-
-
 def predict_sleep_experiment(profiles: DatasetTable, constraints: LayerConstraints,
                              cfg: BdeuConfig, experiment: PredictionExperiment,
                              seed: SeedLike = 0) -> PredictionResult:
-    """Cross-validated (or in-sample) predictability of the target variable."""
+    """Cross-validated (or in-sample) predictability of the sleep status S."""
     base = _seed_list(seed)
-    y = profiles.column(experiment.target).astype(np.int64)
+    y = profiles.column(TARGET).astype(np.int64)
     splits, degraded = cv_plan(y, experiment, seed)
 
     curves, aucs = [], []

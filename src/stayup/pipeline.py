@@ -11,6 +11,7 @@ import json
 import os
 import pickle
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -53,7 +54,6 @@ class PipelineConfig:
     top_fraction: float = consensus.DEFAULT_TOP_FRACTION
     null_replicas: int = consensus.DEFAULT_NULL_REPLICAS
     edge_probability: float = consensus.DEFAULT_EDGE_PROBABILITY
-    null_resample: str = "permute"
     folds: int = 5
     eval_restarts: int = 20
     in_sample: bool = False
@@ -208,16 +208,20 @@ def sleep_fit_group(counts, mix_cfg: sleepmix.MixtureConfig, threshold: float,
 def profile_groups(scopes, features, labels, out_dir: Path,
                    extra: dict) -> dict[str, profiles.ProfileResult]:
     """Profile each (name, student ids) scope on its own medians; write
-    profiles.csv and profile_meta.json (plus extra keys) into out_dir."""
-    spec = profiles.default_discretization_spec()
-    results = {name: profiles.build_profiles(
-        {sid: features[sid] for sid in members if sid in features},
-        {sid: labels[sid] for sid in members if sid in labels}, spec,
-    ) for name, members in scopes}
+    profiles.csv and profile_meta.json (plus extra keys) into out_dir.
+    Raises ValueError naming the first scope that cannot be profiled."""
+    results = {}
+    for name, members in scopes:
+        try:
+            results[name] = profiles.build_profiles(
+                {sid: features[sid] for sid in members if sid in features},
+                {sid: labels[sid] for sid in members if sid in labels})
+        except ValueError as exc:
+            raise ValueError(f"{name} profiles: {exc}") from None
     profiles.write_profiles_csv(out_dir / "profiles.csv",
                                 [p for result in results.values() for p in result.profiles])
     write_json(out_dir / "profile_meta.json", {
-        **profiles.metadata_json(spec, {name: r.medians for name, r in results.items()}),
+        **profiles.metadata_json({name: r.medians for name, r in results.items()}),
         **extra,
     })
     return results
@@ -307,6 +311,27 @@ def _unpickled(blob: bytes) -> tuple[Exception | None, object]:
         return RuntimeError(f"cannot read a job's outcome: {exc}"), None
 
 
+def _sendable(w: warnings.WarningMessage) -> tuple[Warning, str, int]:
+    """(message, filename, line) of a warning the child caught; a message that
+    does not pickle goes as a UserWarning of its text."""
+    try:
+        pickle.dumps(w.message)
+        return w.message, w.filename, w.lineno
+    except Exception:
+        return UserWarning(f"{w.category.__name__}: {w.message}"), w.filename, w.lineno
+
+
+def _reissue(caught: list[tuple[Warning, str, int]]):
+    """Issue the child's warnings in this process, each from the module and
+    line that issued it, so this process's filters and registries decide."""
+    by_file = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, filename, lineno in caught:
+        module = by_file.get(filename)
+        warnings.warn_explicit(message, type(message), filename, lineno,
+                               module and module.__name__,
+                               module and vars(module).setdefault("__warningregistry__", {}))
+
+
 def _read_all(fd: int) -> bytes:
     chunks = []
     while chunk := os.read(fd, 1 << 16):
@@ -324,10 +349,11 @@ def run_split(jobs: Sequence[Callable[[], object]],
     """Run every job once, split by split_jobs between this process and one
     child made with os.fork; return (error, value) per job, in job order.
 
-    The child pickles its outcomes into a pipe and always ends with
-    os._exit; this process always reaps it. With fewer than two jobs
-    nothing is forked. Raises RuntimeError when the child ends without
-    writing its outcomes.
+    The child pickles its outcomes into a pipe, with the warnings its jobs
+    issued, and always ends with os._exit; this process always reaps it,
+    then issues those warnings as if the child's jobs had run here. With
+    fewer than two jobs nothing is forked. Raises RuntimeError when the
+    child ends without writing its outcomes.
     """
     mine, theirs = split_jobs(costs)
     outcomes: list = [None] * len(jobs)
@@ -348,7 +374,9 @@ def run_split(jobs: Sequence[Callable[[], object]],
         status = 1
         try:
             os.close(read_fd)
-            data = pickle.dumps([(i, _pickled(_attempt(jobs[i]))) for i in theirs])
+            with warnings.catch_warnings(record=True) as caught:
+                sent = [(i, _pickled(_attempt(jobs[i]))) for i in theirs]
+            data = pickle.dumps((sent, [_sendable(w) for w in caught]))
             with open(write_fd, "wb") as pipe:
                 pipe.write(data)
             status = 0
@@ -365,8 +393,10 @@ def run_split(jobs: Sequence[Callable[[], object]],
     if status != 0 or not data:
         raise RuntimeError(f"the child process of the split {_exit_description(status)} "
                            "before sending its outcomes")
-    for i, blob in pickle.loads(data):
+    sent, caught = pickle.loads(data)
+    for i, blob in sent:
         outcomes[i] = _unpickled(blob)
+    _reissue(caught)
     return outcomes
 
 
@@ -396,8 +426,11 @@ def _stage_sleep_fit(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
         mix_cfg = mixture_config(cfg.variant, cfg.components, cfg.em_restarts,
                                  derive_seed(cfg.seed, 1, gi))
         model_path = cfg.out_dir / f"model_{cohort}.json"
-        group_rows, _ = sleep_fit_group(group_counts, mix_cfg, sleepmix.DEFAULT_THRESHOLD,
-                                        model_path, {"master_seed": cfg.seed})
+        try:
+            group_rows, _ = sleep_fit_group(group_counts, mix_cfg, sleepmix.DEFAULT_THRESHOLD,
+                                            model_path, {"master_seed": cfg.seed})
+        except (ValueError, sleepmix.MixtureError) as exc:   # both take one message
+            raise type(exc)(f"cohort {cohort!r}: {exc}") from exc
         artifacts.register(model_path)
         rows.extend(group_rows)
         n_up = sum(label == sleepmix.STAY_UP for _, _, label in group_rows)
@@ -433,8 +466,10 @@ def _stage_profile(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
     group_tables: dict[str, bayesnet.DatasetTable] = {}
     for cohort, members in state["groups"]:
         rows = [by_id[sid] for sid in members if sid in by_id]
-        if rows:
-            group_tables[cohort], _ = profiles.profiles_to_table(rows)
+        if len(rows) < 2:   # only a global scope gets here: a cohort scope fails above
+            raise ValueError(f"{cohort} profiles: need at least two fully observed students "
+                             f"to profile, got {len(rows)}")
+        group_tables[cohort], _ = profiles.profiles_to_table(rows)
 
     state["group_tables"] = group_tables
     state["report"]["profiling"] = {
@@ -446,7 +481,7 @@ def _stage_profile(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
     experiment, tasks = state["prediction"] = _prediction_tasks(cfg, state)
     for name, table, seed in tasks:
         try:
-            evaluate.cv_splits(table.column(experiment.target), experiment, seed)
+            evaluate.cv_plan(table.column(evaluate.TARGET), experiment, seed)
         except ValueError as exc:
             raise ValueError(f"{name} profiles: {exc}") from None
 
@@ -459,7 +494,7 @@ def _stage_consensus(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
     groups = state["groups"]
     experiment, tasks = state["prediction"]
     search = dict(n_restarts=cfg.restarts, fraction=cfg.top_fraction, replicas=cfg.null_replicas,
-                  edge_probability=cfg.edge_probability, resample=cfg.null_resample)
+                  edge_probability=cfg.edge_probability)
     jobs = [functools.partial(consensus_group, state["group_tables"][cohort], constraints,
                               cfg.ess, derive_seed(cfg.seed, 3, gi), **search)
             for gi, (cohort, _) in enumerate(groups)]

@@ -19,38 +19,17 @@ from .bayesnet import DatasetTable, profile_variables
 from .ingest import RawFeatureRecord, check_columns, stage_records
 from .sleepmix import STAY_UP
 
-TIE_AT_MEDIAN_LOW = "at-median-low"
+# variable: (RawFeatureRecord attribute, high_is_one); False inverts the split direction
+MEDIAN_SPLITS = {
+    "R": ("books_borrowed", True),
+    "T": ("mean_daily_surf_minutes", True),
+    "Br": ("breakfast_count", True),
+    "Ba": ("bath_interval_variance", False),
+    "F": ("mean_daily_spend", True),
+    "Ac": ("gpa", True),
+}
 
-SPLIT_VARIABLES = ("R", "T", "Br", "Ba", "F", "Ac")
-
-
-@dataclass(frozen=True)
-class VariableRule:
-    source: str          # RawFeatureRecord attribute
-    high_is_one: bool    # False inverts the split direction
-
-
-@dataclass(frozen=True)
-class DiscretizationSpec:
-    rules: Mapping[str, VariableRule]
-    tie_rule: str = TIE_AT_MEDIAN_LOW
-
-    def __post_init__(self):
-        if set(self.rules) != set(SPLIT_VARIABLES):
-            raise ValueError(f"rules must cover exactly {SPLIT_VARIABLES}")
-        if self.tie_rule != TIE_AT_MEDIAN_LOW:
-            raise ValueError(f"unsupported tie rule {self.tie_rule!r}")
-
-
-def default_discretization_spec() -> DiscretizationSpec:
-    return DiscretizationSpec({
-        "R": VariableRule("books_borrowed", True),
-        "T": VariableRule("mean_daily_surf_minutes", True),
-        "Br": VariableRule("breakfast_count", True),
-        "Ba": VariableRule("bath_interval_variance", False),
-        "F": VariableRule("mean_daily_spend", True),
-        "Ac": VariableRule("gpa", True),
-    })
+SPLIT_VARIABLES = tuple(MEDIAN_SPLITS)
 
 
 @dataclass
@@ -95,10 +74,8 @@ def _split(values: Mapping[str, float], high_is_one: bool) -> tuple[dict[str, in
     return {k: int(v <= med) for k, v in values.items()}, med
 
 
-def median_split(values: Mapping[str, float], tie_rule: str = TIE_AT_MEDIAN_LOW) -> dict[str, int]:
+def median_split(values: Mapping[str, float]) -> dict[str, int]:
     """Label 1 iff the value strictly exceeds the median (ties go low)."""
-    if tie_rule != TIE_AT_MEDIAN_LOW:
-        raise ValueError(f"unsupported tie rule {tie_rule!r}")
     if len(values) < 2:
         raise ValueError("median_split needs at least two students")
     labels, _ = _split(values, True)
@@ -113,15 +90,13 @@ class ProfileResult:
 
 
 def build_profiles(features: Mapping[str, RawFeatureRecord],
-                   sleep_labels: Mapping[str, object],
-                   spec: DiscretizationSpec | None = None) -> ProfileResult:
+                   sleep_labels: Mapping[str, object]) -> ProfileResult:
     """Assemble the nine binary variables for every fully observed student.
 
     Students missing a feature record, a sleep label, or a defined bath
     interval variance are excluded and reported. Medians are computed over
     the included students only.
     """
-    spec = spec or default_discretization_spec()
     excluded: dict[str, str] = {}
     included: list[str] = []
     for sid in sorted(set(features) | set(sleep_labels)):
@@ -134,13 +109,14 @@ def build_profiles(features: Mapping[str, RawFeatureRecord],
         else:
             included.append(sid)
     if len(included) < 2:
-        raise ValueError("need at least two fully observed students to profile")
+        raise ValueError("need at least two fully observed students to profile, "
+                         f"got {len(included)}")
 
     bits: dict[str, dict[str, int]] = {}
     medians: dict[str, float] = {}
-    for name, rule in spec.rules.items():
-        values = {sid: float(getattr(features[sid], rule.source)) for sid in included}
-        bits[name], medians[name] = _split(values, rule.high_is_one)
+    for name, (source, high_is_one) in MEDIAN_SPLITS.items():
+        values = {sid: float(getattr(features[sid], source)) for sid in included}
+        bits[name], medians[name] = _split(values, high_is_one)
 
     def sleep_bit(sid: str) -> int:
         label = sleep_labels[sid]
@@ -191,13 +167,13 @@ def read_profiles_csv(path) -> list[StudentProfile]:
             student_id=row["student_id"], **{k: int(row[k]) for k in PROFILE_HEADER[1:]})))
 
 
-def metadata_json(spec: DiscretizationSpec, group_medians: Mapping[str, Mapping[str, float]]) -> dict:
+def metadata_json(group_medians: Mapping[str, Mapping[str, float]]) -> dict:
     """Direction conventions plus the medians actually used, per group."""
     return {
-        "tie_rule": spec.tie_rule,
+        "tie_rule": "at-median-low",
         "directions": {
-            name: {"source": rule.source, "high_is_one": rule.high_is_one}
-            for name, rule in sorted(spec.rules.items())
+            name: {"source": source, "high_is_one": high_is_one}
+            for name, (source, high_is_one) in sorted(MEDIAN_SPLITS.items())
         },
         "fixed_rules": {
             "G": "female = 1",

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stayup import cli, ingest, pipeline
+from stayup import cli, ingest, pipeline, sleepmix
 from stayup.pipeline import PipelineConfig, run_pipeline
 
 FAST = dict(
@@ -519,6 +519,47 @@ class TestEmptyCohort:
             "components; ingest drops students with a bedtime on fewer than --min-nights "
             "nights\n")
         assert not (tmp_path / "out" / "model.json").exists()
+
+
+class TestCohortFailures:
+    """Failures of one cohort's sleep fit or profiles name the cohort, before consensus."""
+
+    @pytest.mark.parametrize("scope", ["per_cohort", "global"])
+    def test_unprofiled_cohort_fails_the_profile_stage(self, data_dir, tmp_path, capsys, scope):
+        data, out = tmp_path / "data", tmp_path / "out"
+        data.mkdir()
+        for path in data_dir.glob("*.csv"):
+            (data / path.name).write_bytes(path.read_bytes())
+        cohort = dict(line.split(",")[::2] for line in
+                      (data_dir / "demographics.csv").read_text().splitlines()[1:])
+        header, *grades = (data_dir / "grades.csv").read_text().splitlines()
+        kept = [line for line in grades if cohort[line.split(",")[0]] != "junior"]
+        (data / "grades.csv").write_text("\n".join([header] + kept) + "\n")
+        rc = cli.main(["run", "--data", str(data), "--out", str(out), "--median-scope", scope,
+                       "--min-nights", "5", "--em-restarts", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: stage 'profile' failed: junior profiles: need at least two fully observed "
+            "students to profile, got 0\n")
+        assert json.loads((out / "MANIFEST.json").read_text())["incomplete"] == ["profile"]
+        assert not list(out.glob("consensus_*.json"))
+
+    @pytest.mark.parametrize("error", [
+        ValueError("mean bin index ties between components; select the stay-up component "
+                   "manually"),
+        sleepmix.MixtureError("non-finite objective at iteration 7"),
+    ])
+    def test_sleep_fit_errors_name_the_cohort(self, data_dir, tmp_path, monkeypatch, error):
+        def failing(model):
+            raise error
+
+        monkeypatch.setattr(sleepmix, "stay_up_component", failing)
+        out = tmp_path / "out"
+        with pytest.raises(pipeline.StageError) as info:
+            run_pipeline(PipelineConfig(data_dir=data_dir, out_dir=out, **FAST))
+        assert str(info.value) == f"stage 'sleep_fit' failed: cohort 'freshman': {error}"
+        assert type(info.value.cause) is type(error)
+        assert json.loads((out / "MANIFEST.json").read_text())["incomplete"] == ["sleep_fit"]
 
 
 def write_skewed_cohort(directory, n_students=40, n_late=3, nights=20, seed=0):

@@ -120,12 +120,6 @@ class TestNullThreshold:
         )
         assert not np.array_equal(permuted.values, data.values)
 
-    def test_bootstrap_mode(self):
-        data, constraints = small_data(n=200)
-        null = cons.null_threshold(data, constraints, CFG, replicas=2, seed=3,
-                                   n_restarts=4, resample="bootstrap")
-        assert null.threshold >= null.mean
-
 
 class TestBuildConsensus:
     def test_direction_resolved_by_high_score_table(self):

@@ -68,22 +68,6 @@ class TestMedianSplit:
             # with all-distinct values the split is within one student of half
             assert sum(labels.values()) >= n / 2 - 1
 
-    def test_unknown_tie_rule_rejected(self):
-        with pytest.raises(ValueError):
-            pr.median_split({"a": 1, "b": 2}, tie_rule="coin-flip")
-
-
-class TestDiscretizationSpec:
-    def test_default_covers_six_variables(self):
-        spec = pr.default_discretization_spec()
-        assert set(spec.rules) == set(pr.SPLIT_VARIABLES)
-
-    def test_partial_coverage_rejected(self):
-        rules = dict(pr.default_discretization_spec().rules)
-        del rules["Ba"]
-        with pytest.raises(ValueError):
-            pr.DiscretizationSpec(rules)
-
 
 class TestBuildProfiles:
     def _inputs(self):
@@ -183,11 +167,15 @@ class TestTableAndCsv:
         assert pr.read_profiles_csv(path) == sorted(rows, key=lambda p: p.student_id)
 
     def test_metadata_json(self, tmp_path):
-        spec = pr.default_discretization_spec()
         path = tmp_path / "meta.json"
-        write_json(path, pr.metadata_json(spec, {"freshman": {"R": 3.0}}))
+        write_json(path, pr.metadata_json({"freshman": {"R": 3.0}}))
         import json
 
         meta = json.loads(path.read_text())
-        assert meta["directions"]["Ba"]["high_is_one"] is False
+        assert meta["tie_rule"] == "at-median-low"
+        assert {name: (d["source"], d["high_is_one"]) for name, d in meta["directions"].items()} == {
+            "R": ("books_borrowed", True), "T": ("mean_daily_surf_minutes", True),
+            "Br": ("breakfast_count", True), "Ba": ("bath_interval_variance", False),
+            "F": ("mean_daily_spend", True), "Ac": ("gpa", True)}
+        assert list(meta["directions"]) == sorted(pr.SPLIT_VARIABLES)
         assert meta["group_medians"]["freshman"]["R"] == 3.0

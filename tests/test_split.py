@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,43 @@ class TestRunSplit:
         with pytest.raises(RuntimeError, match="killed by signal 9"):
             pipeline.run_split([lambda: 1, lambda: os.kill(os.getpid(), 9)], [2, 1])
         assert_reaped(forked[0])
+
+    def test_child_warnings_reach_this_process_once(self, forked):
+        def there():
+            warnings.warn("issued in the child")
+            return os.getpid()
+
+        with pytest.warns(UserWarning) as record:
+            (_, here), (_, there_pid) = pipeline.run_split([os.getpid, there], [2, 1])
+        assert there_pid == forked[0] != here
+        assert [str(w.message) for w in record] == ["issued in the child"]
+        assert record[0].filename == __file__
+        assert_reaped(forked[0])
+
+    def test_unpicklable_warning_arrives_as_its_text(self, forked):
+        class LocalWarning(UserWarning):   # a class defined in a function does not pickle
+            pass
+
+        def there():
+            warnings.warn("issued in the child", LocalWarning)
+
+        with pytest.warns(UserWarning) as record:
+            pipeline.run_split([lambda: 1, there], [2, 1])
+        assert [(w.category, str(w.message)) for w in record] == [
+            (UserWarning, "LocalWarning: issued in the child")]
+        assert_reaped(forked[0])
+
+    def test_a_warning_from_both_processes_shows_once(self, forked):
+        # under the "default" action a warning shows once per line, as in one process
+        def job():
+            warnings.warn("issued by a job")
+            return os.getpid()
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            outcomes = pipeline.run_split([job, job], [1, 1])
+        assert {pid for _, pid in outcomes} == {os.getpid(), forked[0]}
+        assert [str(w.message) for w in caught] == ["issued by a job"]
 
     def test_buffered_output_prints_once(self):
         # stdout to a pipe is block-buffered: without a flush before the fork,
