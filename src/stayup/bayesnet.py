@@ -2,10 +2,10 @@
 
 DAGs under layer constraints, a dense table of BDeu family scores,
 steepest-ascent hill climbing that advances many restarts in lockstep as
-array code over parent bitmasks, MLE parameter fitting, exact inference by
+array code over parent bitmasks, MLE parameter fitting, the full joint by
 enumeration, and Markov blankets. Everything operates on small
-all-discrete variable sets, so a table of every family and
-enumeration-based inference are exact and cheap.
+all-discrete variable sets, so a table of every family and an enumerated
+joint are exact and cheap.
 """
 
 from __future__ import annotations
@@ -101,10 +101,6 @@ class Dag:
     def _idx(self, v) -> int:
         return v if isinstance(v, int) else self.variables.index(v)
 
-    @property
-    def n_edges(self) -> int:
-        return sum(m.bit_count() for m in self._pa)
-
     def has_edge(self, u, v) -> bool:
         return bool(self._ch[self._idx(u)] >> self._idx(v) & 1)
 
@@ -195,12 +191,6 @@ class Dag:
     def to_json(self) -> dict:
         return {"variables": list(self.variables.names), "edges": [list(e) for e in self.edges()]}
 
-    @classmethod
-    def from_json(cls, obj: dict, arities: Sequence[int] | None = None) -> "Dag":
-        names = tuple(obj["variables"])
-        var = VariableSet(names, tuple(arities) if arities else (2,) * len(names))
-        return cls(var, [tuple(e) for e in obj["edges"]])
-
 
 @dataclass(frozen=True)
 class LayerConstraints:
@@ -244,25 +234,9 @@ class LayerConstraints:
         most_parents = [sum(1 << u for u in range(n) if self.allows(u, v)) for v in range(n)]
         return _score_plan(self.variables.arities, most_parents)
 
-    def allows_edge(self, u: str, v: str) -> bool:
-        return self.allows(self.variables.index(u), self.variables.index(v))
-
     def legal_pairs(self) -> list[tuple[int, int]]:
         n = self.variables.n
         return [(u, v) for u in range(n) for v in range(n) if self.allows(u, v)]
-
-    def forbidden_edges(self) -> set[Edge]:
-        n = self.variables.n
-        names = self.variables.names
-        return {
-            (names[u], names[v])
-            for u in range(n)
-            for v in range(n)
-            if u != v and not self.allows(u, v)
-        }
-
-    def satisfied_by(self, dag: Dag) -> bool:
-        return all(self.allows_edge(u, v) for u, v in dag.edges())
 
 
 def default_layer_constraints() -> LayerConstraints:
@@ -400,47 +374,6 @@ def score_table(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuConf
     return table
 
 
-def _resolve_family(data: DatasetTable, child, parents) -> tuple[int, tuple[int, ...]]:
-    var = data.variables
-    c = int(child) if isinstance(child, (int, np.integer)) else var.index(child)
-    ps = tuple(sorted(
-        int(p) if isinstance(p, (int, np.integer)) else var.index(p) for p in parents
-    ))
-    if c in ps:
-        raise ValueError("child cannot be its own parent")
-    if len(set(ps)) != len(ps):
-        raise ValueError("duplicate parents")
-    return c, ps
-
-
-def bdeu_family_score(data: DatasetTable, child, parents, cfg: BdeuConfig) -> float:
-    """BDeu contribution of one family (child given its parent set)."""
-    c, ps = _resolve_family(data, child, parents)
-    columns = list(ps) + [c]
-    dims = tuple(data.variables.arities[j] for j in columns)
-    q, r = math.prod(dims[:-1]), dims[-1]
-    counts = np.bincount(np.ravel_multi_index(tuple(data.values[:, columns].T), dims),
-                         minlength=q * r)
-    return float(_bdeu(counts[None], counts.reshape(1, q, r).sum(axis=2), q, r, cfg.ess)[0])
-
-
-def bdeu_score(dag: Dag, data: DatasetTable, cfg: BdeuConfig,
-               table: np.ndarray | None = None) -> float:
-    """Decomposable BDeu score: sum of family scores over all variables.
-
-    With `table` (see score_table) the family scores are read from it.
-    """
-    if dag.variables != data.variables:
-        raise ValueError("dag and data are over different variable sets")
-    if table is None:
-        return math.fsum(bdeu_family_score(data, i, _bits(mask), cfg)
-                         for i, mask in enumerate(dag._pa))
-    scores = table[np.arange(dag.variables.n), dag._pa]
-    if np.isnan(scores).any():
-        raise ValueError("the score table lacks a family of this dag")
-    return math.fsum(scores.tolist())
-
-
 # --- search -----------------------------------------------------------------------
 #
 # A batch of R graphs is an (R, n) array of parent bitmasks. Moves sit in an
@@ -473,32 +406,6 @@ def _legal(adj: np.ndarray, desc: np.ndarray, via: np.ndarray, allowed: np.ndarr
     legal[..., 0] = adj | allowed & ~desc.swapaxes(1, 2)
     legal[..., 1] = adj & allowed.T & ~via
     return legal
-
-
-def legal_moves(dag: Dag, constraints: LayerConstraints) -> list[tuple[str, str, str]]:
-    """All add/delete/reverse moves producing a legal acyclic graph, in tie-break order."""
-    if dag.variables != constraints.variables:
-        raise ValueError("dag and constraints are over different variable sets")
-    names = dag.variables.names
-    adj, desc, via = _closures(np.array([dag._pa], dtype=np.int64))
-    legal = _legal(adj, desc, via, constraints.allowed)[0]
-    return [("reverse" if slot else "delete" if adj[0, u, v] else "add", names[u], names[v])
-            for u, v, slot in zip(*np.nonzero(legal))]
-
-
-def apply_move(dag: Dag, move: tuple[str, str, str]) -> Dag:
-    out = dag.copy()
-    kind, u, v = move
-    if kind == "add":
-        out.add_edge(u, v)
-    elif kind == "delete":
-        out.remove_edge(u, v)
-    elif kind == "reverse":
-        out.remove_edge(u, v)
-        out.add_edge(v, u)
-    else:
-        raise ValueError(f"unknown move kind {kind!r}")
-    return out
 
 
 def climb_batch(table: np.ndarray, constraints: LayerConstraints, start_masks,
@@ -648,26 +555,6 @@ class CptSet:
             out[names[i]] = {"parents": [names[p] for p in lex_parents], "rows": rows}
         return out
 
-    @classmethod
-    def from_json(cls, obj: dict, variables: VariableSet) -> "CptSet":
-        names = variables.names
-        arities = variables.arities
-        cpts = []
-        for i, name in enumerate(names):
-            entry = obj[name]
-            lex_parents = tuple(variables.index(p) for p in entry["parents"])
-            parents = tuple(sorted(lex_parents))
-            q = int(np.prod([arities[p] for p in parents], initial=1))
-            table = np.zeros((q, arities[i]))
-            for key, row in entry["rows"].items():
-                assign = {p: int(ch) for p, ch in zip(lex_parents, key)}
-                j = 0
-                for p in parents:
-                    j = j * arities[p] + assign[p]
-                table[j] = row
-            cpts.append(Cpt(parents, table))
-        return cls(variables, tuple(cpts))
-
 
 def fit_mle(dag: Dag, data: DatasetTable) -> CptSet:
     """Maximum-likelihood CPTs; unobserved parent configurations get uniform rows."""
@@ -699,28 +586,6 @@ def joint_table(dag: Dag, cpts: CptSet) -> tuple[np.ndarray, np.ndarray]:
     return grids, probs
 
 
-def posterior_query(dag: Dag, cpts: CptSet, evidence: Mapping[str, int], query: str) -> np.ndarray:
-    """Exact posterior of `query` given `evidence`, by full enumeration."""
-    if query in evidence:
-        raise ValueError("evidence must not include the query variable")
-    var = dag.variables
-    grids, probs = joint_table(dag, cpts)
-    mask = np.ones(grids.shape[0], dtype=bool)
-    for name, value in evidence.items():
-        mask &= grids[:, var.index(name)] == value
-    qi = var.index(query)
-    r = var.arities[qi]
-    out = np.zeros(r)
-    sub_states = grids[mask, qi]
-    sub_probs = probs[mask]
-    for k in range(r):
-        out[k] = sub_probs[sub_states == k].sum()
-    total = out.sum()
-    if total <= 0.0:
-        raise ValueError("impossible evidence")
-    return out / total
-
-
 def markov_blanket(dag: Dag, variable: str) -> set[str]:
     """Parents, children, and the children's other parents of `variable`."""
     i = dag.variables.index(variable)
@@ -730,25 +595,3 @@ def markov_blanket(dag: Dag, variable: str) -> set[str]:
     blanket.discard(i)
     return {dag.variables.names[j] for j in blanket}
 
-
-def structural_hamming_distance(a: Dag, b: Dag) -> int:
-    """Edge insertions, deletions, and reversals separating two DAGs."""
-    if a.variables != b.variables:
-        raise ValueError("DAGs are over different variable sets")
-    ea, eb = set(a.edges()), set(b.edges())
-    dist = 0
-    seen_pairs = set()
-    for u, v in ea | eb:
-        pair = frozenset((u, v))
-        if pair in seen_pairs:
-            continue
-        seen_pairs.add(pair)
-        in_a = (u, v) in ea or (v, u) in ea
-        in_b = (u, v) in eb or (v, u) in eb
-        if in_a != in_b:
-            dist += 1
-        elif in_a and in_b:
-            same = ((u, v) in ea) == ((u, v) in eb) and ((v, u) in ea) == ((v, u) in eb)
-            if not same:
-                dist += 1
-    return dist

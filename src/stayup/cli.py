@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--components", type=int, default=2)
     p.add_argument("--em-restarts", type=int, default=10)
-    p.add_argument("--variant", choices=["standard", "paper"], default="standard")
+    p.add_argument("--variant", choices=list(sleepmix.VARIANT_STEPS), default="standard")
     p.add_argument("--threshold", type=float, default=sleepmix.DEFAULT_THRESHOLD)
 
     p = sub.add_parser("profile", help="binarize features and sleep labels")
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cohort", choices=list(pipeline.COHORT_CHOICES))
     p.add_argument("--restarts", type=int)
     p.add_argument("--ess", type=float)
-    p.add_argument("--variant", choices=["standard", "paper"])
+    p.add_argument("--variant", choices=list(sleepmix.VARIANT_STEPS))
     p.add_argument("--folds", type=int)
     p.add_argument("--em-restarts", type=int)
     p.add_argument("--null-replicas", type=int)
@@ -150,7 +150,8 @@ def _cmd_sleep_fit(args) -> int:
     pipeline.require("counts file", args.counts)
     counts = ingest.read_sleep_counts_csv(args.counts)
     pipeline.require_students(str(args.counts), len(counts), args.components, "--min-nights")
-    mix_cfg = pipeline.mixture_config(args.variant, args.components, args.em_restarts, args.seed)
+    mix_cfg = sleepmix.MixtureConfig(components=args.components, restarts=args.em_restarts,
+                                     variant=args.variant, seed=args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     rows, diag = pipeline.sleep_fit_group(counts, mix_cfg, args.threshold,
                                           args.out / "model.json", {})

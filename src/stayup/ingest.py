@@ -87,21 +87,6 @@ class NightWindowConfig:
     def window_minutes(self) -> int:
         return self.bin_minutes * self.bin_count
 
-    def night_of(self, dt: datetime) -> date:
-        """Calendar date of the night a timestamp belongs to."""
-        if dt.time() >= self.night_boundary:
-            return dt.date()
-        return dt.date() - timedelta(days=1)
-
-    def locate(self, dt: datetime) -> tuple[date, int | None]:
-        """Night date plus bin index, or None when outside the window."""
-        night = self.night_of(dt)
-        start = datetime.combine(night, self.window_start)
-        offset = (dt - start).total_seconds() / 60.0
-        if 0 <= offset < self.window_minutes:
-            return night, int(offset // self.bin_minutes)
-        return night, None
-
     def bin_start(self, night: date, bin_index: int) -> datetime:
         return datetime.combine(night, self.window_start) + timedelta(
             minutes=bin_index * self.bin_minutes

@@ -59,14 +59,42 @@ class PipelineConfig:
     in_sample: bool = False
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):   # a config file may hold any JSON value
+            kind = {"int": int, "float": (int, float), "bool": bool, "str": str,
+                    "Path": (str, os.PathLike)}[f.type]
+            if not isinstance(getattr(self, f.name), kind):
+                raise ConfigError(f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}")
         self.data_dir = Path(self.data_dir)
         self.out_dir = Path(self.out_dir)
         if self.cohort not in COHORT_CHOICES:
             raise ConfigError(f"cohort must be one of {COHORT_CHOICES}")
         if self.median_scope not in ("per_cohort", "global"):
             raise ConfigError("median_scope must be per_cohort or global")
-        if self.variant not in ("standard", "paper"):
-            raise ConfigError("variant must be standard or paper")
+        for name, ok, rule in (
+            ("min_nights", self.min_nights >= 1, ">= 1"),
+            ("restarts", self.restarts >= 1, ">= 1"),
+            ("null_replicas", self.null_replicas >= 1, ">= 1"),
+            ("eval_restarts", self.eval_restarts >= 1, ">= 1"),
+            ("top_fraction", 0 < self.top_fraction <= 1, "in (0, 1]"),
+            ("edge_probability", 0 <= self.edge_probability <= 1, "in [0, 1]"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
+        # the stages' own configs check the other fields
+        for fields, build in (
+            (("components", "em_restarts", "variant"),
+             lambda: sleepmix.MixtureConfig(components=self.components,
+                                            restarts=self.em_restarts, variant=self.variant)),
+            (("folds", "in_sample"),
+             lambda: prediction_experiment(self.folds, self.in_sample, self.eval_restarts,
+                                           self.edge_probability)),
+            (("ess",), lambda: bayesnet.BdeuConfig(self.ess)),
+        ):
+            try:
+                build()
+            except ValueError as exc:
+                given = ", ".join(f"{name}={getattr(self, name)!r}" for name in fields)
+                raise ConfigError(f"{given}: {exc}") from None
 
     def echo(self) -> dict:
         out = dataclasses.asdict(self)
@@ -177,15 +205,6 @@ def cohort_groups(cohort: str, demographics) -> list[tuple[str, list[str]]]:
 
 # --- one group of each stage; the run stages below and the CLI both call these ---
 
-def mixture_config(variant: str, components: int, restarts: int,
-                   seed: int) -> sleepmix.MixtureConfig:
-    """The E/M-step pair of a --variant: "standard" or the paper's literal "paper"."""
-    literal = "paper_literal" if variant == "paper" else None
-    return sleepmix.MixtureConfig(components=components, restarts=restarts,
-                                  estep_variant=literal or "standard",
-                                  mstep_variant=literal or "exact_map", seed=seed)
-
-
 def require_students(what: str, n_students: int, components: int, min_nights: str):
     """Raise ValueError, before any EM, when `what` holds fewer students with
     sleep counts than the mixture has components."""
@@ -197,11 +216,11 @@ def require_students(what: str, n_students: int, components: int, min_nights: st
 
 def sleep_fit_group(counts, mix_cfg: sleepmix.MixtureConfig, threshold: float,
                     model_path: Path, extra: dict):
-    """Write the group's fitted model plus extra keys; return its (student,
-    omega, label) rows and the fit diagnostics."""
+    """Write the group's fitted model plus extra keys once its students are
+    labelled; return its (student, omega, label) rows and the fit diagnostics."""
     model, resp, diag = sleepmix.fit(counts, mix_cfg)
-    write_json(model_path, {**sleepmix.model_to_json(model, mix_cfg), **extra})
     assigned = sleepmix.assign_and_label(resp, model, threshold)
+    write_json(model_path, {**sleepmix.model_to_json(model, mix_cfg), **extra})
     return list(zip(assigned.student_ids, assigned.omega_stay_up, assigned.labels)), diag
 
 
@@ -423,8 +442,8 @@ def _stage_sleep_fit(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
         require_students(f"cohort {cohort!r}", len(group_counts), cfg.components,
                          f"min_nights={cfg.min_nights}")
     for gi, ((cohort, _), group_counts) in enumerate(zip(groups, all_counts)):
-        mix_cfg = mixture_config(cfg.variant, cfg.components, cfg.em_restarts,
-                                 derive_seed(cfg.seed, 1, gi))
+        mix_cfg = sleepmix.MixtureConfig(components=cfg.components, restarts=cfg.em_restarts,
+                                         variant=cfg.variant, seed=derive_seed(cfg.seed, 1, gi))
         model_path = cfg.out_dir / f"model_{cohort}.json"
         try:
             group_rows, _ = sleep_fit_group(group_counts, mix_cfg, sleepmix.DEFAULT_THRESHOLD,

@@ -2,14 +2,15 @@
 
 Rates carry a Gamma prior (shape alpha > 1, rate beta) so no component can
 collapse onto a zero rate; the fit maximizes the joint of data likelihood
-and prior. Two E-step and two M-step variants are provided:
+and prior. Two variants, each a pair of E- and M-step update rules, are
+provided:
 
-* estep "standard" leaves the rate prior out of the responsibilities, which
-  together with mstep "exact_map" gives monotone ascent of the log joint.
-* estep "paper_literal" multiplies the prior density of each component's
-  rates into the responsibilities; mstep "paper_literal" divides by
-  (beta + 1) * sum(weights) instead of (sum(weights) + beta). The literal
-  pair reproduces fits computed with those alternative update rules.
+* "standard" leaves the rate prior out of the responsibilities and takes
+  the exact MAP rate update, which gives monotone ascent of the log joint.
+* "paper" multiplies the prior density of each component's rates into the
+  responsibilities and divides by (beta + 1) * sum(weights) instead of
+  (sum(weights) + beta). This literal pair reproduces fits computed with
+  those alternative update rules.
 """
 
 from __future__ import annotations
@@ -26,8 +27,11 @@ from ._kernels import poisson_scores
 from .ingest import check_columns, stage_records
 from .special import gammaln, logsumexp
 
-ESTEP_VARIANTS = ("standard", "paper_literal")
-MSTEP_VARIANTS = ("exact_map", "paper_literal")
+# each variant's E- and M-step, as model_to_json names them
+VARIANT_STEPS = {
+    "standard": {"estep": "standard", "mstep": "exact_map"},
+    "paper": {"estep": "paper_literal", "mstep": "paper_literal"},
+}
 
 RATE_FLOOR = 1e-12
 MASS_FLOOR = 1e-12
@@ -49,8 +53,7 @@ class MixtureConfig:
     max_iterations: int = 500
     tolerance: float = 1e-8
     restarts: int = 10
-    estep_variant: str = "standard"
-    mstep_variant: str = "exact_map"
+    variant: str = "standard"
     seed: int = 0
 
     def __post_init__(self):
@@ -60,10 +63,8 @@ class MixtureConfig:
             raise ValueError("alpha must be > 1 so the prior vanishes at rate 0")
         if not self.beta > 0:
             raise ValueError("beta must be positive")
-        if self.estep_variant not in ESTEP_VARIANTS:
-            raise ValueError(f"estep_variant must be one of {ESTEP_VARIANTS}")
-        if self.mstep_variant not in MSTEP_VARIANTS:
-            raise ValueError(f"mstep_variant must be one of {MSTEP_VARIANTS}")
+        if self.variant not in VARIANT_STEPS:
+            raise ValueError(f"variant must be one of {tuple(VARIANT_STEPS)}")
         if self.restarts < 1 or self.max_iterations < 1:
             raise ValueError("restarts and max_iterations must be >= 1")
         if not self.tolerance > 0:
@@ -130,15 +131,6 @@ def count_matrix(data) -> tuple[np.ndarray, tuple[str, ...] | None]:
     return np.stack(rows), id_tuple
 
 
-def component_log_likelihood(counts, rates) -> float:
-    """Log Poisson likelihood of one count vector under one component's rates."""
-    s = np.asarray(counts, dtype=np.float64)
-    lam = np.asarray(rates, dtype=np.float64)
-    if np.any(lam <= 0):
-        raise ValueError("rates must be positive")
-    return float(np.sum(s * np.log(lam) - lam - gammaln(s + 1)))
-
-
 def _log_prior_per_component(model: PoissonMixtureModel, cfg: MixtureConfig) -> np.ndarray:
     a, b = cfg.alpha, cfg.beta
     lam = model.rates
@@ -162,7 +154,7 @@ def _objective(scores: np.ndarray, model: PoissonMixtureModel, cfg: MixtureConfi
 def _responsibilities(scores: np.ndarray, model: PoissonMixtureModel, cfg: MixtureConfig,
                       ids: tuple[str, ...] | None) -> Responsibilities:
     """Normalize the scores per student with log-sum-exp."""
-    if cfg.estep_variant == "paper_literal":
+    if cfg.variant == "paper":
         scores = scores + _log_prior_per_component(model, cfg)[None, :]
     norm = logsumexp(scores, axis=1)
     bad = ~np.isfinite(norm)
@@ -173,33 +165,19 @@ def _responsibilities(scores: np.ndarray, model: PoissonMixtureModel, cfg: Mixtu
     return Responsibilities(np.exp(scores - norm[:, None]), ids)
 
 
-def e_step(data, model: PoissonMixtureModel, cfg: MixtureConfig) -> Responsibilities:
-    """Posterior membership weights, normalized per student with log-sum-exp."""
-    counts, ids = count_matrix(data)
-    model.validate()
-    scores = _scores(counts, model, gammaln(counts + 1).sum(axis=1))
-    return _responsibilities(scores, model, cfg, ids)
-
-
 def m_step(data, resp: Responsibilities, cfg: MixtureConfig) -> PoissonMixtureModel:
     """MAP rate update plus mixing-weight update from the membership weights."""
     counts, _ = count_matrix(data)
     w = np.asarray(resp.weights, dtype=np.float64)
     n = counts.shape[0]
     mass = np.maximum(w.sum(axis=0), MASS_FLOOR)
-    if cfg.mstep_variant == "paper_literal":
+    if cfg.variant == "paper":
         rates = (w.T @ counts + (cfg.alpha - 1) * mass[:, None]) / ((cfg.beta + 1) * mass[:, None])
     else:
         rates = (w.T @ counts + (cfg.alpha - 1)) / (mass[:, None] + cfg.beta)
     rates = np.maximum(rates, RATE_FLOOR)
     mixing = w.sum(axis=0) / n
     return PoissonMixtureModel(rates, mixing)
-
-
-def log_joint(data, model: PoissonMixtureModel, cfg: MixtureConfig) -> float:
-    """Log of data likelihood times the Gamma prior over all rates."""
-    counts, _ = count_matrix(data)
-    return _objective(_scores(counts, model, gammaln(counts + 1).sum(axis=1)), model, cfg)
 
 
 def _row_entropy_seeds(counts: np.ndarray) -> np.ndarray:
@@ -340,20 +318,8 @@ def model_to_json(model: PoissonMixtureModel, cfg: MixtureConfig) -> dict:
         "beta": cfg.beta,
         "lambda": [[float(x) for x in row] for row in model.rates],
         "mixing": [float(x) for x in model.mixing],
-        "variant": {"estep": cfg.estep_variant, "mstep": cfg.mstep_variant},
+        "variant": dict(VARIANT_STEPS[cfg.variant]),
     }
-
-
-def model_from_json(obj: dict) -> tuple[PoissonMixtureModel, MixtureConfig]:
-    model = PoissonMixtureModel(np.asarray(obj["lambda"]), np.asarray(obj["mixing"]))
-    cfg = MixtureConfig(
-        components=obj["M"],
-        alpha=obj["alpha"],
-        beta=obj["beta"],
-        estep_variant=obj["variant"]["estep"],
-        mstep_variant=obj["variant"]["mstep"],
-    )
-    return model, cfg
 
 
 def write_assignments_csv(path, rows: Iterable[tuple[str, float, str]]):

@@ -1,0 +1,182 @@
+"""Reference implementations that the tests compare the program against.
+
+Nothing under ``src/`` calls these; each is the plain form of something the
+program computes another way: BDeu scores family by family (the oracle of
+``bayesnet.score_table``), the move set and the moves of a single graph
+(the oracle of ``bayesnet.climb_batch``), exact posteriors by enumeration,
+the mixture's E-step on its own, and the night and bin of one timestamp
+(the oracle of ``ingest.extract_bedtimes``). Not a test module, so pytest
+does not collect it; tests import it as ``reference``.
+"""
+
+from __future__ import annotations
+
+import math
+from datetime import date, datetime, timedelta
+from typing import Mapping
+
+import numpy as np
+
+from stayup import bayesnet as bn
+from stayup import sleepmix as sm
+from stayup.ingest import NightWindowConfig
+from stayup.special import gammaln
+
+
+# --- bayesnet ---------------------------------------------------------------------
+
+def allows_edge(constraints: bn.LayerConstraints, u: str, v: str) -> bool:
+    """LayerConstraints.allows by variable name."""
+    var = constraints.variables
+    return constraints.allows(var.index(u), var.index(v))
+
+
+def _resolve_family(data: bn.DatasetTable, child, parents) -> tuple[int, tuple[int, ...]]:
+    var = data.variables
+    c = int(child) if isinstance(child, (int, np.integer)) else var.index(child)
+    ps = tuple(sorted(
+        int(p) if isinstance(p, (int, np.integer)) else var.index(p) for p in parents
+    ))
+    if c in ps:
+        raise ValueError("child cannot be its own parent")
+    if len(set(ps)) != len(ps):
+        raise ValueError("duplicate parents")
+    return c, ps
+
+
+def bdeu_family_score(data: bn.DatasetTable, child, parents, cfg: bn.BdeuConfig) -> float:
+    """BDeu contribution of one family (child given its parent set)."""
+    c, ps = _resolve_family(data, child, parents)
+    columns = list(ps) + [c]
+    dims = tuple(data.variables.arities[j] for j in columns)
+    q, r = math.prod(dims[:-1]), dims[-1]
+    counts = np.bincount(np.ravel_multi_index(tuple(data.values[:, columns].T), dims),
+                         minlength=q * r)
+    return float(bn._bdeu(counts[None], counts.reshape(1, q, r).sum(axis=2), q, r, cfg.ess)[0])
+
+
+def bdeu_score(dag: bn.Dag, data: bn.DatasetTable, cfg: bn.BdeuConfig,
+               table: np.ndarray | None = None) -> float:
+    """Decomposable BDeu score: sum of family scores over all variables.
+
+    With `table` (see score_table) the family scores are read from it.
+    """
+    if dag.variables != data.variables:
+        raise ValueError("dag and data are over different variable sets")
+    if table is None:
+        return math.fsum(bdeu_family_score(data, i, bn._bits(mask), cfg)
+                         for i, mask in enumerate(dag._pa))
+    scores = table[np.arange(dag.variables.n), dag._pa]
+    if np.isnan(scores).any():
+        raise ValueError("the score table lacks a family of this dag")
+    return math.fsum(scores.tolist())
+
+
+def legal_moves(dag: bn.Dag, constraints: bn.LayerConstraints) -> list[tuple[str, str, str]]:
+    """All add/delete/reverse moves producing a legal acyclic graph, in tie-break order."""
+    if dag.variables != constraints.variables:
+        raise ValueError("dag and constraints are over different variable sets")
+    names = dag.variables.names
+    adj, desc, via = bn._closures(np.array([dag._pa], dtype=np.int64))
+    legal = bn._legal(adj, desc, via, constraints.allowed)[0]
+    return [("reverse" if slot else "delete" if adj[0, u, v] else "add", names[u], names[v])
+            for u, v, slot in zip(*np.nonzero(legal))]
+
+
+def apply_move(dag: bn.Dag, move: tuple[str, str, str]) -> bn.Dag:
+    out = dag.copy()
+    kind, u, v = move
+    if kind == "add":
+        out.add_edge(u, v)
+    elif kind == "delete":
+        out.remove_edge(u, v)
+    elif kind == "reverse":
+        out.remove_edge(u, v)
+        out.add_edge(v, u)
+    else:
+        raise ValueError(f"unknown move kind {kind!r}")
+    return out
+
+
+def posterior_query(dag: bn.Dag, cpts: bn.CptSet, evidence: Mapping[str, int],
+                    query: str) -> np.ndarray:
+    """Exact posterior of `query` given `evidence`, by full enumeration."""
+    if query in evidence:
+        raise ValueError("evidence must not include the query variable")
+    var = dag.variables
+    grids, probs = bn.joint_table(dag, cpts)
+    mask = np.ones(grids.shape[0], dtype=bool)
+    for name, value in evidence.items():
+        mask &= grids[:, var.index(name)] == value
+    qi = var.index(query)
+    r = var.arities[qi]
+    out = np.zeros(r)
+    sub_states = grids[mask, qi]
+    sub_probs = probs[mask]
+    for k in range(r):
+        out[k] = sub_probs[sub_states == k].sum()
+    total = out.sum()
+    if total <= 0.0:
+        raise ValueError("impossible evidence")
+    return out / total
+
+
+def structural_hamming_distance(a: bn.Dag, b: bn.Dag) -> int:
+    """Edge insertions, deletions, and reversals separating two DAGs."""
+    if a.variables != b.variables:
+        raise ValueError("DAGs are over different variable sets")
+    ea, eb = set(a.edges()), set(b.edges())
+    dist = 0
+    seen_pairs = set()
+    for u, v in ea | eb:
+        pair = frozenset((u, v))
+        if pair in seen_pairs:
+            continue
+        seen_pairs.add(pair)
+        in_a = (u, v) in ea or (v, u) in ea
+        in_b = (u, v) in eb or (v, u) in eb
+        if in_a != in_b:
+            dist += 1
+        elif in_a and in_b:
+            same = ((u, v) in ea) == ((u, v) in eb) and ((v, u) in ea) == ((v, u) in eb)
+            if not same:
+                dist += 1
+    return dist
+
+
+# --- sleepmix ---------------------------------------------------------------------
+
+def component_log_likelihood(counts, rates) -> float:
+    """Log Poisson likelihood of one count vector under one component's rates."""
+    s = np.asarray(counts, dtype=np.float64)
+    lam = np.asarray(rates, dtype=np.float64)
+    if np.any(lam <= 0):
+        raise ValueError("rates must be positive")
+    return float(np.sum(s * np.log(lam) - lam - gammaln(s + 1)))
+
+
+def e_step(data, model: sm.PoissonMixtureModel, cfg: sm.MixtureConfig) -> sm.Responsibilities:
+    """Posterior membership weights, normalized per student with log-sum-exp."""
+    counts, ids = sm.count_matrix(data)
+    model.validate()
+    scores = sm._scores(counts, model, gammaln(counts + 1).sum(axis=1))
+    return sm._responsibilities(scores, model, cfg, ids)
+
+
+# --- ingest -----------------------------------------------------------------------
+
+def night_of(cfg: NightWindowConfig, dt: datetime) -> date:
+    """Calendar date of the night a timestamp belongs to."""
+    if dt.time() >= cfg.night_boundary:
+        return dt.date()
+    return dt.date() - timedelta(days=1)
+
+
+def locate(cfg: NightWindowConfig, dt: datetime) -> tuple[date, int | None]:
+    """Night date plus bin index, or None when outside the window."""
+    night = night_of(cfg, dt)
+    start = datetime.combine(night, cfg.window_start)
+    offset = (dt - start).total_seconds() / 60.0
+    if 0 <= offset < cfg.window_minutes:
+        return night, int(offset // cfg.bin_minutes)
+    return night, None

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from datetime import date, datetime, time, timedelta
@@ -257,6 +258,24 @@ class TestStagesMatchRun:
         report = load_json(run_dir / "report.json")
         assert load_json(out / "prediction_report.json") == report["auc"][self.COHORT]
 
+    def test_paper_variant_sleep_fit_matches_the_run_stage(self, data_dir, tmp_path):
+        run_out, out = tmp_path / "run", tmp_path / "out"
+        argv = ["run", "--data", str(data_dir), "--out", str(run_out), "--seed", str(SEED),
+                "--cohort", self.COHORT, "--variant", "paper"]
+        for name, value in FAST.items():
+            argv += ["--" + name.replace("_", "-"), str(value)]
+        assert cli.main(argv) == 0
+        members = cohort_members(data_dir, self.COHORT)
+        counts = cohort_file(run_out / "sleep_counts.csv", tmp_path / "counts.csv", members)
+        # the run's one cohort is group 0
+        assert cli.main(["sleep-fit", "--counts", str(counts), "--out", str(out),
+                         "--seed", str(pipeline.derive_seed(SEED, 1, 0)), "--variant", "paper",
+                         "--em-restarts", str(FAST["em_restarts"])]) == 0
+        model = load_json(out / "model.json")
+        assert model["variant"] == {"estep": "paper_literal", "mstep": "paper_literal"}
+        assert model == run_json(run_out / f"model_{self.COHORT}.json")
+        assert (out / "assignments.csv").read_bytes() == (run_out / "assignments.csv").read_bytes()
+
 
 class TestStageInputs:
     def test_profile_counts_a_student_listed_twice_once(self, data_dir, run_dir, tmp_path):
@@ -385,6 +404,34 @@ class TestRun:
         assert set(report["cluster_sizes"]) == {"freshman", "total"}
         assert "consensus_total.json" not in json.loads(
             (out / "MANIFEST.json").read_text())["files"]
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--restarts", "0", "restarts"),
+        ("--null-replicas", "0", "null_replicas"),
+        ("--eval-restarts", "0", "eval_restarts"),
+        ("--ess", "0", "ess"),
+        ("--edge-probability", "1.5", "edge_probability"),
+        ("--folds", "1", "folds"),
+        ("--em-restarts", "0", "em_restarts"),
+        ("--min-nights", "0", "min_nights"),
+        ("top_fraction", 0, "top_fraction"),   # a config field without a run flag
+        ("restarts", "5", "restarts"),         # config file values of the wrong type
+        ("out_dir", 5, "out_dir"),
+    ])
+    def test_bad_setting_exits_2_before_any_stage(self, data_dir, tmp_path, capsys,
+                                                   flag, value, field):
+        out = tmp_path / "out"
+        if flag.startswith("--"):
+            argv = ["run", "--data", str(data_dir), "--out", str(out), flag, value]
+        else:
+            cfg_path = tmp_path / "run.json"
+            cfg_path.write_text(json.dumps({"data_dir": str(data_dir), "out_dir": str(out),
+                                            flag: value}))
+            argv = ["run", "--config", str(cfg_path)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(rf"\b{field}\b", err), err
+        assert not (out / "MANIFEST.json").exists()
 
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
@@ -559,7 +606,10 @@ class TestCohortFailures:
             run_pipeline(PipelineConfig(data_dir=data_dir, out_dir=out, **FAST))
         assert str(info.value) == f"stage 'sleep_fit' failed: cohort 'freshman': {error}"
         assert type(info.value.cause) is type(error)
-        assert json.loads((out / "MANIFEST.json").read_text())["incomplete"] == ["sleep_fit"]
+        manifest = json.loads((out / "MANIFEST.json").read_text())
+        assert manifest["incomplete"] == ["sleep_fit"]
+        # no file is left behind that MANIFEST does not list
+        assert {p.name for p in out.iterdir()} - {"MANIFEST.json"} == set(manifest["files"])
 
 
 def write_skewed_cohort(directory, n_students=40, n_late=3, nights=20, seed=0):

