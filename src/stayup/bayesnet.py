@@ -134,13 +134,6 @@ class Dag:
         self._ch[ui] |= 1 << vi
         self._pa[vi] |= 1 << ui
 
-    def remove_edge(self, u, v):
-        ui, vi = self._idx(u), self._idx(v)
-        if not self.has_edge(ui, vi):
-            raise ValueError("edge not present")
-        self._ch[ui] &= ~(1 << vi)
-        self._pa[vi] &= ~(1 << ui)
-
     def parent_indices(self, v) -> tuple[int, ...]:
         return tuple(_bits(self._pa[self._idx(v)]))
 
@@ -159,12 +152,6 @@ class Dag:
             for v in _bits(self._ch[u]):
                 out.append((self.variables.names[u], self.variables.names[v]))
         return out
-
-    def copy(self) -> "Dag":
-        d = Dag(self.variables)
-        d._pa = list(self._pa)
-        d._ch = list(self._ch)
-        return d
 
     def topological_order(self) -> list[int]:
         pa = list(self._pa)

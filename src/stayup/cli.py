@@ -3,10 +3,14 @@
 Subcommands mirror the pipeline stages (ingest, sleep-fit, profile,
 bn-learn, consensus, predict), plus synth for generated data and run for
 the whole pipeline. A stage command reads the previous stage's files and
-calls the function of ``pipeline`` that ``run`` calls per cohort, but treats
-its input as one group and uses --seed as given, where ``run`` splits by
-cohort and derives a seed per stage and cohort. Exit codes: 0 success,
-1 stage failure or malformed input, 2 missing input, I/O or configuration error.
+makes the call that ``run`` makes per cohort (a per-group function of
+``pipeline``, ``consensus.consensus_pipeline`` or
+``evaluate.predict_sleep_experiment``), but treats its input as one group
+and uses --seed as given, where ``run`` splits by cohort and derives a seed
+per stage and cohort. The stage commands and run check their settings
+first, so a bad setting exits 2 before any input is read or --out is made.
+Exit codes: 0 success, 1 stage failure or malformed input, 2 missing input,
+I/O or configuration error.
 """
 
 from __future__ import annotations
@@ -134,6 +138,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
+    pipeline.check_ranges(min_nights=args.min_nights)
     pipeline.require("data directory", args.data)
     pipeline.require("input file", *ingest.LogPaths.from_dir(args.data).as_dict().values())
     args.out.mkdir(parents=True, exist_ok=True)
@@ -147,11 +152,14 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_sleep_fit(args) -> int:
+    mix_cfg = pipeline.checked(
+        lambda: sleepmix.MixtureConfig(components=args.components, restarts=args.em_restarts,
+                                       variant=args.variant, seed=args.seed),
+        args, "components", "em_restarts", "variant")
+    pipeline.checked(lambda: sleepmix.check_threshold(args.threshold), args, "threshold")
     pipeline.require("counts file", args.counts)
     counts = ingest.read_sleep_counts_csv(args.counts)
     pipeline.require_students(str(args.counts), len(counts), args.components, "--min-nights")
-    mix_cfg = sleepmix.MixtureConfig(components=args.components, restarts=args.em_restarts,
-                                     variant=args.variant, seed=args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     rows, diag = pipeline.sleep_fit_group(counts, mix_cfg, args.threshold,
                                           args.out / "model.json", {})
@@ -193,9 +201,10 @@ def _load_table(path: Path) -> bayesnet.DatasetTable:
 
 
 def _cmd_bn_learn(args) -> int:
+    pipeline.check_ranges(restarts=args.restarts)
+    cfg = pipeline.checked(lambda: bayesnet.BdeuConfig(args.ess), args, "ess")
     table = _load_table(args.profiles)
     constraints = bayesnet.default_layer_constraints()
-    cfg = bayesnet.BdeuConfig(args.ess)
     ensemble = consensus.learn_ensemble(
         table, constraints, cfg, n_restarts=args.restarts, seed=args.seed
     )
@@ -210,27 +219,34 @@ def _cmd_bn_learn(args) -> int:
 
 
 def _cmd_consensus(args) -> int:
+    pipeline.check_ranges(restarts=args.restarts, top_fraction=args.fraction,
+                          null_replicas=args.null_replicas,
+                          edge_probability=args.edge_probability)
+    cfg = pipeline.checked(lambda: bayesnet.BdeuConfig(args.ess), args, "ess")
     table = _load_table(args.profiles)
     args.out.mkdir(parents=True, exist_ok=True)
-    found = pipeline.consensus_group(
-        table, bayesnet.default_layer_constraints(), args.ess, args.seed,
-        n_restarts=args.restarts, fraction=args.fraction, replicas=args.null_replicas,
-        edge_probability=args.edge_probability,
+    found = consensus.consensus_pipeline(
+        table, bayesnet.default_layer_constraints(), cfg, n_restarts=args.restarts,
+        fraction=args.fraction, replicas=args.null_replicas,
+        edge_probability=args.edge_probability, seed=args.seed,
     )
     pipeline.write_consensus_group(found, args.out / "consensus.json",
                                    args.out / "edge_frequencies.csv", {})
-    result, _, null = found
+    result, _, null, _ = found
     print(f"[consensus] threshold {null.threshold:.3f}, kept {len(result.dag.edges())} edges")
     return 0
 
 
 def _cmd_predict(args) -> int:
+    experiment = pipeline.checked(
+        lambda: evaluate.PredictionExperiment(folds=args.folds, in_sample=args.in_sample,
+                                              restarts=args.restarts),
+        args, "folds", "in_sample", "restarts")
+    cfg = pipeline.checked(lambda: bayesnet.BdeuConfig(args.ess), args, "ess")
     table = _load_table(args.profiles)
-    experiment = pipeline.prediction_experiment(args.folds, args.in_sample, args.restarts,
-                                                consensus.DEFAULT_EDGE_PROBABILITY)
     args.out.mkdir(parents=True, exist_ok=True)
-    result = pipeline.predict_group(table, bayesnet.default_layer_constraints(), args.ess,
-                                    experiment, args.seed)
+    result = evaluate.predict_sleep_experiment(table, bayesnet.default_layer_constraints(), cfg,
+                                               experiment, seed=args.seed)
     pipeline.write_roc_curves(result, args.out, "roc_")
     pipeline.write_json(args.out / "prediction_report.json", evaluate.report_json(result))
     print(f"[predict] mean AUC {result.auc_mean:.4f} over {len(result.curves)} fold(s)")

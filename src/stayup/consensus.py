@@ -48,11 +48,7 @@ def _seed_list(seed: SeedLike) -> list[int]:
 @dataclass
 class EnsembleResult:
     members: list[tuple[Dag, float]]
-    n_restarts: int
     seed: SeedLike
-
-    def scores(self) -> np.ndarray:
-        return np.array([s for _, s in self.members])
 
 
 @dataclass
@@ -109,7 +105,7 @@ def learn_ensemble(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuC
                                 [base + [r, 0] for r in range(n_restarts)])
     members = climb_batch(score_table(data, constraints, cfg), constraints, starts,
                           [base + [r, 1] for r in range(n_restarts)])
-    return EnsembleResult(members, n_restarts, seed)
+    return EnsembleResult(members, seed)
 
 
 def top_fraction(ensemble: EnsembleResult, fraction: float = DEFAULT_TOP_FRACTION,

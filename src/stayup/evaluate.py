@@ -71,15 +71,15 @@ def roc_auc(scores, labels) -> RocCurve:
 @dataclass(frozen=True)
 class PredictionExperiment:
     folds: int = 5
-    mode: str = "cross_validated"          # or "in_sample"
+    in_sample: bool = False                # score the training rows, in one split
     restarts: int = 20
     edge_probability: float = DEFAULT_EDGE_PROBABILITY
 
     def __post_init__(self):
-        if self.mode not in ("cross_validated", "in_sample"):
-            raise ValueError("mode must be cross_validated or in_sample")
-        if self.mode == "cross_validated" and self.folds < 2:
+        if not self.in_sample and self.folds < 2:
             raise ValueError("cross validation needs at least 2 folds")
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
 
 
 @dataclass
@@ -184,7 +184,7 @@ def cv_plan(y: np.ndarray, experiment: PredictionExperiment,
     np.setdiff1d, whose np.unique imports numpy.ma on its first call.
     """
     rows = np.arange(len(y))
-    if experiment.mode == "in_sample":
+    if experiment.in_sample:
         splits = [(rows, rows)]
     else:
         splits = [(np.delete(rows, test), test)
@@ -194,7 +194,7 @@ def cv_plan(y: np.ndarray, experiment: PredictionExperiment,
         return splits, None
     counts = np.unique(y, return_counts=True)[1]
     used = min(experiment.folds, int(counts.min()) if len(counts) > 1 else 0)
-    if experiment.mode == "in_sample" or used < 2:
+    if experiment.in_sample or used < 2:
         raise ValueError(reason)
     splits = [(np.delete(rows, test), test) for test in stratified_fold_indices(y, used, seed)]
     return splits, {"requested": experiment.folds, "used": used, "reason": reason}

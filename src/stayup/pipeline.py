@@ -1,9 +1,12 @@
 """End-to-end orchestration: ingest -> mixture fit -> profiles -> per-cohort
 consensus -> total network -> predictability, with deterministic seeding and
-a MANIFEST of every emitted artifact."""
+a MANIFEST of every emitted artifact. Each run stage takes what it reads as
+arguments and returns what later stages read. The stage commands of ``cli``
+make the same per-group calls and check their settings the same way."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -34,6 +37,34 @@ class StageError(RuntimeError):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+# bounds of the settings that no stage config checks, by PipelineConfig field
+RANGES = {
+    "min_nights": (lambda v: v >= 1, ">= 1"),
+    "restarts": (lambda v: v >= 1, ">= 1"),
+    "null_replicas": (lambda v: v >= 1, ">= 1"),
+    "top_fraction": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "edge_probability": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+}
+
+
+def check_ranges(**given):
+    """Raise ConfigError naming the first given setting outside its RANGES bound."""
+    for name, value in given.items():
+        ok, rule = RANGES[name]
+        if not ok(value):
+            raise ConfigError(f"{name} must be {rule}, got {value}")
+
+
+def checked(build: Callable[[], object], source, *names: str):
+    """Return build(), a stage config. Its ValueError becomes a ConfigError
+    naming the settings it was built from: names, read from source."""
+    try:
+        return build()
+    except ValueError as exc:
+        given = ", ".join(f"{name}={getattr(source, name)!r}" for name in names)
+        raise ConfigError(f"{given}: {exc}") from None
 
 
 @dataclass
@@ -70,31 +101,19 @@ class PipelineConfig:
             raise ConfigError(f"cohort must be one of {COHORT_CHOICES}")
         if self.median_scope not in ("per_cohort", "global"):
             raise ConfigError("median_scope must be per_cohort or global")
-        for name, ok, rule in (
-            ("min_nights", self.min_nights >= 1, ">= 1"),
-            ("restarts", self.restarts >= 1, ">= 1"),
-            ("null_replicas", self.null_replicas >= 1, ">= 1"),
-            ("eval_restarts", self.eval_restarts >= 1, ">= 1"),
-            ("top_fraction", 0 < self.top_fraction <= 1, "in (0, 1]"),
-            ("edge_probability", 0 <= self.edge_probability <= 1, "in [0, 1]"),
-        ):
-            if not ok:
-                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
-        # the stages' own configs check the other fields
-        for fields, build in (
-            (("components", "em_restarts", "variant"),
-             lambda: sleepmix.MixtureConfig(components=self.components,
-                                            restarts=self.em_restarts, variant=self.variant)),
-            (("folds", "in_sample"),
-             lambda: prediction_experiment(self.folds, self.in_sample, self.eval_restarts,
-                                           self.edge_probability)),
-            (("ess",), lambda: bayesnet.BdeuConfig(self.ess)),
-        ):
-            try:
-                build()
-            except ValueError as exc:
-                given = ", ".join(f"{name}={getattr(self, name)!r}" for name in fields)
-                raise ConfigError(f"{given}: {exc}") from None
+        check_ranges(**{name: getattr(self, name) for name in RANGES})
+        # the stages' own configs check the other fields; the stages use these
+        # objects, which are attributes, not fields, so echo() leaves them out
+        self.mixture = checked(
+            lambda: sleepmix.MixtureConfig(components=self.components, restarts=self.em_restarts,
+                                           variant=self.variant),
+            self, "components", "em_restarts", "variant")
+        self.experiment = checked(
+            lambda: evaluate.PredictionExperiment(folds=self.folds, in_sample=self.in_sample,
+                                                  restarts=self.eval_restarts,
+                                                  edge_probability=self.edge_probability),
+            self, "folds", "in_sample", "eval_restarts")
+        self.bdeu = checked(lambda: bayesnet.BdeuConfig(self.ess), self, "ess")
 
     def echo(self) -> dict:
         out = dataclasses.asdict(self)
@@ -138,58 +157,68 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-class _Artifacts:
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.files: dict[str, str] = {}
-
-    def register(self, *paths: Path):
-        for path in paths:
-            self.files[path.name] = _sha256(path)
-
-
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Execute every stage, write artifacts plus MANIFEST.json, return the report.
 
+    Each stage takes what it reads as arguments and returns what later
+    stages read, and registers every file it writes as it writes it.
     Raises ConfigError for missing inputs and StageError when a stage fails;
-    on stage failure the MANIFEST still lands on disk with the incomplete
-    stage named.
+    on stage failure the MANIFEST still lands on disk, listing the files
+    written so far and naming the incomplete stage.
     """
     require("input file", *ingest.LogPaths.from_dir(cfg.data_dir).as_dict().values())
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = _Artifacts(cfg.out_dir)
+    files: dict[str, str] = {}
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "seed": cfg.seed,
         "stages": [],
         "incomplete": [],
-        "files": {},
+        "files": files,
     }
 
-    state: dict = {"report": {"schema_version": SCHEMA_VERSION, "seed": cfg.seed,
-                              "config": cfg.echo()}}
-    stages = [
-        ("ingest", _stage_ingest),
-        ("sleep_fit", _stage_sleep_fit),
-        ("profile", _stage_profile),
-        ("consensus", _stage_consensus),
-        ("total_network", _stage_total_network),
-        ("predict", _stage_predict),
-        ("report", _stage_report),
-    ]
-    for name, fn in stages:
+    def register(*paths: Path):
+        for path in paths:
+            files[path.name] = _sha256(path)
+
+    @contextlib.contextmanager
+    def stage(name: str):
         try:
-            fn(cfg, state, artifacts)
+            yield
         except Exception as exc:
             manifest["incomplete"] = [name]
-            manifest["files"] = artifacts.files
             write_json(cfg.out_dir / "MANIFEST.json", manifest)
             raise StageError(name, exc) from exc
         manifest["stages"].append(name)
 
-    manifest["files"] = artifacts.files
+    report = {"schema_version": SCHEMA_VERSION, "seed": cfg.seed, "config": cfg.echo()}
+    with stage("ingest"):
+        ingested = _stage_ingest(cfg, register)
+        report["ingest"] = ingested.summary()
+    with stage("sleep_fit"):
+        groups = cohort_groups(cfg.cohort, ingested.demographics)
+        labels, report["cluster_sizes"] = _stage_sleep_fit(cfg, groups, ingested.counts,
+                                                           register)
+    with stage("profile"):
+        tables, report["profiling"] = _stage_profile(cfg, groups, ingested.features, labels,
+                                                     register)
+        tasks = _prediction_tasks(cfg, tables)
+    with stage("consensus"):
+        networks, freqs, predicted = _stage_consensus(cfg, tables, tasks, register)
+        report["consensus"] = {c: _network_summary(n) for c, n in networks.items()}
+    with stage("total_network"):
+        if len(networks) > 1:
+            networks["total"] = _stage_total_network(cfg, networks, freqs, register)
+            report["consensus"]["total"] = _network_summary(networks["total"])
+    with stage("predict"):
+        report["auc"] = _stage_predict(cfg, tasks, predicted, register)
+    with stage("report"):
+        report["structure_of_S"] = _structure_of_s(networks)
+        write_json(cfg.out_dir / "report.json", report)
+        register(cfg.out_dir / "report.json")
+
     write_json(cfg.out_dir / "MANIFEST.json", manifest)
-    return state["report"]
+    return report
 
 
 def cohort_groups(cohort: str, demographics) -> list[tuple[str, list[str]]]:
@@ -246,40 +275,16 @@ def profile_groups(scopes, features, labels, out_dir: Path,
     return results
 
 
-def consensus_group(table: bayesnet.DatasetTable, constraints, ess: float, seed: int,
-                    **search):
-    """(consensus network, high-score edge frequencies, null model) of one
-    table, search going to consensus_pipeline."""
-    result, freqs, null, _ = consensus.consensus_pipeline(
-        table, constraints, bayesnet.BdeuConfig(ess), seed=seed, **search)
-    return result, freqs, null
-
-
 def write_consensus_group(found, json_path: Path, csv_path: Path, extra: dict):
-    """Write consensus_group's network plus extra keys to json_path and its
-    edge frequencies to csv_path."""
-    result, freqs, null = found
+    """Write consensus.consensus_pipeline's network plus extra keys to
+    json_path and its edge frequencies to csv_path."""
+    result, freqs, null, _ = found
     write_json(json_path, {
         **result.to_json(),
         "null": {"mean": null.mean, "std": null.std, "replicas": len(null.replicate_tables)},
         **extra,
     })
     consensus.write_edge_frequency_csv(csv_path, freqs)
-
-
-def prediction_experiment(folds: int, in_sample: bool, restarts: int,
-                          edge_probability: float) -> evaluate.PredictionExperiment:
-    return evaluate.PredictionExperiment(
-        folds=folds, mode="in_sample" if in_sample else "cross_validated",
-        restarts=restarts, edge_probability=edge_probability,
-    )
-
-
-def predict_group(table: bayesnet.DatasetTable, constraints, ess: float,
-                  experiment: evaluate.PredictionExperiment, seed: int) -> evaluate.PredictionResult:
-    """Predictability of one table."""
-    return evaluate.predict_sleep_experiment(
-        table, constraints, bayesnet.BdeuConfig(ess), experiment, seed=seed)
 
 
 def write_roc_curves(result: evaluate.PredictionResult, out_dir: Path, prefix: str) -> list[Path]:
@@ -421,36 +426,32 @@ def run_split(jobs: Sequence[Callable[[], object]],
 
 # --- the run stages ---
 
-def _stage_ingest(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
+def _stage_ingest(cfg: PipelineConfig, register) -> ingest.IngestResult:
     result = ingest.ingest_logs(cfg.data_dir, cfg.out_dir, strict=cfg.strict_parse,
                                 gpa_max=cfg.gpa_max, min_nights=cfg.min_nights)
-    for name in ingest.INGEST_OUTPUTS:
-        artifacts.register(cfg.out_dir / name)
-    state.update(demographics=result.demographics, counts=result.counts,
-                 features=result.features)
-    state["report"]["ingest"] = result.summary()
+    register(*(cfg.out_dir / name for name in ingest.INGEST_OUTPUTS))
+    return result
 
 
-def _stage_sleep_fit(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
-    groups = cohort_groups(cfg.cohort, state["demographics"])
-    state["groups"] = groups
+def _stage_sleep_fit(cfg: PipelineConfig, groups, counts, register):
+    """Fit each group's mixture; return every labelled student's label and
+    the report's cluster sizes."""
     rows: list[tuple[str, float, str]] = []
     cluster_sizes: dict[str, dict[str, int]] = {}
-    all_counts = [{sid: state["counts"][sid] for sid in members if sid in state["counts"]}
+    all_counts = [{sid: counts[sid] for sid in members if sid in counts}
                   for _, members in groups]
     for (cohort, _), group_counts in zip(groups, all_counts):
         require_students(f"cohort {cohort!r}", len(group_counts), cfg.components,
                          f"min_nights={cfg.min_nights}")
     for gi, ((cohort, _), group_counts) in enumerate(zip(groups, all_counts)):
-        mix_cfg = sleepmix.MixtureConfig(components=cfg.components, restarts=cfg.em_restarts,
-                                         variant=cfg.variant, seed=derive_seed(cfg.seed, 1, gi))
+        mix_cfg = dataclasses.replace(cfg.mixture, seed=derive_seed(cfg.seed, 1, gi))
         model_path = cfg.out_dir / f"model_{cohort}.json"
         try:
             group_rows, _ = sleep_fit_group(group_counts, mix_cfg, sleepmix.DEFAULT_THRESHOLD,
                                             model_path, {"master_seed": cfg.seed})
         except (ValueError, sleepmix.MixtureError) as exc:   # both take one message
             raise type(exc)(f"cohort {cohort!r}: {exc}") from exc
-        artifacts.register(model_path)
+        register(model_path)
         rows.extend(group_rows)
         n_up = sum(label == sleepmix.STAY_UP for _, _, label in group_rows)
         cluster_sizes[cohort] = {
@@ -465,81 +466,85 @@ def _stage_sleep_fit(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
     rows.sort(key=lambda row: row[0])
     assignments_path = cfg.out_dir / "assignments.csv"
     sleepmix.write_assignments_csv(assignments_path, rows)
-    artifacts.register(assignments_path)
-
-    state["sleep_labels"] = {sid: label for sid, _, label in rows}
-    state["report"]["cluster_sizes"] = cluster_sizes
+    register(assignments_path)
+    return {sid: label for sid, _, label in rows}, cluster_sizes
 
 
-def _stage_profile(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
+def _stage_profile(cfg: PipelineConfig, groups, features, labels, register):
+    """Profile the students; return each group's profile table, in group
+    order, and the report's profiling entry."""
     if cfg.median_scope == "global":
-        scopes = [("global", [sid for _, members in state["groups"] for sid in members])]
+        scopes = [("global", [sid for _, members in groups for sid in members])]
     else:
-        scopes = state["groups"]
-    results = profile_groups(scopes, state["features"], state["sleep_labels"], cfg.out_dir,
-                             {"master_seed": cfg.seed})
-    artifacts.register(cfg.out_dir / "profiles.csv", cfg.out_dir / "profile_meta.json")
+        scopes = groups
+    results = profile_groups(scopes, features, labels, cfg.out_dir, {"master_seed": cfg.seed})
+    register(cfg.out_dir / "profiles.csv", cfg.out_dir / "profile_meta.json")
 
     # scopes are disjoint, so each student is profiled at most once
     by_id = {p.student_id: p for result in results.values() for p in result.profiles}
-    group_tables: dict[str, bayesnet.DatasetTable] = {}
-    for cohort, members in state["groups"]:
+    tables: dict[str, bayesnet.DatasetTable] = {}
+    for cohort, members in groups:
         rows = [by_id[sid] for sid in members if sid in by_id]
         if len(rows) < 2:   # only a global scope gets here: a cohort scope fails above
             raise ValueError(f"{cohort} profiles: need at least two fully observed students "
                              f"to profile, got {len(rows)}")
-        group_tables[cohort], _ = profiles.profiles_to_table(rows)
-
-    state["group_tables"] = group_tables
-    state["report"]["profiling"] = {
+        tables[cohort], _ = profiles.profiles_to_table(rows)
+    return tables, {
         "students_profiled": len(by_id),
         "excluded": {g: dict(sorted(r.excluded.items()))
                      for g, r in results.items() if r.excluded},
     }
-    # fail on tables the predict stage cannot cross-validate now, not after consensus
-    experiment, tasks = state["prediction"] = _prediction_tasks(cfg, state)
+
+
+def _prediction_tasks(cfg: PipelineConfig, tables: dict[str, bayesnet.DatasetTable]):
+    """(name, table, seed) of each table the predict stage scores: every
+    group's and, given two groups or more, their pooled "total". Raises
+    ValueError naming a table that cannot be cross-validated, so the run
+    fails before consensus rather than after."""
+    tables = dict(tables)
+    if len(tables) > 1:
+        pooled = np.concatenate([t.values for t in tables.values()])
+        tables["total"] = bayesnet.DatasetTable(bayesnet.profile_variables(), pooled)
+    tasks = [(name, table, derive_seed(cfg.seed, 4, gi))
+             for gi, (name, table) in enumerate(sorted(tables.items()))]
     for name, table, seed in tasks:
         try:
-            evaluate.cv_plan(table.column(evaluate.TARGET), experiment, seed)
+            evaluate.cv_plan(table.column(evaluate.TARGET), cfg.experiment, seed)
         except ValueError as exc:
             raise ValueError(f"{name} profiles: {exc}") from None
+    return tasks
 
 
-def _stage_consensus(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
-    """Search every cohort's consensus network and every table's predictability,
-    split over two processes; write the consensus files and keep the
-    predict outcomes for _stage_predict."""
+def _stage_consensus(cfg: PipelineConfig, tables: dict[str, bayesnet.DatasetTable], tasks,
+                     register):
+    """Search every group's consensus network and every task's predictability,
+    split over two processes; write the consensus files. Return each group's
+    network and high-score edge frequencies, and the (error, result) of each
+    task for _stage_predict."""
     constraints = bayesnet.default_layer_constraints()
-    groups = state["groups"]
-    experiment, tasks = state["prediction"]
-    search = dict(n_restarts=cfg.restarts, fraction=cfg.top_fraction, replicas=cfg.null_replicas,
-                  edge_probability=cfg.edge_probability)
-    jobs = [functools.partial(consensus_group, state["group_tables"][cohort], constraints,
-                              cfg.ess, derive_seed(cfg.seed, 3, gi), **search)
-            for gi, (cohort, _) in enumerate(groups)]
-    jobs += [functools.partial(predict_group, table, constraints, cfg.ess, experiment, seed)
+    jobs = [functools.partial(consensus.consensus_pipeline, table, constraints, cfg.bdeu,
+                              n_restarts=cfg.restarts, fraction=cfg.top_fraction,
+                              replicas=cfg.null_replicas, edge_probability=cfg.edge_probability,
+                              seed=derive_seed(cfg.seed, 3, gi))
+            for gi, table in enumerate(tables.values())]
+    jobs += [functools.partial(evaluate.predict_sleep_experiment, table, constraints, cfg.bdeu,
+                               cfg.experiment, seed=seed)
              for _, table, seed in tasks]
     folds = 1 if cfg.in_sample else cfg.folds
-    costs = ([cfg.restarts * (1 + cfg.null_replicas)] * len(groups)
+    costs = ([cfg.restarts * (1 + cfg.null_replicas)] * len(tables)
              + [folds * cfg.eval_restarts] * len(tasks))
     outcomes = run_split(jobs, costs)
-    state["predict_outcomes"] = outcomes[len(groups):]
 
-    state["consensus"] = {}
-    state["high_score_freqs"] = {}
-    summary = {}
-    for (cohort, _), (error, found) in zip(groups, outcomes):
+    networks, freqs = {}, {}
+    for cohort, (error, found) in zip(tables, outcomes):
         if error is not None:
             raise error
         cons_path = cfg.out_dir / f"consensus_{cohort}.json"
         freq_path = cfg.out_dir / f"edge_frequencies_{cohort}.csv"
         write_consensus_group(found, cons_path, freq_path, {"master_seed": cfg.seed})
-        artifacts.register(cons_path, freq_path)
-        result, freqs, _ = found
-        state["consensus"][cohort] = result
-        state["high_score_freqs"][cohort] = freqs
-        summary[cohort] = _network_summary(result)
-    state["report"]["consensus"] = summary
+        register(cons_path, freq_path)
+        networks[cohort], freqs[cohort], _, _ = found
+    return networks, freqs, outcomes[len(tables):]
 
 
 def _network_summary(result: consensus.ConsensusDag) -> dict:
@@ -548,48 +553,32 @@ def _network_summary(result: consensus.ConsensusDag) -> dict:
             "edges": [list(e) for e in edges]}
 
 
-def _stage_total_network(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
-    if len(state["groups"]) < 2:
-        return
-    cohorts = [c for c, _ in state["groups"]]
-    merged = consensus.merge_total_network(
-        [state["consensus"][c] for c in cohorts],
-        [state["high_score_freqs"][c] for c in cohorts],
-    )
-    state["consensus"]["total"] = merged
+def _stage_total_network(cfg: PipelineConfig, networks, freqs, register):
+    """The groups' networks merged into one, written to consensus_total.json."""
+    merged = consensus.merge_total_network(list(networks.values()), list(freqs.values()))
     path = cfg.out_dir / "consensus_total.json"
     write_json(path, {**merged.to_json(), "master_seed": cfg.seed})
-    artifacts.register(path)
-    state["report"]["consensus"]["total"] = _network_summary(merged)
+    register(path)
+    return merged
 
 
-def _prediction_tasks(cfg: PipelineConfig, state: dict):
-    """The predict stage's experiment and its (name, table, seed) per profile table."""
-    experiment = prediction_experiment(cfg.folds, cfg.in_sample, cfg.eval_restarts,
-                                       cfg.edge_probability)
-    tables = dict(state["group_tables"])
-    if len(tables) > 1:
-        pooled = np.concatenate([t.values for t in tables.values()])
-        tables["total"] = bayesnet.DatasetTable(bayesnet.profile_variables(), pooled)
-    return experiment, [(name, table, derive_seed(cfg.seed, 4, gi))
-                        for gi, (name, table) in enumerate(sorted(tables.items()))]
-
-
-def _stage_predict(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
-    _, tasks = state["prediction"]
+def _stage_predict(cfg: PipelineConfig, tasks, predicted, register) -> dict:
+    """Write each task's ROC curves; return the report's AUC entries."""
     results = {}
-    for (name, _, _), (error, result) in zip(tasks, state["predict_outcomes"]):
+    for (name, _, _), (error, result) in zip(tasks, predicted):
         if error is not None:
             raise error
         results[name] = evaluate.report_json(result)
-        artifacts.register(*write_roc_curves(result, cfg.out_dir, f"roc_{name}_"))
-    state["report"]["auc"] = results
+        register(*write_roc_curves(result, cfg.out_dir, f"roc_{name}_"))
+    return results
 
 
-def _stage_report(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
+def _structure_of_s(networks: dict[str, consensus.ConsensusDag]) -> dict:
+    """The report's parents, children and Markov blanket of S per network,
+    with how often each variable is among them over the group networks."""
     mb_tables = {}
     counts = {"parents": {}, "blanket": {}, "children": {}}
-    for cohort, result in state["consensus"].items():
+    for cohort, result in networks.items():
         dag = result.dag
         parents = sorted(dag.parents("S"))
         children = sorted(dag.children("S"))
@@ -600,18 +589,13 @@ def _stage_report(cfg: PipelineConfig, state: dict, artifacts: _Artifacts):
             "markov_blanket_of_S": blanket,
         }
         if cohort != "total":
-            for name in parents:
-                counts["parents"][name] = counts["parents"].get(name, 0) + 1
-            for name in children:
-                counts["children"][name] = counts["children"].get(name, 0) + 1
-            for name in blanket:
-                counts["blanket"][name] = counts["blanket"].get(name, 0) + 1
-    state["report"]["structure_of_S"] = {
+            for key, names in (("parents", parents), ("children", children),
+                               ("blanket", blanket)):
+                for name in names:
+                    counts[key][name] = counts[key].get(name, 0) + 1
+    return {
         "per_network": mb_tables,
         "times_in_parents": dict(sorted(counts["parents"].items())),
         "times_in_blanket": dict(sorted(counts["blanket"].items())),
         "times_in_children": dict(sorted(counts["children"].items())),
     }
-    report_path = cfg.out_dir / "report.json"
-    write_json(report_path, state["report"])
-    artifacts.register(report_path)

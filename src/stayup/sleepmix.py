@@ -282,10 +282,6 @@ class Assignments:
     labels: tuple[str, ...]
     student_ids: tuple[str, ...] | None = None
 
-    def as_dict(self) -> dict[str, str]:
-        ids = self.student_ids or tuple(str(i) for i in range(len(self.labels)))
-        return dict(zip(ids, self.labels))
-
 
 def stay_up_component(model: PoissonMixtureModel) -> int:
     """Component whose rate mass sits latest in the night (largest mean bin index)."""
@@ -299,11 +295,16 @@ def stay_up_component(model: PoissonMixtureModel) -> int:
     return int(order[-1])
 
 
+def check_threshold(threshold: float):
+    """Raise ValueError unless threshold lies strictly between 0 and 1."""
+    if not 0 < threshold < 1:
+        raise ValueError("threshold must lie strictly between 0 and 1")
+
+
 def assign_and_label(resp: Responsibilities, model: PoissonMixtureModel,
                      threshold: float = DEFAULT_THRESHOLD) -> Assignments:
     """Label each student stay_up when its stay-up responsibility reaches the threshold."""
-    if not 0 < threshold < 1:
-        raise ValueError("threshold must lie strictly between 0 and 1")
+    check_threshold(threshold)
     comp = stay_up_component(model)
     omega = np.asarray(resp.weights)[:, comp]
     labels = tuple(STAY_UP if w >= threshold else NON_STAY_UP for w in omega)

@@ -3,9 +3,10 @@
 Nothing under ``src/`` calls these; each is the plain form of something the
 program computes another way: BDeu scores family by family (the oracle of
 ``bayesnet.score_table``), the move set and the moves of a single graph
-(the oracle of ``bayesnet.climb_batch``), exact posteriors by enumeration,
-the mixture's E-step on its own, and the night and bin of one timestamp
-(the oracle of ``ingest.extract_bedtimes``). Not a test module, so pytest
+(the oracle of ``bayesnet.climb_batch``) with the graph copy and edge
+deletion they need, exact posteriors by enumeration, the mixture's E-step
+on its own, and the night and bin of one timestamp (the oracle of
+``ingest.extract_bedtimes``). Not a test module, so pytest
 does not collect it; tests import it as ``reference``.
 """
 
@@ -83,15 +84,31 @@ def legal_moves(dag: bn.Dag, constraints: bn.LayerConstraints) -> list[tuple[str
             for u, v, slot in zip(*np.nonzero(legal))]
 
 
+def copy_dag(dag: bn.Dag) -> bn.Dag:
+    out = bn.Dag(dag.variables)
+    out._pa = list(dag._pa)
+    out._ch = list(dag._ch)
+    return out
+
+
+def remove_edge(dag: bn.Dag, u, v):
+    """Delete the edge u -> v of dag in place; u and v are names or indices."""
+    ui, vi = dag._idx(u), dag._idx(v)
+    if not dag.has_edge(ui, vi):
+        raise ValueError("edge not present")
+    dag._ch[ui] &= ~(1 << vi)
+    dag._pa[vi] &= ~(1 << ui)
+
+
 def apply_move(dag: bn.Dag, move: tuple[str, str, str]) -> bn.Dag:
-    out = dag.copy()
+    out = copy_dag(dag)
     kind, u, v = move
     if kind == "add":
         out.add_edge(u, v)
     elif kind == "delete":
-        out.remove_edge(u, v)
+        remove_edge(out, u, v)
     elif kind == "reverse":
-        out.remove_edge(u, v)
+        remove_edge(out, u, v)
         out.add_edge(v, u)
     else:
         raise ValueError(f"unknown move kind {kind!r}")

@@ -140,7 +140,7 @@ def test_criterion_3_bdeu_correctness():
         if not adds:
             continue
         _, u, v = adds[int(rng.integers(len(adds)))]
-        bigger = dag.copy()
+        bigger = reference.copy_dag(dag)
         bigger.add_edge(u, v)
         full = reference.bdeu_score(bigger, data, BDEU) - reference.bdeu_score(dag, data, BDEU)
         family = reference.bdeu_family_score(data, v, bigger.parents(v), BDEU) - \

@@ -169,7 +169,7 @@ class TestBdeuScore:
             if not adds:
                 continue
             _, u, v = adds[int(rng.integers(len(adds)))]
-            bigger = dag.copy()
+            bigger = reference.copy_dag(dag)
             bigger.add_edge(u, v)
             full_delta = (reference.bdeu_score(bigger, data, CFG)
                           - reference.bdeu_score(dag, data, CFG))
@@ -819,7 +819,7 @@ def ref_move_candidates(dag, constraints):
             if dag.has_edge(u, v):
                 yield ("delete", u, v)
                 if constraints.allows(v, u):
-                    dag.remove_edge(u, v)
+                    reference.remove_edge(dag, u, v)
                     ok = not dag.reaches(u, v)
                     dag.add_edge(u, v)
                     if ok:
@@ -832,7 +832,7 @@ def ref_hill_climb(data, constraints, cfg, start, seed, cache):
     """Returns (dag, score, number of random tie-break draws, number of moves)."""
     rng = np.random.default_rng(seed)
     n = data.variables.n
-    dag = start.copy()
+    dag = reference.copy_dag(start)
     pa = [frozenset(dag.parent_indices(i)) for i in range(n)]
     fam = [cache.score(i, pa[i]) for i in range(n)]
     draws = moves = 0
@@ -865,11 +865,11 @@ def ref_hill_climb(data, constraints, cfg, start, seed, cache):
             pa[v] = pa[v] | {u}
             fam[v] = cache.score(v, pa[v])
         elif kind == "delete":
-            dag.remove_edge(u, v)
+            reference.remove_edge(dag, u, v)
             pa[v] = pa[v] - {u}
             fam[v] = cache.score(v, pa[v])
         else:
-            dag.remove_edge(u, v)
+            reference.remove_edge(dag, u, v)
             dag.add_edge(v, u)
             pa[v] = pa[v] - {u}
             pa[u] = pa[u] | {v}
@@ -1085,7 +1085,7 @@ class TestStructuralHammingDistance:
     def test_identical_zero(self):
         var = bn.VariableSet.binary(["A", "B", "C"])
         dag = bn.Dag(var, [("A", "B")])
-        assert reference.structural_hamming_distance(dag, dag.copy()) == 0
+        assert reference.structural_hamming_distance(dag, reference.copy_dag(dag)) == 0
 
     def test_reversal_counts_once(self):
         var = bn.VariableSet.binary(["A", "B"])

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stayup import cli, ingest, pipeline, sleepmix
+from stayup import bayesnet, cli, consensus, evaluate, ingest, pipeline, profiles, sleepmix
 from stayup.pipeline import PipelineConfig, run_pipeline
 
 FAST = dict(
@@ -87,15 +87,16 @@ class TestSubcommands:
             "ingest", "--data", str(data_dir), "--out", str(cli_out), "--min-nights", "5",
         ]) == 0
         run_out.mkdir()
-        state = {"report": {}}
         cfg = PipelineConfig(data_dir=data_dir, out_dir=run_out, min_nights=5)
-        pipeline._stage_ingest(cfg, state, pipeline._Artifacts(run_out))
+        registered = []
+        result = pipeline._stage_ingest(cfg, lambda *paths: registered.extend(paths))
+        assert registered == [run_out / name for name in ingest.INGEST_OUTPUTS]
         for name in ("sleep_counts.csv", "features.csv"):
             assert (cli_out / name).read_bytes() == (run_out / name).read_bytes()
         report = json.loads((cli_out / "ingest_report.json").read_text())
         assert report.pop("reasons") == {}
-        assert report == state["report"]["ingest"]
-        assert "store" not in state and len(state["demographics"]) == 450
+        assert report == result.summary()
+        assert len(result.demographics) == 450
 
     @pytest.mark.parametrize("variant, steps, threshold", [
         ("standard", {"estep": "standard", "mstep": "exact_map"}, 1e-6),
@@ -347,6 +348,37 @@ class TestStageInputs:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == f"error: {bad}: line 3: {reason}\n"
 
+    @pytest.mark.parametrize("argv, field", [
+        (["ingest", "--min-nights", "0"], "min_nights"),
+        (["sleep-fit", "--em-restarts", "0"], "em_restarts"),
+        (["sleep-fit", "--components", "0"], "components"),
+        (["sleep-fit", "--threshold", "1.5"], "threshold"),
+        (["bn-learn", "--restarts", "0"], "restarts"),
+        (["bn-learn", "--ess", "0"], "ess"),
+        (["consensus", "--restarts", "0"], "restarts"),
+        (["consensus", "--ess", "0"], "ess"),
+        (["consensus", "--null-replicas", "0"], "null_replicas"),
+        (["consensus", "--fraction", "0"], "top_fraction"),
+        (["consensus", "--edge-probability", "1.5"], "edge_probability"),
+        (["predict", "--folds", "1"], "folds"),
+        (["predict", "--restarts", "0"], "restarts"),
+        (["predict", "--ess", "0"], "ess"),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
+    def test_bad_setting_exits_2_before_reading_input(self, data_dir, run_dir, tmp_path, capsys,
+                                                      argv, field):
+        inputs = {
+            "ingest": ["--data", str(data_dir)],
+            "sleep-fit": ["--counts", str(run_dir / "sleep_counts.csv")],
+            "bn-learn": ["--profiles", str(run_dir / "profiles.csv")],
+            "consensus": ["--profiles", str(run_dir / "profiles.csv")],
+            "predict": ["--profiles", str(run_dir / "profiles.csv")],
+        }[argv[0]]
+        out = tmp_path / "out"
+        assert cli.main([argv[0], *inputs, "--out", str(out), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(rf"\b{field}\b", err), err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["bn-learn", "consensus", "predict"])
     @pytest.mark.parametrize("rows", [0, 1])
     def test_table_of_fewer_than_two_profiles(self, run_dir, tmp_path, capsys, command, rows):
@@ -462,6 +494,43 @@ class TestRun:
         assert "ingest" in manifest["stages"]
 
 
+# each run stage and one library call it makes
+STAGE_CALLS = [
+    ("ingest", ingest, "ingest_logs"),
+    ("sleep_fit", sleepmix, "fit"),
+    ("profile", profiles, "build_profiles"),
+    ("consensus", consensus, "consensus_pipeline"),
+    ("total_network", consensus, "merge_total_network"),
+    ("predict", evaluate, "predict_sleep_experiment"),
+    ("report", bayesnet, "markov_blanket"),
+]
+
+
+class TestStageFailure:
+    """Whichever stage fails, run names it, and MANIFEST lists the stages
+    before it and every file on disk."""
+
+    @pytest.mark.parametrize("stage, module, name", STAGE_CALLS,
+                             ids=[stage for stage, _, _ in STAGE_CALLS])
+    def test_manifest_of_a_failed_stage(self, data_dir, tmp_path, monkeypatch,
+                                        stage, module, name):
+        def failing(*args, **kwargs):
+            raise ValueError(f"planted {stage} failure")
+
+        monkeypatch.setattr(module, name, failing)
+        out = tmp_path / "run"
+        with pytest.raises(pipeline.StageError) as info:
+            run_pipeline(PipelineConfig(data_dir=data_dir, out_dir=out, seed=5, **FAST))
+        assert info.value.stage == stage
+        assert f"planted {stage} failure" in str(info.value)
+        manifest = load_json(out / "MANIFEST.json")
+        stages = [s for s, _, _ in STAGE_CALLS]
+        assert manifest["stages"] == stages[:stages.index(stage)]
+        assert manifest["incomplete"] == [stage]
+        assert {p.name for p in out.iterdir()} - {"MANIFEST.json"} == set(manifest["files"])
+        assert_no_children()
+
+
 def assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -490,7 +559,7 @@ class TestRunSplit:
         def failing(*args, **kwargs):
             raise ValueError("planted predict failure")
 
-        monkeypatch.setattr(pipeline, "predict_group", failing)
+        monkeypatch.setattr(evaluate, "predict_sleep_experiment", failing)
         out = tmp_path / "run"
         with pytest.raises(pipeline.StageError) as info:
             run_pipeline(PipelineConfig(data_dir=data_dir, out_dir=out, seed=5, **FAST))
@@ -506,14 +575,14 @@ class TestRunSplit:
         assert_no_children()
 
     def test_failed_consensus_job_fails_in_cohort_order(self, data_dir, tmp_path, monkeypatch):
-        search = pipeline.consensus_group
+        search = consensus.consensus_pipeline
 
-        def failing(table, constraints, ess, seed, **kwargs):
-            if seed in (pipeline.derive_seed(5, 3, 1), pipeline.derive_seed(5, 3, 2)):
-                raise ValueError(f"planted consensus failure {seed}")
-            return search(table, constraints, ess, seed, **kwargs)
+        def failing(table, constraints, cfg, **kwargs):
+            if kwargs["seed"] in (pipeline.derive_seed(5, 3, 1), pipeline.derive_seed(5, 3, 2)):
+                raise ValueError(f"planted consensus failure {kwargs['seed']}")
+            return search(table, constraints, cfg, **kwargs)
 
-        monkeypatch.setattr(pipeline, "consensus_group", failing)
+        monkeypatch.setattr(consensus, "consensus_pipeline", failing)
         out = tmp_path / "run"
         with pytest.raises(pipeline.StageError) as info:
             run_pipeline(PipelineConfig(data_dir=data_dir, out_dir=out, seed=5, **FAST))

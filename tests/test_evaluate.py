@@ -163,7 +163,7 @@ class TestFolds:
         for (train, test), part in zip(splits, ev.fold_indices(103, 5, seed=4)):
             np.testing.assert_array_equal(test, part)
             np.testing.assert_array_equal(np.sort(np.concatenate([train, test])), np.arange(103))
-        (train, test), = ev.cv_plan(y, ev.PredictionExperiment(mode="in_sample"), seed=4)[0]
+        (train, test), = ev.cv_plan(y, ev.PredictionExperiment(in_sample=True), seed=4)[0]
         np.testing.assert_array_equal(train, np.arange(103))
         np.testing.assert_array_equal(test, np.arange(103))
 
@@ -171,7 +171,8 @@ class TestFolds:
         with pytest.raises(ValueError):
             ev.PredictionExperiment(folds=1)
         with pytest.raises(ValueError):
-            ev.PredictionExperiment(mode="train_test")
+            ev.PredictionExperiment(restarts=0)
+        ev.PredictionExperiment(folds=1, in_sample=True)
 
 
 class TestPredictSleepExperiment:
@@ -213,7 +214,7 @@ class TestPredictSleepExperiment:
 
     def test_in_sample_mode_single_curve(self):
         table, constraints = self._profiles(n=600)
-        experiment = ev.PredictionExperiment(mode="in_sample", restarts=6)
+        experiment = ev.PredictionExperiment(in_sample=True, restarts=6)
         result = ev.predict_sleep_experiment(table, constraints, CFG, experiment, seed=4)
         assert len(result.curves) == 1
         assert result.auc_mean == result.auc_per_fold[0]

@@ -366,4 +366,4 @@ class TestSerialization:
         sm.write_assignments_csv(path, zip(
             assignments.student_ids, assignments.omega_stay_up, assignments.labels))
         labels = sm.read_assignments_csv(path)
-        assert labels == assignments.as_dict()
+        assert labels == dict(zip(assignments.student_ids, assignments.labels))
