@@ -114,7 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_synth(args) -> int:
     truth = synth.default_ground_truth() if args.truth == "default" else synth.structure_recovery_truth()
-    cfg = synth.GeneratorConfig(args.students, args.nights, args.seed, args.emit)
+    cfg = pipeline.checked(
+        lambda: synth.GeneratorConfig(args.students, args.nights, args.seed, args.emit),
+        args, "students", "nights")
     args.out.mkdir(parents=True, exist_ok=True)
     if args.emit == "full_logs":
         result = synth.generate_full_logs(truth, cfg, args.out)
@@ -122,15 +124,13 @@ def _cmd_synth(args) -> int:
             print(f"[synth] wrote {name}: {path}")
     elif args.emit == "profiles":
         table, ids = synth.generate_profiles(truth, cfg)
-        rows = [profiles.StudentProfile(sid, *map(int, table.values[i]))
-                for i, sid in enumerate(ids)]
         out = args.out / "profiles.csv"
-        profiles.write_profiles_csv(out, rows)
+        profiles.write_profiles_csv(out, ids, table)
         print(f"[synth] wrote {out}")
     else:
-        vectors, labels = synth.generate_sleep_data(truth, cfg)
+        ids, counts, labels = synth.generate_sleep_data(truth, cfg)
         out = args.out / "sleep_counts.csv"
-        ingest.write_sleep_counts_csv(out, vectors, truth.mixture.rates.shape[1])
+        ingest.write_sleep_counts_csv(out, ids, counts)
         labels_path = args.out / "true_components.json"
         pipeline.write_json(labels_path, labels)
         print(f"[synth] wrote {out} and {labels_path}")
@@ -138,7 +138,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    pipeline.check_ranges(min_nights=args.min_nights)
+    pipeline.check_ranges(min_nights=args.min_nights, gpa_max=args.gpa_max)
     pipeline.require("data directory", args.data)
     pipeline.require("input file", *ingest.LogPaths.from_dir(args.data).as_dict().values())
     args.out.mkdir(parents=True, exist_ok=True)
@@ -146,7 +146,7 @@ def _cmd_ingest(args) -> int:
                                 gpa_max=args.gpa_max, min_nights=args.min_nights)
     pipeline.write_json(args.out / "ingest_report.json",
                         {**result.summary(), "reasons": result.report.reasons})
-    print(f"[ingest] {len(result.counts)} students with counts, "
+    print(f"[ingest] {len(result.count_ids)} students with counts, "
           f"{len(result.features)} with features")
     return 0
 
@@ -158,10 +158,10 @@ def _cmd_sleep_fit(args) -> int:
         args, "components", "em_restarts", "variant")
     pipeline.checked(lambda: sleepmix.check_threshold(args.threshold), args, "threshold")
     pipeline.require("counts file", args.counts)
-    counts = ingest.read_sleep_counts_csv(args.counts)
-    pipeline.require_students(str(args.counts), len(counts), args.components, "--min-nights")
+    ids, counts = ingest.read_sleep_counts_csv(args.counts)
+    pipeline.require_students(str(args.counts), len(ids), args.components, "--min-nights")
     args.out.mkdir(parents=True, exist_ok=True)
-    rows, diag = pipeline.sleep_fit_group(counts, mix_cfg, args.threshold,
+    rows, diag = pipeline.sleep_fit_group(ids, counts, mix_cfg, args.threshold,
                                           args.out / "model.json", {})
     sleepmix.write_assignments_csv(args.out / "assignments.csv", rows)
     n_up = sum(label == sleepmix.STAY_UP for _, _, label in rows)
@@ -187,16 +187,15 @@ def _cmd_profile(args) -> int:
         scopes = [(c, ids) for c, ids in pipeline.cohort_groups("all", demographics) if ids]
     args.out.mkdir(parents=True, exist_ok=True)
     results = pipeline.profile_groups(scopes, features, labels, args.out, {})
-    print(f"[profile] wrote {sum(len(r.profiles) for r in results.values())} profiles")
+    print(f"[profile] wrote {sum(len(r.ids) for r in results.values())} profiles")
     return 0
 
 
 def _load_table(path: Path) -> bayesnet.DatasetTable:
     pipeline.require("profiles file", path)
-    rows = profiles.read_profiles_csv(path)
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need at least two profiles, got {len(rows)}")
-    table, _ = profiles.profiles_to_table(rows)
+    _, table = profiles.read_profiles_csv(path)
+    if table.n_rows < 2:
+        raise ValueError(f"{path}: need at least two profiles, got {table.n_rows}")
     return table
 
 

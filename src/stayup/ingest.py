@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -116,17 +116,6 @@ class Bedtimes:
 
     def __len__(self) -> int:
         return self.student.size
-
-
-@dataclass
-class SleepCountVector:
-    student_id: str
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 1 or np.any(self.counts < 0):
-            raise ValueError("counts must be a non-negative vector")
 
 
 @dataclass
@@ -250,14 +239,17 @@ def check_columns(path, header, columns):
 def stage_records(path, reader: csv.DictReader, parse):
     """Yield parse(row) for each data row of a stage file whose header was checked.
 
-    A row with fewer fields than the header, or one that parse rejects with
-    ValueError (a non-numeric count, say), raises ValueError("<path>: line
-    N: <reason>"), N being the row's last physical line.
+    A row with fewer or more fields than the header, or one that parse
+    rejects with ValueError (a non-numeric count, say), raises
+    ValueError("<path>: line N: <reason>"), N being the row's last physical
+    line.
     """
     for row in reader:
         try:
             if None in row.values():
                 raise ValueError(f"fewer fields than the {len(reader.fieldnames)} of the header")
+            if None in row:   # DictReader's key for the fields past the header's
+                raise ValueError(f"more fields than the {len(reader.fieldnames)} of the header")
             yield parse(row)
         except ValueError as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
@@ -606,8 +598,10 @@ def extract_bedtimes(sessions: EventColumns, cfg: NightWindowConfig) -> Bedtimes
 
 
 def aggregate_sleep_counts(bedtimes: Bedtimes, cfg: NightWindowConfig,
-                           min_nights: int = DEFAULT_MIN_NIGHTS) -> dict[str, SleepCountVector]:
-    """Per-student counts of nights per bin; thin students are dropped."""
+                           min_nights: int = DEFAULT_MIN_NIGHTS,
+                           ) -> tuple[tuple[str, ...], np.ndarray]:
+    """(ids, counts): the (N, bins) int64 counts of nights per bin of each
+    student with at least min_nights, row i being ids[i], in id order."""
     if min_nights < 1:
         raise ValueError("min_nights must be >= 1")
     if len(bedtimes) and (bedtimes.bin.min() < 0 or bedtimes.bin.max() >= cfg.bin_count):
@@ -615,10 +609,8 @@ def aggregate_sleep_counts(bedtimes: Bedtimes, cfg: NightWindowConfig,
     n = len(bedtimes.students)
     counts = np.bincount(bedtimes.student * cfg.bin_count + bedtimes.bin,
                          minlength=n * cfg.bin_count).reshape(n, cfg.bin_count)
-    return {
-        bedtimes.students[i]: SleepCountVector(bedtimes.students[i], counts[i])
-        for i in np.flatnonzero(counts.sum(axis=1) >= min_nights).tolist()
-    }
+    keep = np.flatnonzero(counts.sum(axis=1) >= min_nights)
+    return tuple(bedtimes.students[i] for i in keep.tolist()), counts[keep]
 
 
 def infer_study_days(store: EventStore) -> int:
@@ -696,7 +688,8 @@ def compute_raw_features(store: EventStore, study_days: int,
 
 @dataclass
 class IngestResult:
-    counts: dict[str, SleepCountVector]
+    count_ids: tuple[str, ...]   # the student of each row of counts
+    counts: np.ndarray
     features: dict[str, RawFeatureRecord]
     demographics: dict[str, DemographicRecord]
     report: ParseReport
@@ -705,7 +698,7 @@ class IngestResult:
         return {
             "loaded": self.report.loaded,
             "skipped": self.report.skipped,
-            "students_with_counts": len(self.counts),
+            "students_with_counts": len(self.count_ids),
             "students_with_features": len(self.features),
         }
 
@@ -718,32 +711,49 @@ def ingest_logs(data_dir, out_dir, strict: bool = False, gpa_max: float = DEFAUL
     """The ingest stage: parse the five logs, write INGEST_OUTPUTS into out_dir."""
     store = parse_logs(LogPaths.from_dir(data_dir), strict=strict, gpa_max=gpa_max)
     night_cfg = NightWindowConfig()
-    counts = aggregate_sleep_counts(extract_bedtimes(store.sessions, night_cfg),
-                                    night_cfg, min_nights)
+    ids, counts = aggregate_sleep_counts(extract_bedtimes(store.sessions, night_cfg),
+                                         night_cfg, min_nights)
     features = compute_raw_features(store, infer_study_days(store))
     out_dir = Path(out_dir)
-    write_sleep_counts_csv(out_dir / INGEST_OUTPUTS[0], counts, night_cfg.bin_count)
+    write_sleep_counts_csv(out_dir / INGEST_OUTPUTS[0], ids, counts)
     write_features_csv(out_dir / INGEST_OUTPUTS[1], features)
-    return IngestResult(counts, features, store.demographics, store.report)
+    return IngestResult(ids, counts, features, store.demographics, store.report)
 
 
-def write_sleep_counts_csv(path, counts: Mapping[str, SleepCountVector], bin_count: int = 16):
+def write_sleep_counts_csv(path, ids: Sequence[str], counts: np.ndarray):
+    """One row per student in id order, one column per bin of counts."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["student_id"] + [f"c{i}" for i in range(bin_count)])
-        for sid in sorted(counts):
-            writer.writerow([sid] + [int(x) for x in counts[sid].counts])
+        writer.writerow(["student_id"] + [f"c{i}" for i in range(counts.shape[1])])
+        for i in sorted(range(len(ids)), key=ids.__getitem__):
+            writer.writerow([ids[i], *counts[i].tolist()])
 
 
-def read_sleep_counts_csv(path) -> dict[str, SleepCountVector]:
+def _count_row(columns):
+    """A stage_records parse of one sleep-counts row to (id, counts)."""
+    seen = set()
+
+    def parse(row) -> tuple[str, list[int]]:
+        sid, counts = row["student_id"], [int(row[c]) for c in columns]
+        if min(counts) < 0:
+            raise ValueError("counts must be a non-negative vector")
+        if sid in seen:
+            raise ValueError(f"duplicate student {sid}")
+        seen.add(sid)
+        return sid, counts
+    return parse
+
+
+def read_sleep_counts_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """(ids, counts) of a sleep-counts file, rows in file order."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         bins = len(reader.fieldnames or ()) - 1
         check_columns(path, reader.fieldnames,
                       ["student_id"] + [f"c{i}" for i in range(max(bins, 1))])
-        columns = [f"c{i}" for i in range(bins)]
-        return {v.student_id: v for v in stage_records(path, reader, lambda row: SleepCountVector(
-            row["student_id"], np.array([int(row[c]) for c in columns])))}
+        rows = list(stage_records(path, reader, _count_row([f"c{i}" for i in range(bins)])))
+    ids = tuple(sid for sid, _ in rows)
+    return ids, np.array([c for _, c in rows], dtype=np.int64).reshape(len(rows), bins)
 
 
 FEATURE_COLUMNS = [

@@ -42,6 +42,7 @@ class StageError(RuntimeError):
 # bounds of the settings that no stage config checks, by PipelineConfig field
 RANGES = {
     "min_nights": (lambda v: v >= 1, ">= 1"),
+    "gpa_max": (lambda v: v > 0, "> 0"),
     "restarts": (lambda v: v >= 1, ">= 1"),
     "null_replicas": (lambda v: v >= 1, ">= 1"),
     "top_fraction": (lambda v: 0 < v <= 1, "in (0, 1]"),
@@ -197,8 +198,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         report["ingest"] = ingested.summary()
     with stage("sleep_fit"):
         groups = cohort_groups(cfg.cohort, ingested.demographics)
-        labels, report["cluster_sizes"] = _stage_sleep_fit(cfg, groups, ingested.counts,
-                                                           register)
+        labels, report["cluster_sizes"] = _stage_sleep_fit(cfg, groups, ingested.count_ids,
+                                                           ingested.counts, register)
     with stage("profile"):
         tables, report["profiling"] = _stage_profile(cfg, groups, ingested.features, labels,
                                                      register)
@@ -243,11 +244,12 @@ def require_students(what: str, n_students: int, components: int, min_nights: st
                          f"bedtime on fewer than {min_nights} nights")
 
 
-def sleep_fit_group(counts, mix_cfg: sleepmix.MixtureConfig, threshold: float,
+def sleep_fit_group(ids, counts, mix_cfg: sleepmix.MixtureConfig, threshold: float,
                     model_path: Path, extra: dict):
-    """Write the group's fitted model plus extra keys once its students are
-    labelled; return its (student, omega, label) rows and the fit diagnostics."""
-    model, resp, diag = sleepmix.fit(counts, mix_cfg)
+    """Fit the group's counts, row i being student ids[i]; write its fitted
+    model plus extra keys once its students are labelled; return its
+    (student, omega, label) rows and the fit diagnostics."""
+    model, resp, diag = sleepmix.fit(counts, mix_cfg, ids)
     assigned = sleepmix.assign_and_label(resp, model, threshold)
     write_json(model_path, {**sleepmix.model_to_json(model, mix_cfg), **extra})
     return list(zip(assigned.student_ids, assigned.omega_stay_up, assigned.labels)), diag
@@ -266,8 +268,10 @@ def profile_groups(scopes, features, labels, out_dir: Path,
                 {sid: labels[sid] for sid in members if sid in labels})
         except ValueError as exc:
             raise ValueError(f"{name} profiles: {exc}") from None
-    profiles.write_profiles_csv(out_dir / "profiles.csv",
-                                [p for result in results.values() for p in result.profiles])
+    profiles.write_profiles_csv(
+        out_dir / "profiles.csv", [sid for r in results.values() for sid in r.ids],
+        bayesnet.DatasetTable(bayesnet.profile_variables(),
+                              np.concatenate([r.table.values for r in results.values()])))
     write_json(out_dir / "profile_meta.json", {
         **profiles.metadata_json({name: r.medians for name, r in results.items()}),
         **extra,
@@ -426,6 +430,12 @@ def run_split(jobs: Sequence[Callable[[], object]],
 
 # --- the run stages ---
 
+def _rows_of(ids: Sequence[str], members: list[str]) -> list[int]:
+    """Positions in ids of the given students, in the order of ids."""
+    members = set(members)
+    return [i for i, sid in enumerate(ids) if sid in members]
+
+
 def _stage_ingest(cfg: PipelineConfig, register) -> ingest.IngestResult:
     result = ingest.ingest_logs(cfg.data_dir, cfg.out_dir, strict=cfg.strict_parse,
                                 gpa_max=cfg.gpa_max, min_nights=cfg.min_nights)
@@ -433,31 +443,32 @@ def _stage_ingest(cfg: PipelineConfig, register) -> ingest.IngestResult:
     return result
 
 
-def _stage_sleep_fit(cfg: PipelineConfig, groups, counts, register):
-    """Fit each group's mixture; return every labelled student's label and
-    the report's cluster sizes."""
+def _stage_sleep_fit(cfg: PipelineConfig, groups, ids, counts, register):
+    """Fit each group's mixture to its rows of counts, row i being student
+    ids[i]; return every labelled student's label and the report's cluster
+    sizes."""
     rows: list[tuple[str, float, str]] = []
     cluster_sizes: dict[str, dict[str, int]] = {}
-    all_counts = [{sid: counts[sid] for sid in members if sid in counts}
-                  for _, members in groups]
-    for (cohort, _), group_counts in zip(groups, all_counts):
-        require_students(f"cohort {cohort!r}", len(group_counts), cfg.components,
+    group_rows = [_rows_of(ids, members) for _, members in groups]
+    for (cohort, _), at in zip(groups, group_rows):
+        require_students(f"cohort {cohort!r}", len(at), cfg.components,
                          f"min_nights={cfg.min_nights}")
-    for gi, ((cohort, _), group_counts) in enumerate(zip(groups, all_counts)):
+    for gi, ((cohort, _), at) in enumerate(zip(groups, group_rows)):
         mix_cfg = dataclasses.replace(cfg.mixture, seed=derive_seed(cfg.seed, 1, gi))
         model_path = cfg.out_dir / f"model_{cohort}.json"
         try:
-            group_rows, _ = sleep_fit_group(group_counts, mix_cfg, sleepmix.DEFAULT_THRESHOLD,
-                                            model_path, {"master_seed": cfg.seed})
+            labelled, _ = sleep_fit_group(tuple(ids[i] for i in at), counts[at], mix_cfg,
+                                          sleepmix.DEFAULT_THRESHOLD, model_path,
+                                          {"master_seed": cfg.seed})
         except (ValueError, sleepmix.MixtureError) as exc:   # both take one message
             raise type(exc)(f"cohort {cohort!r}: {exc}") from exc
         register(model_path)
-        rows.extend(group_rows)
-        n_up = sum(label == sleepmix.STAY_UP for _, _, label in group_rows)
+        rows.extend(labelled)
+        n_up = sum(label == sleepmix.STAY_UP for _, _, label in labelled)
         cluster_sizes[cohort] = {
             "stay_up": n_up,
-            "non_stay_up": len(group_counts) - n_up,
-            "total": len(group_counts),
+            "non_stay_up": len(at) - n_up,
+            "total": len(at),
         }
     cluster_sizes["total"] = {
         key: sum(row[key] for c, row in cluster_sizes.items() if c != "total")
@@ -480,17 +491,18 @@ def _stage_profile(cfg: PipelineConfig, groups, features, labels, register):
     results = profile_groups(scopes, features, labels, cfg.out_dir, {"master_seed": cfg.seed})
     register(cfg.out_dir / "profiles.csv", cfg.out_dir / "profile_meta.json")
 
-    # scopes are disjoint, so each student is profiled at most once
-    by_id = {p.student_id: p for result in results.values() for p in result.profiles}
-    tables: dict[str, bayesnet.DatasetTable] = {}
-    for cohort, members in groups:
-        rows = [by_id[sid] for sid in members if sid in by_id]
-        if len(rows) < 2:   # only a global scope gets here: a cohort scope fails above
-            raise ValueError(f"{cohort} profiles: need at least two fully observed students "
-                             f"to profile, got {len(rows)}")
-        tables[cohort], _ = profiles.profiles_to_table(rows)
+    if cfg.median_scope == "global":
+        tables = {}
+        for cohort, members in groups:
+            at = _rows_of(results["global"].ids, members)
+            if len(at) < 2:   # a cohort scope fails in profile_groups instead
+                raise ValueError(f"{cohort} profiles: need at least two fully observed "
+                                 f"students to profile, got {len(at)}")
+            tables[cohort] = results["global"].table.subset(at)
+    else:
+        tables = {cohort: result.table for cohort, result in results.items()}
     return tables, {
-        "students_profiled": len(by_id),
+        "students_profiled": sum(len(r.ids) for r in results.values()),
         "excluded": {g: dict(sorted(r.excluded.items()))
                      for g, r in results.items() if r.excluded},
     }

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,23 +32,6 @@ MEDIAN_SPLITS = {
 SPLIT_VARIABLES = tuple(MEDIAN_SPLITS)
 
 
-@dataclass
-class StudentProfile:
-    student_id: str
-    G: int
-    R: int
-    A: int
-    T: int
-    Br: int
-    Ba: int
-    F: int
-    Ac: int
-    S: int
-
-    def bits(self) -> tuple[int, ...]:
-        return (self.G, self.R, self.A, self.T, self.Br, self.Ba, self.F, self.Ac, self.S)
-
-
 def _median(values) -> float:
     """np.median of a list of floats, bit for bit, without np.median's first-call
     import of numpy.ma: NaN if any value is NaN (or there is none), else the
@@ -67,26 +50,31 @@ def _median(values) -> float:
     return float((0.0 + ordered[mid - 1] + ordered[mid]) / 2)
 
 
-def _split(values: Mapping[str, float], high_is_one: bool) -> tuple[dict[str, int], float]:
-    med = _median(list(values.values()))
-    if high_is_one:
-        return {k: int(v > med) for k, v in values.items()}, med
-    return {k: int(v <= med) for k, v in values.items()}, med
+def _split(values: np.ndarray, high_is_one: bool) -> tuple[np.ndarray, float]:
+    """(bit of each value, the median): 1 above the median, or at or below it
+    when not high_is_one."""
+    med = _median(values)
+    return (values > med) if high_is_one else (values <= med), med
 
 
 def median_split(values: Mapping[str, float]) -> dict[str, int]:
     """Label 1 iff the value strictly exceeds the median (ties go low)."""
     if len(values) < 2:
         raise ValueError("median_split needs at least two students")
-    labels, _ = _split(values, True)
-    return labels
+    bits, _ = _split(np.asarray(list(values.values()), dtype=np.float64), True)
+    return dict(zip(values, bits.astype(int).tolist()))
 
 
 @dataclass
 class ProfileResult:
-    profiles: list[StudentProfile]
+    ids: tuple[str, ...]   # the student of each row of table, in id order
+    table: DatasetTable
     medians: dict[str, float]
     excluded: dict[str, str]
+
+
+def _sleep_bit(label) -> int:
+    return int(label == STAY_UP) if isinstance(label, str) else int(label)
 
 
 def build_profiles(features: Mapping[str, RawFeatureRecord],
@@ -112,59 +100,50 @@ def build_profiles(features: Mapping[str, RawFeatureRecord],
         raise ValueError("need at least two fully observed students to profile, "
                          f"got {len(included)}")
 
-    bits: dict[str, dict[str, int]] = {}
+    records = [features[sid] for sid in included]
+    columns = {
+        "G": [rec.gender == "female" for rec in records],
+        "A": [rec.video_minutes > rec.game_minutes for rec in records],
+        "S": [_sleep_bit(sleep_labels[sid]) for sid in included],
+    }
     medians: dict[str, float] = {}
     for name, (source, high_is_one) in MEDIAN_SPLITS.items():
-        values = {sid: float(getattr(features[sid], source)) for sid in included}
-        bits[name], medians[name] = _split(values, high_is_one)
-
-    def sleep_bit(sid: str) -> int:
-        label = sleep_labels[sid]
-        if isinstance(label, str):
-            return int(label == STAY_UP)
-        return int(label)
-
-    profiles = []
-    for sid in included:
-        rec = features[sid]
-        profiles.append(StudentProfile(
-            student_id=sid,
-            G=int(rec.gender == "female"),
-            R=bits["R"][sid],
-            A=int(rec.video_minutes > rec.game_minutes),
-            T=bits["T"][sid],
-            Br=bits["Br"][sid],
-            Ba=bits["Ba"][sid],
-            F=bits["F"][sid],
-            Ac=bits["Ac"][sid],
-            S=sleep_bit(sid),
-        ))
-    return ProfileResult(profiles, medians, excluded)
-
-
-def profiles_to_table(profiles: list[StudentProfile]) -> tuple[DatasetTable, tuple[str, ...]]:
+        values = np.array([float(getattr(rec, source)) for rec in records])
+        columns[name], medians[name] = _split(values, high_is_one)
     variables = profile_variables()
-    values = np.array([p.bits() for p in profiles], dtype=np.uint8).reshape(len(profiles), 9)
-    return DatasetTable(variables, values), tuple(p.student_id for p in profiles)
+    table = DatasetTable(variables, np.column_stack([columns[name] for name in variables.names]))
+    return ProfileResult(tuple(included), table, medians, excluded)
 
 
 PROFILE_HEADER = ["student_id", "G", "R", "A", "T", "Br", "Ba", "F", "Ac", "S"]
 
 
-def write_profiles_csv(path, profiles: list[StudentProfile]):
+def write_profiles_csv(path, ids: Sequence[str], table: DatasetTable):
+    """One row per student in id order, one column per profile variable."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PROFILE_HEADER)
-        for p in sorted(profiles, key=lambda p: p.student_id):
-            writer.writerow([p.student_id, *p.bits()])
+        for i in sorted(range(len(ids)), key=ids.__getitem__):
+            writer.writerow([ids[i], *table.values[i].tolist()])
 
 
-def read_profiles_csv(path) -> list[StudentProfile]:
+def _profile_row(row) -> tuple[str, list[int]]:
+    bits = [int(row[name]) for name in PROFILE_HEADER[1:]]
+    for name, bit in zip(PROFILE_HEADER[1:], bits):
+        if bit not in (0, 1):
+            raise ValueError(f"{name} must be 0 or 1, got {bit}")
+    return row["student_id"], bits
+
+
+def read_profiles_csv(path) -> tuple[tuple[str, ...], DatasetTable]:
+    """(ids, table) of a profiles file, rows in file order."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         check_columns(path, reader.fieldnames, PROFILE_HEADER)
-        return list(stage_records(path, reader, lambda row: StudentProfile(
-            student_id=row["student_id"], **{k: int(row[k]) for k in PROFILE_HEADER[1:]})))
+        rows = list(stage_records(path, reader, _profile_row))
+    variables = profile_variables()
+    values = np.array([bits for _, bits in rows], dtype=np.uint8).reshape(len(rows), variables.n)
+    return tuple(sid for sid, _ in rows), DatasetTable(variables, values)
 
 
 def metadata_json(group_medians: Mapping[str, Mapping[str, float]]) -> dict:

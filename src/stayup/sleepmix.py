@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -111,26 +111,6 @@ class FitDiagnostics:
     best_restart_index: int
 
 
-def count_matrix(data) -> tuple[np.ndarray, tuple[str, ...] | None]:
-    """Normalize fit input to a float (N, D) matrix plus optional ids.
-
-    Accepts an array, a mapping student_id -> SleepCountVector (or raw
-    counts), or a sequence of SleepCountVector.
-    """
-    if isinstance(data, np.ndarray):
-        return np.asarray(data, dtype=np.float64), None
-    if isinstance(data, Mapping):
-        ids = tuple(data.keys())
-        rows = [np.asarray(getattr(v, "counts", v), dtype=np.float64) for v in data.values()]
-        return np.stack(rows), ids
-    rows, ids = [], []
-    for item in data:
-        rows.append(np.asarray(getattr(item, "counts", item), dtype=np.float64))
-        ids.append(getattr(item, "student_id", None))
-    id_tuple = tuple(ids) if all(i is not None for i in ids) else None
-    return np.stack(rows), id_tuple
-
-
 def _log_prior_per_component(model: PoissonMixtureModel, cfg: MixtureConfig) -> np.ndarray:
     a, b = cfg.alpha, cfg.beta
     lam = model.rates
@@ -165,9 +145,9 @@ def _responsibilities(scores: np.ndarray, model: PoissonMixtureModel, cfg: Mixtu
     return Responsibilities(np.exp(scores - norm[:, None]), ids)
 
 
-def m_step(data, resp: Responsibilities, cfg: MixtureConfig) -> PoissonMixtureModel:
+def m_step(counts: np.ndarray, resp: Responsibilities, cfg: MixtureConfig) -> PoissonMixtureModel:
     """MAP rate update plus mixing-weight update from the membership weights."""
-    counts, _ = count_matrix(data)
+    counts = np.asarray(counts, dtype=np.float64)
     w = np.asarray(resp.weights, dtype=np.float64)
     n = counts.shape[0]
     mass = np.maximum(w.sum(axis=0), MASS_FLOOR)
@@ -239,16 +219,18 @@ def _em_run(counts: np.ndarray, row_lgamma: np.ndarray, init: np.ndarray, cfg: M
     return model, trace, converged, scores
 
 
-def fit(data, cfg: MixtureConfig) -> tuple[PoissonMixtureModel, Responsibilities, FitDiagnostics]:
-    """Best-of-restarts EM fit.
+def fit(counts: np.ndarray, cfg: MixtureConfig, ids: tuple[str, ...] | None = None,
+        ) -> tuple[PoissonMixtureModel, Responsibilities, FitDiagnostics]:
+    """Best-of-restarts EM fit of an (N, D) count matrix, row i being
+    student ids[i] when ids are given.
 
     Each restart starts from per-student Dirichlet responsibilities, each
     student's drawn from the same stream as default_rng([seed, restart, h])
-    with h a hash of the student's counts (see initial_responsibilities),
-    and iterates E/M until the relative objective change drops below the
-    tolerance.
+    with h a hash of the student's counts as float64 (see
+    initial_responsibilities), and iterates E/M until the relative
+    objective change drops below the tolerance.
     """
-    counts, ids = count_matrix(data)
+    counts = np.asarray(counts, dtype=np.float64)   # the start hashes float64 rows
     if counts.ndim != 2:
         raise ValueError("count data must be two-dimensional")
     if counts.shape[0] < cfg.components:

@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .bayesnet import Cpt, CptSet, Dag, DatasetTable, profile_variables
-from .ingest import COHORTS, CSV_SCHEMAS, NightWindowConfig, SleepCountVector
+from .ingest import COHORTS, CSV_SCHEMAS, NightWindowConfig
 from .sleepmix import PoissonMixtureModel, stay_up_component
 
 STUDY_START = date(2018, 11, 5)
@@ -140,8 +140,10 @@ def _student_ids(n: int) -> tuple[str, ...]:
 
 
 def generate_sleep_data(truth: GroundTruth, cfg: GeneratorConfig,
-                        ) -> tuple[dict[str, SleepCountVector], dict[str, int]]:
-    """Count vectors drawn bin-wise from the component each student samples."""
+                        ) -> tuple[tuple[str, ...], np.ndarray, dict[str, int]]:
+    """(ids, counts, components): an (N, bins) count matrix drawn bin-wise
+    from the component each student samples, row i being ids[i], and each
+    student's component."""
     truth.mixture.validate()
     rng = np.random.default_rng([cfg.seed, 1])
     m = truth.mixture.rates.shape[0]
@@ -149,9 +151,7 @@ def generate_sleep_data(truth: GroundTruth, cfg: GeneratorConfig,
     lam = effective_rates(truth.mixture, cfg.n_nights)
     counts = rng.poisson(lam[z])
     ids = _student_ids(cfg.n_students)
-    vectors = {sid: SleepCountVector(sid, row) for sid, row in zip(ids, counts)}
-    labels = {sid: int(c) for sid, c in zip(ids, z)}
-    return vectors, labels
+    return ids, counts, {sid: int(c) for sid, c in zip(ids, z)}
 
 
 def generate_profiles(truth: GroundTruth, cfg: GeneratorConfig,
@@ -174,7 +174,7 @@ def generate_profiles(truth: GroundTruth, cfg: GeneratorConfig,
 class FullLogsResult:
     out_dir: Path
     paths: dict[str, Path]
-    sleep_counts: dict[str, SleepCountVector]
+    sleep_counts: np.ndarray   # row i is student_ids[i]
     component_labels: dict[str, int]
     table: DatasetTable
     student_ids: tuple[str, ...]
@@ -211,7 +211,7 @@ def generate_full_logs(truth: GroundTruth, cfg: GeneratorConfig, out_dir,
 
     rng = np.random.default_rng([cfg.seed, 3])
     sessions, transactions, borrows, grades, demographics = [], [], [], [], []
-    sleep_counts: dict[str, SleepCountVector] = {}
+    sleep_counts = np.zeros((cfg.n_students, night_cfg.bin_count), dtype=np.int64)
     components: dict[str, int] = {}
 
     for i, sid in enumerate(ids):
@@ -220,9 +220,7 @@ def generate_full_logs(truth: GroundTruth, cfg: GeneratorConfig, out_dir,
         components[sid] = int(comp)
 
         bins = rng.choice(night_cfg.bin_count, size=cfg.n_nights, p=bin_probs[comp])
-        sleep_counts[sid] = SleepCountVector(
-            sid, np.bincount(bins, minlength=night_cfg.bin_count)
-        )
+        sleep_counts[i] = np.bincount(bins, minlength=night_cfg.bin_count)
         surf_median = 45.0 if bits[col["T"]] else 15.0
         per_night_surf = surf_median * float(np.exp(rng.normal(0.0, 0.25)))
         p_video = 0.72 if bits[col["A"]] else 0.28
@@ -298,7 +296,7 @@ def generate_full_logs(truth: GroundTruth, cfg: GeneratorConfig, out_dir,
             sid: {
                 "component": components[sid],
                 "profile": [int(b) for b in table.values[i]],
-                "counts": [int(c) for c in sleep_counts[sid].counts],
+                "counts": sleep_counts[i].tolist(),
             }
             for i, sid in enumerate(ids)
         },

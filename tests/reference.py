@@ -172,9 +172,10 @@ def component_log_likelihood(counts, rates) -> float:
     return float(np.sum(s * np.log(lam) - lam - gammaln(s + 1)))
 
 
-def e_step(data, model: sm.PoissonMixtureModel, cfg: sm.MixtureConfig) -> sm.Responsibilities:
+def e_step(counts, model: sm.PoissonMixtureModel, cfg: sm.MixtureConfig,
+           ids: tuple[str, ...] | None = None) -> sm.Responsibilities:
     """Posterior membership weights, normalized per student with log-sum-exp."""
-    counts, ids = sm.count_matrix(data)
+    counts = np.asarray(counts, dtype=np.float64)
     model.validate()
     scores = sm._scores(counts, model, gammaln(counts + 1).sum(axis=1))
     return sm._responsibilities(scores, model, cfg, ids)

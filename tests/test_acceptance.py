@@ -32,12 +32,12 @@ def check(label, ok, detail):
 
 def test_criterion_1_mixture_recovery():
     truth = synth.default_ground_truth()
-    vectors, true_components = synth.generate_sleep_data(
+    ids, counts, true_components = synth.generate_sleep_data(
         truth, synth.GeneratorConfig(2000, 150, seed=41)
     )
     cfg = sm.MixtureConfig(components=2, alpha=1.1, beta=0.1, restarts=10, seed=7)
     start = time.perf_counter()
-    model, resp, diag = sm.fit(vectors, cfg)
+    model, resp, diag = sm.fit(counts, cfg, ids)
     elapsed = time.perf_counter() - start
 
     truth_rates = synth.effective_rates(truth.mixture, 150)

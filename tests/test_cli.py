@@ -324,6 +324,11 @@ class TestStageInputs:
 
     @pytest.mark.parametrize("flag, line, reason", [
         ("--counts", "s2," + "1," * 15 + "x", "invalid literal for int() with base 10: 'x'"),
+        ("--counts", "s2," + "1," * 15 + "-1", "counts must be a non-negative vector"),
+        ("--counts", "s2," + "1," * 16 + "1", "more fields than the 17 of the header"),
+        ("--profiles", "s2," + "0," * 8 + "1,7,8", "more fields than the 10 of the header"),
+        ("--profiles", "s2,0,0,0,0,0,0,0,-1,0", "Ac must be 0 or 1, got -1"),
+        ("--profiles", "s2,0,0,0,0,0,0,0,2,0", "Ac must be 0 or 1, got 2"),
         ("--features", "s2,0", "fewer fields than the 10 of the header"),
         ("--assignments", "s2", "fewer fields than the 3 of the header"),
         ("--profiles", "s2,0", "fewer fields than the 10 of the header"),
@@ -350,6 +355,8 @@ class TestStageInputs:
 
     @pytest.mark.parametrize("argv, field", [
         (["ingest", "--min-nights", "0"], "min_nights"),
+        (["ingest", "--gpa-max", "-1"], "gpa_max"),
+        (["synth", "--students", "0"], "students"),
         (["sleep-fit", "--em-restarts", "0"], "em_restarts"),
         (["sleep-fit", "--components", "0"], "components"),
         (["sleep-fit", "--threshold", "1.5"], "threshold"),
@@ -367,6 +374,7 @@ class TestStageInputs:
     def test_bad_setting_exits_2_before_reading_input(self, data_dir, run_dir, tmp_path, capsys,
                                                       argv, field):
         inputs = {
+            "synth": [],
             "ingest": ["--data", str(data_dir)],
             "sleep-fit": ["--counts", str(run_dir / "sleep_counts.csv")],
             "bn-learn": ["--profiles", str(run_dir / "profiles.csv")],
@@ -446,7 +454,8 @@ class TestRun:
         ("--folds", "1", "folds"),
         ("--em-restarts", "0", "em_restarts"),
         ("--min-nights", "0", "min_nights"),
-        ("top_fraction", 0, "top_fraction"),   # a config field without a run flag
+        ("top_fraction", 0, "top_fraction"),   # config fields without a run flag
+        ("gpa_max", -1, "gpa_max"),
         ("restarts", "5", "restarts"),         # config file values of the wrong type
         ("out_dir", 5, "out_dir"),
     ])

@@ -230,27 +230,28 @@ class TestAggregateSleepCounts:
 
     def test_counts_nights_per_bin(self):
         obs = bedtimes([("s1", n, 6) for n in range(4)])
-        counts = ingest.aggregate_sleep_counts(obs, self.CFG, min_nights=1)
-        assert counts["s1"].counts[6] == 4
-        assert counts["s1"].counts.sum() == 4
+        ids, counts = ingest.aggregate_sleep_counts(obs, self.CFG, min_nights=1)
+        assert ids == ("s1",) and counts.shape == (1, 16) and counts.dtype == np.int64
+        assert counts[0, 6] == 4
+        assert counts[0].sum() == 4
 
     def test_min_nights_excludes(self):
         obs = bedtimes([("s1", n, 2) for n in range(30)] + [("s2", 0, 2)])
-        counts = ingest.aggregate_sleep_counts(obs, self.CFG, min_nights=20)
-        assert "s1" in counts and "s2" not in counts
+        ids, counts = ingest.aggregate_sleep_counts(obs, self.CFG, min_nights=20)
+        assert ids == ("s1",) and counts.shape == (1, 16)
 
     def test_concentrated_counts(self):
         obs = bedtimes([("s1", n, 2) for n in range(30)])
-        counts = ingest.aggregate_sleep_counts(obs, self.CFG, min_nights=1)
-        want = np.zeros(16)
-        want[2] = 30
-        np.testing.assert_array_equal(counts["s1"].counts, want)
+        _, counts = ingest.aggregate_sleep_counts(obs, self.CFG, min_nights=1)
+        want = np.zeros((1, 16))
+        want[0, 2] = 30
+        np.testing.assert_array_equal(counts, want)
 
     def test_sum_equals_observation_count(self):
         rng = np.random.default_rng(0)
         obs = bedtimes([("s1", n, int(rng.integers(16))) for n in range(57)])
-        counts = ingest.aggregate_sleep_counts(obs, self.CFG, min_nights=1)
-        assert counts["s1"].counts.sum() == 57
+        _, counts = ingest.aggregate_sleep_counts(obs, self.CFG, min_nights=1)
+        assert counts.sum() == 57
 
 
 class TestComputeRawFeatures:
@@ -331,17 +332,21 @@ class TestComputeRawFeatures:
 
 class TestCsvRoundTrips:
     def test_sleep_counts(self, tmp_path):
-        rng = np.random.default_rng(1)
-        counts = {
-            f"s{i}": ingest.SleepCountVector(f"s{i}", rng.integers(0, 9, size=16))
-            for i in range(5)
-        }
+        counts = np.random.default_rng(1).integers(0, 9, size=(5, 16))
+        ids = ("s3", "s0", "s4", "s1", "s2")
         path = tmp_path / "sleep_counts.csv"
-        ingest.write_sleep_counts_csv(path, counts)
-        again = ingest.read_sleep_counts_csv(path)
-        assert set(again) == set(counts)
-        for sid in counts:
-            np.testing.assert_array_equal(again[sid].counts, counts[sid].counts)
+        ingest.write_sleep_counts_csv(path, ids, counts)
+        again_ids, again = ingest.read_sleep_counts_csv(path)
+        order = np.argsort(ids)   # rows are written in id order
+        assert again_ids == tuple(sorted(ids)) and again.dtype == np.int64
+        np.testing.assert_array_equal(again, counts[order])
+
+    def test_sleep_counts_reject_a_student_listed_twice(self, tmp_path):
+        path = tmp_path / "sleep_counts.csv"
+        ingest.write_sleep_counts_csv(path, ("s1", "s1"), np.ones((2, 16), dtype=np.int64))
+        with pytest.raises(ValueError) as err:
+            ingest.read_sleep_counts_csv(path)
+        assert str(err.value) == f"{path}: line 3: duplicate student s1"
 
     def test_features(self, tmp_path):
         rec = ingest.RawFeatureRecord("s1", 3, 22.5, 120.0, 300.0, 18, None, 14.25, 3.4, "female")
@@ -570,11 +575,9 @@ def ref_aggregate_sleep_counts(observations, cfg, min_nights):
     for obs in observations:
         counts = per_student.setdefault(obs.student_id, np.zeros(cfg.bin_count, dtype=np.int64))
         counts[obs.bin_index] += 1
-    return {
-        sid: ingest.SleepCountVector(sid, counts)
-        for sid, counts in sorted(per_student.items())
-        if int(counts.sum()) >= min_nights
-    }
+    kept = [(sid, c) for sid, c in sorted(per_student.items()) if int(c.sum()) >= min_nights]
+    return (tuple(sid for sid, _ in kept),
+            np.array([c for _, c in kept], dtype=np.int64).reshape(len(kept), cfg.bin_count))
 
 
 def ref_infer_study_days(store):
@@ -674,17 +677,17 @@ def ingest_outputs(paths, out: Path, night_cfg, breakfast, reference: bool,
     if reference:
         observed = ref_extract_bedtimes(store.sessions, night_cfg)
         bedtimes = [(o.student_id, o.night_index, o.bin_index) for o in observed]
-        counts = ref_aggregate_sleep_counts(observed, night_cfg, 1)
+        ids, counts = ref_aggregate_sleep_counts(observed, night_cfg, 1)
         infer, features = ref_infer_study_days, ref_compute_raw_features
     else:
         observed = ingest.extract_bedtimes(store.sessions, night_cfg)
         bedtimes = [(observed.students[s], n, b) for s, n, b in zip(
             observed.student.tolist(), observed.night.tolist(), observed.bin.tolist())]
-        counts = ingest.aggregate_sleep_counts(observed, night_cfg, 1)
+        ids, counts = ingest.aggregate_sleep_counts(observed, night_cfg, 1)
         infer, features = ingest.infer_study_days, ingest.compute_raw_features
     got = {"report": store.report, "grades": store.grades, "events": loaded_events(store),
            "bedtimes": bedtimes}
-    ingest.write_sleep_counts_csv(out / "counts.csv", counts, night_cfg.bin_count)
+    ingest.write_sleep_counts_csv(out / "counts.csv", ids, counts)
     got["counts"] = (out / "counts.csv").read_bytes()
     try:
         days = infer(store)

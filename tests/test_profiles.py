@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stayup import bayesnet as bn
 from stayup import profiles as pr
 from stayup.ingest import RawFeatureRecord
 from stayup.pipeline import write_json
@@ -16,6 +17,13 @@ def record(sid, **overrides):
     )
     base.update(overrides)
     return RawFeatureRecord(**base)
+
+
+def bits_by_id(result) -> dict[str, dict[str, int]]:
+    """Each profiled student's bit per variable name."""
+    names = result.table.variables.names
+    return {sid: dict(zip(names, row.tolist()))
+            for sid, row in zip(result.ids, result.table.values)}
 
 
 class TestMedianSplit:
@@ -84,28 +92,26 @@ class TestBuildProfiles:
 
     def test_app_preference(self):
         features, labels = self._inputs()
-        result = pr.build_profiles(features, labels)
-        by_id = {p.student_id: p for p in result.profiles}
-        assert by_id["s1"].A == 1          # video ahead
-        assert by_id["s2"].A == 0          # tie goes to game
-        assert by_id["s3"].A == 0
+        by_id = bits_by_id(pr.build_profiles(features, labels))
+        assert by_id["s1"]["A"] == 1          # video ahead
+        assert by_id["s2"]["A"] == 0          # tie goes to game
+        assert by_id["s3"]["A"] == 0
 
     def test_sleep_label_pass_through(self):
         features, labels = self._inputs()
-        by_id = {p.student_id: p for p in pr.build_profiles(features, labels).profiles}
-        assert by_id["s1"].S == 1 and by_id["s2"].S == 0 and by_id["s3"].S == 1
+        by_id = bits_by_id(pr.build_profiles(features, labels))
+        assert by_id["s1"]["S"] == 1 and by_id["s2"]["S"] == 0 and by_id["s3"]["S"] == 1
 
     def test_gender_convention(self):
         features, labels = self._inputs()
-        by_id = {p.student_id: p for p in pr.build_profiles(features, labels).profiles}
-        assert by_id["s1"].G == 1 and by_id["s2"].G == 0
+        by_id = bits_by_id(pr.build_profiles(features, labels))
+        assert by_id["s1"]["G"] == 1 and by_id["s2"]["G"] == 0
 
     def test_bath_orderliness_low_variance_is_one(self):
         features, labels = self._inputs()
-        result = pr.build_profiles(features, labels)
-        by_id = {p.student_id: p for p in result.profiles}
+        by_id = bits_by_id(pr.build_profiles(features, labels))
         # variances 1, 1, 9 -> median 1; at or below median counts as orderly
-        assert by_id["s1"].Ba == 1 and by_id["s2"].Ba == 1 and by_id["s3"].Ba == 0
+        assert by_id["s1"]["Ba"] == 1 and by_id["s2"]["Ba"] == 1 and by_id["s3"]["Ba"] == 0
 
     def test_missing_sources_reported(self):
         features, labels = self._inputs()
@@ -117,24 +123,31 @@ class TestBuildProfiles:
         assert result.excluded["s4"] == "bath interval variance undefined"
         assert result.excluded["s5"] == "missing feature record"
         assert result.excluded["s3"] == "missing sleep label"
-        assert {p.student_id for p in result.profiles} == {"s1", "s2"}
+        assert result.ids == ("s1", "s2") and result.table.n_rows == 2
 
     def test_integer_sleep_labels_accepted(self):
         features, _ = self._inputs()
-        result = pr.build_profiles(features, {"s1": 1, "s2": 0, "s3": 1})
-        by_id = {p.student_id: p for p in result.profiles}
-        assert by_id["s1"].S == 1 and by_id["s2"].S == 0
+        by_id = bits_by_id(pr.build_profiles(features, {"s1": 1, "s2": 0, "s3": 1}))
+        assert by_id["s1"]["S"] == 1 and by_id["s2"]["S"] == 0
 
     def test_deterministic(self):
         features, labels = self._inputs()
         a = pr.build_profiles(features, labels)
         b = pr.build_profiles(features, labels)
-        assert a.profiles == b.profiles and a.medians == b.medians
+        assert a.ids == b.ids and a.medians == b.medians
+        np.testing.assert_array_equal(a.table.values, b.table.values)
 
     def test_medians_recorded_for_split_variables(self):
         features, labels = self._inputs()
         result = pr.build_profiles(features, labels)
         assert set(result.medians) == set(pr.SPLIT_VARIABLES)
+
+    def test_table_columns_follow_the_header(self):
+        features, labels = self._inputs()
+        result = pr.build_profiles(features, labels)
+        assert result.table.variables.names == tuple(pr.PROFILE_HEADER[1:])
+        assert result.ids == ("s1", "s2", "s3")
+        np.testing.assert_array_equal(result.table.values[0], [1, 0, 1, 0, 1, 1, 0, 1, 1])
 
     def test_too_few_students_rejected(self):
         features, labels = self._inputs()
@@ -143,28 +156,17 @@ class TestBuildProfiles:
 
 
 class TestTableAndCsv:
-    def _profiles(self):
-        rng = np.random.default_rng(2)
-        out = []
-        for i in range(10):
-            bits = rng.integers(0, 2, size=9)
-            out.append(pr.StudentProfile(f"s{i:02d}", *map(int, bits)))
-        return out
-
-    def test_table_matches_bits(self):
-        rows = self._profiles()
-        table, ids = pr.profiles_to_table(rows)
-        assert table.variables.names == ("G", "R", "A", "T", "Br", "Ba", "F", "Ac", "S")
-        assert ids == tuple(p.student_id for p in rows)
-        np.testing.assert_array_equal(table.values[0], rows[0].bits())
-
     def test_csv_round_trip(self, tmp_path):
-        rows = self._profiles()
+        values = np.random.default_rng(2).integers(0, 2, size=(10, 9))
+        ids = tuple(f"s{i:02d}" for i in range(10))[::-1]
+        table = bn.DatasetTable(bn.profile_variables(), values)
         path = tmp_path / "profiles.csv"
-        pr.write_profiles_csv(path, rows)
+        pr.write_profiles_csv(path, ids, table)
         header = path.read_text().splitlines()[0]
         assert header == "student_id,G,R,A,T,Br,Ba,F,Ac,S"
-        assert pr.read_profiles_csv(path) == sorted(rows, key=lambda p: p.student_id)
+        again_ids, again = pr.read_profiles_csv(path)   # rows are written in id order
+        assert again_ids == ids[::-1]
+        np.testing.assert_array_equal(again.values, values[::-1])
 
     def test_metadata_json(self, tmp_path):
         path = tmp_path / "meta.json"

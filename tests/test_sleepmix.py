@@ -15,10 +15,11 @@ import reference
 
 
 def two_peak_data(n_students, n_nights, seed):
+    """(truth, ids, int64 counts, components) of generated sleep data."""
     truth = synth.default_ground_truth()
     cfg = synth.GeneratorConfig(n_students, n_nights, seed=seed)
-    vectors, labels = synth.generate_sleep_data(truth, cfg)
-    return truth, vectors, labels
+    ids, counts, labels = synth.generate_sleep_data(truth, cfg)
+    return truth, ids, counts, labels
 
 
 class TestComponentLogLikelihood:
@@ -74,7 +75,7 @@ class TestEStep:
         # rates so extreme every component's log score overflows to -inf
         model = sm.PoissonMixtureModel(np.full((2, 4), 1e308), np.array([0.5, 0.5]))
         with pytest.raises(sm.MixtureError, match="s001"):
-            reference.e_step({"s001": np.zeros(4, dtype=int)}, model, sm.MixtureConfig())
+            reference.e_step(np.zeros((1, 4)), model, sm.MixtureConfig(), ("s001",))
 
     def test_paper_literal_prior_shifts_weights(self):
         rng = np.random.default_rng(3)
@@ -127,8 +128,8 @@ class TestFit:
         np.testing.assert_allclose(model.rates[0], closed, rtol=0.02)
 
     def test_two_component_recovery(self):
-        truth, vectors, labels = two_peak_data(600, 120, seed=7)
-        model, resp, diag = sm.fit(vectors, sm.MixtureConfig(seed=1, restarts=4))
+        truth, _, counts, _ = two_peak_data(600, 120, seed=7)
+        model, resp, diag = sm.fit(counts, sm.MixtureConfig(seed=1, restarts=4))
         truth_rates = synth.effective_rates(truth.mixture, 120)
         errs = []
         for perm in ((0, 1), (1, 0)):
@@ -145,15 +146,14 @@ class TestFit:
             assert np.min(np.diff(diag.objective_trace)) >= -1e-9
 
     def test_trace_and_convergence_reported(self):
-        _, vectors, _ = two_peak_data(150, 60, seed=9)
-        model, resp, diag = sm.fit(vectors, sm.MixtureConfig(seed=3, restarts=2))
+        _, _, counts, _ = two_peak_data(150, 60, seed=9)
+        model, resp, diag = sm.fit(counts, sm.MixtureConfig(seed=3, restarts=2))
         assert diag.converged
         assert diag.iterations_used == len(diag.objective_trace) - 1
         assert 0 <= diag.best_restart_index < 2
 
     def test_permutation_invariance(self):
-        _, vectors, _ = two_peak_data(80, 50, seed=10)
-        counts, _ = sm.count_matrix(vectors)
+        _, _, counts, _ = two_peak_data(80, 50, seed=10)
         cfg = sm.MixtureConfig(seed=5, restarts=2)
         model_a, _, _ = sm.fit(counts, cfg)
         perm = np.random.default_rng(0).permutation(len(counts))
@@ -165,8 +165,7 @@ class TestFit:
         # the literal rate update is scale free in the responsibilities, and
         # the literal E-step adds the same prior term to every student, so
         # duplicating every student reproduces the fit exactly
-        _, vectors, _ = two_peak_data(60, 50, seed=11)
-        counts, _ = sm.count_matrix(vectors)
+        _, _, counts, _ = two_peak_data(60, 50, seed=11)
         cfg = sm.MixtureConfig(seed=6, restarts=2, variant="paper")
         model_a, _, _ = sm.fit(counts, cfg)
         model_b, _, _ = sm.fit(np.vstack([counts, counts]), cfg)
@@ -178,8 +177,8 @@ class TestFit:
             sm.fit(np.ones((1, 16)), sm.MixtureConfig(components=2))
 
     def test_mixing_sums_to_one(self):
-        _, vectors, _ = two_peak_data(100, 40, seed=12)
-        model, resp, _ = sm.fit(vectors, sm.MixtureConfig(seed=7, restarts=2))
+        _, _, counts, _ = two_peak_data(100, 40, seed=12)
+        model, resp, _ = sm.fit(counts, sm.MixtureConfig(seed=7, restarts=2))
         assert model.mixing.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(resp.weights.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(model.rates > 0)
@@ -261,8 +260,9 @@ class TestInitialResponsibilities:
             sm.initial_responsibilities(np.ones((4, 16)), sm.MixtureConfig(seed=-1))
 
 
-def _ref_fit(data, cfg):
-    counts, ids = sm.count_matrix(data)
+def _ref_fit(counts, cfg, ids):
+    # the starts hash float64 rows, whatever dtype the counts come in
+    counts = np.asarray(counts, dtype=np.float64)
     best = None
     for restart in range(cfg.restarts):
         init = ref_initial_responsibilities(counts, cfg, restart)
@@ -278,11 +278,11 @@ class TestFitMatchesReferenceLoop:
     @pytest.mark.parametrize("variant", ["standard", "paper"])
     @pytest.mark.parametrize("seed,max_iterations", [(21, 500), (22, 500), (23, 12)])
     def test_bit_identical(self, variant, seed, max_iterations):
-        _, vectors, _ = two_peak_data(120, 40, seed=seed)
+        _, ids, counts, _ = two_peak_data(120, 40, seed=seed)
         cfg = sm.MixtureConfig(seed=seed, restarts=3, max_iterations=max_iterations,
                                variant=variant)
-        model, resp, diag = sm.fit(vectors, cfg)
-        ref_model, ref_resp, ref_trace, ref_restart, ref_converged = _ref_fit(vectors, cfg)
+        model, resp, diag = sm.fit(counts, cfg, ids)
+        ref_model, ref_resp, ref_trace, ref_restart, ref_converged = _ref_fit(counts, cfg, ids)
         np.testing.assert_array_equal(model.rates, ref_model.rates)
         np.testing.assert_array_equal(model.mixing, ref_model.mixing)
         np.testing.assert_array_equal(resp.weights, ref_resp.weights)
@@ -293,12 +293,12 @@ class TestFitMatchesReferenceLoop:
 
 class TestAssignAndLabel:
     def _fitted(self, seed=13):
-        truth, vectors, labels = two_peak_data(200, 80, seed=seed)
-        model, resp, _ = sm.fit(vectors, sm.MixtureConfig(seed=2, restarts=3))
-        return truth, vectors, labels, model, resp
+        truth, ids, counts, _ = two_peak_data(200, 80, seed=seed)
+        model, resp, _ = sm.fit(counts, sm.MixtureConfig(seed=2, restarts=3), ids)
+        return truth, model, resp
 
     def test_late_peak_is_stay_up(self):
-        truth, _, _, model, _ = self._fitted()
+        truth, model, _ = self._fitted()
         comp = sm.stay_up_component(model)
         d = np.arange(16)
         means = model.rates @ d / model.rates.sum(axis=1)
@@ -328,7 +328,7 @@ class TestAssignAndLabel:
             sm.assign_and_label(resp, model)
 
     def test_relabeling_symmetry(self):
-        _, vectors, _, model, resp = self._fitted(seed=14)
+        _, model, resp = self._fitted(seed=14)
         labels = sm.assign_and_label(resp, model).labels
         swapped_model = sm.PoissonMixtureModel(model.rates[::-1].copy(), model.mixing[::-1].copy())
         swapped_resp = sm.Responsibilities(resp.weights[:, ::-1].copy(), resp.student_ids)
@@ -344,9 +344,9 @@ class TestAssignAndLabel:
 
 class TestSerialization:
     def test_model_json_round_trip(self, tmp_path):
-        _, vectors, _ = two_peak_data(80, 40, seed=15)
+        _, _, counts, _ = two_peak_data(80, 40, seed=15)
         cfg = sm.MixtureConfig(seed=4, restarts=2)
-        model, resp, _ = sm.fit(vectors, cfg)
+        model, resp, _ = sm.fit(counts, cfg)
         path = tmp_path / "model.json"
         write_json(path, sm.model_to_json(model, cfg))
         import json
@@ -359,8 +359,8 @@ class TestSerialization:
         assert obj["variant"] == {"estep": "standard", "mstep": "exact_map"}
 
     def test_assignments_csv_round_trip(self, tmp_path):
-        _, vectors, _ = two_peak_data(50, 40, seed=16)
-        model, resp, _ = sm.fit(vectors, sm.MixtureConfig(seed=8, restarts=2))
+        _, ids, counts, _ = two_peak_data(50, 40, seed=16)
+        model, resp, _ = sm.fit(counts, sm.MixtureConfig(seed=8, restarts=2), ids)
         assignments = sm.assign_and_label(resp, model)
         path = tmp_path / "assignments.csv"
         sm.write_assignments_csv(path, zip(

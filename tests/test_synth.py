@@ -15,7 +15,7 @@ class TestGenerateSleepData:
         truth = synth.default_ground_truth()
         mixture = sm.PoissonMixtureModel(truth.mixture.rates, np.array([1.0, 0.0]))
         truth = synth.GroundTruth(mixture, truth.profile_dag, truth.profile_cpts)
-        _, labels = synth.generate_sleep_data(truth, synth.GeneratorConfig(200, 50, seed=1))
+        _, _, labels = synth.generate_sleep_data(truth, synth.GeneratorConfig(200, 50, seed=1))
         assert set(labels.values()) == {0}
 
     def test_uniform_rates_give_uniform_expected_counts(self):
@@ -25,26 +25,25 @@ class TestGenerateSleepData:
         base = synth.default_ground_truth()
         truth = synth.GroundTruth(flat, base.profile_dag, base.profile_cpts)
         cfg = synth.GeneratorConfig(20000, 160, seed=2)
-        vectors, _ = synth.generate_sleep_data(truth, cfg)
-        counts = np.stack([v.counts for v in vectors.values()])
+        _, counts, _ = synth.generate_sleep_data(truth, cfg)
         per_bin_rate = 160 / 16
         np.testing.assert_allclose(counts.mean(axis=0), per_bin_rate, rtol=0.01)
 
     def test_fixed_seed_byte_identical(self):
         truth = synth.default_ground_truth()
         cfg = synth.GeneratorConfig(100, 80, seed=3)
-        a, la = synth.generate_sleep_data(truth, cfg)
-        b, lb = synth.generate_sleep_data(truth, cfg)
-        assert la == lb
-        for sid in a:
-            np.testing.assert_array_equal(a[sid].counts, b[sid].counts)
+        ids_a, a, la = synth.generate_sleep_data(truth, cfg)
+        ids_b, b, lb = synth.generate_sleep_data(truth, cfg)
+        assert ids_a == ids_b and la == lb
+        np.testing.assert_array_equal(a, b)
 
     def test_count_vector_invariants(self):
         truth = synth.default_ground_truth()
-        vectors, _ = synth.generate_sleep_data(truth, synth.GeneratorConfig(50, 100, seed=4))
-        for v in vectors.values():
-            assert v.counts.shape == (16,)
-            assert np.all(v.counts >= 0)
+        cfg = synth.GeneratorConfig(50, 100, seed=4)
+        ids, counts, labels = synth.generate_sleep_data(truth, cfg)
+        assert counts.shape == (50, 16) and counts.dtype == np.int64
+        assert np.all(counts >= 0)
+        assert ids == tuple(sorted(labels)) and len(set(ids)) == 50
 
 
 class TestGenerateProfiles:
@@ -112,15 +111,13 @@ class TestGenerateFullLogs:
         result, store = logs
         night_cfg = ingest.NightWindowConfig()
         obs = ingest.extract_bedtimes(store.sessions, night_cfg)
-        counts = ingest.aggregate_sleep_counts(obs, night_cfg, min_nights=1)
-        assert set(counts) == set(result.sleep_counts)
-        for sid, vec in result.sleep_counts.items():
-            np.testing.assert_array_equal(counts[sid].counts, vec.counts)
+        ids, counts = ingest.aggregate_sleep_counts(obs, night_cfg, min_nights=1)
+        assert ids == result.student_ids
+        np.testing.assert_array_equal(counts, result.sleep_counts)
 
     def test_every_student_has_one_bedtime_per_night(self, logs):
         result, _ = logs
-        for vec in result.sleep_counts.values():
-            assert vec.counts.sum() == 60
+        assert np.all(result.sleep_counts.sum(axis=1) == 60)
 
     def test_class_values_clear_the_midpoint(self, logs):
         result, store = logs
@@ -146,7 +143,7 @@ class TestGenerateFullLogs:
         labels = {sid: int(result.table.values[i, var.index("S")])
                   for i, sid in enumerate(result.student_ids)}
         built = pr.build_profiles(feats, labels)
-        table, ids = pr.profiles_to_table(built.profiles)
+        table, ids = built.table, built.ids
         truth_bits = {sid: result.table.values[i] for i, sid in enumerate(result.student_ids)}
         for j, name in enumerate(var.names):
             agreement = np.mean([
@@ -158,8 +155,7 @@ class TestGenerateFullLogs:
         truth = synth.default_ground_truth()
         cfg = synth.GeneratorConfig(30, 1, seed=11, emit="full_logs")
         result = synth.generate_full_logs(truth, cfg, tmp_path / "one")
-        for vec in result.sleep_counts.values():
-            assert vec.counts.sum() <= 1
+        assert np.all(result.sleep_counts.sum(axis=1) <= 1)
 
     def test_deterministic_files(self, tmp_path):
         truth = synth.default_ground_truth()
@@ -174,7 +170,7 @@ class TestGenerateFullLogs:
         obj = json.loads((result.out_dir / "truth.json").read_text())
         assert obj["stay_up_component"] in (0, 1)
         sid = result.student_ids[0]
-        assert obj["students"][sid]["counts"] == [int(c) for c in result.sleep_counts[sid].counts]
+        assert obj["students"][sid]["counts"] == result.sleep_counts[0].tolist()
 
     def test_component_labels_follow_sleep_bit(self, logs):
         result, _ = logs
