@@ -670,7 +670,14 @@ def compute_raw_features(store: EventStore, study_days: int,
         if gpa is None:
             continue
         baths = bath_days[bath_from[i]:bath_from[i + 1]]
-        variance = float(np.var(np.diff(baths))) if baths.size >= 2 else None
+        variance = None
+        if baths.size >= 2:
+            # k gaps with sum S and sum of squares Q have variance (kQ - S^2) / k^2;
+            # while kQ and k^2 stay below 2**53 both convert exactly and the one
+            # division rounds correctly, so the value does not depend on gap order
+            gaps = np.diff(baths)
+            k, s, q = gaps.size, int(gaps.sum()), int(gaps @ gaps)
+            variance = float(k * q - s * s) / float(k * k)
         features[sid] = RawFeatureRecord(
             student_id=sid,
             books_borrowed=int(borrowed[i]),

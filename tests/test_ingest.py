@@ -4,6 +4,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from datetime import date, datetime, time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -254,7 +255,42 @@ class TestAggregateSleepCounts:
         assert counts.sum() == 57
 
 
+def bath_store(*gap_lists) -> ingest.EventStore:
+    """A store in which student s<i> bathes once a day at 19:00, with the day
+    gaps gap_lists[i] between baths; s<i>'s rows run in reverse time order."""
+    students = tuple(f"s{i}" for i in range(len(gap_lists)))
+    student, stamps = [], []
+    for i, gaps in enumerate(gap_lists):
+        days = 17_000 + np.concatenate(([0], np.cumsum(gaps, dtype=np.int64)))
+        student += [i] * days.size
+        stamps += (days * ingest.DAY_US + 19 * 3_600_000_000)[::-1].tolist()
+    n = len(student)
+    baths = ingest.EventColumns(students, np.array(student, np.int32), np.array(stamps, np.int64),
+                                np.full(n, ingest.VENUES.index("bath"), np.int8), np.ones(n))
+    empty = ingest.EventColumns(students, np.zeros(0, np.int32), np.zeros(0, np.int64),
+                                np.zeros(0, np.int8), np.zeros(0))
+    return ingest.EventStore(
+        empty, baths, empty, {sid: 3.0 for sid in students},
+        {sid: ingest.DemographicRecord(sid, "male", "freshman") for sid in students},
+        ingest.ParseReport())
+
+
+# a list of day gaps and a reordering of it
+GAPS_AND_PERMUTATION = st.lists(st.integers(0, 60), min_size=1, max_size=40).flatmap(
+    lambda gaps: st.tuples(st.just(gaps), st.permutations(gaps)))
+
+
 class TestComputeRawFeatures:
+    @given(pair=GAPS_AND_PERMUTATION)
+    @example(pair=([2, 10, 5, 13, 13, 8, 8, 10, 8, 11], [8, 8, 13, 10, 11, 13, 2, 5, 8, 10]))
+    def test_bath_variance_is_exact_and_order_free(self, pair):
+        gaps, permuted = pair
+        feats = ingest.compute_raw_features(bath_store(gaps, permuted), study_days=10)
+        mean = Fraction(sum(gaps), len(gaps))
+        want = float(sum((g - mean) ** 2 for g in gaps) / len(gaps))   # correctly rounded
+        got = [feats[sid].bath_interval_variance for sid in ("s0", "s1")]
+        assert [np.float64(v).tobytes() for v in got] == [np.float64(want).tobytes()] * 2
+
     def _store(self, tmp_path, **kwargs):
         paths = write_logs(tmp_path, demographics=BASE_DEMO, **kwargs)
         return ingest.parse_logs(paths)
@@ -623,8 +659,10 @@ def ref_compute_raw_features(store, study_days,
             continue
         baths = sorted(bath_times[sid])
         if len(baths) >= 2:
-            gaps = np.diff([b.toordinal() for b in (t.date() for t in baths)])
-            variance = float(np.var(gaps))
+            gaps = [b.toordinal() - a.toordinal()
+                    for a, b in zip((t.date() for t in baths), (t.date() for t in baths[1:]))]
+            k, s, q = len(gaps), sum(gaps), sum(g * g for g in gaps)
+            variance = float(k * q - s * s) / float(k * k)
         else:
             variance = None
         features[sid] = ingest.RawFeatureRecord(
