@@ -147,7 +147,7 @@ def _cmd_ingest(args) -> int:
     pipeline.write_json(args.out / "ingest_report.json",
                         {**result.summary(), "reasons": result.report.reasons})
     print(f"[ingest] {len(result.count_ids)} students with counts, "
-          f"{len(result.features)} with features")
+          f"{len(result.feature_ids)} with features")
     return 0
 
 
@@ -161,13 +161,14 @@ def _cmd_sleep_fit(args) -> int:
     ids, counts = ingest.read_sleep_counts_csv(args.counts)
     pipeline.require_students(str(args.counts), len(ids), args.components, "--min-nights")
     args.out.mkdir(parents=True, exist_ok=True)
-    rows, diag = pipeline.sleep_fit_group(ids, counts, mix_cfg, args.threshold,
-                                          args.out / "model.json", {})
-    sleepmix.write_assignments_csv(args.out / "assignments.csv", rows)
-    n_up = sum(label == sleepmix.STAY_UP for _, _, label in rows)
+    assigned, diag = pipeline.sleep_fit_group(ids, counts, mix_cfg, args.threshold,
+                                              args.out / "model.json", {})
+    sleepmix.write_assignments_csv(args.out / "assignments.csv", ids,
+                                   assigned.omega_stay_up, assigned.stay_up)
+    n_up = int(assigned.stay_up.sum())
     print(f"[sleep-fit] best restart {diag.best_restart_index}, "
           f"{diag.iterations_used} iterations, converged={diag.converged}")
-    print(f"[sleep-fit] {n_up} stay_up / {len(rows) - n_up} non_stay_up")
+    print(f"[sleep-fit] {n_up} stay_up / {len(ids) - n_up} non_stay_up")
     return 0
 
 
@@ -177,7 +178,7 @@ def _cmd_profile(args) -> int:
     features = ingest.read_features_csv(args.features)
     labels = sleepmix.read_assignments_csv(args.assignments)
     if args.median_scope == "global":
-        scopes = [("global", sorted(set(features) | set(labels)))]
+        scopes = [("global", sorted(set(features[0]) | set(labels[0])))]
     elif args.demographics is None:
         raise ConfigError("--median-scope per_cohort needs --demographics")
     else:

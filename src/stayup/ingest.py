@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -119,20 +119,6 @@ class Bedtimes:
 
 
 @dataclass
-class RawFeatureRecord:
-    student_id: str
-    books_borrowed: int
-    mean_daily_surf_minutes: float
-    game_minutes: float
-    video_minutes: float
-    breakfast_count: int
-    bath_interval_variance: float | None  # None when fewer than 2 bath events
-    mean_daily_spend: float
-    gpa: float
-    gender: str
-
-
-@dataclass
 class ParseReport:
     loaded: dict[str, int] = field(default_factory=dict)
     skipped: dict[str, int] = field(default_factory=dict)
@@ -223,36 +209,40 @@ def _borrow_row(row) -> tuple[str, int, int, float]:
 
 
 def _check_header(path: Path, header, columns):
-    if header is None or set(header) != set(columns):
+    if header is None:
+        raise IngestError(f"{path}: the file is empty; expected the header {','.join(columns)}")
+    if set(header) != set(columns):
         raise IngestError(
             f"{path}: header {header!r} does not match expected columns {columns}"
         )
 
 
-def check_columns(path, header, columns):
-    """Raise ValueError naming the first of columns that a stage file's header lacks."""
-    for name in columns:
-        if name not in (header or ()):
-            raise ValueError(f"{path}: missing column {name!r}")
+def stage_records(path, reader: csv.DictReader, columns, parse) -> tuple[tuple[str, ...], list]:
+    """(ids, values): the student_id and parse(row) of each data row of a
+    stage file, in file order.
 
-
-def stage_records(path, reader: csv.DictReader, parse):
-    """Yield parse(row) for each data row of a stage file whose header was checked.
-
-    A row with fewer or more fields than the header, or one that parse
-    rejects with ValueError (a non-numeric count, say), raises
-    ValueError("<path>: line N: <reason>"), N being the row's last physical
-    line.
+    A header without one of columns raises ValueError("<path>: missing column
+    'name'"). A row with fewer or more fields than the header, a student_id
+    already seen, or a row that parse rejects with ValueError (a non-numeric
+    count, say) raises ValueError("<path>: line N: <reason>"), N being the
+    row's last physical line.
     """
+    for name in columns:
+        if name not in (reader.fieldnames or ()):
+            raise ValueError(f"{path}: missing column {name!r}")
+    found = {}
     for row in reader:
         try:
             if None in row.values():
                 raise ValueError(f"fewer fields than the {len(reader.fieldnames)} of the header")
             if None in row:   # DictReader's key for the fields past the header's
                 raise ValueError(f"more fields than the {len(reader.fieldnames)} of the header")
-            yield parse(row)
+            if row["student_id"] in found:
+                raise ValueError(f"duplicate student {row['student_id']}")
+            found[row["student_id"]] = parse(row)
         except ValueError as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return tuple(found), list(found.values())
 
 
 def _read_rows(path: Path, kind: str):
@@ -625,12 +615,13 @@ def infer_study_days(store: EventStore) -> int:
 
 def compute_raw_features(store: EventStore, study_days: int,
                          breakfast_window: tuple[time, time] = DEFAULT_BREAKFAST_WINDOW,
-                         ) -> dict[str, RawFeatureRecord]:
-    """Raw (pre-discretization) behavioral quantities per student.
+                         ) -> tuple[tuple[str, ...], np.ndarray]:
+    """(ids, values): raw (pre-discretization) behavioral quantities of each
+    student with a grade, in id order, row i being ids[i].
 
-    Students present in demographics but missing a grade record are omitted.
-    Students with fewer than two bath transactions get a None
-    bath_interval_variance; excluding them is the caller's call. Sums run
+    values is (N, 9) float64 with columns FEATURE_COLUMNS[1:]; gender is its
+    index in GENDERS. A student with fewer than two bath transactions gets a
+    NaN bath_interval_variance; excluding them is the caller's call. Sums run
     in file order, as np.bincount adds its weights.
     """
     if study_days < 1:
@@ -650,54 +641,39 @@ def compute_raw_features(store: EventStore, study_days: int,
     tod = tx.time - day * DAY_US
     morning = ((tx.code == VENUES.index("canteen")) & (tod >= _time_us(breakfast_window[0]))
                & (tod < _time_us(breakfast_window[1])))
-    breakfast = np.zeros(n, dtype=np.int64)
-    if morning.any():
-        first = day[morning].min()
-        span = int(day[morning].max() - first) + 1
-        student_days = np.sort(tx.student[morning].astype(np.int64) * span + day[morning] - first)
-        student_days = student_days[np.append(True, student_days[1:] != student_days[:-1])]
-        breakfast = np.bincount(student_days // span, minlength=n)
+    days = day[morning] - day[morning].min(initial=0)   # >= 0: one key per student-day
+    span = int(days.max(initial=0)) + 1
+    keys = np.sort(tx.student[morning] * np.int64(span) + days)
+    breakfast = np.bincount(keys[np.diff(keys, prepend=-1) > 0] // span, minlength=n)
     bath = tx.code == VENUES.index("bath")
     order = np.lexsort((tx.time[bath], tx.student[bath]))
-    bath_days = day[bath][order]
-    bath_from = np.searchsorted(tx.student[bath][order], np.arange(n + 1))
+    bather, bath_days = tx.student[bath][order], day[bath][order]
+    same = bather[1:] == bather[:-1]   # the gap between two baths of one student
+    gap_of, gaps = bather[1:][same], np.diff(bath_days)[same]
+    # k gaps with sum S and sum of squares Q have variance (kQ - S^2) / k^2. While kQ
+    # and k^2 stay below 2**53 the sums, the int64 terms and their conversions are exact
+    # and the one division rounds correctly, so the value ignores the order of the gaps.
+    k = np.bincount(gap_of, minlength=n)
+    total = np.bincount(gap_of, weights=gaps, minlength=n).astype(np.int64)
+    squares = np.bincount(gap_of, weights=gaps * gaps, minlength=n).astype(np.int64)
+    with np.errstate(invalid="ignore"):   # 0 / 0 is the NaN of fewer than two baths
+        variance = (k * squares - total * total) / (k * k)   # each side converted to float64
 
     borrowed = np.bincount(store.borrows.student, minlength=n)
-
-    features: dict[str, RawFeatureRecord] = {}
-    for i, sid in enumerate(students):
-        gpa = store.grades.get(sid)
-        if gpa is None:
-            continue
-        baths = bath_days[bath_from[i]:bath_from[i + 1]]
-        variance = None
-        if baths.size >= 2:
-            # k gaps with sum S and sum of squares Q have variance (kQ - S^2) / k^2;
-            # while kQ and k^2 stay below 2**53 both convert exactly and the one
-            # division rounds correctly, so the value does not depend on gap order
-            gaps = np.diff(baths)
-            k, s, q = gaps.size, int(gaps.sum()), int(gaps @ gaps)
-            variance = float(k * q - s * s) / float(k * k)
-        features[sid] = RawFeatureRecord(
-            student_id=sid,
-            books_borrowed=int(borrowed[i]),
-            mean_daily_surf_minutes=float(surf[i]) / study_days,
-            game_minutes=float(game[i]),
-            video_minutes=float(video[i]),
-            breakfast_count=int(breakfast[i]),
-            bath_interval_variance=variance,
-            mean_daily_spend=float(spend[i]) / study_days,
-            gpa=gpa,
-            gender=store.demographics[sid].gender,
-        )
-    return features
+    gpa = np.array([store.grades.get(sid, np.nan) for sid in students])   # NaN: no grade
+    gender = [GENDERS.index(store.demographics[sid].gender) for sid in students]
+    keep = np.flatnonzero(~np.isnan(gpa))
+    values = np.column_stack((borrowed, surf / study_days, game, video, breakfast, variance,
+                              spend / study_days, gpa, gender))
+    return tuple(students[i] for i in keep.tolist()), values[keep]
 
 
 @dataclass
 class IngestResult:
-    count_ids: tuple[str, ...]   # the student of each row of counts
+    count_ids: tuple[str, ...]     # the student of each row of counts
     counts: np.ndarray
-    features: dict[str, RawFeatureRecord]
+    feature_ids: tuple[str, ...]   # the student of each row of features
+    features: np.ndarray           # columns FEATURE_COLUMNS[1:], as compute_raw_features
     demographics: dict[str, DemographicRecord]
     report: ParseReport
 
@@ -706,7 +682,7 @@ class IngestResult:
             "loaded": self.report.loaded,
             "skipped": self.report.skipped,
             "students_with_counts": len(self.count_ids),
-            "students_with_features": len(self.features),
+            "students_with_features": len(self.feature_ids),
         }
 
 
@@ -720,11 +696,11 @@ def ingest_logs(data_dir, out_dir, strict: bool = False, gpa_max: float = DEFAUL
     night_cfg = NightWindowConfig()
     ids, counts = aggregate_sleep_counts(extract_bedtimes(store.sessions, night_cfg),
                                          night_cfg, min_nights)
-    features = compute_raw_features(store, infer_study_days(store))
+    feature_ids, features = compute_raw_features(store, infer_study_days(store))
     out_dir = Path(out_dir)
     write_sleep_counts_csv(out_dir / INGEST_OUTPUTS[0], ids, counts)
-    write_features_csv(out_dir / INGEST_OUTPUTS[1], features)
-    return IngestResult(ids, counts, features, store.demographics, store.report)
+    write_features_csv(out_dir / INGEST_OUTPUTS[1], feature_ids, features)
+    return IngestResult(ids, counts, feature_ids, features, store.demographics, store.report)
 
 
 def write_sleep_counts_csv(path, ids: Sequence[str], counts: np.ndarray):
@@ -736,19 +712,11 @@ def write_sleep_counts_csv(path, ids: Sequence[str], counts: np.ndarray):
             writer.writerow([ids[i], *counts[i].tolist()])
 
 
-def _count_row(columns):
-    """A stage_records parse of one sleep-counts row to (id, counts)."""
-    seen = set()
-
-    def parse(row) -> tuple[str, list[int]]:
-        sid, counts = row["student_id"], [int(row[c]) for c in columns]
-        if min(counts) < 0:
-            raise ValueError("counts must be a non-negative vector")
-        if sid in seen:
-            raise ValueError(f"duplicate student {sid}")
-        seen.add(sid)
-        return sid, counts
-    return parse
+def _count_row(row) -> list[int]:
+    counts = [int(row[f"c{i}"]) for i in range(len(row) - 1)]   # the header was checked
+    if min(counts) < 0:
+        raise ValueError("counts must be a non-negative vector")
+    return counts
 
 
 def read_sleep_counts_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
@@ -756,11 +724,9 @@ def read_sleep_counts_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         bins = len(reader.fieldnames or ()) - 1
-        check_columns(path, reader.fieldnames,
-                      ["student_id"] + [f"c{i}" for i in range(max(bins, 1))])
-        rows = list(stage_records(path, reader, _count_row([f"c{i}" for i in range(bins)])))
-    ids = tuple(sid for sid, _ in rows)
-    return ids, np.array([c for _, c in rows], dtype=np.int64).reshape(len(rows), bins)
+        columns = ["student_id"] + [f"c{i}" for i in range(max(bins, 1))]
+        ids, rows = stage_records(path, reader, columns, _count_row)
+    return ids, np.array(rows, dtype=np.int64).reshape(len(ids), bins)
 
 
 FEATURE_COLUMNS = [
@@ -770,40 +736,38 @@ FEATURE_COLUMNS = [
 ]
 
 
-def write_features_csv(path, features: Mapping[str, RawFeatureRecord]):
-    """One row per student; floats in shortest round-trip form, so a reader
-    gets back the very values written, and a missing variance empty."""
+def write_features_csv(path, ids: Sequence[str], values: np.ndarray):
+    """One row per student in id order, row i of values being ids[i]: floats in shortest
+    round-trip form, counts as integers, a missing variance empty, gender as its word."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FEATURE_COLUMNS)
-        for sid in sorted(features):
-            rec = features[sid]
+        for i in sorted(range(len(ids)), key=ids.__getitem__):
+            borrowed, surf, game, video, breakfast, variance, spend, gpa, gender = (
+                values[i].tolist())
             writer.writerow([
-                rec.student_id, rec.books_borrowed, repr(rec.mean_daily_surf_minutes),
-                repr(rec.game_minutes), repr(rec.video_minutes), rec.breakfast_count,
-                "" if rec.bath_interval_variance is None else repr(rec.bath_interval_variance),
-                repr(rec.mean_daily_spend), repr(rec.gpa), rec.gender,
+                ids[i], int(borrowed), repr(surf), repr(game), repr(video), int(breakfast),
+                "" if math.isnan(variance) else repr(variance), repr(spend), repr(gpa),
+                GENDERS[int(gender)],
             ])
 
 
-def _feature_record(row) -> RawFeatureRecord:
+def _feature_row(row) -> list[float]:
+    gender = row["gender"]
+    if gender not in GENDERS:
+        raise ValueError(f"bad gender {gender!r}")
     variance = row["bath_interval_variance"]
-    return RawFeatureRecord(
-        student_id=row["student_id"],
-        books_borrowed=int(row["books_borrowed"]),
-        mean_daily_surf_minutes=float(row["mean_daily_surf_minutes"]),
-        game_minutes=float(row["game_minutes"]),
-        video_minutes=float(row["video_minutes"]),
-        breakfast_count=int(row["breakfast_count"]),
-        bath_interval_variance=float(variance) if variance else None,
-        mean_daily_spend=float(row["mean_daily_spend"]),
-        gpa=float(row["gpa"]),
-        gender=row["gender"],
-    )
+    return [
+        int(row["books_borrowed"]), float(row["mean_daily_surf_minutes"]),
+        float(row["game_minutes"]), float(row["video_minutes"]), int(row["breakfast_count"]),
+        float(variance) if variance else math.nan, float(row["mean_daily_spend"]),
+        float(row["gpa"]), GENDERS.index(gender),
+    ]
 
 
-def read_features_csv(path) -> dict[str, RawFeatureRecord]:
+def read_features_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """(ids, values) of a features file, rows in file order, values as
+    compute_raw_features gives them."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        check_columns(path, reader.fieldnames, FEATURE_COLUMNS)
-        return {r.student_id: r for r in stage_records(path, reader, _feature_record)}
+        ids, rows = stage_records(path, csv.DictReader(fh), FEATURE_COLUMNS, _feature_row)
+    return ids, np.array(rows, dtype=np.float64).reshape(len(ids), len(FEATURE_COLUMNS) - 1)

@@ -201,8 +201,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         labels, report["cluster_sizes"] = _stage_sleep_fit(cfg, groups, ingested.count_ids,
                                                            ingested.counts, register)
     with stage("profile"):
-        tables, report["profiling"] = _stage_profile(cfg, groups, ingested.features, labels,
-                                                     register)
+        tables, report["profiling"] = _stage_profile(
+            cfg, groups, (ingested.feature_ids, ingested.features), labels, register)
         tasks = _prediction_tasks(cfg, tables)
     with stage("consensus"):
         networks, freqs, predicted = _stage_consensus(cfg, tables, tasks, register)
@@ -248,24 +248,33 @@ def sleep_fit_group(ids, counts, mix_cfg: sleepmix.MixtureConfig, threshold: flo
                     model_path: Path, extra: dict):
     """Fit the group's counts, row i being student ids[i]; write its fitted
     model plus extra keys once its students are labelled; return its
-    (student, omega, label) rows and the fit diagnostics."""
+    sleepmix.Assignments and the fit diagnostics."""
     model, resp, diag = sleepmix.fit(counts, mix_cfg, ids)
     assigned = sleepmix.assign_and_label(resp, model, threshold)
     write_json(model_path, {**sleepmix.model_to_json(model, mix_cfg), **extra})
-    return list(zip(assigned.student_ids, assigned.omega_stay_up, assigned.labels)), diag
+    return assigned, diag
+
+
+def _rows_of(ids: Sequence[str], members: list[str]) -> list[int]:
+    """Positions in ids of the given students, in the order of ids."""
+    members = set(members)
+    return [i for i, sid in enumerate(ids) if sid in members]
 
 
 def profile_groups(scopes, features, labels, out_dir: Path,
                    extra: dict) -> dict[str, profiles.ProfileResult]:
-    """Profile each (name, student ids) scope on its own medians; write
-    profiles.csv and profile_meta.json (plus extra keys) into out_dir.
-    Raises ValueError naming the first scope that cannot be profiled."""
+    """Profile each (name, student ids) scope on its own medians, from the
+    (ids, values) features and (ids, stay_up) labels; write profiles.csv and
+    profile_meta.json (plus extra keys) into out_dir. Raises ValueError
+    naming the first scope that cannot be profiled."""
+    (feature_ids, values), (label_ids, stay_up) = features, labels
     results = {}
     for name, members in scopes:
+        f, s = _rows_of(feature_ids, members), _rows_of(label_ids, members)
         try:
             results[name] = profiles.build_profiles(
-                {sid: features[sid] for sid in members if sid in features},
-                {sid: labels[sid] for sid in members if sid in labels})
+                tuple(feature_ids[i] for i in f), values[f],
+                tuple(label_ids[i] for i in s), stay_up[s])
         except ValueError as exc:
             raise ValueError(f"{name} profiles: {exc}") from None
     profiles.write_profiles_csv(
@@ -430,12 +439,6 @@ def run_split(jobs: Sequence[Callable[[], object]],
 
 # --- the run stages ---
 
-def _rows_of(ids: Sequence[str], members: list[str]) -> list[int]:
-    """Positions in ids of the given students, in the order of ids."""
-    members = set(members)
-    return [i for i, sid in enumerate(ids) if sid in members]
-
-
 def _stage_ingest(cfg: PipelineConfig, register) -> ingest.IngestResult:
     result = ingest.ingest_logs(cfg.data_dir, cfg.out_dir, strict=cfg.strict_parse,
                                 gpa_max=cfg.gpa_max, min_nights=cfg.min_nights)
@@ -445,9 +448,9 @@ def _stage_ingest(cfg: PipelineConfig, register) -> ingest.IngestResult:
 
 def _stage_sleep_fit(cfg: PipelineConfig, groups, ids, counts, register):
     """Fit each group's mixture to its rows of counts, row i being student
-    ids[i]; return every labelled student's label and the report's cluster
-    sizes."""
-    rows: list[tuple[str, float, str]] = []
+    ids[i]; return the (ids, stay_up) labels of every labelled student, in
+    id order, and the report's cluster sizes."""
+    omega, stay_up = np.zeros(len(ids)), np.zeros(len(ids), dtype=bool)
     cluster_sizes: dict[str, dict[str, int]] = {}
     group_rows = [_rows_of(ids, members) for _, members in groups]
     for (cohort, _), at in zip(groups, group_rows):
@@ -463,8 +466,8 @@ def _stage_sleep_fit(cfg: PipelineConfig, groups, ids, counts, register):
         except (ValueError, sleepmix.MixtureError) as exc:   # both take one message
             raise type(exc)(f"cohort {cohort!r}: {exc}") from exc
         register(model_path)
-        rows.extend(labelled)
-        n_up = sum(label == sleepmix.STAY_UP for _, _, label in labelled)
+        omega[at], stay_up[at] = labelled.omega_stay_up, labelled.stay_up
+        n_up = int(labelled.stay_up.sum())
         cluster_sizes[cohort] = {
             "stay_up": n_up,
             "non_stay_up": len(at) - n_up,
@@ -474,11 +477,12 @@ def _stage_sleep_fit(cfg: PipelineConfig, groups, ids, counts, register):
         key: sum(row[key] for c, row in cluster_sizes.items() if c != "total")
         for key in ("stay_up", "non_stay_up", "total")
     }
-    rows.sort(key=lambda row: row[0])
+    rows = sorted((i for at in group_rows for i in at), key=ids.__getitem__)
+    label_ids = tuple(ids[i] for i in rows)
     assignments_path = cfg.out_dir / "assignments.csv"
-    sleepmix.write_assignments_csv(assignments_path, rows)
+    sleepmix.write_assignments_csv(assignments_path, label_ids, omega[rows], stay_up[rows])
     register(assignments_path)
-    return {sid: label for sid, _, label in rows}, cluster_sizes
+    return (label_ids, stay_up[rows]), cluster_sizes
 
 
 def _stage_profile(cfg: PipelineConfig, groups, features, labels, register):
@@ -493,11 +497,13 @@ def _stage_profile(cfg: PipelineConfig, groups, features, labels, register):
 
     if cfg.median_scope == "global":
         tables = {}
+        excluded = results["global"].excluded
         for cohort, members in groups:
             at = _rows_of(results["global"].ids, members)
             if len(at) < 2:   # a cohort scope fails in profile_groups instead
-                raise ValueError(f"{cohort} profiles: need at least two fully observed "
-                                 f"students to profile, got {len(at)}")
+                reasons = [excluded[sid] for sid in members if sid in excluded]
+                raise ValueError(f"{cohort} profiles: "
+                                 f"{profiles.too_few_message(len(at), reasons)}")
             tables[cohort] = results["global"].table.subset(at)
     else:
         tables = {cohort: result.table for cohort, result in results.items()}

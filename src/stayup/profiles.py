@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .bayesnet import DatasetTable, profile_variables
-from .ingest import RawFeatureRecord, check_columns, stage_records
-from .sleepmix import STAY_UP
+from .ingest import FEATURE_COLUMNS, GENDERS, stage_records
 
-# variable: (RawFeatureRecord attribute, high_is_one); False inverts the split direction
+# variable: (features.csv column, high_is_one); False inverts the split direction
 MEDIAN_SPLITS = {
     "R": ("books_borrowed", True),
     "T": ("mean_daily_surf_minutes", True),
@@ -57,14 +56,6 @@ def _split(values: np.ndarray, high_is_one: bool) -> tuple[np.ndarray, float]:
     return (values > med) if high_is_one else (values <= med), med
 
 
-def median_split(values: Mapping[str, float]) -> dict[str, int]:
-    """Label 1 iff the value strictly exceeds the median (ties go low)."""
-    if len(values) < 2:
-        raise ValueError("median_split needs at least two students")
-    bits, _ = _split(np.asarray(list(values.values()), dtype=np.float64), True)
-    return dict(zip(values, bits.astype(int).tolist()))
-
-
 @dataclass
 class ProfileResult:
     ids: tuple[str, ...]   # the student of each row of table, in id order
@@ -73,43 +64,64 @@ class ProfileResult:
     excluded: dict[str, str]
 
 
-def _sleep_bit(label) -> int:
-    return int(label == STAY_UP) if isinstance(label, str) else int(label)
+# the reasons to exclude a student, in order of precedence, and what each means
+_EXCLUSIONS = {
+    "missing feature record": " (no grade, so no row in features.csv)",
+    "missing sleep label": "",
+    "bath interval variance undefined": " (fewer than two baths)",
+}
 
 
-def build_profiles(features: Mapping[str, RawFeatureRecord],
-                   sleep_labels: Mapping[str, object]) -> ProfileResult:
+def too_few_message(n_included: int, reasons: Iterable[str]) -> str:
+    """Why a scope of n_included fully observed students cannot be profiled,
+    with the count of each exclusion reason among its other students."""
+    reasons = list(reasons)
+    counts = [f"{reasons.count(r)} {r}{meaning}" for r, meaning in _EXCLUSIONS.items()
+              if r in reasons]
+    return (f"need at least two fully observed students to profile, got {n_included}; "
+            f"excluded: {', '.join(counts) or 'none'}")
+
+
+_COLUMN = {name: j for j, name in enumerate(FEATURE_COLUMNS[1:])}   # in a features matrix
+
+
+def build_profiles(feature_ids: Sequence[str], values: np.ndarray,
+                   label_ids: Sequence[str], stay_up: np.ndarray) -> ProfileResult:
     """Assemble the nine binary variables for every fully observed student.
 
-    Students missing a feature record, a sleep label, or a defined bath
-    interval variance are excluded and reported. Medians are computed over
-    the included students only.
+    Row i of values (columns FEATURE_COLUMNS[1:]) is feature_ids[i], and
+    stay_up[j] is label_ids[j]'s sleep label. Students missing a feature
+    record, a sleep label, or a defined bath interval variance are excluded
+    and reported, in that order of precedence. Medians are computed over the
+    included students only; rows follow id order.
     """
+    feature_row = {sid: i for i, sid in enumerate(feature_ids)}
+    label_row = {sid: i for i, sid in enumerate(label_ids)}
+    undefined = np.isnan(values[:, _COLUMN["bath_interval_variance"]]).tolist()
     excluded: dict[str, str] = {}
     included: list[str] = []
-    for sid in sorted(set(features) | set(sleep_labels)):
-        if sid not in features:
-            excluded[sid] = "missing feature record"
-        elif sid not in sleep_labels:
-            excluded[sid] = "missing sleep label"
-        elif features[sid].bath_interval_variance is None:
-            excluded[sid] = "bath interval variance undefined"
+    no_features, no_label, no_variance = _EXCLUSIONS
+    for sid in sorted(feature_row.keys() | label_row.keys()):
+        if sid not in feature_row:
+            excluded[sid] = no_features
+        elif sid not in label_row:
+            excluded[sid] = no_label
+        elif undefined[feature_row[sid]]:
+            excluded[sid] = no_variance
         else:
             included.append(sid)
     if len(included) < 2:
-        raise ValueError("need at least two fully observed students to profile, "
-                         f"got {len(included)}")
+        raise ValueError(too_few_message(len(included), excluded.values()))
 
-    records = [features[sid] for sid in included]
+    rows = values[[feature_row[sid] for sid in included]]
     columns = {
-        "G": [rec.gender == "female" for rec in records],
-        "A": [rec.video_minutes > rec.game_minutes for rec in records],
-        "S": [_sleep_bit(sleep_labels[sid]) for sid in included],
+        "G": rows[:, _COLUMN["gender"]] == GENDERS.index("female"),
+        "A": rows[:, _COLUMN["video_minutes"]] > rows[:, _COLUMN["game_minutes"]],
+        "S": stay_up[[label_row[sid] for sid in included]],
     }
     medians: dict[str, float] = {}
     for name, (source, high_is_one) in MEDIAN_SPLITS.items():
-        values = np.array([float(getattr(rec, source)) for rec in records])
-        columns[name], medians[name] = _split(values, high_is_one)
+        columns[name], medians[name] = _split(rows[:, _COLUMN[source]], high_is_one)
     variables = profile_variables()
     table = DatasetTable(variables, np.column_stack([columns[name] for name in variables.names]))
     return ProfileResult(tuple(included), table, medians, excluded)
@@ -127,23 +139,21 @@ def write_profiles_csv(path, ids: Sequence[str], table: DatasetTable):
             writer.writerow([ids[i], *table.values[i].tolist()])
 
 
-def _profile_row(row) -> tuple[str, list[int]]:
+def _profile_row(row) -> list[int]:
     bits = [int(row[name]) for name in PROFILE_HEADER[1:]]
     for name, bit in zip(PROFILE_HEADER[1:], bits):
         if bit not in (0, 1):
             raise ValueError(f"{name} must be 0 or 1, got {bit}")
-    return row["student_id"], bits
+    return bits
 
 
 def read_profiles_csv(path) -> tuple[tuple[str, ...], DatasetTable]:
     """(ids, table) of a profiles file, rows in file order."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        check_columns(path, reader.fieldnames, PROFILE_HEADER)
-        rows = list(stage_records(path, reader, _profile_row))
+        ids, rows = stage_records(path, csv.DictReader(fh), PROFILE_HEADER, _profile_row)
     variables = profile_variables()
-    values = np.array([bits for _, bits in rows], dtype=np.uint8).reshape(len(rows), variables.n)
-    return tuple(sid for sid, _ in rows), DatasetTable(variables, values)
+    values = np.array(rows, dtype=np.uint8).reshape(len(ids), variables.n)
+    return ids, DatasetTable(variables, values)
 
 
 def metadata_json(group_medians: Mapping[str, Mapping[str, float]]) -> dict:

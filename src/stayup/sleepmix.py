@@ -18,13 +18,13 @@ from __future__ import annotations
 import csv
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
 from . import seeding
 from ._kernels import poisson_scores
-from .ingest import check_columns, stage_records
+from .ingest import stage_records
 from .special import gammaln, logsumexp
 
 # each variant's E- and M-step, as model_to_json names them
@@ -261,7 +261,7 @@ class Assignments:
 
     stay_up_component: int
     omega_stay_up: np.ndarray
-    labels: tuple[str, ...]
+    stay_up: np.ndarray   # bool: omega_stay_up reaches the threshold
     student_ids: tuple[str, ...] | None = None
 
 
@@ -289,8 +289,7 @@ def assign_and_label(resp: Responsibilities, model: PoissonMixtureModel,
     check_threshold(threshold)
     comp = stay_up_component(model)
     omega = np.asarray(resp.weights)[:, comp]
-    labels = tuple(STAY_UP if w >= threshold else NON_STAY_UP for w in omega)
-    return Assignments(comp, omega, labels, resp.student_ids)
+    return Assignments(comp, omega, omega >= threshold, resp.student_ids)
 
 
 def model_to_json(model: PoissonMixtureModel, cfg: MixtureConfig) -> dict:
@@ -305,17 +304,23 @@ def model_to_json(model: PoissonMixtureModel, cfg: MixtureConfig) -> dict:
     }
 
 
-def write_assignments_csv(path, rows: Iterable[tuple[str, float, str]]):
-    """Write (student_id, omega_stayup, label) rows in the order given."""
+def write_assignments_csv(path, ids: Sequence[str], omega: np.ndarray, stay_up: np.ndarray):
+    """Write one (student_id, omega_stayup, label) row per student in the order given."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["student_id", "omega_stayup", "label"])
-        for sid, omega, label in rows:
-            writer.writerow([sid, f"{omega:.12g}", label])
+        for sid, w, up in zip(ids, omega, stay_up.tolist()):
+            writer.writerow([sid, f"{w:.12g}", STAY_UP if up else NON_STAY_UP])
 
 
-def read_assignments_csv(path) -> dict[str, str]:
+def _label_row(row) -> bool:
+    if row["label"] not in (STAY_UP, NON_STAY_UP):
+        raise ValueError(f"bad label {row['label']!r}")
+    return row["label"] == STAY_UP
+
+
+def read_assignments_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """(ids, stay_up) of an assignments file, rows in file order."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        check_columns(path, reader.fieldnames, ["student_id", "label"])
-        return dict(stage_records(path, reader, lambda row: (row["student_id"], row["label"])))
+        ids, rows = stage_records(path, csv.DictReader(fh), ["student_id", "label"], _label_row)
+    return ids, np.array(rows, dtype=bool)

@@ -5,20 +5,25 @@ program computes another way: BDeu scores family by family (the oracle of
 ``bayesnet.score_table``), the move set and the moves of a single graph
 (the oracle of ``bayesnet.climb_batch``) with the graph copy and edge
 deletion they need, exact posteriors by enumeration, the mixture's E-step
-on its own, and the night and bin of one timestamp (the oracle of
-``ingest.extract_bedtimes``). Not a test module, so pytest
-does not collect it; tests import it as ``reference``.
+on its own, the night and bin of one timestamp (the oracle of
+``ingest.extract_bedtimes``), raw features as one record per student (the
+oracle of ``ingest.compute_raw_features``) and profiles built from dicts of
+them (the oracle of ``profiles.build_profiles``). Not a test module, so
+pytest does not collect it; tests import it as ``reference``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from typing import Mapping
 
 import numpy as np
 
 from stayup import bayesnet as bn
+from stayup import ingest
+from stayup import profiles as pr
 from stayup import sleepmix as sm
 from stayup.ingest import NightWindowConfig
 from stayup.special import gammaln
@@ -198,3 +203,149 @@ def locate(cfg: NightWindowConfig, dt: datetime) -> tuple[date, int | None]:
     if 0 <= offset < cfg.window_minutes:
         return night, int(offset // cfg.bin_minutes)
     return night, None
+
+
+@dataclass
+class RawFeatureRecord:
+    student_id: str
+    books_borrowed: int
+    mean_daily_surf_minutes: float
+    game_minutes: float
+    video_minutes: float
+    breakfast_count: int
+    bath_interval_variance: float | None  # None when fewer than 2 bath events
+    mean_daily_spend: float
+    gpa: float
+    gender: str
+
+
+def compute_raw_features(store: ingest.EventStore, study_days: int,
+                         breakfast_window=ingest.DEFAULT_BREAKFAST_WINDOW,
+                         ) -> dict[str, RawFeatureRecord]:
+    """Raw (pre-discretization) behavioral quantities per student.
+
+    One record per student, built in a per-student loop.
+    Students present in demographics but missing a grade record are omitted.
+    Students with fewer than two bath transactions get a None
+    bath_interval_variance; excluding them is the caller's call. Sums run
+    in file order, as np.bincount adds its weights.
+    """
+    if study_days < 1:
+        raise ValueError("study_days must be >= 1")
+    students = store.students
+    n = len(students)
+
+    s = store.sessions
+    surf = np.bincount(s.student, weights=s.value, minlength=n)
+    game, video = (np.bincount(s.student[hit], weights=s.value[hit], minlength=n)
+                   for hit in (s.code == ingest.APP_CATEGORIES.index("game"),
+                               s.code == ingest.APP_CATEGORIES.index("video")))
+
+    tx = store.transactions
+    spend = np.bincount(tx.student, weights=tx.value, minlength=n)
+    day = tx.time // ingest.DAY_US
+    tod = tx.time - day * ingest.DAY_US
+    morning = ((tx.code == ingest.VENUES.index("canteen"))
+               & (tod >= ingest._time_us(breakfast_window[0]))
+               & (tod < ingest._time_us(breakfast_window[1])))
+    breakfast = np.zeros(n, dtype=np.int64)
+    if morning.any():
+        first = day[morning].min()
+        span = int(day[morning].max() - first) + 1
+        student_days = np.sort(tx.student[morning].astype(np.int64) * span + day[morning] - first)
+        student_days = student_days[np.append(True, student_days[1:] != student_days[:-1])]
+        breakfast = np.bincount(student_days // span, minlength=n)
+    bath = tx.code == ingest.VENUES.index("bath")
+    order = np.lexsort((tx.time[bath], tx.student[bath]))
+    bath_days = day[bath][order]
+    bath_from = np.searchsorted(tx.student[bath][order], np.arange(n + 1))
+
+    borrowed = np.bincount(store.borrows.student, minlength=n)
+
+    features: dict[str, RawFeatureRecord] = {}
+    for i, sid in enumerate(students):
+        gpa = store.grades.get(sid)
+        if gpa is None:
+            continue
+        baths = bath_days[bath_from[i]:bath_from[i + 1]]
+        variance = None
+        if baths.size >= 2:
+            # k gaps with sum S and sum of squares Q have variance (kQ - S^2) / k^2;
+            # while kQ and k^2 stay below 2**53 both convert exactly and the one
+            # division rounds correctly, so the value does not depend on gap order
+            gaps = np.diff(baths)
+            k, s, q = gaps.size, int(gaps.sum()), int(gaps @ gaps)
+            variance = float(k * q - s * s) / float(k * k)
+        features[sid] = RawFeatureRecord(
+            student_id=sid,
+            books_borrowed=int(borrowed[i]),
+            mean_daily_surf_minutes=float(surf[i]) / study_days,
+            game_minutes=float(game[i]),
+            video_minutes=float(video[i]),
+            breakfast_count=int(breakfast[i]),
+            bath_interval_variance=variance,
+            mean_daily_spend=float(spend[i]) / study_days,
+            gpa=gpa,
+            gender=store.demographics[sid].gender,
+        )
+    return features
+
+
+def feature_arrays(features: Mapping[str, RawFeatureRecord]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The (ids, values) form of records, as ingest.compute_raw_features gives it."""
+    ids = tuple(sorted(features))
+    values = [[rec.books_borrowed, rec.mean_daily_surf_minutes, rec.game_minutes,
+               rec.video_minutes, rec.breakfast_count,
+               math.nan if rec.bath_interval_variance is None else rec.bath_interval_variance,
+               rec.mean_daily_spend, rec.gpa, ingest.GENDERS.index(rec.gender)]
+              for rec in map(features.__getitem__, ids)]
+    width = len(ingest.FEATURE_COLUMNS) - 1
+    return ids, np.array(values, dtype=np.float64).reshape(len(ids), width)
+
+
+# --- profiles -----------------------------------------------------------------------
+
+def median_split(values: Mapping[str, float]) -> dict[str, int]:
+    """Label 1 iff the value strictly exceeds the median (ties go low)."""
+    if len(values) < 2:
+        raise ValueError("median_split needs at least two students")
+    bits, _ = pr._split(np.asarray(list(values.values()), dtype=np.float64), True)
+    return dict(zip(values, bits.astype(int).tolist()))
+
+
+def build_profiles(features: Mapping[str, RawFeatureRecord],
+                   sleep_labels: Mapping[str, object]) -> pr.ProfileResult:
+    """Assemble the nine binary variables for every fully observed student.
+
+    Students missing a feature record, a sleep label, or a defined bath
+    interval variance are excluded and reported. Medians are computed over
+    the included students only. A sleep label is True (or 1) for stay_up.
+    """
+    excluded: dict[str, str] = {}
+    included: list[str] = []
+    for sid in sorted(set(features) | set(sleep_labels)):
+        if sid not in features:
+            excluded[sid] = "missing feature record"
+        elif sid not in sleep_labels:
+            excluded[sid] = "missing sleep label"
+        elif features[sid].bath_interval_variance is None:
+            excluded[sid] = "bath interval variance undefined"
+        else:
+            included.append(sid)
+    if len(included) < 2:
+        raise ValueError("need at least two fully observed students to profile, "
+                         f"got {len(included)}")
+
+    records = [features[sid] for sid in included]
+    columns = {
+        "G": [rec.gender == "female" for rec in records],
+        "A": [rec.video_minutes > rec.game_minutes for rec in records],
+        "S": [int(sleep_labels[sid]) for sid in included],
+    }
+    medians: dict[str, float] = {}
+    for name, (source, high_is_one) in pr.MEDIAN_SPLITS.items():
+        values = np.array([float(getattr(rec, source)) for rec in records])
+        columns[name], medians[name] = pr._split(values, high_is_one)
+    variables = bn.profile_variables()
+    table = bn.DatasetTable(variables, np.column_stack([columns[name] for name in variables.names]))
+    return pr.ProfileResult(tuple(included), table, medians, excluded)

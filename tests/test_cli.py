@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from datetime import date, datetime, time, timedelta
@@ -278,6 +279,51 @@ class TestStagesMatchRun:
         assert (out / "assignments.csv").read_bytes() == (run_out / "assignments.csv").read_bytes()
 
 
+class TestInputMessages:
+    def test_run_without_baths_counts_the_exclusions(self, data_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        (data / "transactions.csv").write_text("student_id,time,venue,amount\n")
+        argv = ["run", "--data", str(data), "--out", str(tmp_path / "out"),
+                "--median-scope", "global"]
+        for name, value in FAST.items():
+            argv += ["--" + name.replace("_", "-"), str(value)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: stage 'profile' failed: global profiles: need at least two fully observed "
+            "students to profile, got 0; excluded: 450 bath interval variance undefined "
+            "(fewer than two baths)\n")
+
+    def test_empty_log_file(self, data_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        (data / "borrows.csv").write_bytes(b"")
+        assert cli.main(["ingest", "--data", str(data), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (f"error: {data / 'borrows.csv'}: the file is empty; "
+                                           "expected the header student_id,time\n")
+
+
+def test_stages_leave_numpy_ma_unimported(data_dir, tmp_path):
+    # np.median and np.unique import numpy.ma on their first call, which costs
+    # every run that memory; ingest, sleep-fit and profile use neither
+    out = str(tmp_path / "out")
+    code = (
+        "import sys\n"
+        "from stayup import cli\n"
+        f"assert cli.main(['ingest', '--data', {str(data_dir)!r}, '--out', {out!r},"
+        " '--min-nights', '5']) == 0\n"
+        f"assert cli.main(['sleep-fit', '--counts', {out + '/sleep_counts.csv'!r},"
+        f" '--out', {out!r}, '--em-restarts', '2']) == 0\n"
+        f"assert cli.main(['profile', '--features', {out + '/features.csv'!r},"
+        f" '--assignments', {out + '/assignments.csv'!r}, '--median-scope', 'global',"
+        f" '--out', {out!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(pipeline.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 class TestStageInputs:
     def test_profile_counts_a_student_listed_twice_once(self, data_dir, run_dir, tmp_path):
         text = (data_dir / "demographics.csv").read_text()
@@ -332,12 +378,21 @@ class TestStageInputs:
         ("--features", "s2,0", "fewer fields than the 10 of the header"),
         ("--assignments", "s2", "fewer fields than the 3 of the header"),
         ("--profiles", "s2,0", "fewer fields than the 10 of the header"),
+        ("--features", "s2,0,1.0,1.0,1.0,0,,1.0,3.0,Female", "bad gender 'Female'"),
+        ("--assignments", "s2,0.5,stayup", "bad label 'stayup'"),
+        # the first row again
+        ("--counts", None, "duplicate student {sid}"),
+        ("--features", None, "duplicate student {sid}"),
+        ("--assignments", None, "duplicate student {sid}"),
+        ("--profiles", None, "duplicate student {sid}"),
     ])
     def test_stage_file_with_a_bad_row(self, run_dir, tmp_path, capsys, flag, line, reason):
         # the named file keeps its header and first row, then the bad row on line 3
         source = {"--counts": "sleep_counts.csv", "--features": "features.csv",
                   "--assignments": "assignments.csv", "--profiles": "profiles.csv"}[flag]
         header, first = (run_dir / source).read_text().splitlines()[:2]
+        if line is None:
+            line, reason = first, reason.format(sid=first.split(",")[0])
         bad = tmp_path / "bad.csv"
         bad.write_text(f"{header}\n{first}\n{line}\n")
         out = str(tmp_path / "out")
@@ -665,7 +720,8 @@ class TestCohortFailures:
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: stage 'profile' failed: junior profiles: need at least two fully observed "
-            "students to profile, got 0\n")
+            "students to profile, got 0; excluded: 150 missing feature record (no grade, so no "
+            "row in features.csv)\n")
         assert json.loads((out / "MANIFEST.json").read_text())["incomplete"] == ["profile"]
         assert not list(out.glob("consensus_*.json"))
 

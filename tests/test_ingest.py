@@ -275,20 +275,64 @@ def bath_store(*gap_lists) -> ingest.EventStore:
         ingest.ParseReport())
 
 
+def features_by_id(store, study_days) -> dict[str, dict[str, float]]:
+    """compute_raw_features' rows by student id, each value by its column name."""
+    ids, values = ingest.compute_raw_features(store, study_days)
+    names = ingest.FEATURE_COLUMNS[1:]
+    return {sid: dict(zip(names, row)) for sid, row in zip(ids, values.tolist())}
+
+
+@st.composite
+def event_stores(draw) -> ingest.EventStore:
+    """Up to five students with a few sessions, transactions and borrows over
+    20 days; some without a grade, some with fewer than two baths."""
+    n = draw(st.integers(1, 5))
+    students = tuple(f"s{i}" for i in range(n))
+
+    def events(codes: int, values: bool) -> ingest.EventColumns:
+        rows = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 20 * 1440 - 1),
+                                       st.integers(0, codes - 1), st.integers(0, 400 * values)),
+                             max_size=30))
+        student, minute, code, value = (np.array(c, dtype=np.int64).reshape(len(rows))
+                                        for c in (zip(*rows) if rows else ((),) * 4))
+        return ingest.EventColumns(students, student.astype(np.int32),
+                                   (17_000 * 1440 + minute) * 60_000_000, code.astype(np.int8),
+                                   value / 4)
+
+    sessions = events(len(ingest.APP_CATEGORIES), True)
+    transactions = events(len(ingest.VENUES), True)
+    borrows = events(1, False)
+    grades = draw(st.lists(st.sampled_from([None, 0.0, 2.5, 3.25]), min_size=n, max_size=n))
+    genders = draw(st.lists(st.sampled_from(ingest.GENDERS), min_size=n, max_size=n))
+    return ingest.EventStore(
+        sessions, transactions, borrows,
+        {sid: g for sid, g in zip(students, grades) if g is not None},
+        {sid: ingest.DemographicRecord(sid, g, "freshman") for sid, g in zip(students, genders)},
+        ingest.ParseReport())
+
+
 # a list of day gaps and a reordering of it
 GAPS_AND_PERMUTATION = st.lists(st.integers(0, 60), min_size=1, max_size=40).flatmap(
     lambda gaps: st.tuples(st.just(gaps), st.permutations(gaps)))
 
 
 class TestComputeRawFeatures:
+    @given(store=event_stores(), study_days=st.integers(1, 30))
+    def test_matches_the_per_student_loop(self, store, study_days):
+        ids, values = ingest.compute_raw_features(store, study_days)
+        want_ids, want = reference.feature_arrays(
+            reference.compute_raw_features(store, study_days))
+        assert ids == want_ids
+        np.testing.assert_array_equal(values, want)   # NaN where the other has NaN
+
     @given(pair=GAPS_AND_PERMUTATION)
     @example(pair=([2, 10, 5, 13, 13, 8, 8, 10, 8, 11], [8, 8, 13, 10, 11, 13, 2, 5, 8, 10]))
     def test_bath_variance_is_exact_and_order_free(self, pair):
         gaps, permuted = pair
-        feats = ingest.compute_raw_features(bath_store(gaps, permuted), study_days=10)
+        feats = features_by_id(bath_store(gaps, permuted), 10)
         mean = Fraction(sum(gaps), len(gaps))
         want = float(sum((g - mean) ** 2 for g in gaps) / len(gaps))   # correctly rounded
-        got = [feats[sid].bath_interval_variance for sid in ("s0", "s1")]
+        got = [feats[sid]["bath_interval_variance"] for sid in ("s0", "s1")]
         assert [np.float64(v).tobytes() for v in got] == [np.float64(want).tobytes()] * 2
 
     def _store(self, tmp_path, **kwargs):
@@ -297,8 +341,8 @@ class TestComputeRawFeatures:
 
     def test_zero_borrows(self, tmp_path):
         store = self._store(tmp_path, grades="s1,3.0\ns2,2.5")
-        feats = ingest.compute_raw_features(store, study_days=10)
-        assert feats["s1"].books_borrowed == 0
+        feats = features_by_id(store, 10)
+        assert feats["s1"]["books_borrowed"] == 0
 
     def test_bath_variance_equal_gaps(self, tmp_path):
         store = self._store(
@@ -310,8 +354,8 @@ class TestComputeRawFeatures:
             ),
             grades="s1,3.0\ns2,2.5",
         )
-        feats = ingest.compute_raw_features(store, study_days=10)
-        assert feats["s1"].bath_interval_variance == 0.0
+        feats = features_by_id(store, 10)
+        assert feats["s1"]["bath_interval_variance"] == 0.0
 
     def test_bath_variance_undefined_flagged(self, tmp_path):
         store = self._store(
@@ -319,8 +363,8 @@ class TestComputeRawFeatures:
             transactions="s1,2018-11-01 19:00,bath,3.0",
             grades="s1,3.0\ns2,2.5",
         )
-        feats = ingest.compute_raw_features(store, study_days=10)
-        assert feats["s1"].bath_interval_variance is None
+        feats = features_by_id(store, 10)
+        assert math.isnan(feats["s1"]["bath_interval_variance"])
 
     def test_breakfast_once_per_day(self, tmp_path):
         store = self._store(
@@ -332,8 +376,8 @@ class TestComputeRawFeatures:
             ),
             grades="s1,3.0\ns2,2.5",
         )
-        feats = ingest.compute_raw_features(store, study_days=10)
-        assert feats["s1"].breakfast_count == 2
+        feats = features_by_id(store, 10)
+        assert feats["s1"]["breakfast_count"] == 2
 
     def test_breakfast_window_bounds(self, tmp_path):
         store = self._store(
@@ -345,8 +389,8 @@ class TestComputeRawFeatures:
             ),
             grades="s1,3.0\ns2,2.5",
         )
-        feats = ingest.compute_raw_features(store, study_days=10)
-        assert feats["s1"].breakfast_count == 1
+        feats = features_by_id(store, 10)
+        assert feats["s1"]["breakfast_count"] == 1
 
     def test_rates_divide_by_study_days(self, tmp_path):
         store = self._store(
@@ -355,14 +399,14 @@ class TestComputeRawFeatures:
             transactions="s1,2018-11-05 12:00,other,30.0",
             grades="s1,3.0\ns2,2.5",
         )
-        feats = ingest.compute_raw_features(store, study_days=10)
-        assert feats["s1"].mean_daily_surf_minutes == pytest.approx(10.0)
-        assert feats["s1"].game_minutes == 60 and feats["s1"].video_minutes == 40
-        assert feats["s1"].mean_daily_spend == pytest.approx(3.0)
+        feats = features_by_id(store, 10)
+        assert feats["s1"]["mean_daily_surf_minutes"] == pytest.approx(10.0)
+        assert feats["s1"]["game_minutes"] == 60 and feats["s1"]["video_minutes"] == 40
+        assert feats["s1"]["mean_daily_spend"] == pytest.approx(3.0)
 
     def test_missing_grade_omits_student(self, tmp_path):
         store = self._store(tmp_path, grades="s1,3.0")
-        feats = ingest.compute_raw_features(store, study_days=10)
+        feats = features_by_id(store, 10)
         assert "s2" not in feats
 
 
@@ -385,15 +429,19 @@ class TestCsvRoundTrips:
         assert str(err.value) == f"{path}: line 3: duplicate student s1"
 
     def test_features(self, tmp_path):
-        rec = ingest.RawFeatureRecord("s1", 3, 22.5, 120.0, 300.0, 18, None, 14.25, 3.4, "female")
-        rec2 = ingest.RawFeatureRecord("s2", 0, 5.0, 10.0, 2.0, 2, 1.25, 8.0, 2.1, "male")
-        # values that 12 significant digits would round
-        rec3 = ingest.RawFeatureRecord("s3", 1, 1.7938888888888886, 0.1 + 0.2, 1 / 3, 0,
-                                       2 / 7, 1 + 2**-52, 3.3000000000000003, "male")
+        ids = ("s3", "s1", "s2")
+        values = np.array([
+            # values that 12 significant digits would round
+            [1, 1.7938888888888886, 0.1 + 0.2, 1 / 3, 0, 2 / 7, 1 + 2**-52, 3.3000000000000003, 0],
+            [3, 22.5, 120.0, 300.0, 18, np.nan, 14.25, 3.4, 1],
+            [0, 5.0, 10.0, 2.0, 2, 1.25, 8.0, 2.1, 0],
+        ])
         path = tmp_path / "features.csv"
-        ingest.write_features_csv(path, {"s1": rec, "s2": rec2, "s3": rec3})
-        again = ingest.read_features_csv(path)
-        assert again == {"s1": rec, "s2": rec2, "s3": rec3}
+        ingest.write_features_csv(path, ids, values)
+        again_ids, again = ingest.read_features_csv(path)   # rows are written in id order
+        assert again_ids == ("s1", "s2", "s3") and again.dtype == np.float64
+        np.testing.assert_array_equal(again, values[[1, 2, 0]])
+        assert path.read_text().splitlines()[1] == "s1,3,22.5,120.0,300.0,18,,14.25,3.4,female"
         assert path.read_text().splitlines()[3] == (
             "s3,1,1.7938888888888886,0.30000000000000004,0.3333333333333333,0,"
             "0.2857142857142857,1.0000000000000002,3.3000000000000003,male")
@@ -665,7 +713,7 @@ def ref_compute_raw_features(store, study_days,
             variance = float(k * q - s * s) / float(k * k)
         else:
             variance = None
-        features[sid] = ingest.RawFeatureRecord(
+        features[sid] = reference.RawFeatureRecord(
             student_id=sid,
             books_borrowed=borrowed[sid],
             mean_daily_surf_minutes=surf[sid] / study_days,
@@ -678,6 +726,10 @@ def ref_compute_raw_features(store, study_days,
             gender=store.demographics[sid].gender,
         )
     return features
+
+
+def ref_feature_arrays(store, study_days, breakfast_window):
+    return reference.feature_arrays(ref_compute_raw_features(store, study_days, breakfast_window))
 
 
 ODD_WINDOW = ingest.NightWindowConfig(time(22, 15), 20, 12, time(18, 0))
@@ -716,7 +768,7 @@ def ingest_outputs(paths, out: Path, night_cfg, breakfast, reference: bool,
         observed = ref_extract_bedtimes(store.sessions, night_cfg)
         bedtimes = [(o.student_id, o.night_index, o.bin_index) for o in observed]
         ids, counts = ref_aggregate_sleep_counts(observed, night_cfg, 1)
-        infer, features = ref_infer_study_days, ref_compute_raw_features
+        infer, features = ref_infer_study_days, ref_feature_arrays
     else:
         observed = ingest.extract_bedtimes(store.sessions, night_cfg)
         bedtimes = [(observed.students[s], n, b) for s, n, b in zip(
@@ -732,7 +784,7 @@ def ingest_outputs(paths, out: Path, night_cfg, breakfast, reference: bool,
     except ValueError as exc:
         got["days"] = str(exc)
         return got
-    ingest.write_features_csv(out / "features.csv", features(store, days, breakfast))
+    ingest.write_features_csv(out / "features.csv", *features(store, days, breakfast))
     got["features"] = (out / "features.csv").read_bytes()
     return got
 
@@ -797,8 +849,8 @@ class TestIngestFixes:
         )
         store = ingest.parse_logs(paths)
         assert store.report.reasons["transactions"] == {"non-finite amount": 1}
-        feats = ingest.compute_raw_features(store, study_days=2)
-        assert feats["s1"].mean_daily_spend == 2.0
+        feats = features_by_id(store, 2)
+        assert feats["s1"]["mean_daily_spend"] == 2.0
         with pytest.raises(ingest.IngestError, match=r"transactions\.csv:2: non-finite amount"):
             ingest.parse_logs(paths, strict=True)
 
@@ -813,8 +865,8 @@ class TestIngestFixes:
         store = ingest.parse_logs(paths)
         assert store.report.reasons["net_sessions"] == {"duration too large": 1}
         assert store.report.loaded["net_sessions"] == 1
-        feats = ingest.compute_raw_features(store, study_days=2)
-        assert feats["s1"].game_minutes == 30.0
+        feats = features_by_id(store, 2)
+        assert feats["s1"]["game_minutes"] == 30.0
         with pytest.raises(ingest.IngestError, match=r"net_sessions\.csv:2: duration too large"):
             ingest.parse_logs(paths, strict=True)
 

@@ -310,7 +310,7 @@ class TestAssignAndLabel:
         )
         resp = sm.Responsibilities(np.array([[0.5, 0.5]]))
         assignments = sm.assign_and_label(resp, model, threshold=0.5)
-        assert assignments.labels[0] == sm.STAY_UP
+        assert assignments.stay_up[0]
 
     def test_clear_majority(self):
         model = sm.PoissonMixtureModel(
@@ -319,7 +319,7 @@ class TestAssignAndLabel:
         resp = sm.Responsibilities(np.array([[0.2, 0.8], [0.9, 0.1]]))
         assignments = sm.assign_and_label(resp, model)
         assert assignments.stay_up_component == 1
-        assert assignments.labels == (sm.STAY_UP, sm.NON_STAY_UP)
+        assert assignments.stay_up.tolist() == [True, False]
 
     def test_mean_bin_tie_errors(self):
         model = sm.PoissonMixtureModel(np.ones((2, 4)), np.array([0.5, 0.5]))
@@ -329,11 +329,11 @@ class TestAssignAndLabel:
 
     def test_relabeling_symmetry(self):
         _, model, resp = self._fitted(seed=14)
-        labels = sm.assign_and_label(resp, model).labels
+        labels = sm.assign_and_label(resp, model).stay_up
         swapped_model = sm.PoissonMixtureModel(model.rates[::-1].copy(), model.mixing[::-1].copy())
         swapped_resp = sm.Responsibilities(resp.weights[:, ::-1].copy(), resp.student_ids)
-        labels_swapped = sm.assign_and_label(swapped_resp, swapped_model).labels
-        assert labels == labels_swapped
+        labels_swapped = sm.assign_and_label(swapped_resp, swapped_model).stay_up
+        np.testing.assert_array_equal(labels, labels_swapped)
 
     def test_threshold_validated(self):
         model = sm.PoissonMixtureModel(np.array([[3.0, 1.0], [1.0, 3.0]]), np.array([0.5, 0.5]))
@@ -363,7 +363,9 @@ class TestSerialization:
         model, resp, _ = sm.fit(counts, sm.MixtureConfig(seed=8, restarts=2), ids)
         assignments = sm.assign_and_label(resp, model)
         path = tmp_path / "assignments.csv"
-        sm.write_assignments_csv(path, zip(
-            assignments.student_ids, assignments.omega_stay_up, assignments.labels))
-        labels = sm.read_assignments_csv(path)
-        assert labels == dict(zip(assignments.student_ids, assignments.labels))
+        sm.write_assignments_csv(path, assignments.student_ids, assignments.omega_stay_up,
+                                 assignments.stay_up)
+        ids, stay_up = sm.read_assignments_csv(path)
+        assert ids == assignments.student_ids and stay_up.dtype == bool
+        np.testing.assert_array_equal(stay_up, assignments.stay_up)
+        assert 0 < stay_up.sum() < len(ids)   # both words were written and read back

@@ -121,10 +121,10 @@ class TestGenerateFullLogs:
 
     def test_class_values_clear_the_midpoint(self, logs):
         result, store = logs
-        feats = ingest.compute_raw_features(store, 60)
-        var = result.table.variables
+        ids, feats = ingest.compute_raw_features(store, 60)
         br = result.table.column("Br")
-        counts = np.array([feats[sid].breakfast_count for sid in result.student_ids])
+        assert ids == result.student_ids
+        counts = feats[:, ingest.FEATURE_COLUMNS.index("breakfast_count") - 1]
         midpoint = (0.8 + 0.35) / 2 * 60
         assert (counts[br == 1] > midpoint).mean() >= 0.9
         assert (counts[br == 0] <= midpoint).mean() >= 0.9
@@ -139,10 +139,8 @@ class TestGenerateFullLogs:
         cfg = synth.GeneratorConfig(800, 50, seed=10, emit="full_logs")
         result = synth.generate_full_logs(truth, cfg, tmp_path)
         store = ingest.parse_logs(ingest.LogPaths.from_dir(tmp_path))
-        feats = ingest.compute_raw_features(store, 50)
-        labels = {sid: int(result.table.values[i, var.index("S")])
-                  for i, sid in enumerate(result.student_ids)}
-        built = pr.build_profiles(feats, labels)
+        built = pr.build_profiles(*ingest.compute_raw_features(store, 50), result.student_ids,
+                                  result.table.column("S") == 1)
         table, ids = built.table, built.ids
         truth_bits = {sid: result.table.values[i] for i, sid in enumerate(result.student_ids)}
         for j, name in enumerate(var.names):
