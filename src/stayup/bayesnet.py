@@ -89,7 +89,7 @@ class Dag:
             self.add_edge(u, v)
 
     @classmethod
-    def _from_parents(cls, variables: VariableSet, parents: Sequence[int]) -> "Dag":
+    def from_parents(cls, variables: VariableSet, parents: Sequence[int]) -> "Dag":
         """A Dag from parent bitmasks that the caller knows to be acyclic."""
         dag = cls(variables)
         dag._pa = list(parents)
@@ -221,10 +221,6 @@ class LayerConstraints:
         most_parents = [sum(1 << u for u in range(n) if self.allows(u, v)) for v in range(n)]
         return _score_plan(self.variables.arities, most_parents)
 
-    def legal_pairs(self) -> list[tuple[int, int]]:
-        n = self.variables.n
-        return [(u, v) for u in range(n) for v in range(n) if self.allows(u, v)]
-
 
 def default_layer_constraints() -> LayerConstraints:
     """Gender on top, academic performance at the bottom, behavior between."""
@@ -264,8 +260,8 @@ class BdeuConfig:
     ess: float = 1.0
 
     def __post_init__(self):
-        if not self.ess > 0:
-            raise ValueError("ess must be positive")
+        if not 0 < self.ess < math.inf:
+            raise ValueError("ess must be positive and finite")
 
 
 # --- BDeu scores ---------------------------------------------------------------
@@ -349,15 +345,25 @@ def score_table(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuConf
     """BDeu score of every layer-legal family as an (n, 2**n) array.
 
     Entry [v, mask] scores child v under the parents in bitmask `mask`;
-    families the layers rule out hold NaN.
+    families the layers rule out hold NaN. Raises ValueError when a legal
+    family's score is not finite, as for an ess near 0 or the float limit.
     """
     if data.variables != constraints.variables:
         raise ValueError("data and constraints are over different variable sets")
     n = data.variables.n
     lattice = _lattice_counts(data.values, data.variables.arities)
     table = np.full((n, 1 << n), np.nan)
+    bad = []   # (child, parent mask) of each family whose score is not finite
     for g in constraints.score_plan:
-        table[g.child, g.parents] = _bdeu(lattice[g.cells], lattice[g.totals], g.q, g.r, cfg.ess)
+        table[g.child, g.parents] = scores = _bdeu(lattice[g.cells], lattice[g.totals],
+                                                   g.q, g.r, cfg.ess)
+        lost = ~np.isfinite(scores)
+        bad += zip(g.child[lost].tolist(), g.parents[lost].tolist())
+    if bad:
+        child, mask = min(bad)
+        names = data.variables.names
+        raise ValueError(f"ess={cfg.ess!r} gives a non-finite BDeu score, first for "
+                         f"{names[child]} given {{{', '.join(names[u] for u in _bits(mask))}}}")
     return table
 
 
@@ -396,7 +402,7 @@ def _legal(adj: np.ndarray, desc: np.ndarray, via: np.ndarray, allowed: np.ndarr
 
 
 def climb_batch(table: np.ndarray, constraints: LayerConstraints, start_masks,
-                seeds: Sequence) -> list[tuple[Dag, float]]:
+                seeds: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """Steepest-ascent hill climbs from R starts, advanced in lockstep.
 
     `start_masks` holds each start's parent bitmasks and `table` the family
@@ -408,7 +414,8 @@ def climb_batch(table: np.ndarray, constraints: LayerConstraints, start_masks,
     the same stream as default_rng(seed), built the first time the climb
     meets a tie (most climbs never do); the climbs that first tie in one
     step hash their seeds together.
-    Returns each climb's DAG and its score.
+    Returns the (R, n) int64 parent bitmasks of the climbs' DAGs and their
+    (R,) float64 scores, each the math.fsum of its family scores.
     """
     n = constraints.variables.n
     pa = np.array(start_masks, dtype=np.int64).reshape(-1, n)
@@ -451,9 +458,7 @@ def climb_batch(table: np.ndarray, constraints: LayerConstraints, start_masks,
         u, v, reverse = pick // (2 * n), pick // 2 % n, pick % 2 == 1
         pa[active, v] ^= bits[u]   # add, delete, or drop u -> v before the reversal
         pa[active[reverse], u[reverse]] |= bits[v[reverse]]
-    variables = constraints.variables
-    return [(Dag._from_parents(variables, p), math.fsum(scores))
-            for p, scores in zip(pa.tolist(), flat.take(pa | rows).tolist())]
+    return pa, np.array([math.fsum(scores) for scores in flat.take(pa | rows).tolist()])
 
 
 def hill_climb(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuConfig,
@@ -466,7 +471,8 @@ def hill_climb(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuConfi
     """
     if table is None:
         table = score_table(data, LayerConstraints.unconstrained(data.variables), cfg)
-    return climb_batch(table, constraints, [start._pa], [seed])[0]
+    masks, scores = climb_batch(table, constraints, [start._pa], [seed])
+    return Dag.from_parents(constraints.variables, masks[0].tolist()), float(scores[0])
 
 
 def random_start_masks(constraints: LayerConstraints, edge_probability: float,
@@ -498,7 +504,7 @@ def random_start_masks(constraints: LayerConstraints, edge_probability: float,
 def random_start(constraints: LayerConstraints, edge_probability: float, seed=0) -> Dag:
     """Sample a legal DAG: random topological order, edges kept with fixed probability."""
     parents = random_start_masks(constraints, edge_probability, [seed])[0]
-    return Dag._from_parents(constraints.variables, parents.tolist())
+    return Dag.from_parents(constraints.variables, parents.tolist())
 
 
 @dataclass

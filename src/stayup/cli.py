@@ -208,7 +208,9 @@ def _cmd_bn_learn(args) -> int:
     ensemble = consensus.learn_ensemble(
         table, constraints, cfg, n_restarts=args.restarts, seed=args.seed
     )
-    dag, score = max(ensemble.members, key=lambda m: m[1])
+    best = ensemble.scores.argmax()   # the first of equal best scores
+    dag = bayesnet.Dag.from_parents(constraints.variables, ensemble.masks[best].tolist())
+    score = ensemble.scores[best]
     cpts = bayesnet.fit_mle(dag, table)
     args.out.mkdir(parents=True, exist_ok=True)
     pipeline.write_json(args.out / "dag.json", dag.to_json())
@@ -232,7 +234,7 @@ def _cmd_consensus(args) -> int:
     )
     pipeline.write_consensus_group(found, args.out / "consensus.json",
                                    args.out / "edge_frequencies.csv", {})
-    result, _, null, _ = found
+    result, _, null = found
     print(f"[consensus] threshold {null.threshold:.3f}, kept {len(result.dag.edges())} edges")
     return 0
 

@@ -8,13 +8,17 @@ frequencies; edges above it form the consensus DAG. Opposite directions
 that both survive resolve toward the direction seen more often among the
 high-scoring networks, and any residual cycle is repaired by dropping the
 weakest edge on it.
+
+An ensemble is an array of parent bitmasks, one row per restart, plus an
+array of scores, and edge counts are (n, n) matrices; a Dag is built only
+for a consensus network.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,23 +51,32 @@ def _seed_list(seed: SeedLike) -> list[int]:
 
 @dataclass
 class EnsembleResult:
-    members: list[tuple[Dag, float]]
+    """Restart r's network as parent bitmasks masks[r], its score as scores[r]."""
+
+    masks: np.ndarray    # (R, n) int64
+    scores: np.ndarray   # (R,) float64
     seed: SeedLike
+
+    @property
+    def members(self) -> list[tuple[np.ndarray, float]]:
+        """(parent bitmasks, score) of each restart. Only the benchmark's traced
+        best_restart_share (perfbench/child.py) reads this; it goes with that
+        tracer (ROADMAP.md item 1, step C). Nothing in the package calls it."""
+        return list(zip(self.masks, self.scores.tolist()))
 
 
 @dataclass
 class EdgeFrequencyTable:
-    variables: VariableSet
-    counts: dict[Edge, int]
-    n_networks: int
+    """counts[u, v] of the n_networks networks hold the edge u -> v."""
 
-    def get(self, u: str, v: str) -> int:
-        return self.counts.get((u, v), 0)
+    variables: VariableSet
+    counts: np.ndarray   # (n, n) int64
+    n_networks: int
 
 
 @dataclass
 class NullModelResult:
-    replicate_tables: list[EdgeFrequencyTable]
+    replicate_tables: np.ndarray   # (replicas, n, n) int64, each replica's counts
     mean: float
     std: float
     threshold: float
@@ -103,38 +116,29 @@ def learn_ensemble(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuC
     base = _seed_list(seed)
     starts = random_start_masks(constraints, edge_probability,
                                 [base + [r, 0] for r in range(n_restarts)])
-    members = climb_batch(score_table(data, constraints, cfg), constraints, starts,
-                          [base + [r, 1] for r in range(n_restarts)])
-    return EnsembleResult(members, seed)
+    masks, scores = climb_batch(score_table(data, constraints, cfg), constraints, starts,
+                                [base + [r, 1] for r in range(n_restarts)])
+    return EnsembleResult(masks, scores, seed)
 
 
 def top_fraction(ensemble: EnsembleResult, fraction: float = DEFAULT_TOP_FRACTION,
-                 seed: SeedLike | None = None) -> list[tuple[Dag, float]]:
-    """Highest-scoring ceil(fraction * size) networks, ties in seeded order."""
+                 seed: SeedLike | None = None) -> np.ndarray:
+    """Rows of the highest-scoring ceil(fraction * size) networks, best
+    first, equal scores in the order of a seeded permutation."""
     if not 0 < fraction <= 1:
         raise ValueError("fraction must be in (0, 1]")
-    size = len(ensemble.members)
+    size = len(ensemble.scores)
     k = math.ceil(fraction * size)
     tiebreak_seed = ensemble.seed if seed is None else seed
     perm = seeding.rng(_seed_list(tiebreak_seed) + [97]).permutation(size)
-    order = sorted(range(size), key=lambda i: (-ensemble.members[i][1], perm[i]))
-    return [ensemble.members[i] for i in order[:k]]
+    return np.lexsort((perm, -ensemble.scores))[:k]
 
 
-def edge_frequencies(dags: Iterable[Dag], variables: VariableSet | None = None) -> EdgeFrequencyTable:
-    counts: dict[Edge, int] = {}
-    n = 0
-    for dag in dags:
-        if variables is None:
-            variables = dag.variables
-        elif dag.variables != variables:
-            raise ValueError("all DAGs must share one variable set")
-        n += 1
-        for edge in dag.edges():
-            counts[edge] = counts.get(edge, 0) + 1
-    if variables is None:
-        raise ValueError("no DAGs supplied and no variable set given")
-    return EdgeFrequencyTable(variables, counts, n)
+def edge_frequencies(masks: np.ndarray, variables: VariableSet) -> EdgeFrequencyTable:
+    """Edge counts over the networks whose parent bitmasks are the rows of masks."""
+    n = variables.n
+    counts = (masks[:, None, :] >> np.arange(n)[:, None] & 1).sum(axis=0)
+    return EdgeFrequencyTable(variables, counts, len(masks))
 
 
 def permute_columns(data: DatasetTable, rng: np.random.Generator) -> DatasetTable:
@@ -160,10 +164,8 @@ def null_threshold(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuC
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     base = _seed_list(seed)
-    names = constraints.variables.names
-    legal = [(names[u], names[v]) for u, v in constraints.legal_pairs()]
-    tables = []
-    pooled = []
+    n = constraints.variables.n
+    tables = np.empty((replicas, n, n), dtype=np.int64)
     rngs = seeding.generators([base + [11, rep] for rep in range(replicas)])
     for rep, rng in enumerate(rngs):
         ensemble = learn_ensemble(
@@ -171,76 +173,68 @@ def null_threshold(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuC
             seed=base + [13, rep], edge_probability=edge_probability,
         )
         selected = top_fraction(ensemble, fraction, seed=base + [17, rep])
-        table = edge_frequencies([d for d, _ in selected], constraints.variables)
-        tables.append(table)
-        pooled.extend(table.get(u, v) for u, v in legal)
-    pooled_arr = np.asarray(pooled, dtype=np.float64)
-    mean = float(pooled_arr.mean())
-    std = float(pooled_arr.std())
+        tables[rep] = edge_frequencies(ensemble.masks[selected], constraints.variables).counts
+    # one flat array, replica by replica, each in row-major order of the
+    # allowed edges: mean and std sum it pairwise, so the layout fixes their bits
+    pooled = tables[:, constraints.allowed].astype(np.float64).ravel()
+    mean = float(pooled.mean())
+    std = float(pooled.std())
     return NullModelResult(tables, mean, std, mean + 2.0 * std)
 
 
-def threshold_survivors(freqs: EdgeFrequencyTable, threshold: float) -> dict[Edge, int]:
-    """Edges occurring strictly more often than the threshold."""
-    return {e: c for e, c in freqs.counts.items() if c > threshold}
+def threshold_survivors(freqs: EdgeFrequencyTable, threshold: float) -> np.ndarray:
+    """(n, n) bool, true at [u, v] when u -> v is counted more often than the
+    threshold, and at least once."""
+    return (freqs.counts > threshold) & (freqs.counts > 0)
 
 
-def _resolve_directions(survivors: dict[Edge, int], provenance: list[dict]) -> dict[Edge, int]:
-    out = dict(survivors)
-    for u, v in sorted(survivors):
-        if (u, v) not in out or (v, u) not in out:
-            continue
-        fwd, rev = survivors[(u, v)], survivors[(v, u)]
-        if fwd > rev:
-            keep, drop = (u, v), (v, u)
-        elif rev > fwd:
-            keep, drop = (v, u), (u, v)
-        else:
-            # full tie: keep the lexicographically smaller orientation
-            keep, drop = min((u, v), (v, u)), max((u, v), (v, u))
-        del out[drop]
-        provenance.append({
-            "action": "direction",
-            "kept": list(keep),
-            "dropped": list(drop),
-            "high_score_frequencies": {f"{u}->{v}": fwd, f"{v}->{u}": rev},
-        })
-    return out
+def _named(counts: np.ndarray, kept: np.ndarray, names: Sequence[str]) -> dict[Edge, int]:
+    """The kept edges by name, with their counts."""
+    return {(names[u], names[v]): int(counts[u, v]) for u, v in np.argwhere(kept).tolist()}
 
 
-def _edges_on_cycles(edges: dict[Edge, int]) -> list[Edge]:
-    children: dict[str, set[str]] = {}
-    for u, v in edges:
-        children.setdefault(u, set()).add(v)
-
-    def reaches(src: str, dst: str) -> bool:
-        stack, seen = [src], set()
-        while stack:
-            node = stack.pop()
-            if node == dst:
-                return True
-            for nxt in children.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
-
-    return [(u, v) for u, v in edges if reaches(v, u)]
+def _name_pairs(names: Sequence[str]) -> list[tuple[int, int]]:
+    """Every (i, j) with names[i] < names[j], in name order."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    return [(i, j) for a, i in enumerate(order) for j in order[a + 1:]]
 
 
-def _repair_cycles(edges: dict[Edge, int], provenance: list[dict]) -> dict[Edge, int]:
-    out = dict(edges)
+def _resolve_directions(counts: np.ndarray, kept: np.ndarray, names: Sequence[str],
+                        provenance: list[dict]):
+    """Of each pair kept both ways, drop the direction counted less often; a
+    tie keeps u -> v where u sorts before v. Updates kept in place."""
+    for i, j in _name_pairs(names):
+        if kept[i, j] and kept[j, i]:
+            fwd, rev = int(counts[i, j]), int(counts[j, i])
+            a, b = (i, j) if fwd >= rev else (j, i)
+            kept[b, a] = False
+            provenance.append({
+                "action": "direction",
+                "kept": [names[a], names[b]],
+                "dropped": [names[b], names[a]],
+                "high_score_frequencies": {f"{names[i]}->{names[j]}": fwd,
+                                           f"{names[j]}->{names[i]}": rev},
+            })
+
+
+def _repair_cycles(counts: np.ndarray, kept: np.ndarray, names: Sequence[str],
+                   provenance: list[dict]):
+    """While kept has a cycle, drop the edge on a cycle with the lowest
+    count, ties to the first by names. Updates kept in place."""
     while True:
-        cyclic = _edges_on_cycles(out)
+        reach = kept.copy()
+        for k in range(len(names)):   # paths through k (Floyd-Warshall)
+            reach |= reach[:, k:k + 1] & reach[k]
+        cyclic = np.argwhere(kept & reach.T).tolist()   # u -> v and v ~> u
         if not cyclic:
-            return out
-        victim = min(cyclic, key=lambda e: (out[e], e))
+            return
+        u, v = min(cyclic, key=lambda e: (counts[e[0], e[1]], names[e[0]], names[e[1]]))
+        kept[u, v] = False
         provenance.append({
             "action": "cycle_repair",
-            "dropped": list(victim),
-            "frequency": out[victim],
+            "dropped": [names[u], names[v]],
+            "frequency": int(counts[u, v]),
         })
-        del out[victim]
 
 
 def build_consensus(freqs: EdgeFrequencyTable, threshold: float) -> ConsensusDag:
@@ -251,12 +245,13 @@ def build_consensus(freqs: EdgeFrequencyTable, threshold: float) -> ConsensusDag
     Remaining cycles are broken by repeatedly dropping the lowest-frequency
     edge on a cycle; every such decision lands in the provenance log.
     """
+    names = freqs.variables.names
     provenance: list[dict] = []
     kept = threshold_survivors(freqs, threshold)
-    kept = _resolve_directions(kept, provenance)
-    kept = _repair_cycles(kept, provenance)
-    dag = Dag(freqs.variables, sorted(kept))
-    return ConsensusDag(dag, kept, threshold, provenance)
+    _resolve_directions(freqs.counts, kept, names, provenance)
+    _repair_cycles(freqs.counts, kept, names, provenance)
+    edges = _named(freqs.counts, kept, names)
+    return ConsensusDag(Dag(freqs.variables, sorted(edges)), edges, threshold, provenance)
 
 
 def merge_total_network(consensus_dags: Sequence[ConsensusDag],
@@ -274,46 +269,34 @@ def merge_total_network(consensus_dags: Sequence[ConsensusDag],
     for c in consensus_dags:
         if c.dag.variables != variables:
             raise ValueError("consensus DAGs are over different variable sets")
-    k = len(consensus_dags)
-    majority = math.ceil(k / 2)
+    majority = math.ceil(len(consensus_dags) / 2)
+    # directed[u, v]: how many of the DAGs hold u -> v
+    directed = edge_frequencies(np.array([c.dag._pa for c in consensus_dags]), variables).counts
+    summed = sum((t.counts for t in high_score_freqs), np.zeros_like(directed))
 
-    directed: dict[Edge, int] = {}
-    for c in consensus_dags:
-        for edge in c.dag.edges():
-            directed[edge] = directed.get(edge, 0) + 1
-
-    def summed(u: str, v: str) -> int:
-        return sum(t.get(u, v) for t in high_score_freqs)
-
+    names = variables.names
     provenance: list[dict] = []
-    kept: dict[Edge, int] = {}
-    for pair in sorted({frozenset(e) for e in directed}, key=sorted):
-        u, v = sorted(pair)
-        n_fwd, n_rev = directed.get((u, v), 0), directed.get((v, u), 0)
+    kept = np.zeros(directed.shape, dtype=bool)
+    for i, j in _name_pairs(names):
+        n_fwd, n_rev = int(directed[i, j]), int(directed[j, i])
         if n_fwd + n_rev < majority:
             continue
+        forward = summed[i, j] >= summed[j, i] if n_fwd and n_rev else n_fwd > 0
+        a, b = (i, j) if forward else (j, i)
+        kept[a, b] = True
         if n_fwd and n_rev:
-            s_fwd, s_rev = summed(u, v), summed(v, u)
-            if s_fwd > s_rev:
-                keep = (u, v)
-            elif s_rev > s_fwd:
-                keep = (v, u)
-            else:
-                keep = (u, v)
+            u, v = names[i], names[j]
             provenance.append({
                 "action": "direction",
-                "kept": list(keep),
-                "dropped": list((v, u) if keep == (u, v) else (u, v)),
+                "kept": [names[a], names[b]],
+                "dropped": [names[b], names[a]],
                 "memberships": {f"{u}->{v}": n_fwd, f"{v}->{u}": n_rev},
-                "summed_high_score": {f"{u}->{v}": s_fwd, f"{v}->{u}": s_rev},
+                "summed_high_score": {f"{u}->{v}": int(summed[i, j]),
+                                      f"{v}->{u}": int(summed[j, i])},
             })
-        else:
-            keep = (u, v) if n_fwd else (v, u)
-        kept[keep] = summed(*keep)
-
-    kept = _repair_cycles(kept, provenance)
-    dag = Dag(variables, sorted(kept))
-    return ConsensusDag(dag, kept, None, provenance)
+    _repair_cycles(summed, kept, names, provenance)
+    edges = _named(summed, kept, names)
+    return ConsensusDag(Dag(variables, sorted(edges)), edges, None, provenance)
 
 
 def consensus_pipeline(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuConfig,
@@ -322,20 +305,19 @@ def consensus_pipeline(data: DatasetTable, constraints: LayerConstraints, cfg: B
                        replicas: int = DEFAULT_NULL_REPLICAS,
                        edge_probability: float = DEFAULT_EDGE_PROBABILITY,
                        seed: SeedLike = 0,
-                       ) -> tuple[ConsensusDag, EdgeFrequencyTable, NullModelResult, EnsembleResult]:
+                       ) -> tuple[ConsensusDag, EdgeFrequencyTable, NullModelResult]:
     """Ensemble, top-fraction selection, null threshold, consensus; one call."""
     ensemble = learn_ensemble(
         data, constraints, cfg, n_restarts=n_restarts, seed=seed,
         edge_probability=edge_probability,
     )
-    selected = top_fraction(ensemble, fraction)
-    freqs = edge_frequencies([d for d, _ in selected], constraints.variables)
+    freqs = edge_frequencies(ensemble.masks[top_fraction(ensemble, fraction)],
+                             constraints.variables)
     null = null_threshold(
         data, constraints, cfg, replicas=replicas, seed=seed,
         n_restarts=n_restarts, fraction=fraction, edge_probability=edge_probability,
     )
-    consensus = build_consensus(freqs, null.threshold)
-    return consensus, freqs, null, ensemble
+    return build_consensus(freqs, null.threshold), freqs, null
 
 
 def write_edge_frequency_csv(path, freqs: EdgeFrequencyTable):
@@ -344,5 +326,6 @@ def write_edge_frequency_csv(path, freqs: EdgeFrequencyTable):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["from", "to", "count", "n_networks"])
-        for (u, v), count in sorted(freqs.counts.items()):
+        named = _named(freqs.counts, freqs.counts > 0, freqs.variables.names)
+        for (u, v), count in sorted(named.items()):
             writer.writerow([u, v, count, freqs.n_networks])

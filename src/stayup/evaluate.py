@@ -16,6 +16,7 @@ import numpy as np
 from . import seeding
 from .bayesnet import (
     BdeuConfig,
+    Dag,
     DatasetTable,
     LayerConstraints,
     fit_mle,
@@ -98,8 +99,8 @@ def _learn_structure(train: DatasetTable, constraints: LayerConstraints, cfg: Bd
         train, constraints, cfg, n_restarts=experiment.restarts,
         seed=seed, edge_probability=experiment.edge_probability,
     )
-    best = max(range(len(ensemble.members)), key=lambda i: ensemble.members[i][1])
-    return ensemble.members[best][0]
+    best = ensemble.scores.argmax()   # the first of equal best scores
+    return Dag.from_parents(train.variables, ensemble.masks[best].tolist())
 
 
 def _blanket_scores(train: DatasetTable, test: DatasetTable,

@@ -291,7 +291,7 @@ def profile_groups(scopes, features, labels, out_dir: Path,
 def write_consensus_group(found, json_path: Path, csv_path: Path, extra: dict):
     """Write consensus.consensus_pipeline's network plus extra keys to
     json_path and its edge frequencies to csv_path."""
-    result, freqs, null, _ = found
+    result, freqs, null = found
     write_json(json_path, {
         **result.to_json(),
         "null": {"mean": null.mean, "std": null.std, "replicas": len(null.replicate_tables)},
@@ -561,7 +561,7 @@ def _stage_consensus(cfg: PipelineConfig, tables: dict[str, bayesnet.DatasetTabl
         freq_path = cfg.out_dir / f"edge_frequencies_{cohort}.csv"
         write_consensus_group(found, cons_path, freq_path, {"master_seed": cfg.seed})
         register(cons_path, freq_path)
-        networks[cohort], freqs[cohort], _, _ = found
+        networks[cohort], freqs[cohort], _ = found
     return networks, freqs, outcomes[len(tables):]
 
 

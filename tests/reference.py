@@ -7,9 +7,13 @@ program computes another way: BDeu scores family by family (the oracle of
 deletion they need, exact posteriors by enumeration, the mixture's E-step
 on its own, the night and bin of one timestamp (the oracle of
 ``ingest.extract_bedtimes``), raw features as one record per student (the
-oracle of ``ingest.compute_raw_features``) and profiles built from dicts of
-them (the oracle of ``profiles.build_profiles``). Not a test module, so
-pytest does not collect it; tests import it as ``reference``.
+oracle of ``ingest.compute_raw_features``), profiles built from dicts of
+them (the oracle of ``profiles.build_profiles``), and a restart ensemble
+as a list of (Dag, score) pairs with edge counts as dicts keyed by name
+(the oracles of ``consensus.top_fraction``, ``edge_frequencies``, the pool
+of ``null_threshold``, ``build_consensus`` and ``merge_total_network``).
+Not a test module, so pytest does not collect it; tests import it as
+``reference``.
 """
 
 from __future__ import annotations
@@ -17,11 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from stayup import bayesnet as bn
+from stayup import consensus as cons
 from stayup import ingest
 from stayup import profiles as pr
 from stayup import sleepmix as sm
@@ -164,6 +169,152 @@ def structural_hamming_distance(a: bn.Dag, b: bn.Dag) -> int:
             if not same:
                 dist += 1
     return dist
+
+
+# --- consensus --------------------------------------------------------------------
+#
+# The ensemble as a list of (Dag, score) pairs and edge counts as dicts keyed
+# by name: the oracles of consensus.top_fraction, edge_frequencies, the pool
+# of null_threshold, build_consensus and merge_total_network.
+
+def top_fraction(members: Sequence[tuple[bn.Dag, float]], fraction: float,
+                 seed) -> list[tuple[bn.Dag, float]]:
+    """The ceil(fraction * size) members first by (-score, place in the
+    seeded permutation)."""
+    size = len(members)
+    perm = np.random.default_rng(cons._seed_list(seed) + [97]).permutation(size)
+    order = sorted(range(size), key=lambda i: (-members[i][1], perm[i]))
+    return [members[i] for i in order[:math.ceil(fraction * size)]]
+
+
+def edge_frequencies(dags: Iterable[bn.Dag]) -> dict[bn.Edge, int]:
+    """How many of the DAGs hold each edge; edges none holds are absent."""
+    counts: dict[bn.Edge, int] = {}
+    for dag in dags:
+        for edge in dag.edges():
+            counts[edge] = counts.get(edge, 0) + 1
+    return counts
+
+
+def null_pool(tables: Sequence[Mapping[bn.Edge, int]],
+              constraints: bn.LayerConstraints) -> np.ndarray:
+    """Each replica's count of every layer-legal edge, replica by replica."""
+    names = constraints.variables.names
+    legal = [(names[u], names[v]) for u in range(len(names)) for v in range(len(names))
+             if constraints.allows(u, v)]
+    return np.asarray([table.get(edge, 0) for table in tables for edge in legal],
+                      dtype=np.float64)
+
+
+def _resolve_directions(survivors: dict[bn.Edge, int], provenance: list[dict]) -> dict[bn.Edge, int]:
+    out = dict(survivors)
+    for u, v in sorted(survivors):
+        if (u, v) not in out or (v, u) not in out:
+            continue
+        fwd, rev = survivors[(u, v)], survivors[(v, u)]
+        if fwd > rev:
+            keep, drop = (u, v), (v, u)
+        elif rev > fwd:
+            keep, drop = (v, u), (u, v)
+        else:
+            # full tie: keep the lexicographically smaller orientation
+            keep, drop = min((u, v), (v, u)), max((u, v), (v, u))
+        del out[drop]
+        provenance.append({
+            "action": "direction",
+            "kept": list(keep),
+            "dropped": list(drop),
+            "high_score_frequencies": {f"{u}->{v}": fwd, f"{v}->{u}": rev},
+        })
+    return out
+
+
+def _edges_on_cycles(edges: dict[bn.Edge, int]) -> list[bn.Edge]:
+    children: dict[str, set[str]] = {}
+    for u, v in edges:
+        children.setdefault(u, set()).add(v)
+
+    def reaches(src: str, dst: str) -> bool:
+        stack, seen = [src], set()
+        while stack:
+            node = stack.pop()
+            if node == dst:
+                return True
+            for nxt in children.get(node, ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return False
+
+    return [(u, v) for u, v in edges if reaches(v, u)]
+
+
+def _repair_cycles(edges: dict[bn.Edge, int], provenance: list[dict]) -> dict[bn.Edge, int]:
+    out = dict(edges)
+    while True:
+        cyclic = _edges_on_cycles(out)
+        if not cyclic:
+            return out
+        victim = min(cyclic, key=lambda e: (out[e], e))
+        provenance.append({
+            "action": "cycle_repair",
+            "dropped": list(victim),
+            "frequency": out[victim],
+        })
+        del out[victim]
+
+
+def build_consensus(counts: Mapping[bn.Edge, int], variables: bn.VariableSet,
+                    threshold: float) -> cons.ConsensusDag:
+    """The consensus DAG of the edges counted more often than the threshold."""
+    provenance: list[dict] = []
+    kept = {e: c for e, c in counts.items() if c > threshold}
+    kept = _resolve_directions(kept, provenance)
+    kept = _repair_cycles(kept, provenance)
+    return cons.ConsensusDag(bn.Dag(variables, sorted(kept)), kept, threshold, provenance)
+
+
+def merge_total_network(consensus_dags: Sequence[cons.ConsensusDag],
+                        high_score_counts: Sequence[Mapping[bn.Edge, int]]) -> cons.ConsensusDag:
+    """Connections in at least half the DAGs, rounded up; directions and
+    cycles resolved by the summed high-score counts."""
+    variables = consensus_dags[0].dag.variables
+    majority = math.ceil(len(consensus_dags) / 2)
+    directed: dict[bn.Edge, int] = {}
+    for c in consensus_dags:
+        for edge in c.dag.edges():
+            directed[edge] = directed.get(edge, 0) + 1
+
+    def summed(u: str, v: str) -> int:
+        return sum(t.get((u, v), 0) for t in high_score_counts)
+
+    provenance: list[dict] = []
+    kept: dict[bn.Edge, int] = {}
+    for pair in sorted({frozenset(e) for e in directed}, key=sorted):
+        u, v = sorted(pair)
+        n_fwd, n_rev = directed.get((u, v), 0), directed.get((v, u), 0)
+        if n_fwd + n_rev < majority:
+            continue
+        if n_fwd and n_rev:
+            s_fwd, s_rev = summed(u, v), summed(v, u)
+            if s_fwd > s_rev:
+                keep = (u, v)
+            elif s_rev > s_fwd:
+                keep = (v, u)
+            else:
+                keep = (u, v)
+            provenance.append({
+                "action": "direction",
+                "kept": list(keep),
+                "dropped": list((v, u) if keep == (u, v) else (u, v)),
+                "memberships": {f"{u}->{v}": n_fwd, f"{v}->{u}": n_rev},
+                "summed_high_score": {f"{u}->{v}": s_fwd, f"{v}->{u}": s_rev},
+            })
+        else:
+            keep = (u, v) if n_fwd else (v, u)
+        kept[keep] = summed(*keep)
+    kept = _repair_cycles(kept, provenance)
+    return cons.ConsensusDag(bn.Dag(variables, sorted(kept)), kept, None, provenance)
 
 
 # --- sleepmix ---------------------------------------------------------------------

@@ -205,8 +205,8 @@ def test_criterion_4_search_optimality():
         # the search learn_ensemble runs: 20 random starts climbed in one batch
         table = bn.score_table(data, constraints, BDEU)
         starts = bn.random_start_masks(constraints, 0.3, [[trial, r] for r in range(20)])
-        members = bn.climb_batch(table, constraints, starts, [[trial, r, 1] for r in range(20)])
-        best = max(score for _, score in members)
+        _, scores = bn.climb_batch(table, constraints, starts, [[trial, r, 1] for r in range(20)])
+        best = max(scores)
         optimum = max(reference.bdeu_score(d, data, BDEU, table=table) for d in all_dags)
         if best >= optimum - 1e-9:
             hits += 1
@@ -226,7 +226,7 @@ def test_criterion_5_structure_recovery():
         table, _ = synth.generate_profiles(
             truth, synth.GeneratorConfig(4000, 1, seed=100 + seed)
         )
-        result, _, _, _ = cons.consensus_pipeline(
+        result, _, _ = cons.consensus_pipeline(
             table, constraints, BDEU,
             n_restarts=200, fraction=1 / 3, replicas=10, seed=seed,
         )
@@ -249,7 +249,7 @@ def test_criterion_6_null_sanity():
             truth, synth.GeneratorConfig(1000, 1, seed=200 + seed)
         )
         permuted = cons.permute_columns(table, np.random.default_rng([seed, 77]))
-        result, _, _, _ = cons.consensus_pipeline(
+        result, _, _ = cons.consensus_pipeline(
             permuted, constraints, BDEU, n_restarts=60, replicas=4, seed=seed
         )
         counts.append(len(result.dag.edges()))

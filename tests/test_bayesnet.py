@@ -508,6 +508,18 @@ class TestScoreTable:
         with pytest.raises(ValueError, match="different variable sets"):
             bn.score_table(data, bn.default_layer_constraints(), CFG)
 
+    def test_non_finite_scores_rejected(self):
+        # every family scores NaN at this ess; the first in (child, mask) order is named
+        data = profile_table(np.random.default_rng(45), tie_heavy=False)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match=r"^ess=1e\+308 gives a non-finite BDeu score, first for G given \{\}$"):
+            bn.score_table(data, bn.default_layer_constraints(), bn.BdeuConfig(1e308))
+
+    @pytest.mark.parametrize("ess", [0.0, -1.0, math.inf, math.nan])
+    def test_ess_must_be_positive_and_finite(self, ess):
+        with pytest.raises(ValueError, match="ess must be positive and finite"):
+            bn.BdeuConfig(ess)
+
 
 # The score table that the subset-marginal lattice replaced: one projection
 # of the joint cells per family, through which a weighted bincount of the
@@ -611,6 +623,13 @@ class TestScoreTableMatchesProjection:
             assert np.array_equal(lattice[index], joint.sum(axis=axes))
 
 
+def batch_networks(batch, variables):
+    """climb_batch's (masks, scores) as (Dag, score) pairs."""
+    masks, scores = batch
+    assert masks.dtype == np.int64 and scores.dtype == np.float64
+    return [(bn.Dag.from_parents(variables, m), s) for m, s in zip(masks.tolist(), scores.tolist())]
+
+
 class TestHillClimbMatchesReference:
     def test_same_networks_and_scores(self):
         rng = np.random.default_rng(31)
@@ -623,8 +642,10 @@ class TestHillClimbMatchesReference:
                 seeds = [[t, c, r, 1] for r in range(16)]
                 # one climb on its own, fifteen in lockstep over one table
                 got = [bn.hill_climb(data, constraints, CFG, starts[0], seed=seeds[0])]
-                got += bn.climb_batch(bn.score_table(data, constraints, CFG), constraints,
-                                      [start._pa for start in starts[1:]], seeds[1:])
+                got += batch_networks(bn.climb_batch(bn.score_table(data, constraints, CFG),
+                                                     constraints,
+                                                     [start._pa for start in starts[1:]],
+                                                     seeds[1:]), data.variables)
                 ref_cache = RefFamilyScoreCache(data, CFG)
                 steps = set()
                 for start, seed, (dag, score) in zip(starts, seeds, got):
@@ -648,8 +669,9 @@ class TestHillClimbMatchesReference:
                 cache = FamilyScoreCache(data, CFG)
                 starts = [bn.random_start(constraints, 0.2, seed=[t, c, r]) for r in range(10)]
                 seeds = [[t, c, r, 1] for r in range(10)]
-                got = bn.climb_batch(bn.score_table(data, constraints, CFG), constraints,
-                                     [start._pa for start in starts], seeds)
+                got = batch_networks(bn.climb_batch(bn.score_table(data, constraints, CFG),
+                                                    constraints, [start._pa for start in starts],
+                                                    seeds), data.variables)
                 for start, seed, (dag, score) in zip(starts, seeds, got):
                     want, ref_score = bitmask_hill_climb(constraints, start, seed, cache)
                     assert dag == want

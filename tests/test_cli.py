@@ -417,14 +417,17 @@ class TestStageInputs:
         (["sleep-fit", "--threshold", "1.5"], "threshold"),
         (["bn-learn", "--restarts", "0"], "restarts"),
         (["bn-learn", "--ess", "0"], "ess"),
+        (["bn-learn", "--ess", "inf"], "ess"),
         (["consensus", "--restarts", "0"], "restarts"),
         (["consensus", "--ess", "0"], "ess"),
+        (["consensus", "--ess", "inf"], "ess"),
         (["consensus", "--null-replicas", "0"], "null_replicas"),
         (["consensus", "--fraction", "0"], "top_fraction"),
         (["consensus", "--edge-probability", "1.5"], "edge_probability"),
         (["predict", "--folds", "1"], "folds"),
         (["predict", "--restarts", "0"], "restarts"),
         (["predict", "--ess", "0"], "ess"),
+        (["predict", "--ess", "inf"], "ess"),
     ], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
     def test_bad_setting_exits_2_before_reading_input(self, data_dir, run_dir, tmp_path, capsys,
                                                       argv, field):
@@ -505,6 +508,7 @@ class TestRun:
         ("--null-replicas", "0", "null_replicas"),
         ("--eval-restarts", "0", "eval_restarts"),
         ("--ess", "0", "ess"),
+        ("--ess", "inf", "ess"),
         ("--edge-probability", "1.5", "edge_probability"),
         ("--folds", "1", "folds"),
         ("--em-restarts", "0", "em_restarts"),

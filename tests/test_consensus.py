@@ -1,5 +1,10 @@
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stayup import bayesnet as bn
 from stayup import consensus as cons
@@ -10,9 +15,17 @@ import reference
 CFG = bn.BdeuConfig()
 
 
+def count_matrix(counts: dict, variables: bn.VariableSet) -> np.ndarray:
+    """Name-keyed edge counts as an (n, n) matrix, [u, v] counting u -> v."""
+    matrix = np.zeros((variables.n, variables.n), dtype=np.int64)
+    for (u, v), c in counts.items():
+        matrix[variables.index(u), variables.index(v)] = c
+    return matrix
+
+
 def make_table(counts: dict, names=("A", "B", "C"), n_networks=100):
     var = bn.VariableSet.binary(names)
-    return cons.EdgeFrequencyTable(var, dict(counts), n_networks)
+    return cons.EdgeFrequencyTable(var, count_matrix(counts, var), n_networks)
 
 
 def small_data(seed=0, n=400):
@@ -22,32 +35,33 @@ def small_data(seed=0, n=400):
 
 
 class TestLearnEnsemble:
-    def test_member_count(self):
+    @pytest.mark.parametrize("restarts", [8, 60])
+    def test_member_count(self, restarts):
         data, constraints = small_data()
-        ensemble = cons.learn_ensemble(data, constraints, CFG, n_restarts=8, seed=1)
-        assert len(ensemble.members) == 8
+        ensemble = cons.learn_ensemble(data, constraints, CFG, n_restarts=restarts, seed=1)
+        assert ensemble.masks.shape == (restarts, 9) and ensemble.masks.dtype == np.int64
+        assert ensemble.scores.shape == (restarts,) and ensemble.scores.dtype == np.float64
 
     def test_deterministic(self):
         data, constraints = small_data()
         a = cons.learn_ensemble(data, constraints, CFG, n_restarts=5, seed=2)
         b = cons.learn_ensemble(data, constraints, CFG, n_restarts=5, seed=2)
-        assert [d.edges() for d, _ in a.members] == [d.edges() for d, _ in b.members]
-        assert [s for _, s in a.members] == [s for _, s in b.members]
+        assert np.array_equal(a.masks, b.masks)
+        assert np.array_equal(a.scores, b.scores)
 
     def test_single_restart(self):
         data, constraints = small_data()
         ensemble = cons.learn_ensemble(data, constraints, CFG, n_restarts=1, seed=3)
         start = bn.random_start(constraints, cons.DEFAULT_EDGE_PROBABILITY, seed=[3, 0, 0])
         dag, score = bn.hill_climb(data, constraints, CFG, start, seed=[3, 0, 1])
-        assert ensemble.members[0][0] == dag
-        assert ensemble.members[0][1] == score
+        assert ensemble.masks[0].tolist() == dag._pa
+        assert ensemble.scores[0] == score
 
 
 class TestTopFraction:
     def _ensemble(self, scores, seed=0):
-        var = bn.VariableSet.binary(("A", "B"))
-        members = [(bn.Dag(var), float(s)) for s in scores]
-        return cons.EnsembleResult(members, seed)
+        return cons.EnsembleResult(np.zeros((len(scores), 2), dtype=np.int64),
+                                   np.asarray(scores, dtype=np.float64), seed)
 
     def test_two_hundred_networks_keep_67(self):
         ensemble = self._ensemble(np.arange(200))
@@ -60,18 +74,12 @@ class TestTopFraction:
     def test_keeps_highest_scores(self):
         ensemble = self._ensemble([5, 1, 9, 7, 3, 8])
         kept = cons.top_fraction(ensemble, 1 / 3)
-        assert sorted(s for _, s in kept) == [8, 9]
+        assert ensemble.scores[kept].tolist() == [9, 8]
 
     def test_all_ties_deterministic_under_seed(self):
-        # members distinguished by their graphs; equal scores everywhere
-        var = bn.VariableSet.binary(("A", "B", "C"))
-        graphs = [bn.Dag(var), bn.Dag(var, [("A", "B")]), bn.Dag(var, [("B", "A")]),
-                  bn.Dag(var, [("A", "C")]), bn.Dag(var, [("C", "B")]),
-                  bn.Dag(var, [("A", "B"), ("A", "C")])]
-        members = [(g, 1.0) for g in graphs]
-        ensemble = cons.EnsembleResult(members, seed=5)
-        a = [d.edges() for d, _ in cons.top_fraction(ensemble, 1 / 3)]
-        b = [d.edges() for d, _ in cons.top_fraction(ensemble, 1 / 3)]
+        ensemble = cons.EnsembleResult(np.arange(6 * 3).reshape(6, 3), np.ones(6), seed=5)
+        a = cons.top_fraction(ensemble, 1 / 3).tolist()
+        b = cons.top_fraction(ensemble, 1 / 3).tolist()
         assert a == b and len(a) == 2
 
     def test_bad_fraction_rejected(self):
@@ -83,11 +91,15 @@ class TestEdgeFrequencies:
     def test_counts_edges(self):
         var = bn.VariableSet.binary(("A", "B", "C"))
         dags = [bn.Dag(var, [("A", "B")]), bn.Dag(var, [("A", "B"), ("B", "C")])]
-        table = cons.edge_frequencies(dags)
-        assert table.get("A", "B") == 2
-        assert table.get("B", "C") == 1
-        assert table.get("C", "B") == 0
+        table = cons.edge_frequencies(np.array([d._pa for d in dags]), var)
+        assert table.counts.tolist() == [[0, 2, 0], [0, 0, 1], [0, 0, 0]]
+        assert table.counts.dtype == np.int64
         assert table.n_networks == 2
+
+    def test_no_networks(self):
+        var = bn.VariableSet.binary(("A", "B"))
+        table = cons.edge_frequencies(np.zeros((0, 2), dtype=np.int64), var)
+        assert table.counts.tolist() == [[0, 0], [0, 0]] and table.n_networks == 0
 
 
 class TestNullThreshold:
@@ -112,6 +124,7 @@ class TestNullThreshold:
         data, constraints = small_data(n=300)
         null = cons.null_threshold(data, constraints, CFG, replicas=3, seed=2, n_restarts=10)
         assert null.threshold == pytest.approx(null.mean + 2 * null.std, abs=1e-12)
+        assert null.replicate_tables.shape == (3, 9, 9)
 
     def test_permute_columns_preserves_marginals(self):
         rng = np.random.default_rng(5)
@@ -178,9 +191,9 @@ class TestBuildConsensus:
                     if u != v and rng.random() < 0.6:
                         counts[(u, v)] = int(rng.integers(1, 67))
             freqs = make_table(counts, names)
-            low = set(cons.threshold_survivors(freqs, 10))
-            high = set(cons.threshold_survivors(freqs, 25))
-            assert high <= low
+            low = cons.threshold_survivors(freqs, 10)
+            high = cons.threshold_survivors(freqs, 25)
+            assert not (high & ~low).any()
 
     def test_conflict_free_output_monotone_in_threshold(self):
         # without opposite-direction conflicts the kept edge set can only shrink
@@ -255,14 +268,14 @@ class TestConsensusPipeline:
         truth = synth.structure_recovery_truth()
         table, _ = synth.generate_profiles(truth, synth.GeneratorConfig(2500, 1, seed=31))
         constraints = bn.default_layer_constraints()
-        result, freqs, null, ensemble = cons.consensus_pipeline(
+        result, freqs, null = cons.consensus_pipeline(
             table, constraints, CFG, n_restarts=60, replicas=4, seed=5
         )
-        assert len(ensemble.members) == 60
         shd = reference.structural_hamming_distance(result.dag, truth.profile_dag)
         assert shd <= 3
-        for edge in result.dag.edges():
-            assert freqs.counts[edge] > null.threshold
+        var = freqs.variables
+        for u, v in result.dag.edges():
+            assert freqs.counts[var.index(u), var.index(v)] > null.threshold
 
     def test_independent_data_near_empty_consensus(self):
         rng = np.random.default_rng(9)
@@ -271,7 +284,7 @@ class TestConsensusPipeline:
         edge_counts = []
         for seed in range(5):
             data = bn.DatasetTable(var, rng.integers(0, 2, (600, 9)))
-            result, _, _, _ = cons.consensus_pipeline(
+            result, _, _ = cons.consensus_pipeline(
                 data, constraints, CFG, n_restarts=40, replicas=3, seed=seed
             )
             edge_counts.append(len(result.dag.edges()))
@@ -285,3 +298,85 @@ def test_edge_frequency_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "from,to,count,n_networks"
     assert "A,B,12,100" in lines
+
+
+def test_edge_frequency_csv_lists_edges_by_name(tmp_path):
+    # index order B, A, C; the file lists the counted edges in name order
+    table = make_table({("B", "A"): 3, ("A", "C"): 5, ("B", "C"): 0}, names=("B", "A", "C"))
+    path = tmp_path / "freqs.csv"
+    cons.write_edge_frequency_csv(path, table)
+    assert path.read_text().splitlines() == ["from,to,count,n_networks", "A,C,5,100",
+                                             "B,A,3,100"]
+
+
+# --- mask ensembles against the list-of-Dag reference ---------------------------
+
+@st.composite
+def mask_ensembles(draw):
+    """(constraints, ensembles): a few ensembles of random legal DAGs of one
+    size, each with scores from a small set, so that ties are common."""
+    constraints = draw(st.sampled_from([
+        bn.default_layer_constraints(),
+        bn.LayerConstraints.unconstrained(bn.profile_variables()),
+        bn.LayerConstraints.unconstrained(bn.VariableSet.binary(("b", "a", "C", "B"))),
+    ]))
+    size = draw(st.integers(1, 24))
+    ensembles = []
+    for _ in range(draw(st.integers(1, 4))):
+        seed = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=2))
+        masks = bn.random_start_masks(constraints, draw(st.sampled_from([0.05, 0.2, 0.5, 0.9])),
+                                      [seed + [r] for r in range(size)])
+        scores = draw(st.lists(st.sampled_from([-7.5, -7.25, -3.0, -1.0]),
+                               min_size=size, max_size=size))
+        ensembles.append(cons.EnsembleResult(masks, np.array(scores), seed))
+    return constraints, ensembles
+
+
+def as_members(ensemble, variables):
+    return [(bn.Dag.from_parents(variables, m), s)
+            for m, s in zip(ensemble.masks.tolist(), ensemble.scores.tolist())]
+
+
+class TestMaskEnsemblesMatchDagReference:
+    @settings(max_examples=80, deadline=None)
+    @given(mask_ensembles(), st.sampled_from([0.1, 1 / 3, 0.5, 1.0]), st.data())
+    def test_picks_counts_pool_and_networks(self, case, fraction, data):
+        constraints, ensembles = case
+        var = constraints.variables
+        freqs, want_counts = [], []
+        for ensemble in ensembles:
+            members = as_members(ensemble, var)
+            picks = cons.top_fraction(ensemble, fraction)
+            want = reference.top_fraction(members, fraction, ensemble.seed)
+            assert [id(members[i]) for i in picks] == [id(m) for m in want]
+            freqs.append(cons.edge_frequencies(ensemble.masks[picks], var))
+            want_counts.append(reference.edge_frequencies(d for d, _ in want))
+            assert np.array_equal(freqs[-1].counts, count_matrix(want_counts[-1], var))
+            assert freqs[-1].n_networks == len(want)
+
+        # null_threshold over the drawn ensembles as its replicas
+        base = [3, 1]
+        replicas = [reference.edge_frequencies(
+            d for d, _ in reference.top_fraction(as_members(e, var), fraction, base + [17, rep]))
+            for rep, e in enumerate(ensembles)]
+        table = bn.DatasetTable(var, np.zeros((4, var.n)))
+        with mock.patch.object(cons, "learn_ensemble", side_effect=ensembles):
+            null = cons.null_threshold(table, constraints, CFG, replicas=len(ensembles),
+                                       seed=base, n_restarts=len(ensembles[0].scores),
+                                       fraction=fraction)
+        pool = reference.null_pool(replicas, constraints)
+        assert (null.mean, null.std) == (float(pool.mean()), float(pool.std()))
+        assert null.threshold == null.mean + 2.0 * null.std
+        assert np.array_equal(null.replicate_tables,
+                              [count_matrix(counts, var) for counts in replicas])
+
+        thresholds = [data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]))
+                      for _ in ensembles]
+        parts = [cons.build_consensus(f, t) for f, t in zip(freqs, thresholds)]
+        want_parts = [reference.build_consensus(c, var, t)
+                      for c, t in zip(want_counts, thresholds)]
+        for got, want in zip(parts, want_parts):
+            assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+        merged = cons.merge_total_network(parts, freqs)
+        want_merged = reference.merge_total_network(want_parts, want_counts)
+        assert json.dumps(merged.to_json()) == json.dumps(want_merged.to_json())
