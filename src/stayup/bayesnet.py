@@ -262,6 +262,16 @@ class BdeuConfig:
     def __post_init__(self):
         if not 0 < self.ess < math.inf:
             raise ValueError("ess must be positive and finite")
+        # a family of the profile variables with no parent or with all the
+        # others gets the largest or the smallest Dirichlet weights of any
+        # family; an ess past the float range of their log-gammas scores NaN
+        for q in (1, 1 << len(PROFILE_VARIABLE_NAMES) - 1):
+            counts = np.zeros((1, 2 * q), dtype=np.intp)
+            totals = np.zeros((1, q), dtype=np.intp)
+            counts[0, 0] = totals[0, 0] = 1
+            with np.errstate(invalid="ignore"):
+                if not np.isfinite(_bdeu(counts, totals, q, 2, self.ess)).all():
+                    raise ValueError("ess is too large or too small for finite BDeu scores")
 
 
 # --- BDeu scores ---------------------------------------------------------------

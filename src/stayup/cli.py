@@ -161,8 +161,8 @@ def _cmd_sleep_fit(args) -> int:
     ids, counts = ingest.read_sleep_counts_csv(args.counts)
     pipeline.require_students(str(args.counts), len(ids), args.components, "--min-nights")
     args.out.mkdir(parents=True, exist_ok=True)
-    assigned, diag = pipeline.sleep_fit_group(ids, counts, mix_cfg, args.threshold,
-                                              args.out / "model.json", {})
+    model, assigned, diag = pipeline.sleep_fit_group(ids, counts, mix_cfg, args.threshold)
+    pipeline.write_json(args.out / "model.json", sleepmix.model_to_json(model, mix_cfg))
     sleepmix.write_assignments_csv(args.out / "assignments.csv", ids,
                                    assigned.omega_stay_up, assigned.stay_up)
     n_up = int(assigned.stay_up.sum())

@@ -15,11 +15,18 @@ narrow grammar are decoded with array ops: fixed-width
 amounts and known ids without surrounding whitespace. Every other row goes
 through the per-row checks, which accept what ``datetime.fromisoformat``,
 ``int`` and ``float`` accept and give each rejected row its reason.
+
+Each event log is cut into blocks of whole lines, and the blocks are
+decoded as jobs split over this process and one forked child
+(``split.run_split``). A log with any quote, NUL, bare carriage return or
+non-ASCII byte is read whole by the csv module instead. A leading UTF-8
+byte order mark is skipped in every file.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
@@ -27,6 +34,8 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .split import run_split
 
 APP_CATEGORIES = ("game", "video", "other")
 VENUES = ("canteen", "bath", "other")
@@ -135,7 +144,8 @@ class EventStore:
     sessions: EventColumns
     transactions: EventColumns
     borrows: EventColumns
-    grades: dict[str, float]
+    gpa: np.ndarray      # float64 grade of each of students; NaN: no grade
+    gender: np.ndarray   # int8 index into GENDERS of each of students
     demographics: dict[str, DemographicRecord]
     report: ParseReport
 
@@ -250,7 +260,7 @@ def _read_rows(path: Path, kind: str):
     columns = CSV_SCHEMAS[kind]
     if not path.exists():
         raise IngestError(f"missing input file: {path}")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         _check_header(path, reader.fieldnames, columns)
         for row in reader:
@@ -404,61 +414,103 @@ def _columnar_header(data: bytes) -> list[str] | None:
     return first.split(",") if first else []
 
 
-def _event_row(log: _EventLog, kind, path, line_no, row, index, handle):
-    """(student, time, code, value) of a row that passes the checks, else None."""
+def _event_row(log: _EventLog, row, index: dict[str, int]):
+    """(student, time, code, value) of a row that passes the checks, else the
+    reason it is skipped."""
     try:
         sid, ts, code, value = log.check(row)
     except (ValueError, TypeError) as exc:
-        handle(kind, path, line_no, str(exc))
-        return None
+        return str(exc)
     student = index.get(sid)
     if student is None:
-        handle(kind, path, line_no, f"unknown student {sid}")
-        return None
+        return f"unknown student {sid}"
     return student, ts, code, value
 
 
-def _read_events(path: Path, kind: str, students: tuple[str, ...],
-                 index: dict[str, int], handle) -> EventColumns:
-    """Load one event log into columns; rows outside the columnar grammar take the row path."""
-    log = _EVENT_LOGS[kind]
-    columns = CSV_SCHEMAS[kind]
+def _read_events_by_rows(path: Path, kind: str, students: tuple[str, ...],
+                         index: dict[str, int], handle) -> EventColumns:
+    """Load one event log through the csv module, each row by the per-row checks."""
+    got = []
+    for line_no, row in _read_rows(path, kind):
+        event = _event_row(_EVENT_LOGS[kind], row, index)
+        if isinstance(event, str):
+            handle(kind, path, line_no, event)
+        else:
+            got.append(event)
+    student, ts, code, value = zip(*got) if got else ((),) * 4
+    return EventColumns(students, np.array(student, np.int32), np.array(ts, np.int64),
+                        np.array(code, np.int8), np.array(value, np.float64))
+
+
+# Bytes of one decode job: an event log is cut at the first line break at or
+# after every BLOCK_BYTES bytes (CHANGES.md gives the sweep it was chosen by)
+BLOCK_BYTES = 1 << 20
+_BOM = b"\xef\xbb\xbf"   # skipped at the head of a file, as encoding="utf-8-sig" skips it
+
+
+@dataclass(frozen=True)
+class _Cut:
+    """One event log's bytes, cut into blocks of whole lines for _decode_block."""
+    data: bytes
+    start: int                   # where the text starts, past a leading BOM
+    header: list[str] | None     # the first line's fields if they name each column once
+    blocks: list[tuple[int, int]]   # (lo, hi) of each block; none without a header
+
+
+def _cut(path: Path, kind: str) -> _Cut:
+    """Read one event log and cut it into blocks if its first line can head
+    the columnar path. Raises IngestError when the file does not exist."""
     if not path.exists():
         raise IngestError(f"missing input file: {path}")
     data = path.read_bytes()
-    header = _columnar_header(data) if _columnar(data) else None
-    if header is not None:
-        _check_header(path, header, columns)
-    if header is None or len(header) != len(columns):
-        # the csv module reads this file; duplicate header names land here too
-        got = [_event_row(log, kind, path, line_no, row, index, handle)
-               for line_no, row in _read_rows(path, kind)]
-        got = [g for g in got if g is not None]
-        student, ts, code, value = zip(*got) if got else ((),) * 4
-        return EventColumns(students, np.array(student, np.int32), np.array(ts, np.int64),
-                            np.array(code, np.int8), np.array(value, np.float64))
+    start = len(_BOM) if data.startswith(_BOM) else 0
+    line = data[start:data.find(b"\n", start) + 1 or len(data)]
+    header = _columnar_header(line) if _columnar(line) else None
+    if header is None or sorted(header) != sorted(CSV_SCHEMAS[kind]):
+        return _Cut(data, start, None, [])
+    blocks, lo = [], start
+    while lo < len(data):
+        hi = data.find(b"\n", lo + BLOCK_BYTES - 1) + 1 or len(data)
+        blocks.append((lo, hi))
+        lo = hi
+    return _Cut(data, start, header, blocks)
 
-    scan = np.frombuffer(data, dtype=np.uint8)
+
+def _decode_block(log: _EventLog, cut: _Cut, lo: int, hi: int, students: tuple[str, ...],
+                  index: dict[str, int]):
+    """Decode cut.data[lo:hi], whole lines of one event log; its line 0 is
+    the header when lo is cut.start.
+
+    Returns None when the block fails the columnar check, else (lines,
+    columns, skips): its line count, the (student, time, code, value)
+    columns of its loaded rows and the (line, reason) of each skipped row,
+    lines counted from 0 at lo, in line order.
+    """
+    block, header = cut.data[lo:hi], cut.header
+    if not _columnar(block):
+        return None
+    scan = np.frombuffer(block, dtype=np.uint8)
     breaks = np.flatnonzero(scan == ord("\n"))
     starts = np.concatenate(([0], breaks + 1))
     ends = np.concatenate((breaks, [scan.size]))
     if starts[-1] == scan.size:
         starts, ends = starts[:-1], ends[:-1]
     ends -= (ends > starts) & (scan[ends - 1] == ord("\r"))
-    lines = starts.size                     # line i is physical line i + 1; line 0 is the header
+    lines = starts.size
+    first = lo == cut.start
 
     commas = np.flatnonzero(scan == ord(","))
     per_line = np.diff(np.append(np.searchsorted(commas, starts), commas.size))
-    split = (per_line == len(columns) - 1) & (ends > starts)
-    split[0] = False
+    split = (per_line == len(header) - 1) & (ends > starts)
+    split[0] &= not first
     rows = np.flatnonzero(split)
-    cuts = commas[np.repeat(split, per_line)].reshape(rows.size, len(columns) - 1)
+    cuts = commas[np.repeat(split, per_line)].reshape(rows.size, len(header) - 1)
     # field reads may run past a field's end but not past this padding
-    buf = np.frombuffer(data + bytes(int((ends - starts).max()) + 32), dtype=np.uint8)
+    buf = np.frombuffer(block + bytes(int((ends - starts).max()) + 32), dtype=np.uint8)
     bounds = {}
     for j, name in enumerate(header):
         bounds[name] = (starts[rows] if j == 0 else cuts[:, j - 1] + 1,
-                        ends[rows] if j == len(columns) - 1 else cuts[:, j])
+                        ends[rows] if j == len(header) - 1 else cuts[:, j])
 
     student = np.full(lines, -1, dtype=np.int32)
     ts = np.zeros(lines, dtype=np.int64)
@@ -476,16 +528,72 @@ def _read_events(path: Path, kind: str, students: tuple[str, ...],
     student[rows[ok]] = got_student[ok]
     ts[rows[ok]] = got_ts[ok]
 
+    skips = []
     slow = np.flatnonzero((student < 0) & (ends > starts))
-    for line in slow[slow > 0].tolist():
-        fields = data[starts[line]:ends[line]].decode().split(",")
+    if first:
+        slow = slow[slow > 0]
+    for line in slow.tolist():
+        fields = block[starts[line]:ends[line]].decode().split(",")
         row = dict(zip(header, fields))
         row.update((name, None) for name in header[len(fields):])
-        got = _event_row(log, kind, path, line + 1, row, index, handle)
-        if got is not None:
-            student[line], ts[line], code[line], value[line] = got
+        event = _event_row(log, row, index)
+        if isinstance(event, str):
+            skips.append((line, event))
+        else:
+            student[line], ts[line], code[line], value[line] = event
     keep = student >= 0
-    return EventColumns(students, student[keep], ts[keep], code[keep], value[keep])
+    return lines, (student[keep], ts[keep], code[keep], value[keep]), skips
+
+
+def _assemble(path: Path, kind: str, cut: _Cut, decoded: list, students: tuple[str, ...],
+              index: dict[str, int], handle) -> EventColumns:
+    """One event log's columns from its decoded blocks, in file order; its
+    skipped rows go to handle with their physical line numbers. A log that a
+    block or its header keeps off the columnar path is read by the csv module."""
+    if cut.header is None or None in decoded:
+        text = cut.data[cut.start:]
+        if cut.header is None and _columnar(text):
+            _check_header(path, _columnar_header(text), CSV_SCHEMAS[kind])
+        # the csv module reads this file; duplicate header names land here too
+        return _read_events_by_rows(path, kind, students, index, handle)
+    lines, parts = 0, []
+    for count, columns, skips in decoded:
+        for line, reason in skips:
+            handle(kind, path, lines + line + 1, reason)
+        lines += count
+        parts.append(columns)
+    return EventColumns(students, *(np.concatenate(c) for c in zip(*parts)))
+
+
+def _read_event_logs(paths: dict[str, Path], students: tuple[str, ...],
+                     index: dict[str, int], handle) -> dict[str, EventColumns]:
+    """Load each event log into columns, its blocks decoded as jobs split
+    over two processes by run_split. Bad rows, and a missing or mis-headed
+    log, reach handle or raise in file order, one log after another."""
+    cuts = {}
+    for kind in _EVENT_LOGS:
+        try:
+            cuts[kind] = _cut(paths[kind], kind)
+        except (OSError, IngestError) as exc:   # raised in this log's turn
+            cuts[kind] = exc
+    jobs, costs = [], []
+    for kind, cut in cuts.items():
+        for lo, hi in cut.blocks if isinstance(cut, _Cut) else ():
+            jobs.append(functools.partial(_decode_block, _EVENT_LOGS[kind], cut, lo, hi,
+                                          students, index))
+            costs.append(hi - lo)
+    outcomes = run_split(jobs, costs)   # each log's blocks in file order, log after log
+    events, done = {}, 0
+    for kind, cut in cuts.items():
+        if isinstance(cut, Exception):
+            raise cut
+        decoded, done = outcomes[done:done + len(cut.blocks)], done + len(cut.blocks)
+        for error, _ in decoded:
+            if error is not None:
+                raise error
+        events[kind] = _assemble(paths[kind], kind, cut, [value for _, value in decoded],
+                                 students, index, handle)
+    return events
 
 
 def read_demographics(path: Path, handle) -> dict[str, DemographicRecord]:
@@ -531,33 +639,33 @@ def parse_logs(paths: LogPaths, strict: bool = False,
 
     students = tuple(sorted(demographics))
     index = {sid: i for i, sid in enumerate(students)}
-    events = {}
+    events = _read_event_logs(mapping, students, index, handle)
     for kind in _EVENT_LOGS:
-        events[kind] = _read_events(mapping[kind], kind, students, index, handle)
         report.loaded[kind] = len(events[kind])
 
-    grades: dict[str, float] = {}
+    gpa = np.full(len(students), np.nan)   # NaN until a valid grade is read
     path = mapping["grades"]
     for line_no, row in _read_rows(path, "grades"):
         try:
             sid = (row["student_id"] or "").strip()
-            gpa = float(row["gpa"])
-            if not 0 <= gpa <= gpa_max:
-                raise ValueError(f"gpa {gpa} outside [0, {gpa_max}]")
+            grade = float(row["gpa"])
+            if not 0 <= grade <= gpa_max:
+                raise ValueError(f"gpa {grade} outside [0, {gpa_max}]")
         except (ValueError, TypeError) as exc:
             handle("grades", path, line_no, str(exc))
             continue
         if sid not in index:
             handle("grades", path, line_no, f"unknown student {sid}")
             continue
-        if sid in grades:
+        if not np.isnan(gpa[index[sid]]):
             handle("grades", path, line_no, f"duplicate student {sid}")
             continue
-        grades[sid] = gpa
-    report.loaded["grades"] = len(grades)
+        gpa[index[sid]] = grade
+    report.loaded["grades"] = int((~np.isnan(gpa)).sum())
 
+    gender = np.array([GENDERS.index(demographics[sid].gender) for sid in students], np.int8)
     return EventStore(events["net_sessions"], events["transactions"], events["borrows"],
-                      grades, demographics, report)
+                      gpa, gender, demographics, report)
 
 
 def extract_bedtimes(sessions: EventColumns, cfg: NightWindowConfig) -> Bedtimes:
@@ -660,11 +768,9 @@ def compute_raw_features(store: EventStore, study_days: int,
         variance = (k * squares - total * total) / (k * k)   # each side converted to float64
 
     borrowed = np.bincount(store.borrows.student, minlength=n)
-    gpa = np.array([store.grades.get(sid, np.nan) for sid in students])   # NaN: no grade
-    gender = [GENDERS.index(store.demographics[sid].gender) for sid in students]
-    keep = np.flatnonzero(~np.isnan(gpa))
+    keep = np.flatnonzero(~np.isnan(store.gpa))
     values = np.column_stack((borrowed, surf / study_days, game, video, breakfast, variance,
-                              spend / study_days, gpa, gender))
+                              spend / study_days, store.gpa, store.gender))
     return tuple(students[i] for i in keep.tolist()), values[keep]
 
 

@@ -6,8 +6,10 @@ program computes another way: BDeu scores family by family (the oracle of
 (the oracle of ``bayesnet.climb_batch``) with the graph copy and edge
 deletion they need, exact posteriors by enumeration, the mixture's E-step
 on its own, the night and bin of one timestamp (the oracle of
-``ingest.extract_bedtimes``), raw features as one record per student (the
-oracle of ``ingest.compute_raw_features``), profiles built from dicts of
+``ingest.extract_bedtimes``), the event logs each read whole in one pass
+(the oracle of ``ingest._read_event_logs``, which reads them in blocks),
+raw features as one record per student (the oracle of
+``ingest.compute_raw_features``), profiles built from dicts of
 them (the oracle of ``profiles.build_profiles``), and a restart ensemble
 as a list of (Dag, score) pairs with edge counts as dicts keyed by name
 (the oracles of ``consensus.top_fraction``, ``edge_frequencies``, the pool
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -339,6 +342,100 @@ def e_step(counts, model: sm.PoissonMixtureModel, cfg: sm.MixtureConfig,
 
 # --- ingest -----------------------------------------------------------------------
 
+def _event_row(log, kind, path, line_no, row, index, handle):
+    """(student, time, code, value) of a row that passes the checks, else None."""
+    try:
+        sid, ts, code, value = log.check(row)
+    except (ValueError, TypeError) as exc:
+        handle(kind, path, line_no, str(exc))
+        return None
+    student = index.get(sid)
+    if student is None:
+        handle(kind, path, line_no, f"unknown student {sid}")
+        return None
+    return student, ts, code, value
+
+
+def read_events(path: Path, kind: str, students: tuple[str, ...],
+                index: dict[str, int], handle) -> ingest.EventColumns:
+    """Load one event log into columns in one pass over the whole file; rows
+    outside the columnar grammar take the row path."""
+    log = ingest._EVENT_LOGS[kind]
+    columns = ingest.CSV_SCHEMAS[kind]
+    if not path.exists():
+        raise ingest.IngestError(f"missing input file: {path}")
+    data = path.read_bytes()
+    header = ingest._columnar_header(data) if ingest._columnar(data) else None
+    if header is not None:
+        ingest._check_header(path, header, columns)
+    if header is None or len(header) != len(columns):
+        # the csv module reads this file; duplicate header names land here too
+        got = [_event_row(log, kind, path, line_no, row, index, handle)
+               for line_no, row in ingest._read_rows(path, kind)]
+        got = [g for g in got if g is not None]
+        student, ts, code, value = zip(*got) if got else ((),) * 4
+        return ingest.EventColumns(students, np.array(student, np.int32),
+                                   np.array(ts, np.int64), np.array(code, np.int8),
+                                   np.array(value, np.float64))
+
+    scan = np.frombuffer(data, dtype=np.uint8)
+    breaks = np.flatnonzero(scan == ord("\n"))
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.concatenate((breaks, [scan.size]))
+    if starts[-1] == scan.size:
+        starts, ends = starts[:-1], ends[:-1]
+    ends -= (ends > starts) & (scan[ends - 1] == ord("\r"))
+    lines = starts.size                     # line i is physical line i + 1; line 0 is the header
+
+    commas = np.flatnonzero(scan == ord(","))
+    per_line = np.diff(np.append(np.searchsorted(commas, starts), commas.size))
+    split = (per_line == len(columns) - 1) & (ends > starts)
+    split[0] = False
+    rows = np.flatnonzero(split)
+    cuts = commas[np.repeat(split, per_line)].reshape(rows.size, len(columns) - 1)
+    # field reads may run past a field's end but not past this padding
+    buf = np.frombuffer(data + bytes(int((ends - starts).max()) + 32), dtype=np.uint8)
+    bounds = {}
+    for j, name in enumerate(header):
+        bounds[name] = (starts[rows] if j == 0 else cuts[:, j - 1] + 1,
+                        ends[rows] if j == len(columns) - 1 else cuts[:, j])
+
+    student = np.full(lines, -1, dtype=np.int32)
+    ts = np.zeros(lines, dtype=np.int64)
+    code = np.zeros(lines, dtype=np.int8)
+    value = np.zeros(lines, dtype=np.float64)
+    got_student = ingest._student_index(buf, *bounds["student_id"], students)
+    ok, got_ts = ingest._timestamps(buf, *bounds[log.time])
+    ok &= got_student >= 0
+    if log.code is not None:
+        got_code = ingest._codes(buf, *bounds[log.code], log.codes)
+        number_ok, got_value = ingest._numbers(buf, *bounds[log.value], log.decimal)
+        ok &= (got_code >= 0) & number_ok
+        code[rows[ok]] = got_code[ok]
+        value[rows[ok]] = got_value[ok]
+    student[rows[ok]] = got_student[ok]
+    ts[rows[ok]] = got_ts[ok]
+
+    slow = np.flatnonzero((student < 0) & (ends > starts))
+    for line in slow[slow > 0].tolist():
+        fields = data[starts[line]:ends[line]].decode().split(",")
+        row = dict(zip(header, fields))
+        row.update((name, None) for name in header[len(fields):])
+        got = _event_row(log, kind, path, line + 1, row, index, handle)
+        if got is not None:
+            student[line], ts[line], code[line], value[line] = got
+    keep = student >= 0
+    return ingest.EventColumns(students, student[keep], ts[keep], code[keep], value[keep])
+
+
+def read_event_logs(paths: Mapping[str, Path], students: tuple[str, ...],
+                    index: dict[str, int], handle) -> dict[str, ingest.EventColumns]:
+    """The event logs read one after another, each whole by read_events (the
+    oracle of ``ingest._read_event_logs``, which decodes them in blocks)."""
+    return {kind: read_events(paths[kind], kind, students, index, handle)
+            for kind in ingest._EVENT_LOGS}
+
+
 def night_of(cfg: NightWindowConfig, dt: datetime) -> date:
     """Calendar date of the night a timestamp belongs to."""
     if dt.time() >= cfg.night_boundary:
@@ -415,8 +512,8 @@ def compute_raw_features(store: ingest.EventStore, study_days: int,
 
     features: dict[str, RawFeatureRecord] = {}
     for i, sid in enumerate(students):
-        gpa = store.grades.get(sid)
-        if gpa is None:
+        gpa = float(store.gpa[i])
+        if math.isnan(gpa):
             continue
         baths = bath_days[bath_from[i]:bath_from[i + 1]]
         variance = None
@@ -437,7 +534,7 @@ def compute_raw_features(store: ingest.EventStore, study_days: int,
             bath_interval_variance=variance,
             mean_daily_spend=float(spend[i]) / study_days,
             gpa=gpa,
-            gender=store.demographics[sid].gender,
+            gender=ingest.GENDERS[store.gender[i]],
         )
     return features
 

@@ -511,14 +511,28 @@ class TestScoreTable:
     def test_non_finite_scores_rejected(self):
         # every family scores NaN at this ess; the first in (child, mask) order is named
         data = profile_table(np.random.default_rng(45), tie_heavy=False)
+        cfg = bn.BdeuConfig()
+        object.__setattr__(cfg, "ess", 1e308)   # past BdeuConfig's own check
         with np.errstate(invalid="ignore"), pytest.raises(
                 ValueError, match=r"^ess=1e\+308 gives a non-finite BDeu score, first for G given \{\}$"):
-            bn.score_table(data, bn.default_layer_constraints(), bn.BdeuConfig(1e308))
+            bn.score_table(data, bn.default_layer_constraints(), cfg)
 
     @pytest.mark.parametrize("ess", [0.0, -1.0, math.inf, math.nan])
     def test_ess_must_be_positive_and_finite(self, ess):
         with pytest.raises(ValueError, match="ess must be positive and finite"):
             bn.BdeuConfig(ess)
+
+    @pytest.mark.parametrize("ess", [1e308, 3e305, 1e-306, 1e-320])
+    def test_ess_must_keep_scores_finite(self, ess):
+        with pytest.raises(ValueError, match="^ess is too large or too small for finite BDeu"):
+            bn.BdeuConfig(ess)
+
+    @pytest.mark.parametrize("ess", [2.5e305, 1e-305])
+    def test_an_accepted_ess_scores_finitely(self, ess):
+        # near the bounds of BdeuConfig's check; score_table raises on a non-finite score
+        data = profile_table(np.random.default_rng(45), tie_heavy=False)
+        table = bn.score_table(data, bn.default_layer_constraints(), bn.BdeuConfig(ess))
+        assert np.isfinite(table[~np.isnan(table)]).all()
 
 
 # The score table that the subset-marginal lattice replaced: one projection

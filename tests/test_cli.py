@@ -418,9 +418,11 @@ class TestStageInputs:
         (["bn-learn", "--restarts", "0"], "restarts"),
         (["bn-learn", "--ess", "0"], "ess"),
         (["bn-learn", "--ess", "inf"], "ess"),
+        (["bn-learn", "--ess", "1e308"], "ess"),
         (["consensus", "--restarts", "0"], "restarts"),
         (["consensus", "--ess", "0"], "ess"),
         (["consensus", "--ess", "inf"], "ess"),
+        (["consensus", "--ess", "1e-320"], "ess"),
         (["consensus", "--null-replicas", "0"], "null_replicas"),
         (["consensus", "--fraction", "0"], "top_fraction"),
         (["consensus", "--edge-probability", "1.5"], "edge_probability"),
@@ -428,6 +430,7 @@ class TestStageInputs:
         (["predict", "--restarts", "0"], "restarts"),
         (["predict", "--ess", "0"], "ess"),
         (["predict", "--ess", "inf"], "ess"),
+        (["predict", "--ess", "1e308"], "ess"),
     ], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
     def test_bad_setting_exits_2_before_reading_input(self, data_dir, run_dir, tmp_path, capsys,
                                                       argv, field):
@@ -533,6 +536,15 @@ class TestRun:
         assert err.startswith("error: ") and re.search(rf"\b{field}\b", err), err
         assert not (out / "MANIFEST.json").exists()
 
+    @pytest.mark.parametrize("ess", ["1e308", "1e-320"])
+    def test_extreme_ess_exits_2_before_any_stage(self, data_dir, tmp_path, capsys, ess):
+        # finite, but every BDeu score would be NaN
+        out = tmp_path / "out"
+        assert cli.main(["run", "--data", str(data_dir), "--out", str(out), "--ess", ess]) == 2
+        assert capsys.readouterr().err == (
+            f"error: ess={float(ess)!r}: ess is too large or too small for finite BDeu scores\n")
+        assert not out.exists()
+
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"data_dir": "x", "out_dir": "y", "bogus": 1}))
@@ -596,6 +608,25 @@ class TestStageFailure:
         assert manifest["stages"] == stages[:stages.index(stage)]
         assert manifest["incomplete"] == [stage]
         assert {p.name for p in out.iterdir()} - {"MANIFEST.json"} == set(manifest["files"])
+        assert_no_children()
+
+    def test_a_block_that_fails_in_the_child_fails_ingest(self, data_dir, tmp_path, monkeypatch):
+        here, decode = os.getpid(), ingest._decode_block
+
+        def failing(*args):
+            if os.getpid() != here:
+                raise ValueError("planted block failure")
+            return decode(*args)
+
+        monkeypatch.setattr(ingest, "_decode_block", failing)
+        out = tmp_path / "run"
+        with pytest.raises(pipeline.StageError) as info:
+            run_pipeline(PipelineConfig(data_dir=data_dir, out_dir=out, seed=5, **FAST))
+        assert info.value.stage == "ingest"
+        assert "planted block failure" in str(info.value)
+        manifest = load_json(out / "MANIFEST.json")
+        assert (manifest["stages"], manifest["incomplete"], manifest["files"]) == ([], ["ingest"], {})
+        assert [p.name for p in out.iterdir()] == ["MANIFEST.json"]
         assert_no_children()
 
 
@@ -662,6 +693,28 @@ class TestRunSplit:
         assert "consensus_freshman.json" in manifest["files"]
         assert sorted(p.name for p in out.glob("consensus_*.json")) == ["consensus_freshman.json"]
         assert not list(out.glob("roc_*.csv"))
+        assert_no_children()
+
+    def test_failed_fit_job_fails_in_cohort_order(self, data_dir, tmp_path, monkeypatch):
+        fit = sleepmix.fit
+
+        def failing(counts, cfg, ids=None):
+            if cfg.seed in (pipeline.derive_seed(5, 1, 1), pipeline.derive_seed(5, 1, 2)):
+                raise sleepmix.MixtureError("planted fit failure")
+            return fit(counts, cfg, ids)
+
+        monkeypatch.setattr(sleepmix, "fit", failing)
+        out = tmp_path / "run"
+        with pytest.raises(pipeline.StageError) as info:
+            run_pipeline(PipelineConfig(data_dir=data_dir, out_dir=out, seed=5, **FAST))
+        assert info.value.stage == "sleep_fit"
+        # sophomore's fit fails in the child and junior's here; sophomore comes first
+        assert str(info.value) == "stage 'sleep_fit' failed: cohort 'sophomore': planted fit failure"
+        assert isinstance(info.value.cause, sleepmix.MixtureError)
+        manifest = json.loads((out / "MANIFEST.json").read_text())
+        assert manifest["incomplete"] == ["sleep_fit"]
+        assert sorted(p.name for p in out.glob("model_*.json")) == ["model_freshman.json"]
+        assert "model_freshman.json" in manifest["files"]
         assert_no_children()
 
 

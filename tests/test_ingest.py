@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import math
 import sys
@@ -6,6 +7,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -270,7 +272,7 @@ def bath_store(*gap_lists) -> ingest.EventStore:
     empty = ingest.EventColumns(students, np.zeros(0, np.int32), np.zeros(0, np.int64),
                                 np.zeros(0, np.int8), np.zeros(0))
     return ingest.EventStore(
-        empty, baths, empty, {sid: 3.0 for sid in students},
+        empty, baths, empty, np.full(len(students), 3.0), np.zeros(len(students), np.int8),
         {sid: ingest.DemographicRecord(sid, "male", "freshman") for sid in students},
         ingest.ParseReport())
 
@@ -306,7 +308,8 @@ def event_stores(draw) -> ingest.EventStore:
     genders = draw(st.lists(st.sampled_from(ingest.GENDERS), min_size=n, max_size=n))
     return ingest.EventStore(
         sessions, transactions, borrows,
-        {sid: g for sid, g in zip(students, grades) if g is not None},
+        np.array([np.nan if g is None else g for g in grades]),
+        np.array([ingest.GENDERS.index(g) for g in genders], np.int8),
         {sid: ingest.DemographicRecord(sid, g, "freshman") for sid, g in zip(students, genders)},
         ingest.ParseReport())
 
@@ -775,7 +778,11 @@ def ingest_outputs(paths, out: Path, night_cfg, breakfast, reference: bool,
             observed.student.tolist(), observed.night.tolist(), observed.bin.tolist())]
         ids, counts = ingest.aggregate_sleep_counts(observed, night_cfg, 1)
         infer, features = ingest.infer_study_days, ingest.compute_raw_features
-    got = {"report": store.report, "grades": store.grades, "events": loaded_events(store),
+    if reference:
+        grades = store.grades
+    else:
+        grades = {sid: g for sid, g in zip(store.students, store.gpa.tolist()) if not math.isnan(g)}
+    got = {"report": store.report, "grades": grades, "events": loaded_events(store),
            "bedtimes": bedtimes}
     ingest.write_sleep_counts_csv(out / "counts.csv", ids, counts)
     got["counts"] = (out / "counts.csv").read_bytes()
@@ -920,6 +927,43 @@ class TestIngestFixes:
         with pytest.raises(ingest.IngestError, match=r"net_sessions\.csv:3: unknown student ghost"):
             ingest.parse_logs(paths, strict=True)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("quoted", [False, True], ids=["columnar", "csv-module"])
+    def test_a_leading_bom_is_skipped_in_every_file(self, tmp_path, newline, quoted):
+        from stayup import cli
+
+        rows = {
+            "net_sessions": ["s1,2018-11-05 23:40,game,30", "s2,2018-11-06 01:10,video,15",
+                             "ghost,2018-11-06 01:10,video,15"],
+            "transactions": ["s1,2018-11-05 07:30,canteen,4.5", "s2,2018-11-05 12:00,gym,3"],
+            "borrows": ["s2,2018-11-05 10:00"],
+            "grades": ["s1,3.0", "s2,9.5"],
+            "demographics": BASE_DEMO.split(),
+        }
+        if quoted:   # a quoted field sends each event log through the csv module instead
+            for kind in ("net_sessions", "transactions", "borrows"):
+                sid, rest = rows[kind][0].split(",", 1)
+                rows[kind][0] = f'"{sid}",{rest}'
+        stores = []
+        for name, bom in (("plain", ""), ("bom", "\ufeff")):
+            (tmp_path / name).mkdir()
+            for kind, lines in rows.items():
+                text = newline.join([",".join(ingest.CSV_SCHEMAS[kind])] + lines) + newline
+                (tmp_path / name / f"{kind}.csv").write_bytes((bom + text).encode())
+            # an unquoted event log stays on the columnar path, BOM or not
+            by_rows = mock.patch.object(ingest, "_read_events_by_rows", side_effect=AssertionError)
+            with contextlib.nullcontext() if quoted else by_rows:
+                stores.append(ingest.parse_logs(ingest.LogPaths.from_dir(tmp_path / name)))
+        plain, with_bom = stores
+        assert loaded_events(with_bom) == loaded_events(plain)
+        assert with_bom.report == plain.report
+        assert with_bom.report.loaded == {"demographics": 2, "net_sessions": 2,
+                                          "transactions": 1, "borrows": 1, "grades": 1}
+        np.testing.assert_array_equal(with_bom.gpa, plain.gpa)
+        np.testing.assert_array_equal(with_bom.gender, plain.gender)
+        assert with_bom.demographics == plain.demographics
+        assert cli.main(["ingest", "--data", str(tmp_path / "bom"), "--out", str(tmp_path / "out")]) == 0
+
 
 # --- hypothesis: the columnar ingest against the row reference ----------------
 
@@ -1048,3 +1092,102 @@ class TestColumnarMatchesRowReference:
             new = ingest_outputs(paths, root, night_cfg, breakfast, False, strict)
             ref = ingest_outputs(paths, root, night_cfg, breakfast, True, strict)
         assert new == ref
+
+
+# --- hypothesis: event logs decoded in blocks against the whole-file reader ---
+
+WRONG_HEADERS = {   # each event log's header minus a column, with a name twice, quoted
+    kind: (",".join(columns[:-1]), ",".join(columns + columns[-1:]),
+           ",".join(f'"{c}"' for c in columns))
+    for kind, columns in ingest.CSV_SCHEMAS.items()
+}
+
+
+@st.composite
+def block_log_sets(draw) -> dict:
+    """Event logs as log_sets draws them, some missing (None), some with a
+    leading BOM, some with a header the columnar path cannot take."""
+    logs = draw(log_sets())
+    for kind, text in logs.items():
+        pick = draw(st.integers(0, 11))
+        if pick == 0:
+            logs[kind] = None
+        elif pick == 1:
+            logs[kind] = "\ufeff" + text
+        elif pick == 2:
+            head, newline, rest = text.partition("\n")
+            wrong = draw(st.sampled_from(WRONG_HEADERS[kind]))
+            logs[kind] = wrong + ("\r" if head.endswith("\r") else "") + newline + rest
+    return logs
+
+
+def parsed(paths, strict: bool) -> dict:
+    """The loaded events and skip reasons, in order, of parse_logs, or its error."""
+    try:
+        store = ingest.parse_logs(paths, strict=strict)
+    except ingest.IngestError as exc:
+        return {"error": str(exc)}
+    report = store.report
+    return {"events": loaded_events(store), "loaded": report.loaded, "skipped": report.skipped,
+            "reasons": [(kind, list(counts.items())) for kind, counts in report.reasons.items()]}
+
+
+PLAIN_ROWS = "\n".join(f"s{1 + i % 2},2018-11-05 2{i % 4}:10,game,{i}" for i in range(12))
+
+
+class TestBlocksMatchWholeFile:
+    """The event logs cut into blocks of a few bytes read as the whole-file
+    reader (reference.read_event_logs) reads them."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(logs=block_log_sets(), block=st.integers(1, 80), strict=st.booleans())
+    @example(logs={  # a quote in a later block sends the whole file to the csv module
+        "net_sessions": "student_id,end_time,app_category,duration_minutes\n" + PLAIN_ROWS
+                        + '\nghost,2018-11-05 23:40,game,5\n"s1",2018-11-05 23:50,video,7\n',
+        "transactions": "student_id,time,venue,amount\r\ns1,2018-11-05 07:30,canteen,4.5",
+        "borrows": "student_id,time\r\ns1,2018-11-05 10:00\r\nghost,2018-11-05 10:00\r\n",
+    }, block=20, strict=False)
+    @example(logs={  # a bad row in an earlier log wins over a missing later one
+        "net_sessions": "student_id,end_time,app_category,duration_minutes\r\n"
+                        "s1,2018-11-05 23:40,game,30\r\nghost,2018-11-05 23:40,game,30",
+        "transactions": None,
+        "borrows": "student_id,time\nbad,header",
+    }, block=1, strict=True)
+    @example(logs={  # the same without the bad row: the missing log's error
+        "net_sessions": "student_id,end_time,app_category,duration_minutes\r\n"
+                        "s1,2018-11-05 23:40,game,30\r\n",
+        "transactions": None,
+        "borrows": "student_id,time\nbad,header",
+    }, block=1, strict=True)
+    def test_same_columns_reasons_and_errors(self, logs, block, strict):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for kind, text in logs.items():
+                if text is not None:
+                    (root / f"{kind}.csv").write_bytes(text.encode())
+            (root / "demographics.csv").write_text("student_id,gender,cohort\n" + DEMOGRAPHICS)
+            (root / "grades.csv").write_text("student_id,gpa\n" + GRADES)
+            paths = ingest.LogPaths.from_dir(root)
+            with mock.patch.object(ingest, "BLOCK_BYTES", block):
+                new = parsed(paths, strict)
+            with mock.patch.object(ingest, "_read_event_logs", reference.read_event_logs):
+                ref = parsed(paths, strict)
+        assert new == ref
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("last", ["\n", ""], ids=["terminated", "unterminated"])
+    def test_cuts_fall_after_line_breaks(self, tmp_path, newline, last):
+        text = (newline.join(["student_id,end_time,app_category,duration_minutes"]
+                             + PLAIN_ROWS.split("\n")) + (newline if last else ""))
+        (tmp_path / "net_sessions.csv").write_bytes(text.encode())
+        data = text.encode()
+        header_end = data.index(b"\n") + 1
+        for block in (1, header_end, 7, 40, len(data)):
+            with mock.patch.object(ingest, "BLOCK_BYTES", block):
+                cut = ingest._cut(tmp_path / "net_sessions.csv", "net_sessions")
+            assert b"".join(data[lo:hi] for lo, hi in cut.blocks) == data
+            assert all(data[hi - 1:hi] == b"\n" for _, hi in cut.blocks[:-1])
+            if block == 1:   # one block per line: a cut right after the header and
+                assert cut.blocks[0] == (0, header_end)   # before the last line
+                assert len(cut.blocks) == 13
