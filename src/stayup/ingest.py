@@ -1,11 +1,12 @@
 """Event-log ingestion: CSV parsing, bedtime extraction, count aggregation,
 and raw behavioral features.
 
-A "night" runs from the configured boundary (noon by default) to the next
-day's boundary, so signals after midnight attach to the preceding evening.
-The bedtime of a night is the end time of the last network session falling
-inside the observation window (21:00 plus 16 half-hour bins by default);
-bins are half-open, so a signal exactly on a boundary lands in the later bin.
+A "night" runs from noon (NIGHT_BOUNDARY) to the next day's noon, so
+signals after midnight attach to the preceding evening. The bedtime of a
+night is the end time of the last network session falling inside the
+observation window, 16 half-hour bins from 21:00 (WINDOW_START, BIN_MINUTES,
+BIN_COUNT); bins are half-open, so a signal exactly on a boundary lands in
+the later bin. A breakfast is a canteen transaction in BREAKFAST_WINDOW.
 
 The three event logs are read into numpy columns (``EventColumns``): a
 student index, an int64 timestamp in microseconds since 1970-01-01 (naive
@@ -18,8 +19,9 @@ through the per-row checks, which accept what ``datetime.fromisoformat``,
 
 Each event log is cut into blocks of whole lines, and the blocks are
 decoded as jobs split over this process and one forked child
-(``split.run_split``). A log with any quote, NUL, bare carriage return or
-non-ASCII byte is read whole by the csv module instead. A leading UTF-8
+(``split.run_split``); logs that fit in one block in all are decoded in this
+process. A log with any quote, NUL, bare carriage return or non-ASCII byte
+is read whole by the csv module instead. A leading UTF-8
 byte order mark is skipped in every file.
 """
 
@@ -29,13 +31,13 @@ import csv
 import functools
 import math
 from dataclasses import dataclass, field
-from datetime import date, datetime, time, timedelta
+from datetime import datetime, time, timedelta
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .split import run_split
+from .split import _attempt, run_split
 
 APP_CATEGORIES = ("game", "video", "other")
 VENUES = ("canteen", "bath", "other")
@@ -43,8 +45,13 @@ GENDERS = ("male", "female")
 COHORTS = ("freshman", "sophomore", "junior")
 
 DEFAULT_MIN_NIGHTS = 20
-DEFAULT_BREAKFAST_WINDOW = (time(5, 0), time(9, 30))
 DEFAULT_GPA_MAX = 5.0
+
+NIGHT_BOUNDARY = time(12, 0)   # a night runs from this time to the next day's
+WINDOW_START = time(21, 0)     # the bedtime window: BIN_COUNT bins of BIN_MINUTES from here
+BIN_MINUTES = 30
+BIN_COUNT = 16
+BREAKFAST_WINDOW = (time(5, 0), time(9, 30))   # [start, end) of a canteen breakfast
 
 CSV_SCHEMAS = {
     "net_sessions": ["student_id", "end_time", "app_category", "duration_minutes"],
@@ -73,33 +80,6 @@ class DemographicRecord:
 def _time_us(t: time) -> int:
     """Microseconds from midnight to a time of day."""
     return ((t.hour * 60 + t.minute) * 60 + t.second) * 1_000_000 + t.microsecond
-
-
-@dataclass(frozen=True)
-class NightWindowConfig:
-    window_start: time = time(21, 0)
-    bin_minutes: int = 30
-    bin_count: int = 16
-    night_boundary: time = time(12, 0)
-
-    def __post_init__(self):
-        if self.bin_minutes <= 0 or self.bin_count <= 0:
-            raise ValueError("bin geometry must be positive")
-        start = self.window_start.hour * 60 + self.window_start.minute
-        boundary = self.night_boundary.hour * 60 + self.night_boundary.minute
-        if start < boundary:
-            raise ValueError("window must start at or after the night boundary")
-        if start + self.window_minutes > 24 * 60 + boundary:
-            raise ValueError("window must end before the next night boundary")
-
-    @property
-    def window_minutes(self) -> int:
-        return self.bin_minutes * self.bin_count
-
-    def bin_start(self, night: date, bin_index: int) -> datetime:
-        return datetime.combine(night, self.window_start) + timedelta(
-            minutes=bin_index * self.bin_minutes
-        )
 
 
 @dataclass
@@ -293,19 +273,17 @@ _MAX_DIGITS = 15
 _POW10 = np.array([float(10 ** k) for k in range(_MAX_DIGITS + 1)])
 
 
-def _student_index(buf, lo, hi, students: tuple[str, ...]) -> np.ndarray:
-    """Index into ``students`` of each id field; -1 where it is none of them.
+def _student_index(buf, lo, hi, keys: np.ndarray) -> np.ndarray:
+    """Index into keys of each id field; -1 where it is none of them.
 
-    Known ids hold no surrounding whitespace, so an id that needs stripping
-    is not found here and takes the row path.
+    keys holds the sorted students' ids in UTF-8, which sorts them too. Known
+    ids hold no surrounding whitespace, so an id that needs stripping is not
+    found here and takes the row path.
     """
     width = hi - lo
     index = np.full(width.size, -1, dtype=np.int32)
-    if not students or not width.size:
+    if not keys.size or not width.size:
         return index
-    keys = np.array([s.encode() for s in students])
-    order = np.argsort(keys, kind="stable").astype(np.int32)
-    keys = keys[order]
     fits = (width > 0) & (width <= keys.itemsize)   # others are no known id
     if not fits.any():
         return index
@@ -316,7 +294,7 @@ def _student_index(buf, lo, hi, students: tuple[str, ...]) -> np.ndarray:
     ids = text.view(f"S{span}").ravel()
     at = np.minimum(np.searchsorted(keys, ids), keys.size - 1)
     found = fits & (keys[at] == ids)
-    index[found] = order[at[found]]
+    index[found] = at[found]
     return index
 
 
@@ -396,13 +374,10 @@ def _numbers(buf, lo, hi, decimal: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _columnar(data: bytes) -> bool:
-    """Whether every record is one line of fields split by commas.
-
-    That holds for plain ASCII with no quote, NUL or bare carriage return;
-    other files are read by the csv module.
-    """
-    return (data.isascii() and b'"' not in data and b"\0" not in data
-            and data.count(b"\r") == data.count(b"\r\n"))
+    """Whether data is plain ASCII with no quote or NUL: read as lines of
+    fields split by commas unless it holds a bare carriage return, which
+    _decode_block looks for. Other logs are read by the csv module."""
+    return data.isascii() and b'"' not in data and b"\0" not in data
 
 
 def _columnar_header(data: bytes) -> list[str] | None:
@@ -476,10 +451,10 @@ def _cut(path: Path, kind: str) -> _Cut:
     return _Cut(data, start, header, blocks)
 
 
-def _decode_block(log: _EventLog, cut: _Cut, lo: int, hi: int, students: tuple[str, ...],
+def _decode_block(log: _EventLog, cut: _Cut, lo: int, hi: int, keys: np.ndarray,
                   index: dict[str, int]):
     """Decode cut.data[lo:hi], whole lines of one event log; its line 0 is
-    the header when lo is cut.start.
+    the header when lo is cut.start. keys and index map ids to students.
 
     Returns None when the block fails the columnar check, else (lines,
     columns, skips): its line count, the (student, time, code, value)
@@ -491,11 +466,13 @@ def _decode_block(log: _EventLog, cut: _Cut, lo: int, hi: int, students: tuple[s
         return None
     scan = np.frombuffer(block, dtype=np.uint8)
     breaks = np.flatnonzero(scan == ord("\n"))
+    crlf = scan[np.maximum(breaks, 1) - 1] == ord("\r")   # a break at 0 has no byte before it
+    if np.count_nonzero(crlf) != block.count(b"\r"):   # a bare carriage return
+        return None
     starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [scan.size]))
+    ends = np.concatenate((breaks - crlf, [scan.size]))
     if starts[-1] == scan.size:
         starts, ends = starts[:-1], ends[:-1]
-    ends -= (ends > starts) & (scan[ends - 1] == ord("\r"))
     lines = starts.size
     first = lo == cut.start
 
@@ -516,7 +493,7 @@ def _decode_block(log: _EventLog, cut: _Cut, lo: int, hi: int, students: tuple[s
     ts = np.zeros(lines, dtype=np.int64)
     code = np.zeros(lines, dtype=np.int8)
     value = np.zeros(lines, dtype=np.float64)
-    got_student = _student_index(buf, *bounds["student_id"], students)
+    got_student = _student_index(buf, *bounds["student_id"], keys)
     ok, got_ts = _timestamps(buf, *bounds[log.time])
     ok &= got_student >= 0
     if log.code is not None:
@@ -551,9 +528,6 @@ def _assemble(path: Path, kind: str, cut: _Cut, decoded: list, students: tuple[s
     skipped rows go to handle with their physical line numbers. A log that a
     block or its header keeps off the columnar path is read by the csv module."""
     if cut.header is None or None in decoded:
-        text = cut.data[cut.start:]
-        if cut.header is None and _columnar(text):
-            _check_header(path, _columnar_header(text), CSV_SCHEMAS[kind])
         # the csv module reads this file; duplicate header names land here too
         return _read_events_by_rows(path, kind, students, index, handle)
     lines, parts = 0, []
@@ -568,21 +542,26 @@ def _assemble(path: Path, kind: str, cut: _Cut, decoded: list, students: tuple[s
 def _read_event_logs(paths: dict[str, Path], students: tuple[str, ...],
                      index: dict[str, int], handle) -> dict[str, EventColumns]:
     """Load each event log into columns, its blocks decoded as jobs split
-    over two processes by run_split. Bad rows, and a missing or mis-headed
-    log, reach handle or raise in file order, one log after another."""
+    over two processes by run_split, or in this process when they hold at
+    most BLOCK_BYTES in all. Bad rows, and a missing or mis-headed log, reach
+    handle or raise in file order, one log after another."""
     cuts = {}
     for kind in _EVENT_LOGS:
         try:
             cuts[kind] = _cut(paths[kind], kind)
         except (OSError, IngestError) as exc:   # raised in this log's turn
             cuts[kind] = exc
+    keys = np.array([s.encode() for s in students], dtype=bytes)   # sorted, as students are
     jobs, costs = [], []
     for kind, cut in cuts.items():
         for lo, hi in cut.blocks if isinstance(cut, _Cut) else ():
             jobs.append(functools.partial(_decode_block, _EVENT_LOGS[kind], cut, lo, hi,
-                                          students, index))
+                                          keys, index))
             costs.append(hi - lo)
-    outcomes = run_split(jobs, costs)   # each log's blocks in file order, log after log
+    # each log's blocks in file order, log after log; a fork costs more than it
+    # saves on logs that fit in one block
+    outcomes = (run_split(jobs, costs) if sum(costs) > BLOCK_BYTES
+                else [_attempt(job) for job in jobs])
     events, done = {}, 0
     for kind, cut in cuts.items():
         if isinstance(cut, Exception):
@@ -668,7 +647,7 @@ def parse_logs(paths: LogPaths, strict: bool = False,
                       gpa, gender, demographics, report)
 
 
-def extract_bedtimes(sessions: EventColumns, cfg: NightWindowConfig) -> Bedtimes:
+def extract_bedtimes(sessions: EventColumns) -> Bedtimes:
     """Latest in-window signal per student per night, mapped to its bin.
 
     Night indices count from the earliest night touched by any session, so
@@ -677,10 +656,10 @@ def extract_bedtimes(sessions: EventColumns, cfg: NightWindowConfig) -> Bedtimes
     """
     t = sessions.time
     day = t // DAY_US
-    night = day - (t - day * DAY_US < _time_us(cfg.night_boundary))
-    offset = t - night * DAY_US - _time_us(cfg.window_start)
-    bin_us = cfg.bin_minutes * 60_000_000
-    inside = (offset >= 0) & (offset < bin_us * cfg.bin_count)
+    night = day - (t - day * DAY_US < _time_us(NIGHT_BOUNDARY))
+    offset = t - night * DAY_US - _time_us(WINDOW_START)
+    bin_us = BIN_MINUTES * 60_000_000
+    inside = (offset >= 0) & (offset < bin_us * BIN_COUNT)
     if not inside.any():
         empty = np.zeros(0, dtype=np.int64)
         return Bedtimes(sessions.students, empty, empty, empty)
@@ -688,25 +667,24 @@ def extract_bedtimes(sessions: EventColumns, cfg: NightWindowConfig) -> Bedtimes
     span = int(night.max() - first) + 1
     pair = sessions.student[inside].astype(np.int64) * span + (night[inside] - first)
     # the last signal of a night is its latest bin: keep the largest key per pair
-    keys = np.sort(pair * cfg.bin_count + offset[inside] // bin_us)
-    pair = keys // cfg.bin_count
+    keys = np.sort(pair * BIN_COUNT + offset[inside] // bin_us)
+    pair = keys // BIN_COUNT
     keys = keys[np.append(pair[1:] != pair[:-1], True)]
-    pair = keys // cfg.bin_count
-    return Bedtimes(sessions.students, pair // span, pair % span, keys % cfg.bin_count)
+    pair = keys // BIN_COUNT
+    return Bedtimes(sessions.students, pair // span, pair % span, keys % BIN_COUNT)
 
 
-def aggregate_sleep_counts(bedtimes: Bedtimes, cfg: NightWindowConfig,
-                           min_nights: int = DEFAULT_MIN_NIGHTS,
+def aggregate_sleep_counts(bedtimes: Bedtimes, min_nights: int = DEFAULT_MIN_NIGHTS,
                            ) -> tuple[tuple[str, ...], np.ndarray]:
-    """(ids, counts): the (N, bins) int64 counts of nights per bin of each
+    """(ids, counts): the (N, BIN_COUNT) int64 counts of nights per bin of each
     student with at least min_nights, row i being ids[i], in id order."""
     if min_nights < 1:
         raise ValueError("min_nights must be >= 1")
-    if len(bedtimes) and (bedtimes.bin.min() < 0 or bedtimes.bin.max() >= cfg.bin_count):
-        raise ValueError("bin index outside the configured window")
+    if len(bedtimes) and (bedtimes.bin.min() < 0 or bedtimes.bin.max() >= BIN_COUNT):
+        raise ValueError("bin index outside the window")
     n = len(bedtimes.students)
-    counts = np.bincount(bedtimes.student * cfg.bin_count + bedtimes.bin,
-                         minlength=n * cfg.bin_count).reshape(n, cfg.bin_count)
+    counts = np.bincount(bedtimes.student * BIN_COUNT + bedtimes.bin,
+                         minlength=n * BIN_COUNT).reshape(n, BIN_COUNT)
     keep = np.flatnonzero(counts.sum(axis=1) >= min_nights)
     return tuple(bedtimes.students[i] for i in keep.tolist()), counts[keep]
 
@@ -721,9 +699,7 @@ def infer_study_days(store: EventStore) -> int:
     return last // DAY_US - first // DAY_US + 1
 
 
-def compute_raw_features(store: EventStore, study_days: int,
-                         breakfast_window: tuple[time, time] = DEFAULT_BREAKFAST_WINDOW,
-                         ) -> tuple[tuple[str, ...], np.ndarray]:
+def compute_raw_features(store: EventStore, study_days: int) -> tuple[tuple[str, ...], np.ndarray]:
     """(ids, values): raw (pre-discretization) behavioral quantities of each
     student with a grade, in id order, row i being ids[i].
 
@@ -747,8 +723,8 @@ def compute_raw_features(store: EventStore, study_days: int,
     spend = np.bincount(tx.student, weights=tx.value, minlength=n)
     day = tx.time // DAY_US
     tod = tx.time - day * DAY_US
-    morning = ((tx.code == VENUES.index("canteen")) & (tod >= _time_us(breakfast_window[0]))
-               & (tod < _time_us(breakfast_window[1])))
+    morning = ((tx.code == VENUES.index("canteen")) & (tod >= _time_us(BREAKFAST_WINDOW[0]))
+               & (tod < _time_us(BREAKFAST_WINDOW[1])))
     days = day[morning] - day[morning].min(initial=0)   # >= 0: one key per student-day
     span = int(days.max(initial=0)) + 1
     keys = np.sort(tx.student[morning] * np.int64(span) + days)
@@ -799,9 +775,7 @@ def ingest_logs(data_dir, out_dir, strict: bool = False, gpa_max: float = DEFAUL
                 min_nights: int = DEFAULT_MIN_NIGHTS) -> IngestResult:
     """The ingest stage: parse the five logs, write INGEST_OUTPUTS into out_dir."""
     store = parse_logs(LogPaths.from_dir(data_dir), strict=strict, gpa_max=gpa_max)
-    night_cfg = NightWindowConfig()
-    ids, counts = aggregate_sleep_counts(extract_bedtimes(store.sessions, night_cfg),
-                                         night_cfg, min_nights)
+    ids, counts = aggregate_sleep_counts(extract_bedtimes(store.sessions), min_nights)
     feature_ids, features = compute_raw_features(store, infer_study_days(store))
     out_dir = Path(out_dir)
     write_sleep_counts_csv(out_dir / INGEST_OUTPUTS[0], ids, counts)

@@ -1,6 +1,6 @@
 """Poisson mixture over nightly bedtime-count vectors, fitted by EM.
 
-Rates carry a Gamma prior (shape alpha > 1, rate beta) so no component can
+Rates carry a Gamma prior (shape ALPHA > 1, rate BETA) so no component can
 collapse onto a zero rate; the fit maximizes the joint of data likelihood
 and prior. Two variants, each a pair of E- and M-step update rules, are
 provided:
@@ -8,8 +8,8 @@ provided:
 * "standard" leaves the rate prior out of the responsibilities and takes
   the exact MAP rate update, which gives monotone ascent of the log joint.
 * "paper" multiplies the prior density of each component's rates into the
-  responsibilities and divides by (beta + 1) * sum(weights) instead of
-  (sum(weights) + beta). This literal pair reproduces fits computed with
+  responsibilities and divides by (BETA + 1) * sum(weights) instead of
+  (sum(weights) + BETA). This literal pair reproduces fits computed with
   those alternative update rules.
 """
 
@@ -36,6 +36,10 @@ VARIANT_STEPS = {
 RATE_FLOOR = 1e-12
 MASS_FLOOR = 1e-12
 
+ALPHA = 1.1        # shape and rate of the Gamma prior on every rate; ALPHA > 1 so
+BETA = 0.1         # the prior vanishes at rate 0
+TOLERANCE = 1e-8   # EM stops once the relative change of the objective is below this
+
 STAY_UP = "stay_up"
 NON_STAY_UP = "non_stay_up"
 DEFAULT_THRESHOLD = 0.5
@@ -48,10 +52,7 @@ class MixtureError(RuntimeError):
 @dataclass(frozen=True)
 class MixtureConfig:
     components: int = 2
-    alpha: float = 1.1
-    beta: float = 0.1
     max_iterations: int = 500
-    tolerance: float = 1e-8
     restarts: int = 10
     variant: str = "standard"
     seed: int = 0
@@ -59,16 +60,10 @@ class MixtureConfig:
     def __post_init__(self):
         if self.components < 1:
             raise ValueError("components must be >= 1")
-        if not self.alpha > 1:
-            raise ValueError("alpha must be > 1 so the prior vanishes at rate 0")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
         if self.variant not in VARIANT_STEPS:
             raise ValueError(f"variant must be one of {tuple(VARIANT_STEPS)}")
         if self.restarts < 1 or self.max_iterations < 1:
             raise ValueError("restarts and max_iterations must be >= 1")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
 
 
 @dataclass
@@ -111,10 +106,9 @@ class FitDiagnostics:
     best_restart_index: int
 
 
-def _log_prior_per_component(model: PoissonMixtureModel, cfg: MixtureConfig) -> np.ndarray:
-    a, b = cfg.alpha, cfg.beta
+def _log_prior_per_component(model: PoissonMixtureModel) -> np.ndarray:
     lam = model.rates
-    per_rate = a * np.log(b) - gammaln(a) + (a - 1) * np.log(lam) - b * lam
+    per_rate = ALPHA * np.log(BETA) - gammaln(ALPHA) + (ALPHA - 1) * np.log(lam) - BETA * lam
     return per_rate.sum(axis=1)
 
 
@@ -127,15 +121,15 @@ def _scores(counts: np.ndarray, model: PoissonMixtureModel, row_lgamma: np.ndarr
         return scores + np.log(model.mixing)[None, :]
 
 
-def _objective(scores: np.ndarray, model: PoissonMixtureModel, cfg: MixtureConfig) -> float:
-    return float(logsumexp(scores, axis=1).sum() + _log_prior_per_component(model, cfg).sum())
+def _objective(scores: np.ndarray, model: PoissonMixtureModel) -> float:
+    return float(logsumexp(scores, axis=1).sum() + _log_prior_per_component(model).sum())
 
 
 def _responsibilities(scores: np.ndarray, model: PoissonMixtureModel, cfg: MixtureConfig,
                       ids: tuple[str, ...] | None) -> Responsibilities:
     """Normalize the scores per student with log-sum-exp."""
     if cfg.variant == "paper":
-        scores = scores + _log_prior_per_component(model, cfg)[None, :]
+        scores = scores + _log_prior_per_component(model)[None, :]
     norm = logsumexp(scores, axis=1)
     bad = ~np.isfinite(norm)
     if np.any(bad):
@@ -152,9 +146,9 @@ def m_step(counts: np.ndarray, resp: Responsibilities, cfg: MixtureConfig) -> Po
     n = counts.shape[0]
     mass = np.maximum(w.sum(axis=0), MASS_FLOOR)
     if cfg.variant == "paper":
-        rates = (w.T @ counts + (cfg.alpha - 1) * mass[:, None]) / ((cfg.beta + 1) * mass[:, None])
+        rates = (w.T @ counts + (ALPHA - 1) * mass[:, None]) / ((BETA + 1) * mass[:, None])
     else:
-        rates = (w.T @ counts + (cfg.alpha - 1)) / (mass[:, None] + cfg.beta)
+        rates = (w.T @ counts + (ALPHA - 1)) / (mass[:, None] + BETA)
     rates = np.maximum(rates, RATE_FLOOR)
     mixing = w.sum(axis=0) / n
     return PoissonMixtureModel(rates, mixing)
@@ -203,17 +197,17 @@ def _em_run(counts: np.ndarray, row_lgamma: np.ndarray, init: np.ndarray, cfg: M
     """
     model = m_step(counts, Responsibilities(init, ids), cfg)
     scores = _scores(counts, model, row_lgamma)
-    trace = [_objective(scores, model, cfg)]
+    trace = [_objective(scores, model)]
     converged = False
     for it in range(1, cfg.max_iterations + 1):
         resp = _responsibilities(scores, model, cfg, ids)
         model = m_step(counts, resp, cfg)
         scores = _scores(counts, model, row_lgamma)
-        objective = _objective(scores, model, cfg)
+        objective = _objective(scores, model)
         if not np.isfinite(objective):
             raise MixtureError(f"non-finite objective at iteration {it}")
         trace.append(objective)
-        if abs(objective - trace[-2]) / max(abs(trace[-2]), 1e-300) < cfg.tolerance:
+        if abs(objective - trace[-2]) / max(abs(trace[-2]), 1e-300) < TOLERANCE:
             converged = True
             break
     return model, trace, converged, scores
@@ -228,7 +222,7 @@ def fit(counts: np.ndarray, cfg: MixtureConfig, ids: tuple[str, ...] | None = No
     student's drawn from the same stream as default_rng([seed, restart, h])
     with h a hash of the student's counts as float64 (see
     initial_responsibilities), and iterates E/M until the relative
-    objective change drops below the tolerance.
+    objective change drops below TOLERANCE.
     """
     counts = np.asarray(counts, dtype=np.float64)   # the start hashes float64 rows
     if counts.ndim != 2:
@@ -296,8 +290,8 @@ def model_to_json(model: PoissonMixtureModel, cfg: MixtureConfig) -> dict:
     return {
         "D": int(model.rates.shape[1]),
         "M": int(model.rates.shape[0]),
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
+        "alpha": ALPHA,
+        "beta": BETA,
         "lambda": [[float(x) for x in row] for row in model.rates],
         "mixing": [float(x) for x in model.mixing],
         "variant": dict(VARIANT_STEPS[cfg.variant]),

@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .bayesnet import Cpt, CptSet, Dag, DatasetTable, profile_variables
-from .ingest import COHORTS, CSV_SCHEMAS, NightWindowConfig
+from .ingest import BIN_COUNT, BIN_MINUTES, COHORTS, CSV_SCHEMAS, WINDOW_START
 from .sleepmix import PoissonMixtureModel, stay_up_component
 
 STUDY_START = date(2018, 11, 5)
@@ -28,7 +28,6 @@ class GroundTruth:
     mixture: PoissonMixtureModel
     profile_dag: Dag
     profile_cpts: CptSet
-    coupling: str = "identity"
 
 
 @dataclass(frozen=True)
@@ -73,8 +72,8 @@ def make_cpts(dag: Dag, p_one: Mapping[str, object]) -> CptSet:
     return CptSet(var, tuple(cpts))
 
 
-def _bell(center: float, sigma_left: float, sigma_right: float, bins: int = 16) -> np.ndarray:
-    d = np.arange(bins, dtype=np.float64)
+def _bell(center: float, sigma_left: float, sigma_right: float) -> np.ndarray:
+    d = np.arange(BIN_COUNT, dtype=np.float64)
     sigma = np.where(d <= center, sigma_left, sigma_right)
     return 0.04 + 0.22 * np.exp(-0.5 * ((d - center) / sigma) ** 2)
 
@@ -184,8 +183,7 @@ def _fmt(dt: datetime) -> str:
     return dt.strftime("%Y-%m-%d %H:%M")
 
 
-def generate_full_logs(truth: GroundTruth, cfg: GeneratorConfig, out_dir,
-                       night_cfg: NightWindowConfig | None = None) -> FullLogsResult:
+def generate_full_logs(truth: GroundTruth, cfg: GeneratorConfig, out_dir) -> FullLogsResult:
     """Emit the five raw CSVs realizing sampled profiles and bedtimes.
 
     Bedtimes invert the ingest transform exactly: each of the n_nights
@@ -197,7 +195,6 @@ def generate_full_logs(truth: GroundTruth, cfg: GeneratorConfig, out_dir,
     """
     if truth.mixture.rates.shape[0] != 2:
         raise ValueError("full-log generation couples S to a two-component mixture")
-    night_cfg = night_cfg or NightWindowConfig()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -211,7 +208,7 @@ def generate_full_logs(truth: GroundTruth, cfg: GeneratorConfig, out_dir,
 
     rng = np.random.default_rng([cfg.seed, 3])
     sessions, transactions, borrows, grades, demographics = [], [], [], [], []
-    sleep_counts = np.zeros((cfg.n_students, night_cfg.bin_count), dtype=np.int64)
+    sleep_counts = np.zeros((cfg.n_students, BIN_COUNT), dtype=np.int64)
     components: dict[str, int] = {}
 
     for i, sid in enumerate(ids):
@@ -219,14 +216,15 @@ def generate_full_logs(truth: GroundTruth, cfg: GeneratorConfig, out_dir,
         comp = stay_comp if bits[col["S"]] else 1 - stay_comp
         components[sid] = int(comp)
 
-        bins = rng.choice(night_cfg.bin_count, size=cfg.n_nights, p=bin_probs[comp])
-        sleep_counts[i] = np.bincount(bins, minlength=night_cfg.bin_count)
+        bins = rng.choice(BIN_COUNT, size=cfg.n_nights, p=bin_probs[comp])
+        sleep_counts[i] = np.bincount(bins, minlength=BIN_COUNT)
         surf_median = 45.0 if bits[col["T"]] else 15.0
         per_night_surf = surf_median * float(np.exp(rng.normal(0.0, 0.25)))
         p_video = 0.72 if bits[col["A"]] else 0.28
         for night in range(cfg.n_nights):
-            end = night_cfg.bin_start(STUDY_START + timedelta(days=night), int(bins[night]))
-            end += timedelta(minutes=int(rng.integers(0, night_cfg.bin_minutes)))
+            end = datetime.combine(STUDY_START + timedelta(days=night), WINDOW_START)
+            end += timedelta(minutes=int(bins[night]) * BIN_MINUTES
+                             + int(rng.integers(0, BIN_MINUTES)))
             category = "video" if rng.random() < p_video else "game"
             duration = int(rng.poisson(per_night_surf))
             sessions.append((sid, end, category, duration))

@@ -33,7 +33,6 @@ from stayup import consensus as cons
 from stayup import ingest
 from stayup import profiles as pr
 from stayup import sleepmix as sm
-from stayup.ingest import NightWindowConfig
 from stayup.special import gammaln
 
 
@@ -365,7 +364,8 @@ def read_events(path: Path, kind: str, students: tuple[str, ...],
     if not path.exists():
         raise ingest.IngestError(f"missing input file: {path}")
     data = path.read_bytes()
-    header = ingest._columnar_header(data) if ingest._columnar(data) else None
+    columnar = ingest._columnar(data) and data.count(b"\r") == data.count(b"\r\n")
+    header = ingest._columnar_header(data) if columnar else None
     if header is not None:
         ingest._check_header(path, header, columns)
     if header is None or len(header) != len(columns):
@@ -404,7 +404,8 @@ def read_events(path: Path, kind: str, students: tuple[str, ...],
     ts = np.zeros(lines, dtype=np.int64)
     code = np.zeros(lines, dtype=np.int8)
     value = np.zeros(lines, dtype=np.float64)
-    got_student = ingest._student_index(buf, *bounds["student_id"], students)
+    keys = np.array([s.encode() for s in students], dtype=bytes)
+    got_student = ingest._student_index(buf, *bounds["student_id"], keys)
     ok, got_ts = ingest._timestamps(buf, *bounds[log.time])
     ok &= got_student >= 0
     if log.code is not None:
@@ -436,20 +437,20 @@ def read_event_logs(paths: Mapping[str, Path], students: tuple[str, ...],
             for kind in ingest._EVENT_LOGS}
 
 
-def night_of(cfg: NightWindowConfig, dt: datetime) -> date:
+def night_of(dt: datetime) -> date:
     """Calendar date of the night a timestamp belongs to."""
-    if dt.time() >= cfg.night_boundary:
+    if dt.time() >= ingest.NIGHT_BOUNDARY:
         return dt.date()
     return dt.date() - timedelta(days=1)
 
 
-def locate(cfg: NightWindowConfig, dt: datetime) -> tuple[date, int | None]:
+def locate(dt: datetime) -> tuple[date, int | None]:
     """Night date plus bin index, or None when outside the window."""
-    night = night_of(cfg, dt)
-    start = datetime.combine(night, cfg.window_start)
+    night = night_of(dt)
+    start = datetime.combine(night, ingest.WINDOW_START)
     offset = (dt - start).total_seconds() / 60.0
-    if 0 <= offset < cfg.window_minutes:
-        return night, int(offset // cfg.bin_minutes)
+    if 0 <= offset < ingest.BIN_MINUTES * ingest.BIN_COUNT:
+        return night, int(offset // ingest.BIN_MINUTES)
     return night, None
 
 
@@ -467,9 +468,7 @@ class RawFeatureRecord:
     gender: str
 
 
-def compute_raw_features(store: ingest.EventStore, study_days: int,
-                         breakfast_window=ingest.DEFAULT_BREAKFAST_WINDOW,
-                         ) -> dict[str, RawFeatureRecord]:
+def compute_raw_features(store: ingest.EventStore, study_days: int) -> dict[str, RawFeatureRecord]:
     """Raw (pre-discretization) behavioral quantities per student.
 
     One record per student, built in a per-student loop.
@@ -494,8 +493,8 @@ def compute_raw_features(store: ingest.EventStore, study_days: int,
     day = tx.time // ingest.DAY_US
     tod = tx.time - day * ingest.DAY_US
     morning = ((tx.code == ingest.VENUES.index("canteen"))
-               & (tod >= ingest._time_us(breakfast_window[0]))
-               & (tod < ingest._time_us(breakfast_window[1])))
+               & (tod >= ingest._time_us(ingest.BREAKFAST_WINDOW[0]))
+               & (tod < ingest._time_us(ingest.BREAKFAST_WINDOW[1])))
     breakfast = np.zeros(n, dtype=np.int64)
     if morning.any():
         first = day[morning].min()

@@ -35,7 +35,7 @@ def test_criterion_1_mixture_recovery():
     ids, counts, true_components = synth.generate_sleep_data(
         truth, synth.GeneratorConfig(2000, 150, seed=41)
     )
-    cfg = sm.MixtureConfig(components=2, alpha=1.1, beta=0.1, restarts=10, seed=7)
+    cfg = sm.MixtureConfig(components=2, restarts=10, seed=7)
     start = time.perf_counter()
     model, resp, diag = sm.fit(counts, cfg, ids)
     elapsed = time.perf_counter() - start

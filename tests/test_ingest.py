@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import math
+import os
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -138,27 +139,23 @@ class TestParseLogs:
 
 class TestNightWindow:
     def test_window_geometry(self):
-        cfg = ingest.NightWindowConfig()
-        assert cfg.window_minutes == 480  # 21:00 through 05:00
+        assert ingest.BIN_MINUTES * ingest.BIN_COUNT == 480  # 21:00 through 05:00
 
     def test_bins_are_half_open(self):
-        cfg = ingest.NightWindowConfig()
-        night, b = reference.locate(cfg, datetime(2018, 11, 5, 21, 0))
+        night, b = reference.locate(datetime(2018, 11, 5, 21, 0))
         assert b == 0
-        _, b = reference.locate(cfg, datetime(2018, 11, 5, 21, 30))
+        _, b = reference.locate(datetime(2018, 11, 5, 21, 30))
         assert b == 1  # boundary belongs to the later bin
-        _, b = reference.locate(cfg, datetime(2018, 11, 6, 5, 0))
+        _, b = reference.locate(datetime(2018, 11, 6, 5, 0))
         assert b is None  # window end excluded
 
     def test_after_midnight_belongs_to_previous_night(self):
-        cfg = ingest.NightWindowConfig()
-        night, b = reference.locate(cfg, datetime(2018, 11, 6, 2, 0))
+        night, b = reference.locate(datetime(2018, 11, 6, 2, 0))
         assert night.day == 5
         assert b == 10
 
     def test_midnight_bin_index(self):
-        cfg = ingest.NightWindowConfig()
-        _, b = reference.locate(cfg, datetime(2018, 11, 6, 0, 0))
+        _, b = reference.locate(datetime(2018, 11, 6, 0, 0))
         assert b == 6
 
 
@@ -176,27 +173,25 @@ def sessions(*rows):
 
 
 class TestExtractBedtimes:
-    CFG = ingest.NightWindowConfig()
-
     def test_last_signal_wins(self):
         obs = ingest.extract_bedtimes(
-            sessions(("s1", "2018-11-05 21:10"), ("s1", "2018-11-05 23:40")), self.CFG
+            sessions(("s1", "2018-11-05 21:10"), ("s1", "2018-11-05 23:40"))
         )
         assert len(obs) == 1
         assert obs.bin[0] == 5  # 23:30-24:00
 
     def test_post_midnight_attaches_to_previous_night(self):
-        obs = ingest.extract_bedtimes(sessions(("s1", "2018-11-06 02:00")), self.CFG)
+        obs = ingest.extract_bedtimes(sessions(("s1", "2018-11-06 02:00")))
         assert len(obs) == 1
         assert obs.bin[0] == 10
 
     def test_daytime_only_session_gives_nothing(self):
-        obs = ingest.extract_bedtimes(sessions(("s1", "2018-11-05 14:00")), self.CFG)
+        obs = ingest.extract_bedtimes(sessions(("s1", "2018-11-05 14:00")))
         assert len(obs) == 0
 
     def test_daytime_signal_does_not_override_window_signal(self):
         obs = ingest.extract_bedtimes(
-            sessions(("s1", "2018-11-05 22:00"), ("s1", "2018-11-06 11:30")), self.CFG
+            sessions(("s1", "2018-11-05 22:00"), ("s1", "2018-11-06 11:30"))
         )
         assert len(obs) == 1
         assert obs.bin[0] == 2
@@ -206,13 +201,13 @@ class TestExtractBedtimes:
             ("s1", "2018-11-05 22:00"), ("s1", "2018-11-05 23:00"),
             ("s1", "2018-11-06 21:30"), ("s1", "2018-11-07 01:00"),
         )
-        obs = ingest.extract_bedtimes(records, self.CFG)
+        obs = ingest.extract_bedtimes(records)
         nights = list(zip(obs.student.tolist(), obs.night.tolist()))
         assert len(nights) == len(set(nights)) == 2
 
     def test_night_indices_relative_to_global_start(self):
         records = sessions(("s2", "2018-11-05 22:00"), ("s1", "2018-11-08 22:00"))
-        obs = ingest.extract_bedtimes(records, self.CFG)
+        obs = ingest.extract_bedtimes(records)
         by_sid = {obs.students[s]: n for s, n in zip(obs.student.tolist(), obs.night.tolist())}
         assert by_sid == {"s2": 0, "s1": 3}
 
@@ -229,23 +224,21 @@ def bedtimes(rows):
 
 
 class TestAggregateSleepCounts:
-    CFG = ingest.NightWindowConfig()
-
     def test_counts_nights_per_bin(self):
         obs = bedtimes([("s1", n, 6) for n in range(4)])
-        ids, counts = ingest.aggregate_sleep_counts(obs, self.CFG, min_nights=1)
+        ids, counts = ingest.aggregate_sleep_counts(obs, min_nights=1)
         assert ids == ("s1",) and counts.shape == (1, 16) and counts.dtype == np.int64
         assert counts[0, 6] == 4
         assert counts[0].sum() == 4
 
     def test_min_nights_excludes(self):
         obs = bedtimes([("s1", n, 2) for n in range(30)] + [("s2", 0, 2)])
-        ids, counts = ingest.aggregate_sleep_counts(obs, self.CFG, min_nights=20)
+        ids, counts = ingest.aggregate_sleep_counts(obs, min_nights=20)
         assert ids == ("s1",) and counts.shape == (1, 16)
 
     def test_concentrated_counts(self):
         obs = bedtimes([("s1", n, 2) for n in range(30)])
-        _, counts = ingest.aggregate_sleep_counts(obs, self.CFG, min_nights=1)
+        _, counts = ingest.aggregate_sleep_counts(obs, min_nights=1)
         want = np.zeros((1, 16))
         want[0, 2] = 30
         np.testing.assert_array_equal(counts, want)
@@ -253,7 +246,7 @@ class TestAggregateSleepCounts:
     def test_sum_equals_observation_count(self):
         rng = np.random.default_rng(0)
         obs = bedtimes([("s1", n, int(rng.integers(16))) for n in range(57)])
-        _, counts = ingest.aggregate_sleep_counts(obs, self.CFG, min_nights=1)
+        _, counts = ingest.aggregate_sleep_counts(obs, min_nights=1)
         assert counts.sum() == 57
 
 
@@ -637,11 +630,11 @@ def ref_parse_logs(paths, strict=False, gpa_max=ingest.DEFAULT_GPA_MAX) -> RefSt
     return RefStore(sessions, transactions, borrows, grades, demographics, report)
 
 
-def ref_extract_bedtimes(sessions, cfg):
+def ref_extract_bedtimes(sessions):
     last_signal = {}
     first_night = None
     for rec in sessions:
-        night, bin_index = reference.locate(cfg, rec.end_time)
+        night, bin_index = reference.locate(rec.end_time)
         if first_night is None or night < first_night:
             first_night = night
         if bin_index is None:
@@ -651,20 +644,20 @@ def ref_extract_bedtimes(sessions, cfg):
             last_signal[key] = rec.end_time
     observations = []
     for (sid, night), end_time in last_signal.items():
-        _, bin_index = reference.locate(cfg, end_time)
+        _, bin_index = reference.locate(end_time)
         observations.append(RefBedtime(sid, (night - first_night).days, bin_index))
     observations.sort(key=lambda o: (o.student_id, o.night_index))
     return observations
 
 
-def ref_aggregate_sleep_counts(observations, cfg, min_nights):
+def ref_aggregate_sleep_counts(observations, min_nights):
     per_student = {}
     for obs in observations:
-        counts = per_student.setdefault(obs.student_id, np.zeros(cfg.bin_count, dtype=np.int64))
+        counts = per_student.setdefault(obs.student_id, np.zeros(ingest.BIN_COUNT, dtype=np.int64))
         counts[obs.bin_index] += 1
     kept = [(sid, c) for sid, c in sorted(per_student.items()) if int(c.sum()) >= min_nights]
     return (tuple(sid for sid, _ in kept),
-            np.array([c for _, c in kept], dtype=np.int64).reshape(len(kept), cfg.bin_count))
+            np.array([c for _, c in kept], dtype=np.int64).reshape(len(kept), ingest.BIN_COUNT))
 
 
 def ref_infer_study_days(store):
@@ -676,9 +669,8 @@ def ref_infer_study_days(store):
     return (max(stamps).date() - min(stamps).date()).days + 1
 
 
-def ref_compute_raw_features(store, study_days,
-                             breakfast_window=ingest.DEFAULT_BREAKFAST_WINDOW):
-    bf_start, bf_end = breakfast_window
+def ref_compute_raw_features(store, study_days):
+    bf_start, bf_end = ingest.BREAKFAST_WINDOW
     surf = {sid: 0.0 for sid in store.demographics}
     game = dict(surf)
     video = dict(surf)
@@ -731,12 +723,8 @@ def ref_compute_raw_features(store, study_days,
     return features
 
 
-def ref_feature_arrays(store, study_days, breakfast_window):
-    return reference.feature_arrays(ref_compute_raw_features(store, study_days, breakfast_window))
-
-
-ODD_WINDOW = ingest.NightWindowConfig(time(22, 15), 20, 12, time(18, 0))
-ODD_BREAKFAST = (time(6, 15, 30), time(8, 0))
+def ref_feature_arrays(store, study_days):
+    return reference.feature_arrays(ref_compute_raw_features(store, study_days))
 
 
 def loaded_events(store) -> dict:
@@ -758,8 +746,7 @@ def loaded_events(store) -> dict:
     }
 
 
-def ingest_outputs(paths, out: Path, night_cfg, breakfast, reference: bool,
-                   strict=False) -> dict:
+def ingest_outputs(paths, out: Path, reference: bool, strict=False) -> dict:
     """Report, loaded rows, bedtimes, output bytes or error of one ingest,
     by the columnar or the row code."""
     parse = ref_parse_logs if reference else ingest.parse_logs
@@ -768,15 +755,15 @@ def ingest_outputs(paths, out: Path, night_cfg, breakfast, reference: bool,
     except ingest.IngestError as exc:
         return {"error": str(exc)}
     if reference:
-        observed = ref_extract_bedtimes(store.sessions, night_cfg)
+        observed = ref_extract_bedtimes(store.sessions)
         bedtimes = [(o.student_id, o.night_index, o.bin_index) for o in observed]
-        ids, counts = ref_aggregate_sleep_counts(observed, night_cfg, 1)
+        ids, counts = ref_aggregate_sleep_counts(observed, 1)
         infer, features = ref_infer_study_days, ref_feature_arrays
     else:
-        observed = ingest.extract_bedtimes(store.sessions, night_cfg)
+        observed = ingest.extract_bedtimes(store.sessions)
         bedtimes = [(observed.students[s], n, b) for s, n, b in zip(
             observed.student.tolist(), observed.night.tolist(), observed.bin.tolist())]
-        ids, counts = ingest.aggregate_sleep_counts(observed, night_cfg, 1)
+        ids, counts = ingest.aggregate_sleep_counts(observed, 1)
         infer, features = ingest.infer_study_days, ingest.compute_raw_features
     if reference:
         grades = store.grades
@@ -791,7 +778,7 @@ def ingest_outputs(paths, out: Path, night_cfg, breakfast, reference: bool,
     except ValueError as exc:
         got["days"] = str(exc)
         return got
-    ingest.write_features_csv(out / "features.csv", *features(store, days, breakfast))
+    ingest.write_features_csv(out / "features.csv", *features(store, days))
     got["features"] = (out / "features.csv").read_bytes()
     return got
 
@@ -802,12 +789,10 @@ class TestMatchesRowReference:
         synth.generate_full_logs(
             synth.default_ground_truth(), synth.GeneratorConfig(60, 30, seed=3), data)
         paths = ingest.LogPaths.from_dir(data)
-        for night_cfg, breakfast in ((ingest.NightWindowConfig(), ingest.DEFAULT_BREAKFAST_WINDOW),
-                                     (ODD_WINDOW, ODD_BREAKFAST)):
-            new = ingest_outputs(paths, tmp_path, night_cfg, breakfast, reference=False)
-            ref = ingest_outputs(paths, tmp_path, night_cfg, breakfast, reference=True)
-            assert new == ref
-            assert new["report"].loaded["net_sessions"] == 60 * 30
+        new = ingest_outputs(paths, tmp_path, reference=False)
+        ref = ingest_outputs(paths, tmp_path, reference=True)
+        assert new == ref
+        assert new["report"].loaded["net_sessions"] == 60 * 30
 
     def test_quoted_file_takes_the_row_path(self, tmp_path):
         plain = "s1,2018-11-05 23:40,game,30\ns2,2018-11-06 01:10,video,15"
@@ -828,7 +813,7 @@ class TestIngestFixes:
         store = ingest.parse_logs(paths)
         assert store.report.reasons["net_sessions"] == {"bad timestamp '2018-11-05 23:50+08:00'": 1}
         assert store.report.loaded["net_sessions"] == 1
-        assert len(ingest.extract_bedtimes(store.sessions, ingest.NightWindowConfig())) == 1
+        assert len(ingest.extract_bedtimes(store.sessions)) == 1
         with pytest.raises(ingest.IngestError,
                            match=r"net_sessions\.csv:2: bad timestamp '2018-11-05 23:50\+08:00'"):
             ingest.parse_logs(paths, strict=True)
@@ -1066,22 +1051,20 @@ def log_sets(draw) -> dict:
 class TestColumnarMatchesRowReference:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-    @given(logs=log_sets(), geometry=st.booleans(), strict=st.booleans())
+    @given(logs=log_sets(), strict=st.booleans())
     @example(logs={  # every id field that could be a known one is empty
         "net_sessions": "student_id,end_time,app_category,duration_minutes",
         "transactions": "student_id,time,venue,amount\n,2018-13-40 22:10,gym,+5",
         "borrows": "student_id,time",
-    }, geometry=False, strict=False)
+    }, strict=False)
     @example(logs={  # durations too large for a float
         "net_sessions": "student_id,end_time,app_category,duration_minutes\n"
                         "s1,2018-11-05 23:40,game," + "9" * 309 + "\n"
                         "s2,2018-11-05 23:40,game," + "1" + "0" * 400,
         "transactions": "student_id,time,venue,amount",
         "borrows": "student_id,time",
-    }, geometry=False, strict=False)
-    def test_same_outputs_reports_and_errors(self, logs, geometry, strict):
-        night_cfg, breakfast = ((ODD_WINDOW, ODD_BREAKFAST) if geometry
-                                else (ingest.NightWindowConfig(), ingest.DEFAULT_BREAKFAST_WINDOW))
+    }, strict=False)
+    def test_same_outputs_reports_and_errors(self, logs, strict):
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             for kind, text in logs.items():
@@ -1089,8 +1072,8 @@ class TestColumnarMatchesRowReference:
             (root / "demographics.csv").write_text("student_id,gender,cohort\n" + DEMOGRAPHICS)
             (root / "grades.csv").write_text("student_id,gpa\n" + GRADES)
             paths = ingest.LogPaths.from_dir(root)
-            new = ingest_outputs(paths, root, night_cfg, breakfast, False, strict)
-            ref = ingest_outputs(paths, root, night_cfg, breakfast, True, strict)
+            new = ingest_outputs(paths, root, False, strict)
+            ref = ingest_outputs(paths, root, True, strict)
         assert new == ref
 
 
@@ -1191,3 +1174,34 @@ class TestBlocksMatchWholeFile:
             if block == 1:   # one block per line: a cut right after the header and
                 assert cut.blocks[0] == (0, header_end)   # before the last line
                 assert len(cut.blocks) == 13
+
+    @pytest.mark.parametrize("text", [
+        "student_id,time\n\ns1,2018-11-05 10:00\r",   # after an empty line, at the end
+        "student_id,time\r\ns1,2018-11-05 10:00\rs2,2018-11-05 11:00\r\n",
+        "student_id,time\r\r\ns1,2018-11-05 10:00\r\n",   # two before the header's break
+    ])
+    @pytest.mark.parametrize("block", [2, 1 << 20])
+    def test_a_bare_carriage_return_takes_the_csv_module(self, tmp_path, text, block):
+        write_logs(tmp_path, demographics=BASE_DEMO)
+        (tmp_path / "borrows.csv").write_bytes(text.encode())
+        paths = ingest.LogPaths.from_dir(tmp_path)
+        by_rows = mock.patch.object(ingest, "_read_events_by_rows",
+                                    wraps=ingest._read_events_by_rows)
+        with mock.patch.object(ingest, "BLOCK_BYTES", block), by_rows as rows:
+            new = parsed(paths, strict=False)
+        assert [c.args[1] for c in rows.call_args_list] == ["borrows"]
+        with mock.patch.object(ingest, "_read_event_logs", reference.read_event_logs):
+            assert new == parsed(paths, strict=False)
+
+    def test_logs_within_one_block_are_decoded_without_a_fork(self, tmp_path):
+        paths = write_logs(tmp_path, net_sessions=PLAIN_ROWS,
+                           transactions="s1,2018-11-05 07:30,canteen,4.5",
+                           borrows="s2,2018-11-05 10:00", demographics=BASE_DEMO)
+        with mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+            small = parsed(paths, strict=False)
+        assert small["loaded"] == {"demographics": 2, "net_sessions": 12, "transactions": 1,
+                                   "borrows": 1, "grades": 0}
+        with (mock.patch.object(ingest, "BLOCK_BYTES", 64),
+              mock.patch.object(os, "fork", wraps=os.fork) as fork):
+            assert parsed(paths, strict=False) == small
+        assert fork.call_count == 1

@@ -124,7 +124,7 @@ class TestFit:
         counts = rng.poisson(4.0, size=(200, 16))
         cfg = sm.MixtureConfig(components=1, restarts=2, seed=0)
         model, resp, diag = sm.fit(counts, cfg)
-        closed = (counts.sum(axis=0) + cfg.alpha - 1) / (len(counts) + cfg.beta)
+        closed = (counts.sum(axis=0) + sm.ALPHA - 1) / (len(counts) + sm.BETA)
         np.testing.assert_allclose(model.rates[0], closed, rtol=0.02)
 
     def test_two_component_recovery(self):
@@ -197,17 +197,17 @@ def _ref_log_weights(counts, model, cfg, row_lgamma=None):
     with np.errstate(divide="ignore"):
         scores = scores + np.log(model.mixing)[None, :]
     if cfg.variant == "paper":
-        scores = scores + sm._log_prior_per_component(model, cfg)[None, :]
+        scores = scores + sm._log_prior_per_component(model)[None, :]
     return scores
 
 
-def _ref_log_joint(counts, model, cfg):
+def _ref_log_joint(counts, model):
     row_lgamma = gammaln(counts + 1).sum(axis=1)
     log_rates = np.log(model.rates)
     scores = poisson_scores(counts, log_rates, model.rates.sum(axis=1)) - row_lgamma[:, None]
     with np.errstate(divide="ignore"):
         scores = scores + np.log(model.mixing)[None, :]
-    return float(logsumexp(scores, axis=1).sum() + sm._log_prior_per_component(model, cfg).sum())
+    return float(logsumexp(scores, axis=1).sum() + sm._log_prior_per_component(model).sum())
 
 
 def _ref_responsibilities(scores, ids):
@@ -220,14 +220,14 @@ def _ref_em_run(counts, init, cfg, ids):
     row_lgamma = gammaln(counts + 1).sum(axis=1)
     resp = sm.Responsibilities(init, ids)
     model = sm.m_step(counts, resp, cfg)
-    trace = [_ref_log_joint(counts, model, cfg)]
+    trace = [_ref_log_joint(counts, model)]
     converged = False
     for _ in range(1, cfg.max_iterations + 1):
         resp = _ref_responsibilities(_ref_log_weights(counts, model, cfg, row_lgamma), ids)
         model = sm.m_step(counts, resp, cfg)
-        objective = _ref_log_joint(counts, model, cfg)
+        objective = _ref_log_joint(counts, model)
         trace.append(objective)
-        if abs(objective - trace[-2]) / max(abs(trace[-2]), 1e-300) < cfg.tolerance:
+        if abs(objective - trace[-2]) / max(abs(trace[-2]), 1e-300) < sm.TOLERANCE:
             converged = True
             break
     return model, resp, trace, converged
@@ -353,7 +353,7 @@ class TestSerialization:
 
         obj = json.loads(path.read_text())
         assert obj["D"] == 16 and obj["M"] == 2
-        assert obj["alpha"] == cfg.alpha and obj["beta"] == cfg.beta
+        assert obj["alpha"] == sm.ALPHA == 1.1 and obj["beta"] == sm.BETA == 0.1
         np.testing.assert_array_equal(obj["lambda"], model.rates)
         np.testing.assert_array_equal(obj["mixing"], model.mixing)
         assert obj["variant"] == {"estep": "standard", "mstep": "exact_map"}

@@ -109,9 +109,8 @@ def logs(tmp_path_factory):
 class TestGenerateFullLogs:
     def test_round_trip_reproduces_count_vectors(self, logs):
         result, store = logs
-        night_cfg = ingest.NightWindowConfig()
-        obs = ingest.extract_bedtimes(store.sessions, night_cfg)
-        ids, counts = ingest.aggregate_sleep_counts(obs, night_cfg, min_nights=1)
+        obs = ingest.extract_bedtimes(store.sessions)
+        ids, counts = ingest.aggregate_sleep_counts(obs, min_nights=1)
         assert ids == result.student_ids
         np.testing.assert_array_equal(counts, result.sleep_counts)
 
