@@ -420,10 +420,8 @@ def climb_batch(table: np.ndarray, constraints: LayerConstraints, start_masks,
     climbs, and each climb applies its best legal move until none improves
     its score by more than IMPROVEMENT_EPS. A reversal's delta is the
     delete's delta plus the second family's. Near-ties (within TIE_EPS of
-    the best delta) are broken by a draw from the climb's own generator,
-    the same stream as default_rng(seed), built the first time the climb
-    meets a tie (most climbs never do); the climbs that first tie in one
-    step hash their seeds together.
+    the best delta) are broken by a bounded integer (seeding.below): a tie at
+    step t reads draw t of the key of the climb's seed.
     Returns the (R, n) int64 parent bitmasks of the climbs' DAGs and their
     (R,) float64 scores, each the math.fsum of its family scores.
     """
@@ -441,8 +439,9 @@ def climb_batch(table: np.ndarray, constraints: LayerConstraints, start_masks,
     if _closures(pa)[1].diagonal(axis1=1, axis2=2).any():
         raise ValueError("a start graph has a cycle")
     allowed = constraints.allowed
-    rngs: list[np.random.Generator | None] = [None] * len(pa)
+    keys = seeding.keys(seeds)
     active = np.arange(len(pa))
+    step = 0
     while active.size:
         cur = pa[active]
         adj, desc, via = _closures(cur)
@@ -458,13 +457,11 @@ def climb_batch(table: np.ndarray, constraints: LayerConstraints, start_masks,
         ties = moves & (best[:, None] - delta <= TIE_EPS)
         count = ties.sum(axis=1)
         pick = ties.argmax(axis=1)
-        tied = np.flatnonzero(count > 1).tolist()
-        fresh = [c for c in active[tied].tolist() if rngs[c] is None]
-        if fresh:
-            for c, generator in zip(fresh, seeding.generators([seeds[c] for c in fresh])):
-                rngs[c] = generator
-        for i in tied:
-            pick[i] = np.flatnonzero(ties[i])[rngs[active[i]].integers(int(count[i]))]
+        tied = np.flatnonzero(count > 1)
+        if tied.size:   # the k-th tied move, k drawn below the tie count
+            k = seeding.below(keys[active[tied]], step, count[tied])
+            pick[tied] = (ties[tied].cumsum(axis=1) > k[:, None]).argmax(axis=1)
+        step += 1
         u, v, reverse = pick // (2 * n), pick // 2 % n, pick % 2 == 1
         pa[active, v] ^= bits[u]   # add, delete, or drop u -> v before the reversal
         pa[active[reverse], u[reverse]] |= bits[v[reverse]]
@@ -489,24 +486,22 @@ def random_start_masks(constraints: LayerConstraints, edge_probability: float,
                        seeds: Sequence) -> np.ndarray:
     """(R, n) parent bitmasks of random legal DAGs, one per seed.
 
-    Each seed's generator, the same stream as default_rng(seed), draws a
-    topological order, then one uniform per layer-allowed forward pair in
-    order; a pair becomes an edge when its draw is below `edge_probability`.
-    The seeds are hashed together (seeding.generators).
+    Each seed's key (seeding.keys) draws a topological order from its
+    uniforms 0 .. n-1 (seeding.permutations); the pair at order positions
+    a < b becomes an edge when the layers allow it and uniform n + a * n + b
+    is below `edge_probability`.
     """
     if not 0 <= edge_probability <= 1:
         raise ValueError("edge_probability must be in [0, 1]")
     n = constraints.variables.n
-    rngs = seeding.generators(seeds)
-    order = np.array([rng.permutation(n) for rng in rngs]).reshape(-1, n)
-    # forward[r, a, b]: order[r, a] -> order[r, b] is allowed and a < b
+    keys = seeding.keys(seeds)
+    order = seeding.permutations(keys, n)
+    draws = seeding.uniforms(keys[:, None, None], n + np.arange(n * n).reshape(n, n))
+    # keep[r, a, b]: order[r, a] -> order[r, b] is allowed, a < b and its draw is low
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    forward = constraints.allowed[order[:, :, None], order[:, None, :]] & upper
-    # np.nonzero lists each seed's pairs in order, where its draws go
-    draws = np.concatenate([np.empty(0)] + [rng.random(int(k)) for rng, k
-                                            in zip(rngs, forward.sum(axis=(1, 2)))])
-    r, a, b = (index[draws < edge_probability] for index in np.nonzero(forward))
-    parents = np.zeros((len(rngs), n), dtype=np.int64)
+    keep = constraints.allowed[order[:, :, None], order[:, None, :]] & upper & (draws < edge_probability)
+    r, a, b = np.nonzero(keep)
+    parents = np.zeros((len(keys), n), dtype=np.int64)
     np.bitwise_or.at(parents, (r, order[r, b]), 1 << order[r, a])
     return parents
 

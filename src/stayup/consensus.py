@@ -61,7 +61,7 @@ class EnsembleResult:
     def members(self) -> list[tuple[np.ndarray, float]]:
         """(parent bitmasks, score) of each restart. Only the benchmark's traced
         best_restart_share (perfbench/child.py) reads this; it goes with that
-        tracer (ROADMAP.md item 1, step C). Nothing in the package calls it."""
+        tracer (ROADMAP.md item 2, step C). Nothing in the package calls it."""
         return list(zip(self.masks, self.scores.tolist()))
 
 
@@ -130,7 +130,7 @@ def top_fraction(ensemble: EnsembleResult, fraction: float = DEFAULT_TOP_FRACTIO
     size = len(ensemble.scores)
     k = math.ceil(fraction * size)
     tiebreak_seed = ensemble.seed if seed is None else seed
-    perm = seeding.rng(_seed_list(tiebreak_seed) + [97]).permutation(size)
+    perm = seeding.Stream(_seed_list(tiebreak_seed) + [97]).permutation(size)
     return np.lexsort((perm, -ensemble.scores))[:k]
 
 
@@ -141,8 +141,9 @@ def edge_frequencies(masks: np.ndarray, variables: VariableSet) -> EdgeFrequency
     return EdgeFrequencyTable(variables, counts, len(masks))
 
 
-def permute_columns(data: DatasetTable, rng: np.random.Generator) -> DatasetTable:
-    """Shuffle every column independently: dependencies die, marginals stay."""
+def permute_columns(data: DatasetTable, rng) -> DatasetTable:
+    """Shuffle every column independently: dependencies die, marginals stay. `rng` is
+    anything with a numpy Generator's `permutation`, such as a seeding.Stream."""
     values = data.values.copy()
     for j in range(values.shape[1]):
         values[:, j] = values[rng.permutation(values.shape[0]), j]
@@ -166,12 +167,10 @@ def null_threshold(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuC
     base = _seed_list(seed)
     n = constraints.variables.n
     tables = np.empty((replicas, n, n), dtype=np.int64)
-    rngs = seeding.generators([base + [11, rep] for rep in range(replicas)])
-    for rep, rng in enumerate(rngs):
-        ensemble = learn_ensemble(
-            permute_columns(data, rng), constraints, cfg, n_restarts=n_restarts,
-            seed=base + [13, rep], edge_probability=edge_probability,
-        )
+    for rep in range(replicas):
+        permuted = permute_columns(data, seeding.Stream(base + [11, rep]))
+        ensemble = learn_ensemble(permuted, constraints, cfg, n_restarts=n_restarts,
+                                  seed=base + [13, rep], edge_probability=edge_probability)
         selected = top_fraction(ensemble, fraction, seed=base + [17, rep])
         tables[rep] = edge_frequencies(ensemble.masks[selected], constraints.variables).counts
     # one flat array, replica by replica, each in row-major order of the

@@ -143,7 +143,7 @@ def _blanket_scores(train: DatasetTable, test: DatasetTable,
 
 def fold_indices(n_rows: int, folds: int, seed: SeedLike) -> list[np.ndarray]:
     """Seeded disjoint cover of all rows in `folds` near-equal parts."""
-    perm = seeding.rng(_seed_list(seed) + [23]).permutation(n_rows)
+    perm = seeding.Stream(_seed_list(seed) + [23]).permutation(n_rows)
     return [np.sort(part) for part in np.array_split(perm, folds)]
 
 
@@ -152,7 +152,7 @@ def stratified_fold_indices(y: np.ndarray, folds: int, seed: SeedLike) -> list[n
     class near-evenly: the class's rows, in the order of fold_indices'
     permutation, cut into `folds` runs. The classes come from np.bincount,
     as plain np.unique imports numpy.ma on its first call."""
-    perm = seeding.rng(_seed_list(seed) + [23]).permutation(len(y))
+    perm = seeding.Stream(_seed_list(seed) + [23]).permutation(len(y))
     classes = np.flatnonzero(np.bincount(y))
     per_class = [np.array_split(perm[y[perm] == c], folds) for c in classes]
     return [np.sort(np.concatenate(parts)) for parts in zip(*per_class)]

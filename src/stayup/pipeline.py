@@ -122,9 +122,8 @@ class PipelineConfig:
 
 
 def derive_seed(*parts: int) -> int:
-    """Stable 64-bit stream seed from integer parts."""
-    state = seeding.seed_states([list(parts)], 2)[0]
-    return int(state[0]) << 32 | int(state[1])
+    """Stable 64-bit stream seed from integer parts: the stream key of the list of them."""
+    return int(seeding.keys([list(parts)])[0])
 
 
 def load_config_file(path) -> dict:

@@ -167,24 +167,15 @@ def _row_entropy_seeds(counts: np.ndarray) -> np.ndarray:
 def initial_responsibilities(counts: np.ndarray, cfg: MixtureConfig) -> np.ndarray:
     """(restarts, N, M) symmetric Dirichlet starts, one per restart and student.
 
-    Row i's start in restart r is the same stream as
-    default_rng([cfg.seed, r, h]).dirichlet(ones(M)), where h is a hash of
-    the row's counts. The rows are hashed once and the seed words of each
-    restart in one batch (seeding.keyed_pcg64_words); each student's
-    generator then fills its row with M standard exponentials, and the
-    rows are normalised as dirichlet does: the sum taken left to right
-    from 0.0, then each draw times its reciprocal.
+    Row i's start in restart r is drawn from the stream key of
+    [cfg.seed, r, h], where h is a hash of the row's counts: the spacings
+    that its uniforms 0 .. M-2, sorted, cut into [0, 1] (Devroye 1986,
+    ch. V), which are Dirichlet(1, ..., 1).
     """
-    row_keys = _row_entropy_seeds(counts)
-    draws = np.empty((cfg.restarts, counts.shape[0], cfg.components))
-    for restart, rows in enumerate(draws):
-        for words, row in zip(seeding.keyed_pcg64_words([cfg.seed, restart], row_keys), rows):
-            seeding.generator(words).standard_exponential(out=row)
-    total = np.zeros(draws.shape[:2])
-    for j in range(cfg.components):
-        total += draws[..., j]
-    draws *= (1.0 / total)[..., None]
-    return draws
+    restarts = seeding.keys([[cfg.seed, r] for r in range(cfg.restarts)])
+    keys = seeding.bits(restarts[:, None], _row_entropy_seeds(counts))   # (restarts, N)
+    cuts = np.sort(seeding.uniforms(keys[..., None], np.arange(cfg.components - 1)), axis=-1)
+    return np.diff(cuts, axis=-1, prepend=0.0, append=1.0)
 
 
 def _em_run(counts: np.ndarray, row_lgamma: np.ndarray, init: np.ndarray, cfg: MixtureConfig,
@@ -219,10 +210,9 @@ def fit(counts: np.ndarray, cfg: MixtureConfig, ids: tuple[str, ...] | None = No
     student ids[i] when ids are given.
 
     Each restart starts from per-student Dirichlet responsibilities, each
-    student's drawn from the same stream as default_rng([seed, restart, h])
-    with h a hash of the student's counts as float64 (see
-    initial_responsibilities), and iterates E/M until the relative
-    objective change drops below TOLERANCE.
+    student's drawn from the stream key of [seed, restart, h] with h a hash
+    of the student's counts as float64 (see initial_responsibilities), and
+    iterates E/M until the relative objective change drops below TOLERANCE.
     """
     counts = np.asarray(counts, dtype=np.float64)   # the start hashes float64 rows
     if counts.ndim != 2:

@@ -1,7 +1,9 @@
 """Reference implementations that the tests compare the program against.
 
 Nothing under ``src/`` calls these; each is the plain form of something the
-program computes another way: BDeu scores family by family (the oracle of
+program computes another way: the random streams one Python int at a time
+(the oracle of ``seeding``'s uint64 array code and of the sleep-fit starts),
+BDeu scores family by family (the oracle of
 ``bayesnet.score_table``), the move set and the moves of a single graph
 (the oracle of ``bayesnet.climb_batch``) with the graph copy and edge
 deletion they need, exact posteriors by enumeration, the mixture's E-step
@@ -34,6 +36,61 @@ from stayup import ingest
 from stayup import profiles as pr
 from stayup import sleepmix as sm
 from stayup.special import gammaln
+
+
+# --- seeding ----------------------------------------------------------------------
+
+MASK64 = 2**64 - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def stream_bits(key: int, counter: int) -> int:
+    """Draw `counter` of `key`: the SplitMix64 finaliser of key + (counter + 1) * GOLDEN."""
+    x = (key + (counter + 1) * GOLDEN) & MASK64
+    x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & MASK64
+    x = (x ^ x >> 27) * 0x94D049BB133111EB & MASK64
+    return x ^ x >> 31
+
+
+def stream_key(seed) -> int:
+    """The key of an int or list of ints: each int's 64-bit words, low first (0 is
+    one word), each replacing the key by the key's draw at that word, from key 0."""
+    key = 0
+    for n in [seed] if isinstance(seed, int) else seed:
+        if n < 0:
+            raise ValueError("seeds must be non-negative")
+        key = stream_bits(key, n & MASK64)
+        while n >> 64:
+            n >>= 64
+            key = stream_bits(key, n & MASK64)
+    return key
+
+
+def stream_uniform(key: int, counter: int) -> float:
+    """The draw's top 53 bits over 2**53."""
+    return (stream_bits(key, counter) >> 11) / 2**53
+
+
+def stream_permutation(key: int, n: int, start: int = 0) -> list[int]:
+    """0 .. n-1 ordered by the key's uniforms start .. start + n - 1, ties by index."""
+    u = [stream_uniform(key, start + i) for i in range(n)]
+    return sorted(range(n), key=u.__getitem__)
+
+
+def stream_below(key: int, counter: int, bound: int) -> int:
+    """Lemire's multiply-shift: (top 32 bits of the draw) * bound // 2**32, unless the
+    product's low 32 bits fall below 2**32 % bound; then the draw 2**32 counters on."""
+    while True:
+        product = (stream_bits(key, counter) >> 32) * bound
+        if product % 2**32 >= 2**32 % bound:
+            return product >> 32
+        counter += 2**32
+
+
+def stream_spacings(key: int, m: int) -> list[float]:
+    """The m gaps that the key's first m - 1 uniforms, sorted, cut into [0, 1]."""
+    edges = [0.0] + sorted(stream_uniform(key, i) for i in range(m - 1)) + [1.0]
+    return [b - a for a, b in zip(edges, edges[1:])]
 
 
 # --- bayesnet ---------------------------------------------------------------------
@@ -184,7 +241,7 @@ def top_fraction(members: Sequence[tuple[bn.Dag, float]], fraction: float,
     """The ceil(fraction * size) members first by (-score, place in the
     seeded permutation)."""
     size = len(members)
-    perm = np.random.default_rng(cons._seed_list(seed) + [97]).permutation(size)
+    perm = stream_permutation(stream_key(cons._seed_list(seed) + [97]), size)
     order = sorted(range(size), key=lambda i: (-members[i][1], perm[i]))
     return [members[i] for i in order[:math.ceil(fraction * size)]]
 

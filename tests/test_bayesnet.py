@@ -288,7 +288,7 @@ class TestRandomStart:
         constraints = bn.default_layer_constraints()
         dag = bn.random_start(constraints, 1.0, seed=4)
         # every layer-legal edge pointing forward in the sampled order is present
-        order = np.random.default_rng(4).permutation(constraints.variables.n)
+        order = reference.stream_permutation(reference.stream_key(4), constraints.variables.n)
         names = constraints.variables.names
         for a in range(len(order)):
             for b in range(a + 1, len(order)):
@@ -319,7 +319,7 @@ class TestRandomStart:
                     want = ref_random_start(constraints, p, seed=seed)
                     assert got.edges() == want.edges()
 
-    def test_masks_match_per_seed_generators(self):
+    def test_masks_match_per_seed_reference(self):
         # ensemble-shaped seed lists (a 64-bit run seed, then restart and role)
         # next to ints and lists of other lengths, all in one batch
         seeds = [[2**64 - 1 - r, r, 0] for r in range(40)] + [[2**63, 7, r, 0] for r in range(20)]
@@ -790,12 +790,12 @@ def bitmask_move_candidates(pa, ch, allowed):
 
 def bitmask_hill_climb(constraints, start, seed, cache):
     score = cache.score
-    rng = np.random.default_rng(seed)
+    key = reference.stream_key(seed)
     n = constraints.variables.n
     allowed = [sum(1 << v for v in range(n) if constraints.allows(u, v)) for u in range(n)]
     pa, ch = list(start._pa), list(start._ch)
     fam = [score(i, m) for i, m in enumerate(pa)]
-    while True:
+    for step in itertools.count():
         best = 0.0
         candidates = []
         for move in bitmask_move_candidates(pa, ch, allowed):
@@ -813,7 +813,7 @@ def bitmask_hill_climb(constraints, start, seed, cache):
         if not candidates:
             break
         ties = [m for d, m in candidates if best - d <= bn.TIE_EPS]
-        kind, u, v = ties[int(rng.integers(len(ties)))] if len(ties) > 1 else ties[0]
+        kind, u, v = ties[reference.stream_below(key, step, len(ties))] if len(ties) > 1 else ties[0]
         if kind == "add":
             pa[v] |= 1 << u
             ch[u] |= 1 << v
@@ -865,8 +865,9 @@ def ref_move_candidates(dag, constraints):
 
 
 def ref_hill_climb(data, constraints, cfg, start, seed, cache):
-    """Returns (dag, score, number of random tie-break draws, number of moves)."""
-    rng = np.random.default_rng(seed)
+    """Returns (dag, score, number of random tie-break draws, number of moves).
+    A tie at move t takes the tied move that draw t of the seed's key picks."""
+    key = reference.stream_key(seed)
     n = data.variables.n
     dag = reference.copy_dag(start)
     pa = [frozenset(dag.parent_indices(i)) for i in range(n)]
@@ -894,7 +895,7 @@ def ref_hill_climb(data, constraints, cfg, start, seed, cache):
         ties = [m for d, m in candidates if best - d <= bn.TIE_EPS]
         if len(ties) > 1:
             draws += 1
-        kind, u, v = ties[int(rng.integers(len(ties)))] if len(ties) > 1 else ties[0]
+        kind, u, v = ties[reference.stream_below(key, moves, len(ties))] if len(ties) > 1 else ties[0]
         moves += 1
         if kind == "add":
             dag.add_edge(u, v)
@@ -915,33 +916,25 @@ def ref_hill_climb(data, constraints, cfg, start, seed, cache):
 
 
 def ref_random_start(constraints, edge_probability, seed=0):
-    rng = np.random.default_rng(seed)
+    """A random order from the seed key's uniforms 0 .. n-1, then an edge for each
+    allowed pair at order positions a < b whose uniform n + a * n + b is low."""
+    key = reference.stream_key(seed)
     n = constraints.variables.n
-    order = rng.permutation(n)
+    order = reference.stream_permutation(key, n)
     dag = bn.Dag(constraints.variables)
     for a in range(n):
         for b in range(a + 1, n):
-            u, v = int(order[a]), int(order[b])
-            if constraints.allows(u, v) and rng.random() < edge_probability:
+            u, v = order[a], order[b]
+            if constraints.allows(u, v) and reference.stream_uniform(key, n + a * n + b) < edge_probability:
                 dag.add_edge(u, v)
     return dag
 
 
 def ref_random_start_masks(constraints, edge_probability, seeds):
-    """random_start_masks with one default_rng per seed, as it was built
-    before the seeds were hashed in batches."""
+    """random_start_masks one seed at a time."""
     n = constraints.variables.n
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    order = np.array([rng.permutation(n) for rng in rngs]).reshape(-1, n)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    forward = constraints.allowed[order[:, :, None], order[:, None, :]] & upper
-    keep = np.zeros_like(forward)
-    for pairs, kept, rng in zip(forward, keep, rngs):
-        kept[pairs] = rng.random(int(pairs.sum())) < edge_probability
-    r, a, b = np.nonzero(keep)
-    parents = np.zeros((len(rngs), n), dtype=np.int64)
-    np.bitwise_or.at(parents, (r, order[r, b]), 1 << order[r, a])
-    return parents
+    return np.array([ref_random_start(constraints, edge_probability, seed)._pa for seed in seeds],
+                    dtype=np.int64).reshape(-1, n)
 
 
 class TestFitMle:

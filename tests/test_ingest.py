@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import math
 import os
 import sys
@@ -964,25 +965,37 @@ EDGES = (time(21, 0), time(5, 0), time(12, 0), time(20, 59, 59), time(4, 59, 59,
          time(11, 59, 59, 999999), time(22, 15), time(18, 0), time(6, 15, 30), time(8, 0),
          time(9, 30))
 
+# The strategies below are built once: hypothesis validates each strategy object
+# on its first draw, and building them inside the composites made that
+# validation most of these tests' time.
+integers = functools.cache(st.integers)
+sampled_from = functools.cache(st.sampled_from)
+BOOLEANS = st.booleans()
+DAYS = st.dates(date(2018, 11, 1), date(2018, 11, 8))
+CLOCKS = st.times()
+DURATIONS = st.integers(0, 600).map(str)
+AMOUNTS = st.integers(0, 100_000).map(lambda c: f"{c // 100}.{c % 100:02d}")
+HEADER_ORDERS = {kind: st.permutations(columns) for kind, columns in ingest.CSV_SCHEMAS.items()}
+
 
 @st.composite
 def stamps(draw) -> str:
-    pick = draw(st.integers(0, 9))
+    pick = draw(integers(0, 9))
     if pick == 0:
-        return draw(st.sampled_from(BAD_STAMPS))
+        return draw(sampled_from(BAD_STAMPS))
     if pick == 1:
         # the fixed-width form with each number anywhere near its range
-        year, month, day, hour, minute, second = (draw(st.integers(lo, hi)) for lo, hi in (
+        year, month, day, hour, minute, second = (draw(integers(lo, hi)) for lo, hi in (
             (2016, 2020), (0, 13), (0, 32), (0, 24), (0, 60), (0, 60)))
         text = f"{year:04d}-{month:02d}-{day:02d} {hour:02d}:{minute:02d}"
-        return text + f":{second:02d}" if draw(st.booleans()) else text
-    day = draw(st.dates(date(2018, 11, 1), date(2018, 11, 8)))
-    if draw(st.booleans()):
-        clock = draw(st.sampled_from(EDGES))
+        return text + f":{second:02d}" if draw(BOOLEANS) else text
+    day = draw(DAYS)
+    if draw(BOOLEANS):
+        clock = draw(sampled_from(EDGES))
     else:
-        clock = draw(st.times())
-    form = draw(st.sampled_from(("minutes", "seconds", "micros")))
-    text = f"{day.isoformat()}{draw(st.sampled_from((' ', 'T')))}{clock.strftime('%H:%M')}"
+        clock = draw(CLOCKS)
+    form = draw(sampled_from(("minutes", "seconds", "micros")))
+    text = f"{day.isoformat()}{draw(sampled_from((' ', 'T')))}{clock.strftime('%H:%M')}"
     if form != "minutes":
         text += clock.strftime(":%S")
     if form == "micros":
@@ -990,15 +1003,18 @@ def stamps(draw) -> str:
     return pad(draw, text)
 
 
+STAMPS = stamps()
+
+
 def pad(draw, text: str) -> str:
-    if draw(st.integers(0, 7)) == 0:
-        return draw(st.sampled_from((" ", "\t", ""))) + text + draw(st.sampled_from((" ", "")))
+    if draw(integers(0, 7)) == 0:
+        return draw(sampled_from((" ", "\t", ""))) + text + draw(sampled_from((" ", "")))
     return text
 
 
 def field(draw, good, odd) -> str:
-    if draw(st.integers(0, 3)) == 0:
-        return draw(st.sampled_from(odd))
+    if draw(integers(0, 3)) == 0:
+        return draw(sampled_from(odd))
     return pad(draw, draw(good))
 
 
@@ -1012,40 +1028,42 @@ AMOUNT_ODDITIES = NUMBER_ODDITIES + ("nan", "inf", "-inf", ".5", "5.", "1.2.3", 
 @st.composite
 def event_lines(draw, kind: str) -> str:
     columns = ingest.CSV_SCHEMAS[kind]
-    header = draw(st.permutations(columns))
+    header = draw(HEADER_ORDERS[kind])
     rows = []
-    for _ in range(draw(st.integers(0, 12))):
-        if draw(st.integers(0, 9)) == 0:
-            rows.append(draw(st.sampled_from(("", " ", ","))))
+    for _ in range(draw(integers(0, 12))):
+        if draw(integers(0, 9)) == 0:
+            rows.append(draw(sampled_from(("", " ", ","))))
             continue
-        row = {"student_id": field(draw, st.sampled_from(KNOWN), (" s1", "s1 ", "", "ghost", "S1"))}
-        row[columns[1]] = draw(stamps())
+        row = {"student_id": field(draw, sampled_from(KNOWN), (" s1", "s1 ", "", "ghost", "S1"))}
+        row[columns[1]] = draw(STAMPS)
         if kind == "net_sessions":
-            row["app_category"] = field(draw, st.sampled_from(ingest.APP_CATEGORIES),
+            row["app_category"] = field(draw, sampled_from(ingest.APP_CATEGORIES),
                                         ("music", " game", "", "GAME"))
-            row["duration_minutes"] = field(draw, st.integers(0, 600).map(str), NUMBER_ODDITIES)
+            row["duration_minutes"] = field(draw, DURATIONS, NUMBER_ODDITIES)
         elif kind == "transactions":
-            row["venue"] = field(draw, st.sampled_from(ingest.VENUES), ("gym", "bath ", ""))
-            cents = st.integers(0, 100_000).map(lambda c: f"{c // 100}.{c % 100:02d}")
-            row["amount"] = field(draw, cents, AMOUNT_ODDITIES)
+            row["venue"] = field(draw, sampled_from(ingest.VENUES), ("gym", "bath ", ""))
+            row["amount"] = field(draw, AMOUNTS, AMOUNT_ODDITIES)
         values = [row[c] for c in header]
-        shape = draw(st.integers(0, 9))
+        shape = draw(integers(0, 9))
         if shape == 0:
-            values = values[:draw(st.integers(1, len(values) - 1))]
+            values = values[:draw(integers(1, len(values) - 1))]
         elif shape == 1:
             values += ["extra"]
         rows.append(",".join(values))
-    if rows and draw(st.integers(0, 7)) == 0:
+    if rows and draw(integers(0, 7)) == 0:
         # a quoted field sends the whole file through the csv module
-        at = draw(st.integers(0, len(rows) - 1))
+        at = draw(integers(0, len(rows) - 1))
         rows[at] = '"' + rows[at].replace(",", '","') + '"'
-    newline = draw(st.sampled_from(("\n", "\r\n")))
-    return newline.join([",".join(header)] + rows) + newline * draw(st.integers(0, 2))
+    newline = draw(sampled_from(("\n", "\r\n")))
+    return newline.join([",".join(header)] + rows) + newline * draw(integers(0, 2))
+
+
+EVENT_LINES = {kind: event_lines(kind) for kind in ("net_sessions", "transactions", "borrows")}
 
 
 @st.composite
 def log_sets(draw) -> dict:
-    return {kind: draw(event_lines(kind)) for kind in ("net_sessions", "transactions", "borrows")}
+    return {kind: draw(lines) for kind, lines in EVENT_LINES.items()}
 
 
 class TestColumnarMatchesRowReference:
@@ -1092,14 +1110,14 @@ def block_log_sets(draw) -> dict:
     leading BOM, some with a header the columnar path cannot take."""
     logs = draw(log_sets())
     for kind, text in logs.items():
-        pick = draw(st.integers(0, 11))
+        pick = draw(integers(0, 11))
         if pick == 0:
             logs[kind] = None
         elif pick == 1:
             logs[kind] = "\ufeff" + text
         elif pick == 2:
             head, newline, rest = text.partition("\n")
-            wrong = draw(st.sampled_from(WRONG_HEADERS[kind]))
+            wrong = draw(sampled_from(WRONG_HEADERS[kind]))
             logs[kind] = wrong + ("\r" if head.endswith("\r") else "") + newline + rest
     return logs
 

@@ -1,103 +1,168 @@
-"""Differential tests of stayup.seeding against NumPy's own seeding."""
+"""stayup.seeding's array code against the scalar reference, the call sites'
+streams, and fixed-seed statistical checks of the draws."""
+
+import itertools
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from stayup import bayesnet as bn
 from stayup import consensus as cons
 from stayup import evaluate as ev
-from stayup import pipeline, seeding
+from stayup import cli, pipeline, seeding
 
-# ints of one, two and three or more 32-bit words, and 0, which is one word [0]
+import reference
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ALPHA = 1e-4   # each statistical check fails a correct stream with this probability
+
+# ints of one, two and three or more 64-bit words, and 0, which is one word [0]
 seed_ints = st.one_of(
     st.just(0),
-    st.integers(1, 2**32 - 1),
-    st.integers(2**32, 2**64 - 1),
+    st.integers(1, 2**64 - 1),
     st.integers(2**64, 2**130),
 )
-seeds = st.one_of(seed_ints, st.lists(seed_ints, min_size=1, max_size=8))
+seeds = st.one_of(seed_ints, st.lists(seed_ints, min_size=0, max_size=6))
+words = st.integers(0, 2**64 - 1)
 
 
-def draws(rng):
-    return rng.permutation(12), rng.random(5), rng.integers(0, 2**40, size=5)
+class TestMatchesScalarReference:
+    @settings(max_examples=150)
+    @given(st.lists(seeds, min_size=0, max_size=12))
+    def test_keys(self, batch):
+        # mixed lengths in one batch fold column by column
+        got = seeding.keys(batch)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [reference.stream_key(seed) for seed in batch]
+
+    @settings(max_examples=100)
+    @given(st.lists(words, min_size=1, max_size=8), st.lists(words, min_size=1, max_size=8))
+    def test_bits_and_uniforms(self, keys, counters):
+        keys += [0, 2**64 - 1]
+        counters += [0, 2**64 - 1]
+        k, c = np.array(keys, np.uint64)[:, None], np.array(counters, np.uint64)
+        assert seeding.bits(k, c).tolist() == [[reference.stream_bits(a, b) for b in counters]
+                                               for a in keys]
+        assert seeding.uniforms(k, c).tolist() == [[reference.stream_uniform(a, b)
+                                                    for b in counters] for a in keys]
+
+    @settings(max_examples=100)
+    @given(st.lists(words, min_size=0, max_size=6), st.integers(0, 40), st.integers(0, 2**40))
+    def test_permutations(self, keys, n, start):
+        got = seeding.permutations(np.array(keys, np.uint64), n, start)
+        assert got.shape == (len(keys), n)
+        assert got.tolist() == [reference.stream_permutation(k, n, start) for k in keys]
+
+    @settings(max_examples=150)
+    @given(st.lists(st.tuples(words, words, st.integers(1, 2**32 - 1)), min_size=1, max_size=10))
+    def test_below(self, draws):
+        keys, counters, bounds = (np.array(column, np.uint64) for column in zip(*draws))
+        got = seeding.below(keys, counters, bounds)
+        assert got.dtype == np.int64
+        assert got.tolist() == [reference.stream_below(*d) for d in draws]
+
+    @settings(max_examples=60)
+    @given(seeds, st.lists(st.integers(0, 30), min_size=1, max_size=5))
+    def test_stream_permutations_in_turn(self, seed, sizes):
+        stream, key, start = seeding.Stream(seed), reference.stream_key(seed), 0
+        for n in sizes:
+            assert stream.permutation(n).tolist() == reference.stream_permutation(key, n, start)
+            start += n
+
+    def test_a_key_extends_by_its_own_draw(self):
+        prefix = seeding.keys([[5, 2**64 - 1]])
+        tails = np.array([0, 1, 2**63, 2**64 - 1], np.uint64)
+        assert seeding.bits(prefix, tails).tolist() == \
+            seeding.keys([[5, 2**64 - 1, int(t)] for t in tails]).tolist()
+
+    @pytest.mark.parametrize("seed", [-1, [1, -2], [2**40, -(2**40)]])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="non-negative"):
+            seeding.keys([1, seed])
+
+    @pytest.mark.parametrize("seed", [1.5, [1, 2.0], None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(TypeError):
+            seeding.keys([seed])
+
+    def test_no_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            key = seeding.keys([2**64 - 1])
+            seeding.bits(key[0], 2**64 - 1)
+            seeding.uniforms(key, np.uint64(2**64 - 1))
+            seeding.below(key, 2**64 - 1, 2**32 - 1)
+            seeding.Stream(2**64 - 1).permutation(5)
 
 
-def assert_same_streams(got, want):
-    for a, b in zip(draws(got), draws(want)):
-        np.testing.assert_array_equal(a, b)
+class TestStatistics:
+    """Fixed seeds, so each check passes or fails the same way on every run; a
+    correct stream fails one with probability ALPHA."""
+
+    @staticmethod
+    def chi_square_p(observed, expected):
+        observed = np.asarray(observed, dtype=np.float64)
+        return stats.chi2.sf(((observed - expected) ** 2 / expected).sum(), len(observed) - 1)
+
+    @pytest.mark.parametrize("along", ["counters", "keys"])
+    def test_uniform_bins(self, along):
+        n, bins = 100_000, 100
+        if along == "counters":   # one key's stream
+            u = seeding.uniforms(seeding.keys([[3, 1]]), np.arange(n))
+        else:                     # draw 0 of many keys, as lockstep climbs read them
+            u = seeding.uniforms(seeding.keys([[3, i] for i in range(n)]), 0)
+        assert ((0 <= u) & (u < 1)).all()
+        observed = np.bincount((u * bins).astype(np.int64), minlength=bins)
+        assert self.chi_square_p(observed, n / bins) > ALPHA
+
+    def test_all_permutations_of_four(self):
+        n = 48_000
+        perms = seeding.permutations(seeding.keys([[4, i] for i in range(n)]), 4)
+        index = {p: i for i, p in enumerate(itertools.permutations(range(4)))}
+        observed = np.bincount([index[tuple(p)] for p in perms.tolist()], minlength=24)
+        assert (observed > 0).all()
+        assert self.chi_square_p(observed, n / 24) > ALPHA
+
+    @pytest.mark.parametrize("bound", [2, 5, 7, 162])
+    def test_uniform_tie_picks(self, bound):
+        n = 50_000
+        picks = seeding.below(seeding.keys([[6, i] for i in range(n)]), 3, np.full(n, bound))
+        assert ((0 <= picks) & (picks < bound)).all()
+        assert self.chi_square_p(np.bincount(picks, minlength=bound), n / bound) > ALPHA
+
+    def test_a_rejected_word_takes_the_draw_two_to_the_32_on(self):
+        # 2**32 % bound == 2**30, so a word is rejected with probability 1/4
+        bound = 3 * 2**30
+
+        def product(key, counter):
+            return (reference.stream_bits(key, counter) >> 32) * bound
+
+        # the first key whose draw 0 is rejected and whose draw 2**32 is accepted
+        key = next(k for k in map(reference.stream_key, ([8, i] for i in range(100)))
+                   if product(k, 0) % 2**32 < 2**30 <= product(k, 2**32) % 2**32)
+        again = product(key, 2**32)
+        got = seeding.below(np.array([key], np.uint64), 0, bound)
+        assert got.tolist() == [again >> 32] == [reference.stream_below(key, 0, bound)]
+        assert got[0] != (reference.stream_bits(key, 0) >> 32) * bound >> 32
 
 
-@settings(max_examples=150)
-@given(st.lists(seeds, min_size=1, max_size=12))
-def test_generators_match_default_rng(batch):
-    # mixed entropy lengths in one batch take one hashing pass per length
-    for got, seed in zip(seeding.generators(batch), batch):
-        assert_same_streams(got, np.random.default_rng(seed))
-
-
-@settings(max_examples=100)
-@given(seeds, st.integers(1, 12))
-def test_seed_states_match_seed_sequence(seed, n_words):
-    want = np.random.SeedSequence(seed).generate_state(n_words)
-    np.testing.assert_array_equal(seeding.seed_states([seed], n_words)[0], want)
-    np.testing.assert_array_equal(seeding.seed_states([seed, seed], n_words)[1], want)
-
-
-@settings(max_examples=60)
-@given(st.lists(seed_ints, min_size=0, max_size=4),
-       st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20))
-def test_keyed_words_match_seed_lists(prefix, keys):
-    keys += [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
-    got = seeding.keyed_pcg64_words(prefix, np.array(keys, dtype=np.uint64))
-    for words, key in zip(got, keys):
-        assert_same_streams(seeding.generator(words), np.random.default_rng(prefix + [key]))
-
-
-def test_rng_matches_default_rng():
-    for seed in (0, 1, 2**54, 2**64 - 1, 2**70, [1, 2, 3], np.int64(5), [np.uint64(2**63), 1]):
-        assert_same_streams(seeding.rng(seed), np.random.default_rng(seed))
-
-
-def test_derived_seed_words():
-    # pipeline.derive_seed reads two uint32 words
-    want = np.random.SeedSequence([7, 3, 1]).generate_state(2)
-    np.testing.assert_array_equal(seeding.seed_states([[7, 3, 1]], 2)[0], want)
-
-
-@pytest.mark.parametrize("seed", [-1, [1, -2], [2**40, -(2**40)]])
-def test_negative_seed_rejected_like_default_rng(seed):
-    with pytest.raises(ValueError, match="non-negative"):
-        np.random.default_rng(seed)
-    with pytest.raises(ValueError, match="non-negative"):
-        seeding.generators([1, seed])
-
-
-@pytest.mark.parametrize("seed", [1.5, [1, 2.0], None])
-def test_non_integer_seed_rejected(seed):
-    with pytest.raises(TypeError):
-        seeding.rng(seed)
-
-
-def test_hashed_seed_serves_only_pcg64():
-    words = seeding.pcg64_words([3])[0]
-    with pytest.raises(ValueError, match="PCG64"):
-        seeding._HashedSeed(words).generate_state(8, np.uint32)
-    with pytest.raises(ValueError, match="PCG64"):
-        np.random.MT19937(seeding._HashedSeed(words))
-
-
-class TestCallSitesDrawDefaultRngStreams:
-    """Each place the pipeline seeds a generator gets default_rng's stream."""
+class TestCallSitesDrawTheirStreams:
+    """Each place the pipeline draws reads the stream of its seed list."""
 
     def test_derive_seed(self):
-        words = np.random.SeedSequence([7, 3, 1]).generate_state(2)
-        assert pipeline.derive_seed(7, 3, 1) == int(words[0]) << 32 | int(words[1])
+        assert pipeline.derive_seed(7, 3, 1) == reference.stream_key([7, 3, 1])
 
     def test_fold_indices(self):
         seed = [4, 2**33]
-        perm = np.random.default_rng(seed + [23]).permutation(103)
+        perm = reference.stream_permutation(reference.stream_key(seed + [23]), 103)
         want = [np.sort(part) for part in np.array_split(perm, 5)]
         for got, part in zip(ev.fold_indices(103, 5, seed), want):
             np.testing.assert_array_equal(got, part)
@@ -105,22 +170,71 @@ class TestCallSitesDrawDefaultRngStreams:
     def test_top_fraction_tie_order(self):
         ensemble = cons.EnsembleResult(np.zeros((12, 9), dtype=np.int64), np.full(12, -1.0),
                                        [9, 2**40])
-        perm = np.random.default_rng([9, 2**40, 97]).permutation(12)
+        perm = reference.stream_permutation(reference.stream_key([9, 2**40, 97]), 12)
         got = cons.top_fraction(ensemble, 0.5)
         assert got.tolist() == np.argsort(perm)[:6].tolist()
 
     def test_null_replicas(self, monkeypatch):
-        states = []
+        keys = []
         permute = cons.permute_columns
 
         def spy(data, rng):
-            states.append(rng.bit_generator.state)
-            return permute(data, rng)
+            keys.extend(rng.key.tolist())
+            out = permute(data, rng)
+            assert rng.drawn == data.values.size   # one permutation per column
+            return out
 
         monkeypatch.setattr(cons, "permute_columns", spy)
         values = np.random.default_rng(1).integers(0, 2, size=(60, 9)).astype(np.uint8)
         table = bn.DatasetTable(bn.profile_variables(), values)
         cons.null_threshold(table, bn.default_layer_constraints(), bn.BdeuConfig(), replicas=3,
                             seed=[5, 2**40], n_restarts=2)
-        assert states == [np.random.default_rng([5, 2**40, 11, rep]).bit_generator.state
-                          for rep in range(3)]
+        assert keys == [reference.stream_key([5, 2**40, 11, rep]) for rep in range(3)]
+
+    def test_permute_columns_reads_successive_permutations(self):
+        values = np.arange(60, dtype=np.uint8).reshape(20, 3) % 7
+        table = bn.DatasetTable(bn.VariableSet(("A", "B", "C"), (7, 7, 7)), values)
+        got = cons.permute_columns(table, seeding.Stream([5, 11, 0]))
+        key = reference.stream_key([5, 11, 0])
+        for j in range(3):
+            perm = reference.stream_permutation(key, 20, 20 * j)
+            assert got.values[:, j].tolist() == values[perm, j].tolist()
+
+
+def _run_isolated(code: str) -> subprocess.CompletedProcess:
+    """`code` in a fresh interpreter in which importing numpy.random fails, also in
+    any process it forks."""
+    guard = ("import sys\n"
+             "class NoNumpyRandom:\n"
+             "    def find_spec(self, name, path=None, target=None):\n"
+             "        if name == 'numpy.random' or name.startswith('numpy.random.'):\n"
+             "            raise ImportError('numpy.random imported')\n"
+             "sys.meta_path.insert(0, NoNumpyRandom())\n")
+    return subprocess.run([sys.executable, "-c", guard + code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+
+
+class TestNoNumpyRandom:
+    def test_cli_import(self):
+        done = _run_isolated("import stayup.cli\n"
+                             "assert not any(m.startswith('numpy.random') for m in sys.modules)")
+        assert done.returncode == 0, done.stderr
+
+    def test_small_run(self, tmp_path):
+        # synth draws with numpy.random, so its data are made in this process
+        assert cli.main(["synth", "--out", str(tmp_path / "data"), "--students", "200",
+                         "--nights", "30", "--seed", "3"]) == 0
+        done = _run_isolated(
+            "from stayup import cli\n"
+            f"code = cli.main(['run', '--data', {str(tmp_path / 'data')!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}, '--min-nights', '5', '--restarts', '8', "
+            "'--null-replicas', '1', '--folds', '2', '--eval-restarts', '2', '--em-restarts', '2'])\n"
+            "assert code == 0, code\n"
+            "assert not any(m.startswith('numpy.random') for m in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out" / "MANIFEST.json").exists()
+
+    def test_only_synth_names_np_random(self):
+        users = sorted(p.name for p in (SRC / "stayup").glob("*.py")
+                       if "np.random" in p.read_text() or "numpy.random" in p.read_text())
+        assert users == ["synth.py"]

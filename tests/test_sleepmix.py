@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import gammaln, logsumexp
 
@@ -234,19 +236,20 @@ def _ref_em_run(counts, init, cfg, ids):
 
 
 def ref_initial_responsibilities(counts, cfg, restart):
-    """One restart's starts the per-student way: a default_rng and a Dirichlet
-    draw per student, keyed on (seed, restart, hash of the row's counts)."""
+    """One restart's starts one student at a time: the scalar stream's spacings,
+    keyed on (seed, restart, hash of the row's counts)."""
     weights = np.empty((counts.shape[0], cfg.components))
     for i, row in enumerate(counts):
         h = int.from_bytes(hashlib.sha256(row.tobytes()).digest()[:8], "little")
-        weights[i] = np.random.default_rng([cfg.seed, restart, h]).dirichlet(np.ones(cfg.components))
+        key = reference.stream_key([cfg.seed, restart, h])
+        weights[i] = reference.stream_spacings(key, cfg.components)
     return weights
 
 
 class TestInitialResponsibilities:
     @pytest.mark.parametrize("components", [1, 2, 3, 5])
     @pytest.mark.parametrize("seed", [0, 1, 2**54, 2**64 - 1, 2**70])
-    def test_bit_equal_to_per_student_generators(self, components, seed):
+    def test_bit_equal_to_scalar_reference(self, components, seed):
         counts = np.random.default_rng(components).poisson(2.0, size=(60, 16)).astype(float)
         cfg = sm.MixtureConfig(components=components, restarts=3, seed=seed)
         starts = sm.initial_responsibilities(counts, cfg)
@@ -254,6 +257,31 @@ class TestInitialResponsibilities:
         for restart in range(3):
             np.testing.assert_array_equal(starts[restart],
                                           ref_initial_responsibilities(counts, cfg, restart))
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**70),
+           st.lists(st.lists(st.integers(0, 40), min_size=16, max_size=16), min_size=1, max_size=8))
+    def test_bit_equal_to_scalar_reference_on_any_rows(self, components, restarts, seed, rows):
+        counts = np.array(rows, dtype=np.float64)
+        cfg = sm.MixtureConfig(components=components, restarts=restarts, seed=seed)
+        starts = sm.initial_responsibilities(counts, cfg)
+        for restart in range(restarts):
+            np.testing.assert_array_equal(starts[restart],
+                                          ref_initial_responsibilities(counts, cfg, restart))
+
+    @pytest.mark.parametrize("components", [2, 3, 5])
+    def test_beta_marginals(self, components):
+        # each coordinate of a Dirichlet(1, ..., 1) start is Beta(1, M - 1); the
+        # Kolmogorov-Smirnov test of each fails a correct stream with probability 1e-4
+        n = 20_000
+        counts = np.zeros((n, 16))
+        counts[:, 0], counts[:, 1] = np.arange(n) % 97, np.arange(n) // 97   # distinct rows
+        starts = sm.initial_responsibilities(counts, sm.MixtureConfig(components=components,
+                                                                      restarts=2, seed=9))
+        np.testing.assert_allclose(starts.sum(axis=-1), 1.0, rtol=0, atol=4e-16)
+        assert (starts >= 0).all()
+        for column in starts.reshape(-1, components).T:
+            assert stats.kstest(column, stats.beta(1, components - 1).cdf).pvalue > 1e-4
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
