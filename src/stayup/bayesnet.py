@@ -73,72 +73,49 @@ def _bits(mask: int):
 
 
 class Dag:
-    """Directed acyclic graph over a fixed variable set.
+    """Directed acyclic graph over a fixed variable set, kept as one parent
+    bitmask per variable, the form the search works on.
 
-    Acyclicity is enforced on every edge insertion, so instances are valid
-    DAGs at all times. Adjacency is kept as per-node bitmasks, the form the
-    search loop works on.
+    The constructor rejects self loops, repeated edges and cycles, and
+    nothing in the package edits a Dag afterwards, so every instance is a
+    DAG.
     """
 
     def __init__(self, variables: VariableSet, edges: Iterable[Edge] = ()):
         self.variables = variables
-        n = variables.n
-        self._pa = [0] * n
-        self._ch = [0] * n
+        self._pa = [0] * variables.n
+        names = variables.names
         for u, v in edges:
-            self.add_edge(u, v)
+            ui, vi = self._idx(u), self._idx(v)
+            if ui == vi:
+                raise ValueError("self loops are not allowed")
+            if self._pa[vi] >> ui & 1:
+                raise ValueError(f"edge {names[ui]}->{names[vi]} already present")
+            self._pa[vi] |= 1 << ui
+        on_cycle = np.argwhere(_cycle_edges(np.array([self._pa], dtype=np.int64))[0])
+        if len(on_cycle):
+            u, v = on_cycle[0]
+            raise ValueError(f"edge {names[u]}->{names[v]} lies on a cycle")
 
     @classmethod
     def from_parents(cls, variables: VariableSet, parents: Sequence[int]) -> "Dag":
         """A Dag from parent bitmasks that the caller knows to be acyclic."""
         dag = cls(variables)
         dag._pa = list(parents)
-        for v, mask in enumerate(dag._pa):
-            for u in _bits(mask):
-                dag._ch[u] |= 1 << v
         return dag
 
     def _idx(self, v) -> int:
         return v if isinstance(v, int) else self.variables.index(v)
 
     def has_edge(self, u, v) -> bool:
-        return bool(self._ch[self._idx(u)] >> self._idx(v) & 1)
-
-    def reaches(self, u, v) -> bool:
-        """True if a directed path u -> ... -> v exists (u == v counts)."""
-        src, dst = self._idx(u), self._idx(v)
-        if src == dst:
-            return True
-        seen = 0
-        frontier = self._ch[src]
-        while frontier:
-            if frontier >> dst & 1:
-                return True
-            seen |= frontier
-            nxt = 0
-            for w in _bits(frontier):
-                nxt |= self._ch[w]
-            frontier = nxt & ~seen
-        return False
-
-    def add_edge(self, u, v):
-        ui, vi = self._idx(u), self._idx(v)
-        if ui == vi:
-            raise ValueError("self loops are not allowed")
-        if self.has_edge(ui, vi):
-            raise ValueError(f"edge {self.variables.names[ui]}->{self.variables.names[vi]} already present")
-        if self.reaches(vi, ui):
-            raise ValueError(
-                f"edge {self.variables.names[ui]}->{self.variables.names[vi]} would create a cycle"
-            )
-        self._ch[ui] |= 1 << vi
-        self._pa[vi] |= 1 << ui
+        return bool(self._pa[self._idx(v)] >> self._idx(u) & 1)
 
     def parent_indices(self, v) -> tuple[int, ...]:
         return tuple(_bits(self._pa[self._idx(v)]))
 
     def child_indices(self, v) -> tuple[int, ...]:
-        return tuple(_bits(self._ch[self._idx(v)]))
+        u = self._idx(v)
+        return tuple(c for c, mask in enumerate(self._pa) if mask >> u & 1)
 
     def parents(self, v) -> tuple[str, ...]:
         return tuple(self.variables.names[i] for i in self.parent_indices(v))
@@ -147,11 +124,9 @@ class Dag:
         return tuple(self.variables.names[i] for i in self.child_indices(v))
 
     def edges(self) -> list[Edge]:
-        out = []
-        for u in range(self.variables.n):
-            for v in _bits(self._ch[u]):
-                out.append((self.variables.names[u], self.variables.names[v]))
-        return out
+        names = self.variables.names
+        return [(names[u], names[v])
+                for u in range(self.variables.n) for v in self.child_indices(u)]
 
     def topological_order(self) -> list[int]:
         pa = list(self._pa)
@@ -159,7 +134,7 @@ class Dag:
         while ready:
             u = ready.pop()
             order.append(u)
-            for v in _bits(self._ch[u]):
+            for v in self.child_indices(u):
                 pa[v] &= ~(1 << u)
                 if pa[v] == 0:
                     ready.append(v)
@@ -387,16 +362,26 @@ def score_table(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuConf
 def _closures(pa: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(adj, desc, via), each (R, n, n) bool, of graphs given by parent bitmasks.
 
-    adj[r, u, v] is the edge u -> v, desc[r, u, v] a path u ~> v of one or
-    more edges, and via[r, u, v] one of two or more edges, that is through a
-    child of u.
+    adj[r, u, v] is the edge u -> v, desc[r, u, v] a path u ~> v of one to
+    2**k >= n - 1 edges, and via[r, u, v] one of two to 2**k + 1 >= n edges,
+    that is through a child of u. A path between distinct nodes needs at
+    most n - 1 edges and a cycle at most n, so desc is exact off its
+    diagonal and via everywhere; desc's diagonal misses the cycles longer
+    than 2**k, such as those through all n nodes when n - 1 is a power of 2.
     """
     n = pa.shape[1]
     adj = (pa[:, None, :] >> np.arange(n)[:, None] & 1).astype(np.float32)
     desc = adj   # 0/1 floats: float matmul is many times faster than bool matmul
-    for _ in range(max(n - 2, 0).bit_length()):   # paths of up to 2**k >= n - 1 edges
+    for _ in range(max(n - 2, 0).bit_length()):
         desc = np.minimum(desc + desc @ desc, 1)
     return adj > 0, desc > 0, adj @ desc > 0
+
+
+def _cycle_edges(pa: np.ndarray) -> np.ndarray:
+    """(R, n, n) bool, true at [r, u, v] when graph r's edge u -> v lies on a
+    cycle, that is when a path v ~> u closes it; all false for a DAG."""
+    adj, desc, _ = _closures(pa)
+    return adj & desc.swapaxes(1, 2)
 
 
 def _legal(adj: np.ndarray, desc: np.ndarray, via: np.ndarray, allowed: np.ndarray) -> np.ndarray:
@@ -436,7 +421,7 @@ def climb_batch(table: np.ndarray, constraints: LayerConstraints, start_masks,
     rows = np.arange(n) << n   # where each child's scores start in `flat`
     if np.isnan(flat.take(pa | rows)).any():
         raise ValueError("a start has a family outside the score table")
-    if _closures(pa)[1].diagonal(axis1=1, axis2=2).any():
+    if _cycle_edges(pa).any():
         raise ValueError("a start graph has a cycle")
     allowed = constraints.allowed
     keys = seeding.keys(seeds)

@@ -173,14 +173,14 @@ def _cmd_sleep_fit(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    if args.median_scope == "per_cohort" and args.demographics is None:
+        raise ConfigError("--median-scope per_cohort needs --demographics")
     pipeline.require("features file", args.features)
     pipeline.require("assignments file", args.assignments)
     features = ingest.read_features_csv(args.features)
     labels = sleepmix.read_assignments_csv(args.assignments)
     if args.median_scope == "global":
         scopes = [("global", sorted(set(features[0]) | set(labels[0])))]
-    elif args.demographics is None:
-        raise ConfigError("--median-scope per_cohort needs --demographics")
     else:
         pipeline.require("demographics file", args.demographics)
         # bad rows are skipped, as `run` skips them unless --strict

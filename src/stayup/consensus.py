@@ -30,6 +30,7 @@ from .bayesnet import (
     Edge,
     LayerConstraints,
     VariableSet,
+    _cycle_edges,
     climb_batch,
     random_start_masks,
     score_table,
@@ -220,11 +221,9 @@ def _repair_cycles(counts: np.ndarray, kept: np.ndarray, names: Sequence[str],
                    provenance: list[dict]):
     """While kept has a cycle, drop the edge on a cycle with the lowest
     count, ties to the first by names. Updates kept in place."""
+    bits = 1 << np.arange(len(names))
     while True:
-        reach = kept.copy()
-        for k in range(len(names)):   # paths through k (Floyd-Warshall)
-            reach |= reach[:, k:k + 1] & reach[k]
-        cyclic = np.argwhere(kept & reach.T).tolist()   # u -> v and v ~> u
+        cyclic = np.argwhere(_cycle_edges((bits @ kept)[None])[0]).tolist()
         if not cyclic:
             return
         u, v = min(cyclic, key=lambda e: (counts[e[0], e[1]], names[e[0]], names[e[1]]))

@@ -92,8 +92,10 @@ class PipelineConfig:
         for f in dataclasses.fields(self):   # a config file may hold any JSON value
             kind = {"int": int, "float": (int, float), "bool": bool, "str": str,
                     "Path": (str, os.PathLike)}[f.type]
-            if not isinstance(getattr(self, f.name), kind):
-                raise ConfigError(f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            # bool is a subclass of int, but a JSON true or false is no number
+            if not isinstance(value, kind) or isinstance(value, bool) and f.type != "bool":
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         self.data_dir = Path(self.data_dir)
         self.out_dir = Path(self.out_dir)
         if self.cohort not in COHORT_CHOICES:
@@ -131,7 +133,9 @@ def load_config_file(path) -> dict:
     if not path.exists():
         raise ConfigError(f"missing config file: {path}")
     try:
-        obj = json.loads(path.read_text())
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):

@@ -121,16 +121,18 @@ def _scores(counts: np.ndarray, model: PoissonMixtureModel, row_lgamma: np.ndarr
         return scores + np.log(model.mixing)[None, :]
 
 
-def _objective(scores: np.ndarray, model: PoissonMixtureModel) -> float:
-    return float(logsumexp(scores, axis=1).sum() + _log_prior_per_component(model).sum())
+def _objective(norm: np.ndarray, model: PoissonMixtureModel) -> float:
+    """The log posterior, from the log-sum-exp of each student's scores."""
+    return float(norm.sum() + _log_prior_per_component(model).sum())
 
 
-def _responsibilities(scores: np.ndarray, model: PoissonMixtureModel, cfg: MixtureConfig,
-                      ids: tuple[str, ...] | None) -> Responsibilities:
-    """Normalize the scores per student with log-sum-exp."""
+def _responsibilities(scores: np.ndarray, norm: np.ndarray, model: PoissonMixtureModel,
+                      cfg: MixtureConfig, ids: tuple[str, ...] | None) -> Responsibilities:
+    """Normalize the scores per student by `norm`, their log-sum-exp; the
+    paper variant adds the rate prior to the scores and normalizes anew."""
     if cfg.variant == "paper":
         scores = scores + _log_prior_per_component(model)[None, :]
-    norm = logsumexp(scores, axis=1)
+        norm = logsumexp(scores, axis=1)
     bad = ~np.isfinite(norm)
     if np.any(bad):
         i = int(np.nonzero(bad)[0][0])
@@ -180,28 +182,31 @@ def initial_responsibilities(counts: np.ndarray, cfg: MixtureConfig) -> np.ndarr
 
 def _em_run(counts: np.ndarray, row_lgamma: np.ndarray, init: np.ndarray, cfg: MixtureConfig,
             ids: tuple[str, ...] | None):
-    """EM from one start; each E-step reuses the scores of the last objective.
+    """EM from one start; each E-step reuses the scores of the last objective
+    and their per-student log-sum-exp.
 
     `row_lgamma` holds each row's sum of log count factorials. Returns the
     final model, the objective trace, whether it converged and the final
-    model's score matrix.
+    model's score matrix and its log-sum-exp.
     """
     model = m_step(counts, Responsibilities(init, ids), cfg)
     scores = _scores(counts, model, row_lgamma)
-    trace = [_objective(scores, model)]
+    norm = logsumexp(scores, axis=1)
+    trace = [_objective(norm, model)]
     converged = False
     for it in range(1, cfg.max_iterations + 1):
-        resp = _responsibilities(scores, model, cfg, ids)
+        resp = _responsibilities(scores, norm, model, cfg, ids)
         model = m_step(counts, resp, cfg)
         scores = _scores(counts, model, row_lgamma)
-        objective = _objective(scores, model)
+        norm = logsumexp(scores, axis=1)
+        objective = _objective(norm, model)
         if not np.isfinite(objective):
             raise MixtureError(f"non-finite objective at iteration {it}")
         trace.append(objective)
         if abs(objective - trace[-2]) / max(abs(trace[-2]), 1e-300) < TOLERANCE:
             converged = True
             break
-    return model, trace, converged, scores
+    return model, trace, converged, scores, norm
 
 
 def fit(counts: np.ndarray, cfg: MixtureConfig, ids: tuple[str, ...] | None = None,
@@ -224,12 +229,12 @@ def fit(counts: np.ndarray, cfg: MixtureConfig, ids: tuple[str, ...] | None = No
     row_lgamma = gammaln(counts + 1).sum(axis=1)
     best = None
     for restart, init in enumerate(initial_responsibilities(counts, cfg)):
-        model, trace, converged, scores = _em_run(counts, row_lgamma, init, cfg, ids)
+        model, trace, converged, scores, norm = _em_run(counts, row_lgamma, init, cfg, ids)
         if best is None or trace[-1] > best[0]:
-            best = (trace[-1], restart, model, trace, converged, scores)
-    _, restart, model, trace, converged, scores = best
+            best = (trace[-1], restart, model, trace, converged, scores, norm)
+    _, restart, model, trace, converged, scores, norm = best
     model.validate()
-    resp = _responsibilities(scores, model, cfg, ids)
+    resp = _responsibilities(scores, norm, model, cfg, ids)
     diag = FitDiagnostics(
         objective_trace=trace,
         iterations_used=len(trace) - 1,

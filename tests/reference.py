@@ -5,9 +5,9 @@ program computes another way: the random streams one Python int at a time
 (the oracle of ``seeding``'s uint64 array code and of the sleep-fit starts),
 BDeu scores family by family (the oracle of
 ``bayesnet.score_table``), the move set and the moves of a single graph
-(the oracle of ``bayesnet.climb_batch``) with the graph copy and edge
-deletion they need, exact posteriors by enumeration, the mixture's E-step
-on its own, the night and bin of one timestamp (the oracle of
+(the oracle of ``bayesnet.climb_batch``) on a graph edited one edge at a
+time (the oracle of ``bayesnet.Dag``'s one cycle check), exact posteriors
+by enumeration, the mixture's E-step on its own, the night and bin of one timestamp (the oracle of
 ``ingest.extract_bedtimes``), the event logs each read whole in one pass
 (the oracle of ``ingest._read_event_logs``, which reads them in blocks),
 raw features as one record per student (the oracle of
@@ -15,7 +15,9 @@ raw features as one record per student (the oracle of
 them (the oracle of ``profiles.build_profiles``), and a restart ensemble
 as a list of (Dag, score) pairs with edge counts as dicts keyed by name
 (the oracles of ``consensus.top_fraction``, ``edge_frequencies``, the pool
-of ``null_threshold``, ``build_consensus`` and ``merge_total_network``).
+of ``null_threshold``, ``build_consensus`` and ``merge_total_network``)
+and cycle repair by a Floyd-Warshall reachability (the oracle of
+``consensus._repair_cycles``).
 Not a test module, so pytest does not collect it; tests import it as
 ``reference``.
 """
@@ -35,7 +37,7 @@ from stayup import consensus as cons
 from stayup import ingest
 from stayup import profiles as pr
 from stayup import sleepmix as sm
-from stayup.special import gammaln
+from stayup.special import gammaln, logsumexp
 
 
 # --- seeding ----------------------------------------------------------------------
@@ -153,31 +155,93 @@ def legal_moves(dag: bn.Dag, constraints: bn.LayerConstraints) -> list[tuple[str
             for u, v, slot in zip(*np.nonzero(legal))]
 
 
-def copy_dag(dag: bn.Dag) -> bn.Dag:
-    out = bn.Dag(dag.variables)
-    out._pa = list(dag._pa)
-    out._ch = list(dag._ch)
-    return out
+class EditableDag(bn.Dag):
+    """A Dag edited one edge at a time, with child bitmasks kept next to the
+    parent ones: the graph form that bn.Dag's one closure check replaced.
+
+    Each insertion searches for a path back from the new edge's head, so
+    an insertion that would close a cycle is refused and the graph is a DAG
+    at all times; the children, edges and topological order read the child
+    masks.
+    """
+
+    def __init__(self, variables: bn.VariableSet, edges: Iterable[bn.Edge] = ()):
+        super().__init__(variables)
+        self._ch = [0] * variables.n
+        for u, v in edges:
+            self.add_edge(u, v)
+
+    def reaches(self, u, v) -> bool:
+        """True if a directed path u -> ... -> v exists (u == v counts)."""
+        src, dst = self._idx(u), self._idx(v)
+        if src == dst:
+            return True
+        seen = 0
+        frontier = self._ch[src]
+        while frontier:
+            if frontier >> dst & 1:
+                return True
+            seen |= frontier
+            nxt = 0
+            for w in bn._bits(frontier):
+                nxt |= self._ch[w]
+            frontier = nxt & ~seen
+        return False
+
+    def add_edge(self, u, v):
+        ui, vi = self._idx(u), self._idx(v)
+        names = self.variables.names
+        if ui == vi:
+            raise ValueError("self loops are not allowed")
+        if self.has_edge(ui, vi):
+            raise ValueError(f"edge {names[ui]}->{names[vi]} already present")
+        if self.reaches(vi, ui):
+            raise ValueError(f"edge {names[ui]}->{names[vi]} would create a cycle")
+        self._ch[ui] |= 1 << vi
+        self._pa[vi] |= 1 << ui
+
+    def remove_edge(self, u, v):
+        """Delete the edge u -> v in place; u and v are names or indices."""
+        ui, vi = self._idx(u), self._idx(v)
+        if not self.has_edge(ui, vi):
+            raise ValueError("edge not present")
+        self._ch[ui] &= ~(1 << vi)
+        self._pa[vi] &= ~(1 << ui)
+
+    def child_indices(self, v) -> tuple[int, ...]:
+        return tuple(bn._bits(self._ch[self._idx(v)]))
+
+    def edges(self) -> list[bn.Edge]:
+        names = self.variables.names
+        return [(names[u], names[v])
+                for u in range(self.variables.n) for v in bn._bits(self._ch[u])]
+
+    def topological_order(self) -> list[int]:
+        pa = list(self._pa)
+        order, ready = [], [i for i, m in enumerate(pa) if m == 0]
+        while ready:
+            u = ready.pop()
+            order.append(u)
+            for v in bn._bits(self._ch[u]):
+                pa[v] &= ~(1 << u)
+                if pa[v] == 0:
+                    ready.append(v)
+        return order
 
 
-def remove_edge(dag: bn.Dag, u, v):
-    """Delete the edge u -> v of dag in place; u and v are names or indices."""
-    ui, vi = dag._idx(u), dag._idx(v)
-    if not dag.has_edge(ui, vi):
-        raise ValueError("edge not present")
-    dag._ch[ui] &= ~(1 << vi)
-    dag._pa[vi] &= ~(1 << ui)
+def copy_dag(dag: bn.Dag) -> EditableDag:
+    return EditableDag(dag.variables, dag.edges())
 
 
-def apply_move(dag: bn.Dag, move: tuple[str, str, str]) -> bn.Dag:
+def apply_move(dag: bn.Dag, move: tuple[str, str, str]) -> EditableDag:
     out = copy_dag(dag)
     kind, u, v = move
     if kind == "add":
         out.add_edge(u, v)
     elif kind == "delete":
-        remove_edge(out, u, v)
+        out.remove_edge(u, v)
     elif kind == "reverse":
-        remove_edge(out, u, v)
+        out.remove_edge(u, v)
         out.add_edge(v, u)
     else:
         raise ValueError(f"unknown move kind {kind!r}")
@@ -323,6 +387,27 @@ def _repair_cycles(edges: dict[bn.Edge, int], provenance: list[dict]) -> dict[bn
         del out[victim]
 
 
+def floyd_warshall_repair_cycles(counts: np.ndarray, kept: np.ndarray, names: Sequence[str],
+                                 provenance: list[dict]):
+    """consensus._repair_cycles with a Floyd-Warshall reachability of its own:
+    while kept has a cycle, drop the edge on a cycle with the lowest count,
+    ties to the first by names. Updates kept in place."""
+    while True:
+        reach = kept.copy()
+        for k in range(len(names)):   # paths through k
+            reach |= reach[:, k:k + 1] & reach[k]
+        cyclic = np.argwhere(kept & reach.T).tolist()   # u -> v and v ~> u
+        if not cyclic:
+            return
+        u, v = min(cyclic, key=lambda e: (counts[e[0], e[1]], names[e[0]], names[e[1]]))
+        kept[u, v] = False
+        provenance.append({
+            "action": "cycle_repair",
+            "dropped": [names[u], names[v]],
+            "frequency": int(counts[u, v]),
+        })
+
+
 def build_consensus(counts: Mapping[bn.Edge, int], variables: bn.VariableSet,
                     threshold: float) -> cons.ConsensusDag:
     """The consensus DAG of the edges counted more often than the threshold."""
@@ -393,7 +478,7 @@ def e_step(counts, model: sm.PoissonMixtureModel, cfg: sm.MixtureConfig,
     counts = np.asarray(counts, dtype=np.float64)
     model.validate()
     scores = sm._scores(counts, model, gammaln(counts + 1).sum(axis=1))
-    return sm._responsibilities(scores, model, cfg, ids)
+    return sm._responsibilities(scores, logsumexp(scores, axis=1), model, cfg, ids)
 
 
 # --- ingest -----------------------------------------------------------------------

@@ -64,9 +64,21 @@ def all_dags(names):
 class TestDag:
     def test_cycle_rejected(self):
         var = bn.VariableSet.binary(["A", "B", "C"])
-        dag = bn.Dag(var, [("A", "B"), ("B", "C")])
-        with pytest.raises(ValueError, match="cycle"):
+        with pytest.raises(ValueError, match="^edge A->B lies on a cycle$"):
+            bn.Dag(var, [("B", "C"), ("C", "A"), ("A", "B")])
+        dag = reference.EditableDag(var, [("A", "B"), ("B", "C")])
+        with pytest.raises(ValueError, match="^edge C->A would create a cycle$"):
             dag.add_edge("C", "A")
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_cycle_through_every_variable_rejected(self, n):
+        # the closure's paths reach 2**k >= n - 1 edges, one short of an
+        # n-cycle when n - 1 is a power of two
+        var = bn.VariableSet.binary("ABCDEFGHI"[:n])
+        cycle = [(var.names[i], var.names[(i + 1) % n]) for i in range(n)]
+        with pytest.raises(ValueError, match="lies on a cycle"):
+            bn.Dag(var, cycle)
+        bn.Dag(var, cycle[1:])
 
     def test_self_loop_rejected(self):
         var = bn.VariableSet.binary(["A", "B"])
@@ -80,6 +92,30 @@ class TestDag:
 
     def test_three_node_dag_count_is_25(self):
         assert len(all_dags(["A", "B", "C"])) == 25
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_edge_by_edge_insertion(self, data):
+        # any edge list, self loops, repeats and cycles among them: the
+        # constructor's one check accepts what insertion one edge at a time
+        # accepts, and the parent masks give the child-mask views
+        n = data.draw(st.integers(2, 6))
+        var = bn.VariableSet.binary("ABCDEF"[:n])
+        node = st.sampled_from(var.names)
+        edges = data.draw(st.lists(st.tuples(node, node), max_size=n * n))
+        try:
+            want = reference.EditableDag(var, edges)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                bn.Dag(var, edges)
+            if "cycle" not in str(exc):   # a self loop or repeat before any cycle
+                assert str(got.value) == str(exc)
+            return
+        got = bn.Dag(var, edges)
+        assert got._pa == want._pa
+        assert got.edges() == want.edges()
+        assert [got.child_indices(v) for v in range(n)] == [want.child_indices(v) for v in range(n)]
+        assert got.topological_order() == want.topological_order()
 
 
 class TestBdeuFamilyScore:
@@ -261,7 +297,7 @@ class TestLegalMoves:
             for seed in range(60):
                 dag = bn.random_start(constraints, (0.0, 0.15, 0.4, 1.0)[seed % 4], seed=seed)
                 want = [(kind, names[u], names[v])
-                        for kind, u, v in ref_move_candidates(dag, constraints)]
+                        for kind, u, v in ref_move_candidates(reference.copy_dag(dag), constraints)]
                 assert reference.legal_moves(dag, constraints) == want
 
     def test_delete_and_reverse_present_for_existing_edge(self):
@@ -707,6 +743,19 @@ class TestHillClimbMatchesReference:
         with pytest.raises(ValueError, match="score table must be"):
             bn.climb_batch(table[:, :256], constraints, [[0] * 9], [0])
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 9])
+    def test_start_cycling_through_every_variable_rejected(self, n):
+        # desc's diagonal missed these cycles when n - 1 is a power of two
+        var = bn.VariableSet.binary(bn.PROFILE_VARIABLE_NAMES[:n])
+        data = bn.DatasetTable(var, np.random.default_rng(n).integers(0, 2, (60, n)))
+        constraints = bn.LayerConstraints.unconstrained(var)
+        table = bn.score_table(data, constraints, CFG)
+        cycle = [1 << (v - 1) % n for v in range(n)]   # v - 1 -> v, and n - 1 -> 0
+        path = [0] + cycle[1:]
+        with pytest.raises(ValueError, match="^a start graph has a cycle$"):
+            bn.climb_batch(table, constraints, [path, cycle], [0, 1])
+        bn.climb_batch(table, constraints, [path], [0])
+
     def test_start_breaking_its_layers_still_climbs(self):
         data = profile_table(np.random.default_rng(4), tie_heavy=False)
         constraints = bn.default_layer_constraints()
@@ -793,6 +842,7 @@ def bitmask_hill_climb(constraints, start, seed, cache):
     key = reference.stream_key(seed)
     n = constraints.variables.n
     allowed = [sum(1 << v for v in range(n) if constraints.allows(u, v)) for u in range(n)]
+    start = reference.copy_dag(start)
     pa, ch = list(start._pa), list(start._ch)
     fam = [score(i, m) for i, m in enumerate(pa)]
     for step in itertools.count():
@@ -855,7 +905,7 @@ def ref_move_candidates(dag, constraints):
             if dag.has_edge(u, v):
                 yield ("delete", u, v)
                 if constraints.allows(v, u):
-                    reference.remove_edge(dag, u, v)
+                    dag.remove_edge(u, v)
                     ok = not dag.reaches(u, v)
                     dag.add_edge(u, v)
                     if ok:
@@ -902,11 +952,11 @@ def ref_hill_climb(data, constraints, cfg, start, seed, cache):
             pa[v] = pa[v] | {u}
             fam[v] = cache.score(v, pa[v])
         elif kind == "delete":
-            reference.remove_edge(dag, u, v)
+            dag.remove_edge(u, v)
             pa[v] = pa[v] - {u}
             fam[v] = cache.score(v, pa[v])
         else:
-            reference.remove_edge(dag, u, v)
+            dag.remove_edge(u, v)
             dag.add_edge(v, u)
             pa[v] = pa[v] - {u}
             pa[u] = pa[u] | {v}
@@ -921,7 +971,7 @@ def ref_random_start(constraints, edge_probability, seed=0):
     key = reference.stream_key(seed)
     n = constraints.variables.n
     order = reference.stream_permutation(key, n)
-    dag = bn.Dag(constraints.variables)
+    dag = reference.EditableDag(constraints.variables)
     for a in range(n):
         for b in range(a + 1, n):
             u, v = order[a], order[b]

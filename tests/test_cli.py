@@ -431,12 +431,18 @@ class TestStageInputs:
         (["predict", "--ess", "0"], "ess"),
         (["predict", "--ess", "inf"], "ess"),
         (["predict", "--ess", "1e308"], "ess"),
+        # per_cohort scope without --demographics, on a features file without its columns
+        (["profile"], "demographics"),
     ], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
     def test_bad_setting_exits_2_before_reading_input(self, data_dir, run_dir, tmp_path, capsys,
                                                       argv, field):
+        malformed = tmp_path / "features.csv"
+        malformed.write_text("student_id\ns1\n")
         inputs = {
             "synth": [],
             "ingest": ["--data", str(data_dir)],
+            "profile": ["--features", str(malformed),
+                        "--assignments", str(run_dir / "assignments.csv")],
             "sleep-fit": ["--counts", str(run_dir / "sleep_counts.csv")],
             "bn-learn": ["--profiles", str(run_dir / "profiles.csv")],
             "consensus": ["--profiles", str(run_dir / "profiles.csv")],
@@ -520,6 +526,8 @@ class TestRun:
         ("gpa_max", -1, "gpa_max"),
         ("restarts", "5", "restarts"),         # config file values of the wrong type
         ("out_dir", 5, "out_dir"),
+        ("restarts", True, "restarts"),        # bool is a subclass of int
+        ("ess", True, "ess"),
     ])
     def test_bad_setting_exits_2_before_any_stage(self, data_dir, tmp_path, capsys,
                                                    flag, value, field):
@@ -543,6 +551,17 @@ class TestRun:
         assert cli.main(["run", "--data", str(data_dir), "--out", str(out), "--ess", ess]) == 2
         assert capsys.readouterr().err == (
             f"error: ess={float(ess)!r}: ess is too large or too small for finite BDeu scores\n")
+        assert not out.exists()
+
+    def test_non_utf8_config_file_exits_2_before_any_stage(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_bytes(json.dumps({"data_dir": str(data_dir), "out_dir": str(out),
+                                         "cohort": "fr\u00e9shman"},
+                                        ensure_ascii=False).encode("latin-1"))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: config file {cfg_path} is not UTF-8 text: ")
         assert not out.exists()
 
     def test_unknown_config_field_rejected(self, tmp_path, capsys):

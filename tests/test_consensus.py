@@ -165,6 +165,26 @@ class TestBuildConsensus:
         assert ("C", "A") not in edges and len(edges) == 2
         assert any(p["action"] == "cycle_repair" for p in result.provenance)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_cycle_repair_matches_floyd_warshall(self, data):
+        # dense graphs of 1-9 variables, few distinct counts so ties are
+        # common, and names out of index order so name ties count
+        n = data.draw(st.integers(1, 9))
+        names = data.draw(st.permutations(bn.PROFILE_VARIABLE_NAMES[:n]))
+        counts = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n)),
+                          dtype=np.int64).reshape(n, n)
+        kept = np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)),
+                        dtype=bool).reshape(n, n)
+        np.fill_diagonal(kept, False)
+        want_kept, want_provenance = kept.copy(), []
+        reference.floyd_warshall_repair_cycles(counts, want_kept, names, want_provenance)
+        provenance = []
+        cons._repair_cycles(counts, kept, names, provenance)
+        assert np.array_equal(kept, want_kept)
+        assert provenance == want_provenance
+        bn.Dag(bn.VariableSet.binary(names), cons._named(counts, kept, names))   # acyclic
+
     def test_consensus_edges_all_above_threshold(self):
         rng = np.random.default_rng(6)
         names = ("A", "B", "C", "D")

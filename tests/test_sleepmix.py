@@ -154,6 +154,22 @@ class TestFit:
         assert diag.iterations_used == len(diag.objective_trace) - 1
         assert 0 <= diag.best_restart_index < 2
 
+    @pytest.mark.parametrize("variant, per_objective", [("standard", 1), ("paper", 2)])
+    def test_log_sum_exps_per_objective(self, monkeypatch, variant, per_objective):
+        # standard's E-step normalizes by the objective's log-sum-exp; paper
+        # adds the prior to the scores first and needs one of its own
+        calls = []
+        real = sm.logsumexp
+
+        def counted(a, axis=None):
+            calls.append(axis)
+            return real(a, axis=axis)
+
+        monkeypatch.setattr(sm, "logsumexp", counted)
+        _, _, counts, _ = two_peak_data(150, 60, seed=9)
+        _, _, diag = sm.fit(counts, sm.MixtureConfig(seed=3, restarts=1, variant=variant))
+        assert len(calls) == per_objective * len(diag.objective_trace)
+
     def test_permutation_invariance(self):
         _, _, counts, _ = two_peak_data(80, 50, seed=10)
         cfg = sm.MixtureConfig(seed=5, restarts=2)
