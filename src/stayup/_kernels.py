@@ -6,6 +6,8 @@ and objective of the mixture fit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -13,25 +15,16 @@ def family_counts(data, parent_cols, child_col, arities):
     """Tally child values per parent configuration.
 
     data: (N, n) uint8 matrix of discrete values.
-    parent_cols: int64 column indices; the last one varies fastest in the
-        configuration index.
+    parent_cols: int64 column indices; configurations are numbered in C
+        order (np.ravel_multi_index), the last parent varying fastest.
     Returns a (q, r) float64 count matrix where q is the product of parent
     arities and r the child arity.
     """
-    r = int(arities[child_col])
-    q = 1
-    for c in parent_cols:
-        q *= int(arities[c])
-    if len(parent_cols) == 0:
-        idx = np.zeros(data.shape[0], dtype=np.int64)
-    else:
-        idx = data[:, parent_cols[0]].astype(np.int64)
-        for c in parent_cols[1:]:
-            idx *= int(arities[c])
-            idx += data[:, c]
-    flat = idx * r + data[:, child_col]
-    counts = np.bincount(flat, minlength=q * r).astype(np.float64)
-    return counts.reshape(q, r)
+    cols = [*parent_cols, child_col]
+    shape = tuple(int(arities[c]) for c in cols)
+    flat = np.ravel_multi_index(tuple(data[:, cols].T), shape)
+    counts = np.bincount(flat, minlength=math.prod(shape)).astype(np.float64)
+    return counts.reshape(-1, shape[-1])
 
 
 def poisson_scores(counts, log_rates, rate_totals):

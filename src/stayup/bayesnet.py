@@ -501,8 +501,9 @@ def random_start(constraints: LayerConstraints, edge_probability: float, seed=0)
 class Cpt:
     """Conditional probability table: one row per parent configuration.
 
-    Parents are kept in variable-index order; the last parent varies fastest
-    in the row index.
+    Parents are kept in variable-index order. The (q, r) table is the C-order
+    flattening of CptSet.cube: the last parent varies fastest in the row
+    index.
     """
 
     parents: tuple[int, ...]
@@ -517,25 +518,25 @@ class CptSet:
     def __getitem__(self, name: str) -> Cpt:
         return self.cpts[self.variables.index(name)]
 
+    def cube(self, i: int) -> np.ndarray:
+        """Variable i's table with one axis per parent, in the parents'
+        order, and a last axis for its own value: a view of a C-contiguous
+        table."""
+        cpt, arities = self.cpts[i], self.variables.arities
+        return cpt.table.reshape([arities[p] for p in cpt.parents] + [arities[i]])
+
     def to_json(self) -> dict:
         """Serialize keyed by variable, parent configurations in lexicographic parent order."""
         out = {}
         names = self.variables.names
-        arities = self.variables.arities
         for i, cpt in enumerate(self.cpts):
-            lex_parents = sorted(cpt.parents, key=lambda p: names[p])
-            rows = {}
-            for j_lex in range(int(np.prod([arities[p] for p in lex_parents], initial=1))):
-                assign, rem = {}, j_lex
-                for p in reversed(lex_parents):
-                    assign[p] = rem % arities[p]
-                    rem //= arities[p]
-                j = 0
-                for p in cpt.parents:
-                    j = j * arities[p] + assign[p]
-                key = "".join(str(assign[p]) for p in lex_parents)
-                rows[key] = [float(x) for x in cpt.table[j]]
-            out[names[i]] = {"parents": [names[p] for p in lex_parents], "rows": rows}
+            lex = sorted(range(len(cpt.parents)), key=lambda k: names[cpt.parents[k]])
+            cube = self.cube(i).transpose(lex + [len(lex)])
+            out[names[i]] = {
+                "parents": [names[cpt.parents[k]] for k in lex],
+                "rows": {"".join(map(str, key)): [float(x) for x in cube[key]]
+                         for key in np.ndindex(cube.shape[:-1])},
+            }
         return out
 
 
@@ -556,16 +557,11 @@ def fit_mle(dag: Dag, data: DatasetTable) -> CptSet:
 
 def joint_table(dag: Dag, cpts: CptSet) -> tuple[np.ndarray, np.ndarray]:
     """Enumerate the full joint: returns (assignments (S, n) uint8, probabilities (S,))."""
-    arities = dag.variables.arities
     n = dag.variables.n
-    grids = np.indices(arities).reshape(n, -1).T.astype(np.uint8)
+    grids = np.indices(dag.variables.arities).reshape(n, -1).T.astype(np.uint8)
     probs = np.ones(grids.shape[0])
     for i in range(n):
-        cpt = cpts.cpts[i]
-        j = np.zeros(grids.shape[0], dtype=np.int64)
-        for p in cpt.parents:
-            j = j * arities[p] + grids[:, p]
-        probs *= cpt.table[j, grids[:, i]]
+        probs *= cpts.cube(i)[tuple(grids[:, (*cpts.cpts[i].parents, i)].T)]
     return grids, probs
 
 

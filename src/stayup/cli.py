@@ -114,6 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_synth(args) -> int:
     truth = synth.default_ground_truth() if args.truth == "default" else synth.structure_recovery_truth()
+    pipeline.check_ranges(seed=args.seed)
     cfg = pipeline.checked(
         lambda: synth.GeneratorConfig(args.students, args.nights, args.seed, args.emit),
         args, "students", "nights")
@@ -152,6 +153,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_sleep_fit(args) -> int:
+    pipeline.check_ranges(seed=args.seed)
     mix_cfg = pipeline.checked(
         lambda: sleepmix.MixtureConfig(components=args.components, restarts=args.em_restarts,
                                        variant=args.variant, seed=args.seed),
@@ -201,7 +203,7 @@ def _load_table(path: Path) -> bayesnet.DatasetTable:
 
 
 def _cmd_bn_learn(args) -> int:
-    pipeline.check_ranges(restarts=args.restarts)
+    pipeline.check_ranges(seed=args.seed, restarts=args.restarts)
     cfg = pipeline.checked(lambda: bayesnet.BdeuConfig(args.ess), args, "ess")
     table = _load_table(args.profiles)
     constraints = bayesnet.default_layer_constraints()
@@ -221,7 +223,7 @@ def _cmd_bn_learn(args) -> int:
 
 
 def _cmd_consensus(args) -> int:
-    pipeline.check_ranges(restarts=args.restarts, top_fraction=args.fraction,
+    pipeline.check_ranges(seed=args.seed, restarts=args.restarts, top_fraction=args.fraction,
                           null_replicas=args.null_replicas,
                           edge_probability=args.edge_probability)
     cfg = pipeline.checked(lambda: bayesnet.BdeuConfig(args.ess), args, "ess")
@@ -240,6 +242,7 @@ def _cmd_consensus(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    pipeline.check_ranges(seed=args.seed)
     experiment = pipeline.checked(
         lambda: evaluate.PredictionExperiment(folds=args.folds, in_sample=args.in_sample,
                                               restarts=args.restarts),

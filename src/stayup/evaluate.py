@@ -9,6 +9,7 @@ property equals conditioning on everything observed.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 import numpy as np
@@ -121,11 +122,9 @@ def _blanket_scores(train: DatasetTable, test: DatasetTable,
         return np.full(test.n_rows, marginal), True
 
     # Enumerate the posterior once per blanket configuration, then look up.
-    strides = np.ones(len(blanket), dtype=np.int64)
-    for k in range(len(blanket) - 2, -1, -1):
-        strides[k] = strides[k + 1] * var.arities[blanket[k + 1]]
-    n_configs = int(strides[0] * var.arities[blanket[0]])
-    joint_cfg = grids[:, blanket].astype(np.int64) @ strides
+    shape = [var.arities[b] for b in blanket]
+    n_configs = math.prod(shape)
+    joint_cfg = np.ravel_multi_index(tuple(grids[:, blanket].T), shape)
     score_by_cfg = np.empty(n_configs)
     for c in range(n_configs):
         mask = joint_cfg == c
@@ -137,7 +136,7 @@ def _blanket_scores(train: DatasetTable, test: DatasetTable,
             continue
         pos = mass[grids[mask, ti] == 1].sum()
         score_by_cfg[c] = pos / total
-    test_cfg = test.values[:, blanket].astype(np.int64) @ strides
+    test_cfg = np.ravel_multi_index(tuple(test.values[:, blanket].T), shape)
     return score_by_cfg[test_cfg], False
 
 

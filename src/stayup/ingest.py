@@ -832,16 +832,24 @@ def write_features_csv(path, ids: Sequence[str], values: np.ndarray):
             ])
 
 
+def _finite(row, column: str) -> float:
+    value = float(row[column])
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {column} {row[column]!r}")
+    return value
+
+
 def _feature_row(row) -> list[float]:
+    """A features row's values; an empty bath variance, the only missing
+    value, reads as NaN."""
     gender = row["gender"]
     if gender not in GENDERS:
         raise ValueError(f"bad gender {gender!r}")
-    variance = row["bath_interval_variance"]
+    variance = _finite(row, "bath_interval_variance") if row["bath_interval_variance"] else math.nan
     return [
-        int(row["books_borrowed"]), float(row["mean_daily_surf_minutes"]),
-        float(row["game_minutes"]), float(row["video_minutes"]), int(row["breakfast_count"]),
-        float(variance) if variance else math.nan, float(row["mean_daily_spend"]),
-        float(row["gpa"]), GENDERS.index(gender),
+        int(row["books_borrowed"]), _finite(row, "mean_daily_surf_minutes"),
+        _finite(row, "game_minutes"), _finite(row, "video_minutes"), int(row["breakfast_count"]),
+        variance, _finite(row, "mean_daily_spend"), _finite(row, "gpa"), GENDERS.index(gender),
     ]
 
 

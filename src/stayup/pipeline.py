@@ -39,6 +39,7 @@ class StageError(RuntimeError):
 
 # bounds of the settings that no stage config checks, by PipelineConfig field
 RANGES = {
+    "seed": (lambda v: v >= 0, ">= 0"),
     "min_nights": (lambda v: v >= 1, ">= 1"),
     "gpa_max": (lambda v: v > 0, "> 0"),
     "restarts": (lambda v: v >= 1, ">= 1"),

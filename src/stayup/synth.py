@@ -54,21 +54,10 @@ def make_cpts(dag: Dag, p_one: Mapping[str, object]) -> CptSet:
     cpts = []
     for i, name in enumerate(var.names):
         parents = tuple(sorted(dag.parent_indices(i)))
-        q = int(np.prod([var.arities[p] for p in parents], initial=1))
-        table = np.zeros((q, 2))
         spec = p_one[name]
-        for j in range(q):
-            if parents:
-                assign, rem = [], j
-                for p in reversed(parents):
-                    assign.append(rem % var.arities[p])
-                    rem //= var.arities[p]
-                key = tuple(reversed(assign))
-                p1 = float(spec[key])
-            else:
-                p1 = float(spec)
-            table[j] = (1.0 - p1, p1)
-        cpts.append(Cpt(parents, table))
+        p1 = np.array([float(spec[key] if parents else spec)
+                       for key in np.ndindex(*(var.arities[p] for p in parents))])
+        cpts.append(Cpt(parents, np.column_stack([1.0 - p1, p1])))
     return CptSet(var, tuple(cpts))
 
 
@@ -160,12 +149,10 @@ def generate_profiles(truth: GroundTruth, cfg: GeneratorConfig,
     var = truth.profile_dag.variables
     n = cfg.n_students
     values = np.zeros((n, var.n), dtype=np.uint8)
+    cpts = truth.profile_cpts
     for i in truth.profile_dag.topological_order():
-        cpt = truth.profile_cpts.cpts[i]
-        j = np.zeros(n, dtype=np.int64)
-        for p in cpt.parents:
-            j = j * var.arities[p] + values[:, p]
-        values[:, i] = rng.random(n) < cpt.table[j, 1]
+        p1 = cpts.cube(i)[..., 1][tuple(values[:, list(cpts.cpts[i].parents)].T)]
+        values[:, i] = rng.random(n) < p1
     return DatasetTable(var, values), _student_ids(n)
 
 

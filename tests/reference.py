@@ -6,7 +6,10 @@ program computes another way: the random streams one Python int at a time
 BDeu scores family by family (the oracle of
 ``bayesnet.score_table``), the move set and the moves of a single graph
 (the oracle of ``bayesnet.climb_batch``) on a graph edited one edge at a
-time (the oracle of ``bayesnet.Dag``'s one cycle check), exact posteriors
+time (the oracle of ``bayesnet.Dag``'s one cycle check), configuration
+indices as hand-written mixed-radix loops (the oracle of
+``_kernels.family_counts``, ``bayesnet.joint_table``, ``CptSet.to_json``
+and ``synth.make_cpts``, which read CPTs as numpy axes), exact posteriors
 by enumeration, the mixture's E-step on its own, the night and bin of one timestamp (the oracle of
 ``ingest.extract_bedtimes``), the event logs each read whole in one pass
 (the oracle of ``ingest._read_event_logs``, which reads them in blocks),
@@ -246,6 +249,87 @@ def apply_move(dag: bn.Dag, move: tuple[str, str, str]) -> EditableDag:
     else:
         raise ValueError(f"unknown move kind {kind!r}")
     return out
+
+
+def family_counts(data, parent_cols, child_col, arities) -> np.ndarray:
+    """(q, r) float64 counts of the child's values per parent configuration,
+    the index built parent by parent, the last one fastest."""
+    r = int(arities[child_col])
+    q = 1
+    for c in parent_cols:
+        q *= int(arities[c])
+    if len(parent_cols) == 0:
+        idx = np.zeros(data.shape[0], dtype=np.int64)
+    else:
+        idx = data[:, parent_cols[0]].astype(np.int64)
+        for c in parent_cols[1:]:
+            idx *= int(arities[c])
+            idx += data[:, c]
+    flat = idx * r + data[:, child_col]
+    counts = np.bincount(flat, minlength=q * r).astype(np.float64)
+    return counts.reshape(q, r)
+
+
+def joint_table(dag: bn.Dag, cpts: bn.CptSet) -> tuple[np.ndarray, np.ndarray]:
+    """Every assignment and its probability, each CPT row index built parent by parent."""
+    arities = dag.variables.arities
+    n = dag.variables.n
+    grids = np.indices(arities).reshape(n, -1).T.astype(np.uint8)
+    probs = np.ones(grids.shape[0])
+    for i in range(n):
+        cpt = cpts.cpts[i]
+        j = np.zeros(grids.shape[0], dtype=np.int64)
+        for p in cpt.parents:
+            j = j * arities[p] + grids[:, p]
+        probs *= cpt.table[j, grids[:, i]]
+    return grids, probs
+
+
+def cpts_to_json(cpts: bn.CptSet) -> dict:
+    """CptSet.to_json: each row key decoded digit by digit in parent name
+    order and re-encoded in the CPT's parent order."""
+    out = {}
+    names = cpts.variables.names
+    arities = cpts.variables.arities
+    for i, cpt in enumerate(cpts.cpts):
+        lex_parents = sorted(cpt.parents, key=lambda p: names[p])
+        rows = {}
+        for j_lex in range(int(np.prod([arities[p] for p in lex_parents], initial=1))):
+            assign, rem = {}, j_lex
+            for p in reversed(lex_parents):
+                assign[p] = rem % arities[p]
+                rem //= arities[p]
+            j = 0
+            for p in cpt.parents:
+                j = j * arities[p] + assign[p]
+            key = "".join(str(assign[p]) for p in lex_parents)
+            rows[key] = [float(x) for x in cpt.table[j]]
+        out[names[i]] = {"parents": [names[p] for p in lex_parents], "rows": rows}
+    return out
+
+
+def make_cpts(dag: bn.Dag, p_one: Mapping[str, object]) -> bn.CptSet:
+    """synth.make_cpts, each row's parent values decoded digit by digit."""
+    var = dag.variables
+    cpts = []
+    for i, name in enumerate(var.names):
+        parents = tuple(sorted(dag.parent_indices(i)))
+        q = int(np.prod([var.arities[p] for p in parents], initial=1))
+        table = np.zeros((q, 2))
+        spec = p_one[name]
+        for j in range(q):
+            if parents:
+                assign, rem = [], j
+                for p in reversed(parents):
+                    assign.append(rem % var.arities[p])
+                    rem //= var.arities[p]
+                key = tuple(reversed(assign))
+                p1 = float(spec[key])
+            else:
+                p1 = float(spec)
+            table[j] = (1.0 - p1, p1)
+        cpts.append(bn.Cpt(parents, table))
+    return bn.CptSet(var, tuple(cpts))
 
 
 def posterior_query(dag: bn.Dag, cpts: bn.CptSet, evidence: Mapping[str, int],

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from stayup import bayesnet as bn
+from stayup import synth
 from stayup._kernels import family_counts
 from stayup.consensus import permute_columns
 
@@ -1031,6 +1033,56 @@ class TestFitMle:
         for a, b in itertools.product((0, 1), repeat=2):
             assert obj["C"]["rows"][f"{a}{b}"] == table[2 * b + a].tolist()
         assert obj["A"] == {"parents": [], "rows": {"": cpts["A"].table[0].tolist()}}
+
+
+class TestConfigurationIndexMatchesLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_counts_joint_json_and_cpts(self, data):
+        # numpy's C order against the mixed-radix loops it replaced: names
+        # out of index order, each CPT's parents in any index order, and
+        # bit-equal counts, probabilities and tables
+        n = data.draw(st.integers(1, 5))
+        arities = tuple(data.draw(st.lists(st.integers(2, 4), min_size=n, max_size=n)))
+        names = tuple(data.draw(st.permutations("ABCDE"[:n])))
+        var = bn.VariableSet(names, arities)
+        order = data.draw(st.permutations(range(n)))
+        parents = [()] * n
+        for a, v in enumerate(order):
+            if a:
+                parents[v] = tuple(data.draw(st.lists(st.sampled_from(order[:a]), unique=True)))
+        edges = [(names[u], names[v]) for v in range(n) for u in parents[v]]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = rng.integers(0, arities, size=(data.draw(st.integers(0, 50)), n)).astype(np.uint8)
+
+        for v in range(n):
+            cols = np.asarray(parents[v], dtype=np.int64)
+            got = family_counts(values, cols, v, np.asarray(arities))
+            want = reference.family_counts(values, cols, v, np.asarray(arities))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+        tables = [rng.random((math.prod(arities[p] for p in parents[v]), arities[v]))
+                  for v in range(n)]
+        cpts = bn.CptSet(var, tuple(bn.Cpt(parents[v], t / t.sum(axis=1, keepdims=True))
+                                    for v, t in enumerate(tables)))
+        dag = bn.Dag(var, edges)
+        (got_grids, got_probs), (want_grids, want_probs) = (
+            bn.joint_table(dag, cpts), reference.joint_table(dag, cpts))
+        np.testing.assert_array_equal(got_grids, want_grids)
+        assert got_probs.tobytes() == want_probs.tobytes()
+        assert json.dumps(cpts.to_json()) == json.dumps(reference.cpts_to_json(cpts))
+
+        binary = bn.Dag(bn.VariableSet.binary(names), edges)
+        p_one = {}
+        for v, name in enumerate(names):
+            keys = list(itertools.product((0, 1), repeat=len(parents[v])))
+            p_one[name] = ({key: float(rng.random()) for key in keys} if parents[v]
+                           else float(rng.random()))
+        got, want = synth.make_cpts(binary, p_one), reference.make_cpts(binary, p_one)
+        for g, w in zip(got.cpts, want.cpts):
+            assert g.parents == w.parents and g.table.shape == w.table.shape
+            assert g.table.tobytes() == w.table.tobytes()
 
 
 class TestPosteriorQuery:

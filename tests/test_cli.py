@@ -379,6 +379,16 @@ class TestStageInputs:
         ("--assignments", "s2", "fewer fields than the 3 of the header"),
         ("--profiles", "s2,0", "fewer fields than the 10 of the header"),
         ("--features", "s2,0,1.0,1.0,1.0,0,,1.0,3.0,Female", "bad gender 'Female'"),
+        # an empty bath variance is the only missing value
+        ("--features", "s2,0,nan,1.0,1.0,0,,1.0,3.0,female",
+         "non-finite mean_daily_surf_minutes 'nan'"),
+        ("--features", "s2,0,1.0,inf,1.0,0,,1.0,3.0,female", "non-finite game_minutes 'inf'"),
+        ("--features", "s2,0,1.0,1.0,-Infinity,0,,1.0,3.0,female",
+         "non-finite video_minutes '-Infinity'"),
+        ("--features", "s2,0,1.0,1.0,1.0,0,NaN,1.0,3.0,female",
+         "non-finite bath_interval_variance 'NaN'"),
+        ("--features", "s2,0,1.0,1.0,1.0,0,,nan,3.0,female", "non-finite mean_daily_spend 'nan'"),
+        ("--features", "s2,0,1.0,1.0,1.0,0,,1.0,-inf,female", "non-finite gpa '-inf'"),
         ("--assignments", "s2,0.5,stayup", "bad label 'stayup'"),
         # the first row again
         ("--counts", None, "duplicate student {sid}"),
@@ -412,6 +422,11 @@ class TestStageInputs:
         (["ingest", "--min-nights", "0"], "min_nights"),
         (["ingest", "--gpa-max", "-1"], "gpa_max"),
         (["synth", "--students", "0"], "students"),
+        (["synth", "--seed", "-1"], "seed"),
+        (["sleep-fit", "--seed", "-1"], "seed"),
+        (["bn-learn", "--seed", "-1"], "seed"),
+        (["consensus", "--seed", "-1"], "seed"),
+        (["predict", "--seed", "-1"], "seed"),
         (["sleep-fit", "--em-restarts", "0"], "em_restarts"),
         (["sleep-fit", "--components", "0"], "components"),
         (["sleep-fit", "--threshold", "1.5"], "threshold"),
@@ -522,6 +537,8 @@ class TestRun:
         ("--folds", "1", "folds"),
         ("--em-restarts", "0", "em_restarts"),
         ("--min-nights", "0", "min_nights"),
+        ("--seed", "-1", "seed"),
+        ("seed", -1, "seed"),
         ("top_fraction", 0, "top_fraction"),   # config fields without a run flag
         ("gpa_max", -1, "gpa_max"),
         ("restarts", "5", "restarts"),         # config file values of the wrong type
@@ -542,7 +559,7 @@ class TestRun:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and re.search(rf"\b{field}\b", err), err
-        assert not (out / "MANIFEST.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("ess", ["1e308", "1e-320"])
     def test_extreme_ess_exits_2_before_any_stage(self, data_dir, tmp_path, capsys, ess):
