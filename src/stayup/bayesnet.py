@@ -25,6 +25,7 @@ Edge = tuple[str, str]
 
 IMPROVEMENT_EPS = 1e-10
 TIE_EPS = 1e-9
+CLIMB_SLICE = 500   # the most climbs climb_batch advances in one lockstep loop
 
 PROFILE_VARIABLE_NAMES = ("G", "R", "A", "T", "Br", "Ba", "F", "Ac", "S")
 
@@ -259,16 +260,22 @@ class BdeuConfig:
 # variables.
 
 
-def _lattice_counts(values: np.ndarray, arities: Sequence[int]) -> np.ndarray:
-    """The flat lattice of every subset marginal of the rows' joint counts."""
+def _lattice_counts(stack: Sequence[np.ndarray], arities: Sequence[int]) -> np.ndarray:
+    """(T, L): row t is the flat lattice of every subset marginal of the joint
+    counts of stack[t], an array of rows. One bincount fills all T lattices,
+    each row's cell offset by its array's place in the stack."""
     shape = tuple(a + 1 for a in arities)
-    cube = np.bincount(np.ravel_multi_index(tuple(values.T), shape),
-                       minlength=math.prod(shape)).reshape(shape)
-    for axis, a in enumerate(arities):
+    size = math.prod(shape)
+    cells = np.concatenate([np.ravel_multi_index(tuple(values.T), shape) + t * size
+                            for t, values in enumerate(stack)])
+    cube = np.bincount(cells, minlength=len(stack) * size).reshape((len(stack),) + shape)
+    for axis, a in enumerate(arities, 1):
         head = (slice(None),) * axis
         np.sum(cube[head + (slice(0, a),)], axis=axis, keepdims=True,
                out=cube[head + (slice(a, a + 1),)])
-    return cube.ravel()
+    # in the narrowest type that holds the largest count, the largest row count,
+    # which cuts the bytes that score_tables' gathers move and hold
+    return cube.reshape(len(stack), size).astype(np.min_scalar_type(cube.max(initial=0)))
 
 
 @dataclass(frozen=True)
@@ -315,15 +322,17 @@ def _score_plan(arities: Sequence[int], most_parents: Sequence[int]) -> list[_Sc
 
 
 def _bdeu(counts: np.ndarray, totals: np.ndarray, q: int, r: int, ess: float) -> np.ndarray:
-    """BDeu scores of families of one (q, r) shape from their (F, q * r)
-    counts and (F, q) parent-configuration totals."""
+    """BDeu scores (..., F) of families of one (q, r) shape from their
+    (..., F, q * r) counts and (..., F, q) parent-configuration totals, both
+    in C order: numpy sums each family's terms pairwise along the last axis
+    only when that axis is the last in memory too."""
     a_jk = ess / (q * r)
     a_j = ess / q
     row = lgamma_table(a_j, int(totals.max(initial=0)))
     cell = lgamma_table(a_jk, int(counts.max(initial=0)))
     row_terms = (row[0] - row)[totals]
     cell_terms = (cell - cell[0])[counts]
-    return row_terms.sum(axis=1) + cell_terms.sum(axis=1)
+    return row_terms.sum(axis=-1) + cell_terms.sum(axis=-1)
 
 
 def score_table(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuConfig) -> np.ndarray:
@@ -333,23 +342,39 @@ def score_table(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuConf
     families the layers rule out hold NaN. Raises ValueError when a legal
     family's score is not finite, as for an ess near 0 or the float limit.
     """
-    if data.variables != constraints.variables:
+    return score_tables([data], constraints, cfg)[0]
+
+
+def score_tables(datasets: Sequence[DatasetTable], constraints: LayerConstraints,
+                 cfg: BdeuConfig) -> np.ndarray:
+    """The score_table of each dataset, stacked as a (T, n, 2**n) array.
+
+    One bincount fills the lattices of all T datasets and one _bdeu call per
+    (q, r) group of families scores them all. The ValueError names the
+    first family, in (child, mask) order, whose score is not finite in any
+    of the tables.
+    """
+    variables = constraints.variables
+    if any(data.variables != variables for data in datasets):
         raise ValueError("data and constraints are over different variable sets")
-    n = data.variables.n
-    lattice = _lattice_counts(data.values, data.variables.arities)
-    table = np.full((n, 1 << n), np.nan)
+    n = variables.n
+    lattice = _lattice_counts([data.values for data in datasets], variables.arities)
+    tables = np.full((len(datasets), n, 1 << n), np.nan)
     bad = []   # (child, parent mask) of each family whose score is not finite
     for g in constraints.score_plan:
-        table[g.child, g.parents] = scores = _bdeu(lattice[g.cells], lattice[g.totals],
-                                                   g.q, g.r, cfg.ess)
-        lost = ~np.isfinite(scores)
+        # np.take keeps the cells axis last in memory, as _bdeu's sums need for the
+        # order of their additions; lattice[:, g.cells] would lay the stack axis last
+        scores = _bdeu(np.take(lattice, g.cells, axis=1), np.take(lattice, g.totals, axis=1),
+                       g.q, g.r, cfg.ess)
+        tables[:, g.child, g.parents] = scores
+        lost = ~np.isfinite(scores).all(axis=0)
         bad += zip(g.child[lost].tolist(), g.parents[lost].tolist())
     if bad:
         child, mask = min(bad)
-        names = data.variables.names
+        names = variables.names
         raise ValueError(f"ess={cfg.ess!r} gives a non-finite BDeu score, first for "
                          f"{names[child]} given {{{', '.join(names[u] for u in _bits(mask))}}}")
-    return table
+    return tables
 
 
 # --- search -----------------------------------------------------------------------
@@ -396,41 +421,61 @@ def _legal(adj: np.ndarray, desc: np.ndarray, via: np.ndarray, allowed: np.ndarr
     return legal
 
 
-def climb_batch(table: np.ndarray, constraints: LayerConstraints, start_masks,
-                seeds: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """Steepest-ascent hill climbs from R starts, advanced in lockstep.
+def climb_batch(tables: np.ndarray, constraints: LayerConstraints, start_masks,
+                keys) -> tuple[np.ndarray, np.ndarray]:
+    """Steepest-ascent hill climbs from R starts on each table, advanced in lockstep.
 
-    `start_masks` holds each start's parent bitmasks and `table` the family
-    scores (see score_table). Every step scores all moves of all running
-    climbs, and each climb applies its best legal move until none improves
-    its score by more than IMPROVEMENT_EPS. A reversal's delta is the
-    delete's delta plus the second family's. Near-ties (within TIE_EPS of
-    the best delta) are broken by a bounded integer (seeding.below): a tie at
-    step t reads draw t of the key of the climb's seed.
-    Returns the (R, n) int64 parent bitmasks of the climbs' DAGs and their
-    (R,) float64 scores, each the math.fsum of its family scores.
+    `tables` is a score_table (n, 2**n) or a stack of them (..., n, 2**n)
+    (see score_tables); `start_masks` holds the parent bitmasks of R starts
+    per table, (..., R, n), and `keys` their (..., R) seeding keys. Every
+    step scores all moves of all running climbs, each on its own table, and
+    each climb applies its best legal move until none improves its score by
+    more than IMPROVEMENT_EPS. A reversal's delta is the delete's delta plus
+    the second family's. Near-ties (within TIE_EPS of the best delta) are
+    broken by a bounded integer (seeding.below): a tie at step t reads draw
+    t of the climb's key. The climbs advance CLIMB_SLICE at a time at most,
+    which bounds memory and moves no result: each climb reads only its own
+    table and key, and its step count is its own.
+    Returns the (..., R, n) int64 parent bitmasks of the climbs' DAGs and
+    their (..., R) float64 scores, each the math.fsum of its family scores.
     """
     n = constraints.variables.n
-    pa = np.array(start_masks, dtype=np.int64).reshape(-1, n)
-    if len(seeds) != len(pa):
-        raise ValueError("one seed per start required")
-    if table.shape != (n, 1 << n):
+    tables = np.asarray(tables)
+    if tables.shape[-2:] != (n, 1 << n):
         raise ValueError(f"score table must be ({n}, {1 << n}) for {n} variables")
-    bits = 1 << np.arange(n)
-    flat = table.ravel()
-    rows = np.arange(n) << n   # where each child's scores start in `flat`
+    lead = tables.shape[:-2]
+    pa = np.array(start_masks, dtype=np.int64).reshape(lead + (-1, n))
+    shape = pa.shape[:-1]
+    keys = np.asarray(keys, dtype=np.uint64)
+    if keys.shape != shape:
+        raise ValueError("one key per start required")
+    pa, keys = pa.reshape(-1, n), keys.ravel()
+    flat = tables.ravel()
+    # rows[c, v]: where child v's scores in climb c's table start in `flat`
+    table_starts = np.arange(math.prod(lead)).repeat(shape[-1]) * (n << n)
+    rows = table_starts[:, None] + (np.arange(n) << n)
     if np.isnan(flat.take(pa | rows)).any():
         raise ValueError("a start has a family outside the score table")
     if _cycle_edges(pa).any():
         raise ValueError("a start graph has a cycle")
-    allowed = constraints.allowed
-    keys = seeding.keys(seeds)
+    for part in np.array_split(np.arange(len(pa)), max(-(-len(pa) // CLIMB_SLICE), 1)):
+        pa[part] = _climb(flat, rows[part], pa[part], keys[part], constraints.allowed)
+    scores = np.array([math.fsum(family) for family in flat.take(pa | rows).tolist()])
+    return pa.reshape(shape + (n,)), scores.reshape(shape)
+
+
+def _climb(flat: np.ndarray, rows: np.ndarray, pa: np.ndarray, keys: np.ndarray,
+           allowed: np.ndarray) -> np.ndarray:
+    """climb_batch's lockstep loop over one slice of its climbs: climbs pa in
+    place and returns it."""
+    n = pa.shape[1]
+    bits = 1 << np.arange(n)
     active = np.arange(len(pa))
     step = 0
     while active.size:
         cur = pa[active]
         adj, desc, via = _closures(cur)
-        family = cur | rows
+        family = cur | rows[active]
         fam = flat.take(family)
         delta = np.empty(adj.shape + (2,))
         delta[..., 0] = flat.take(family[:, None, :] ^ bits[:, None]) - fam[:, None, :]
@@ -450,7 +495,7 @@ def climb_batch(table: np.ndarray, constraints: LayerConstraints, start_masks,
         u, v, reverse = pick // (2 * n), pick // 2 % n, pick % 2 == 1
         pa[active, v] ^= bits[u]   # add, delete, or drop u -> v before the reversal
         pa[active[reverse], u[reverse]] |= bits[v[reverse]]
-    return pa, np.array([math.fsum(scores) for scores in flat.take(pa | rows).tolist()])
+    return pa
 
 
 def hill_climb(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuConfig,
@@ -463,23 +508,23 @@ def hill_climb(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuConfi
     """
     if table is None:
         table = score_table(data, LayerConstraints.unconstrained(data.variables), cfg)
-    masks, scores = climb_batch(table, constraints, [start._pa], [seed])
+    masks, scores = climb_batch(table, constraints, [start._pa], seeding.keys([seed]))
     return Dag.from_parents(constraints.variables, masks[0].tolist()), float(scores[0])
 
 
 def random_start_masks(constraints: LayerConstraints, edge_probability: float,
-                       seeds: Sequence) -> np.ndarray:
-    """(R, n) parent bitmasks of random legal DAGs, one per seed.
+                       keys) -> np.ndarray:
+    """(R, n) parent bitmasks of random legal DAGs, one per seeding key.
 
-    Each seed's key (seeding.keys) draws a topological order from its
-    uniforms 0 .. n-1 (seeding.permutations); the pair at order positions
-    a < b becomes an edge when the layers allow it and uniform n + a * n + b
-    is below `edge_probability`.
+    Each key draws a topological order from its uniforms 0 .. n-1
+    (seeding.permutations); the pair at order positions a < b becomes an
+    edge when the layers allow it and uniform n + a * n + b is below
+    `edge_probability`.
     """
     if not 0 <= edge_probability <= 1:
         raise ValueError("edge_probability must be in [0, 1]")
     n = constraints.variables.n
-    keys = seeding.keys(seeds)
+    keys = np.asarray(keys, dtype=np.uint64)
     order = seeding.permutations(keys, n)
     draws = seeding.uniforms(keys[:, None, None], n + np.arange(n * n).reshape(n, n))
     # keep[r, a, b]: order[r, a] -> order[r, b] is allowed, a < b and its draw is low
@@ -493,7 +538,7 @@ def random_start_masks(constraints: LayerConstraints, edge_probability: float,
 
 def random_start(constraints: LayerConstraints, edge_probability: float, seed=0) -> Dag:
     """Sample a legal DAG: random topological order, edges kept with fixed probability."""
-    parents = random_start_masks(constraints, edge_probability, [seed])[0]
+    parents = random_start_masks(constraints, edge_probability, seeding.keys([seed]))[0]
     return Dag.from_parents(constraints.variables, parents.tolist())
 
 

@@ -33,7 +33,7 @@ from .bayesnet import (
     _cycle_edges,
     climb_batch,
     random_start_masks,
-    score_table,
+    score_tables,
 )
 
 DEFAULT_RESTARTS = 200
@@ -105,21 +105,31 @@ class ConsensusDag:
 def learn_ensemble(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuConfig,
                    n_restarts: int = DEFAULT_RESTARTS, seed: SeedLike = 0,
                    edge_probability: float = DEFAULT_EDGE_PROBABILITY) -> EnsembleResult:
-    """Independent hill climbs from random starts.
+    """Independent hill climbs from random starts: learn_ensembles of one dataset."""
+    return learn_ensembles([data], constraints, cfg, n_restarts, [seed], edge_probability)[0]
 
-    The data are scored once into a table of every layer-legal family, and
-    all restarts climb over it together in one climb_batch call. Restart r
-    starts from random_start_masks(seed + [r, 0]) and breaks ties with
-    seed + [r, 1].
+
+def learn_ensembles(datasets: Sequence[DatasetTable], constraints: LayerConstraints,
+                    cfg: BdeuConfig, n_restarts: int, seeds: Sequence[SeedLike],
+                    edge_probability: float = DEFAULT_EDGE_PROBABILITY) -> list[EnsembleResult]:
+    """An ensemble of n_restarts hill climbs on each dataset, with its seed.
+
+    The datasets are scored into one stack of tables (score_tables), and all
+    len(datasets) * n_restarts restarts climb it together in one climb_batch
+    call. Restart r of seed s starts from random_start_masks with the key of
+    s + [r, 0] and breaks ties with the key of s + [r, 1]; both are the key
+    of s extended by r and then by the role (seeding.bits), so no seed list
+    is built per restart.
     """
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
-    base = _seed_list(seed)
-    starts = random_start_masks(constraints, edge_probability,
-                                [base + [r, 0] for r in range(n_restarts)])
-    masks, scores = climb_batch(score_table(data, constraints, cfg), constraints, starts,
-                                [base + [r, 1] for r in range(n_restarts)])
-    return EnsembleResult(masks, scores, seed)
+    if len(seeds) != len(datasets):
+        raise ValueError("one seed per dataset required")
+    restart = seeding.bits(seeding.keys(seeds)[:, None], np.arange(n_restarts))
+    starts = random_start_masks(constraints, edge_probability, seeding.bits(restart, 0).ravel())
+    masks, scores = climb_batch(score_tables(datasets, constraints, cfg), constraints,
+                                starts.reshape(restart.shape + (-1,)), seeding.bits(restart, 1))
+    return [EnsembleResult(m, s, seed) for m, s, seed in zip(masks, scores, seeds)]
 
 
 def top_fraction(ensemble: EnsembleResult, fraction: float = DEFAULT_TOP_FRACTION,
@@ -159,19 +169,20 @@ def null_threshold(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuC
     """Edge-frequency threshold from dependence-destroyed replicas.
 
     Each replica rebuilds an ensemble of the same size on column-permuted
-    data and takes its top fraction.
+    data and takes its top fraction; the replicas' ensembles climb as one
+    stack (learn_ensembles).
     Frequencies over every layer-legal directed edge are pooled across
     replicas; the threshold is their mean plus two standard deviations.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     base = _seed_list(seed)
+    permuted = [permute_columns(data, seeding.Stream(base + [11, rep])) for rep in range(replicas)]
+    ensembles = learn_ensembles(permuted, constraints, cfg, n_restarts,
+                                [base + [13, rep] for rep in range(replicas)], edge_probability)
     n = constraints.variables.n
     tables = np.empty((replicas, n, n), dtype=np.int64)
-    for rep in range(replicas):
-        permuted = permute_columns(data, seeding.Stream(base + [11, rep]))
-        ensemble = learn_ensemble(permuted, constraints, cfg, n_restarts=n_restarts,
-                                  seed=base + [13, rep], edge_probability=edge_probability)
+    for rep, ensemble in enumerate(ensembles):
         selected = top_fraction(ensemble, fraction, seed=base + [17, rep])
         tables[rep] = edge_frequencies(ensemble.masks[selected], constraints.variables).counts
     # one flat array, replica by replica, each in row-major order of the

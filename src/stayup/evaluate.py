@@ -24,7 +24,7 @@ from .bayesnet import (
     joint_table,
     markov_blanket,
 )
-from .consensus import DEFAULT_EDGE_PROBABILITY, SeedLike, _seed_list, learn_ensemble
+from .consensus import DEFAULT_EDGE_PROBABILITY, SeedLike, _seed_list, learn_ensembles
 
 TARGET = "S"
 
@@ -93,22 +93,23 @@ class PredictionResult:
     degraded_folds: dict | None = None   # set when the folds had to be stratified
 
 
-def _learn_structure(train: DatasetTable, constraints: LayerConstraints, cfg: BdeuConfig,
-                     experiment: PredictionExperiment, seed: list[int]):
-    """The best-scoring network of a restart ensemble on the training rows."""
-    ensemble = learn_ensemble(
-        train, constraints, cfg, n_restarts=experiment.restarts,
-        seed=seed, edge_probability=experiment.edge_probability,
-    )
-    best = ensemble.scores.argmax()   # the first of equal best scores
-    return Dag.from_parents(train.variables, ensemble.masks[best].tolist())
+def _learn_structures(trains: list[DatasetTable], constraints: LayerConstraints,
+                      cfg: BdeuConfig, experiment: PredictionExperiment,
+                      seeds: list[list[int]]) -> list[Dag]:
+    """The best-scoring network of a restart ensemble on each split's
+    training rows; the ensembles climb as one stack (learn_ensembles)."""
+    ensembles = learn_ensembles(trains, constraints, cfg, experiment.restarts, seeds,
+                                experiment.edge_probability)
+    # the first of equal best scores
+    return [Dag.from_parents(train.variables, ensemble.masks[ensemble.scores.argmax()].tolist())
+            for train, ensemble in zip(trains, ensembles)]
 
 
-def _blanket_scores(train: DatasetTable, test: DatasetTable,
-                    constraints: LayerConstraints, cfg: BdeuConfig,
-                    experiment: PredictionExperiment, seed: list[int]) -> tuple[np.ndarray, bool]:
+def _blanket_scores(train: DatasetTable, test: DatasetTable, dag: Dag) -> tuple[np.ndarray, bool]:
+    """Each test row's posterior of the target under `dag` with MLE CPTs
+    fitted to the training rows, given the row's Markov blanket, and
+    whether that blanket is empty."""
     var = train.variables
-    dag = _learn_structure(train, constraints, cfg, experiment, seed)
     cpts = fit_mle(dag, train)
     ti = var.index(TARGET)
 
@@ -208,14 +209,13 @@ def predict_sleep_experiment(profiles: DatasetTable, constraints: LayerConstrain
     y = profiles.column(TARGET).astype(np.int64)
     splits, degraded = cv_plan(y, experiment, seed)
 
+    trains = [profiles.subset(train_rows) for train_rows, _ in splits]
+    dags = _learn_structures(trains, constraints, cfg, experiment,
+                             [base + [29, f] for f in range(len(splits))])
     curves, aucs = [], []
     degenerate = False
-    for f, (train_rows, test_rows) in enumerate(splits):
-        train = profiles.subset(train_rows)
-        test = profiles.subset(test_rows)
-        scores, fold_degenerate = _blanket_scores(
-            train, test, constraints, cfg, experiment, base + [29, f]
-        )
+    for (_, test_rows), train, dag in zip(splits, trains, dags):
+        scores, fold_degenerate = _blanket_scores(train, profiles.subset(test_rows), dag)
         degenerate = degenerate or fold_degenerate
         curve = roc_auc(scores, y[test_rows])
         curves.append(curve)

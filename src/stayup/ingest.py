@@ -706,7 +706,9 @@ def compute_raw_features(store: EventStore, study_days: int) -> tuple[tuple[str,
     values is (N, 9) float64 with columns FEATURE_COLUMNS[1:]; gender is its
     index in GENDERS. A student with fewer than two bath transactions gets a
     NaN bath_interval_variance; excluding them is the caller's call. Sums run
-    in file order, as np.bincount adds its weights.
+    in file order, as np.bincount adds its weights. Raises ValueError naming
+    the first student and feature whose sum of finite values passes the
+    float range, since features.csv holds finite numbers only.
     """
     if study_days < 1:
         raise ValueError("study_days must be >= 1")
@@ -746,8 +748,15 @@ def compute_raw_features(store: EventStore, study_days: int) -> tuple[tuple[str,
     borrowed = np.bincount(store.borrows.student, minlength=n)
     keep = np.flatnonzero(~np.isnan(store.gpa))
     values = np.column_stack((borrowed, surf / study_days, game, video, breakfast, variance,
-                              spend / study_days, store.gpa, store.gender))
-    return tuple(students[i] for i in keep.tolist()), values[keep]
+                              spend / study_days, store.gpa, store.gender))[keep]
+    ids = tuple(students[i] for i in keep.tolist())
+    lost = ~np.isfinite(values)
+    lost[:, 5] &= k[keep] > 0   # column 5, the bath variance, is NaN by design without a gap
+    if lost.any():
+        row, col = np.argwhere(lost)[0]
+        raise ValueError(f"student {ids[row]}: {FEATURE_COLUMNS[col + 1]} is {values[row, col]}, "
+                         "a sum past the float range")
+    return ids, values
 
 
 @dataclass

@@ -18,9 +18,12 @@ raw features as one record per student (the oracle of
 them (the oracle of ``profiles.build_profiles``), and a restart ensemble
 as a list of (Dag, score) pairs with edge counts as dicts keyed by name
 (the oracles of ``consensus.top_fraction``, ``edge_frequencies``, the pool
-of ``null_threshold``, ``build_consensus`` and ``merge_total_network``)
-and cycle repair by a Floyd-Warshall reachability (the oracle of
-``consensus._repair_cycles``).
+of ``null_threshold``, ``build_consensus`` and ``merge_total_network``),
+cycle repair by a Floyd-Warshall reachability (the oracle of
+``consensus._repair_cycles``), and restart ensembles, null replicas and
+CV folds searched one at a time from whole seed lists (the oracles of
+``consensus.learn_ensemble``, ``null_threshold`` and
+``evaluate.predict_sleep_experiment``, which search them as one stack).
 Not a test module, so pytest does not collect it; tests import it as
 ``reference``.
 """
@@ -37,8 +40,10 @@ import numpy as np
 
 from stayup import bayesnet as bn
 from stayup import consensus as cons
+from stayup import evaluate as ev
 from stayup import ingest
 from stayup import profiles as pr
+from stayup import seeding
 from stayup import sleepmix as sm
 from stayup.special import gammaln, logsumexp
 
@@ -543,6 +548,65 @@ def merge_total_network(consensus_dags: Sequence[cons.ConsensusDag],
         kept[keep] = summed(*keep)
     kept = _repair_cycles(kept, provenance)
     return cons.ConsensusDag(bn.Dag(variables, sorted(kept)), kept, None, provenance)
+
+
+# --- searches one at a time ----------------------------------------------------
+#
+# consensus.learn_ensembles climbs the ensembles of a job as one stack and
+# derives each restart's keys by extending its seed's key. Here each restart's
+# keys come from its whole seed list, and each ensemble has a table and a
+# climb_batch call of its own: the oracles of learn_ensemble, of the null
+# replicas of null_threshold and of the CV folds of predict_sleep_experiment.
+
+def learn_ensemble(data: bn.DatasetTable, constraints: bn.LayerConstraints, cfg: bn.BdeuConfig,
+                   n_restarts: int, seed,
+                   edge_probability: float = cons.DEFAULT_EDGE_PROBABILITY) -> cons.EnsembleResult:
+    """Restart r starts from the key of seed + [r, 0] and breaks ties with that of seed + [r, 1]."""
+    base = cons._seed_list(seed)
+    starts = bn.random_start_masks(constraints, edge_probability,
+                                   seeding.keys([base + [r, 0] for r in range(n_restarts)]))
+    masks, scores = bn.climb_batch(bn.score_table(data, constraints, cfg), constraints, starts,
+                                   seeding.keys([base + [r, 1] for r in range(n_restarts)]))
+    return cons.EnsembleResult(masks, scores, seed)
+
+
+def null_threshold(data: bn.DatasetTable, constraints: bn.LayerConstraints, cfg: bn.BdeuConfig,
+                   replicas: int, seed, n_restarts: int, fraction: float,
+                   edge_probability: float) -> cons.NullModelResult:
+    """One replica at a time: permute, climb its ensemble, count its top fraction."""
+    base = cons._seed_list(seed)
+    n = constraints.variables.n
+    tables = np.empty((replicas, n, n), dtype=np.int64)
+    for rep in range(replicas):
+        permuted = cons.permute_columns(data, seeding.Stream(base + [11, rep]))
+        ensemble = learn_ensemble(permuted, constraints, cfg, n_restarts, base + [13, rep],
+                                  edge_probability)
+        selected = cons.top_fraction(ensemble, fraction, seed=base + [17, rep])
+        tables[rep] = cons.edge_frequencies(ensemble.masks[selected], constraints.variables).counts
+    pooled = tables[:, constraints.allowed].astype(np.float64).ravel()
+    mean, std = float(pooled.mean()), float(pooled.std())
+    return cons.NullModelResult(tables, mean, std, mean + 2.0 * std)
+
+
+def predict_sleep_experiment(profiles: bn.DatasetTable, constraints: bn.LayerConstraints,
+                             cfg: bn.BdeuConfig, experiment: ev.PredictionExperiment,
+                             seed) -> ev.PredictionResult:
+    """One fold at a time: climb its ensemble, then score its test rows."""
+    base = cons._seed_list(seed)
+    y = profiles.column(ev.TARGET).astype(np.int64)
+    splits, degraded = ev.cv_plan(y, experiment, seed)
+    curves, degenerate = [], False
+    for f, (train_rows, test_rows) in enumerate(splits):
+        train = profiles.subset(train_rows)
+        ensemble = learn_ensemble(train, constraints, cfg, experiment.restarts, base + [29, f],
+                                  experiment.edge_probability)
+        best = ensemble.scores.argmax()   # the first of equal best scores
+        dag = bn.Dag.from_parents(train.variables, ensemble.masks[best].tolist())
+        scores, fold_degenerate = ev._blanket_scores(train, profiles.subset(test_rows), dag)
+        degenerate = degenerate or fold_degenerate
+        curves.append(ev.roc_auc(scores, y[test_rows]))
+    aucs = [curve.auc for curve in curves]
+    return ev.PredictionResult(curves, aucs, float(np.mean(aucs)), degenerate, degraded)
 
 
 # --- sleepmix ---------------------------------------------------------------------

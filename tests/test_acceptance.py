@@ -17,6 +17,7 @@ from stayup import bayesnet as bn
 from stayup import consensus as cons
 from stayup import evaluate as ev
 from stayup import pipeline as pl
+from stayup import seeding
 from stayup import sleepmix as sm
 from stayup import synth
 
@@ -204,8 +205,10 @@ def test_criterion_4_search_optimality():
 
         # the search learn_ensemble runs: 20 random starts climbed in one batch
         table = bn.score_table(data, constraints, BDEU)
-        starts = bn.random_start_masks(constraints, 0.3, [[trial, r] for r in range(20)])
-        _, scores = bn.climb_batch(table, constraints, starts, [[trial, r, 1] for r in range(20)])
+        starts = bn.random_start_masks(constraints, 0.3,
+                                       seeding.keys([[trial, r] for r in range(20)]))
+        _, scores = bn.climb_batch(table, constraints, starts,
+                                   seeding.keys([[trial, r, 1] for r in range(20)]))
         best = max(scores)
         optimum = max(reference.bdeu_score(d, data, BDEU, table=table) for d in all_dags)
         if best >= optimum - 1e-9:

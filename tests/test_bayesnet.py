@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from stayup import bayesnet as bn
-from stayup import synth
+from stayup import seeding, synth
 from stayup._kernels import family_counts
 from stayup.consensus import permute_columns
 
@@ -365,8 +366,9 @@ class TestRandomStart:
         for constraints in (bn.default_layer_constraints(),
                             bn.LayerConstraints.unconstrained(bn.profile_variables())):
             for p in (0.0, 0.3, 1.0):
-                np.testing.assert_array_equal(bn.random_start_masks(constraints, p, seeds),
-                                              ref_random_start_masks(constraints, p, seeds))
+                np.testing.assert_array_equal(
+                    bn.random_start_masks(constraints, p, seeding.keys(seeds)),
+                    ref_random_start_masks(constraints, p, seeds))
 
 
 def _sample_from_dag(rng, dag, cpts, n):
@@ -666,13 +668,74 @@ class TestScoreTableMatchesProjection:
         rng = np.random.default_rng(44)
         arities = (2, 3, 4)
         values = rng.integers(0, arities, size=(90, 3))
-        lattice = bn._lattice_counts(values, arities).reshape(3, 4, 5)
+        lattice = bn._lattice_counts([values], arities).reshape(3, 4, 5)
         joint = np.zeros(arities, dtype=np.intp)
         np.add.at(joint, tuple(values.T), 1)
         for summed in itertools.product([False, True], repeat=3):
             axes = tuple(j for j in range(3) if summed[j])
             index = tuple(a if s else slice(0, a) for a, s in zip(arities, summed))
             assert np.array_equal(lattice[index], joint.sum(axis=axes))
+
+
+@st.composite
+def score_table_stacks(draw):
+    """1-4 datasets of 0 to 3,200 rows over one set of 1-6 variables of arity
+    2-4, under no layers or random ones, and an ESS."""
+    n = draw(st.integers(1, 6))
+    arities = tuple(draw(st.lists(st.integers(2, 4), min_size=n, max_size=n)))
+    variables = bn.VariableSet(tuple("ABCDEF"[:n]), arities)
+    layers = draw(st.one_of(st.just((1,) * n),
+                            st.tuples(*[st.integers(1, 3)] * n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = [bn.DatasetTable(variables, rng.integers(0, arities, size=(rows, n)))
+             for rows in draw(st.lists(st.sampled_from([0, 1, 2, 57, 400, 3200]),
+                                       min_size=1, max_size=4))]
+    ess = draw(st.sampled_from([0.37, 1.0, 10.0]))
+    return stack, bn.LayerConstraints(variables, layers), bn.BdeuConfig(ess)
+
+
+class TestStackedScoreTables:
+    """score_tables scores a stack of datasets in one pass; each table must be
+    that dataset's score_table bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(score_table_stacks())
+    def test_each_table_is_its_datasets_own(self, case):
+        stack, constraints, cfg = case
+        n = constraints.variables.n
+        tables = bn.score_tables(stack, constraints, cfg)
+        assert tables.shape == (len(stack), n, 1 << n)
+        for table, data in zip(tables, stack):
+            assert table.tobytes() == bn.score_table(data, constraints, cfg).tobytes()
+
+    def test_profile_tables(self):
+        rng = np.random.default_rng(46)
+        stack = [profile_table(rng, tie_heavy=t % 2 == 1) for t in range(3)]
+        stack += [stack[0].subset(np.arange(0)), stack[1].subset(rng.integers(0, 30, 3200))]
+        for constraints in layer_sets(stack[0].variables):
+            tables = bn.score_tables(stack, constraints, CFG)
+            for table, data in zip(tables, stack, strict=True):
+                assert table.tobytes() == bn.score_table(data, constraints, CFG).tobytes()
+
+    def test_non_finite_scores_rejected_as_for_one_table(self):
+        data = profile_table(np.random.default_rng(45), tie_heavy=False)
+        cfg = bn.BdeuConfig()
+        object.__setattr__(cfg, "ess", 1e308)   # past BdeuConfig's own check
+        constraints = bn.default_layer_constraints()
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError) as single:
+                bn.score_table(data, constraints, cfg)
+            with pytest.raises(ValueError, match=r"^ess=1e\+308 gives a non-finite BDeu score, "
+                                                 r"first for G given \{\}$") as stacked:
+                bn.score_tables([data.subset(np.arange(0)), data, data.subset(np.arange(9))],
+                                constraints, cfg)
+        assert str(stacked.value) == str(single.value)
+
+    def test_other_variables_rejected(self):
+        rng = np.random.default_rng(0)
+        data = profile_table(rng, tie_heavy=False)
+        with pytest.raises(ValueError, match="different variable sets"):
+            bn.score_tables([data, random_table(rng, 10)], bn.default_layer_constraints(), CFG)
 
 
 def batch_networks(batch, variables):
@@ -697,7 +760,7 @@ class TestHillClimbMatchesReference:
                 got += batch_networks(bn.climb_batch(bn.score_table(data, constraints, CFG),
                                                      constraints,
                                                      [start._pa for start in starts[1:]],
-                                                     seeds[1:]), data.variables)
+                                                     seeding.keys(seeds[1:])), data.variables)
                 ref_cache = RefFamilyScoreCache(data, CFG)
                 steps = set()
                 for start, seed, (dag, score) in zip(starts, seeds, got):
@@ -723,7 +786,7 @@ class TestHillClimbMatchesReference:
                 seeds = [[t, c, r, 1] for r in range(10)]
                 got = batch_networks(bn.climb_batch(bn.score_table(data, constraints, CFG),
                                                     constraints, [start._pa for start in starts],
-                                                    seeds), data.variables)
+                                                    seeding.keys(seeds)), data.variables)
                 for start, seed, (dag, score) in zip(starts, seeds, got):
                     want, ref_score = bitmask_hill_climb(constraints, start, seed, cache)
                     assert dag == want
@@ -737,13 +800,13 @@ class TestHillClimbMatchesReference:
         layer_breaking = [0] * 9
         layer_breaking[g] = 1 << s
         with pytest.raises(ValueError, match="outside the score table"):
-            bn.climb_batch(table, constraints, [layer_breaking], [0])
+            bn.climb_batch(table, constraints, [layer_breaking], seeding.keys([0]))
         cyclic = [0] * 9
         cyclic[s], cyclic[1] = 1 << 1, 1 << s
         with pytest.raises(ValueError, match="cycle"):
-            bn.climb_batch(table, constraints, [cyclic], [0])
+            bn.climb_batch(table, constraints, [cyclic], seeding.keys([0]))
         with pytest.raises(ValueError, match="score table must be"):
-            bn.climb_batch(table[:, :256], constraints, [[0] * 9], [0])
+            bn.climb_batch(table[:, :256], constraints, [[0] * 9], seeding.keys([0]))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 9])
     def test_start_cycling_through_every_variable_rejected(self, n):
@@ -755,8 +818,17 @@ class TestHillClimbMatchesReference:
         cycle = [1 << (v - 1) % n for v in range(n)]   # v - 1 -> v, and n - 1 -> 0
         path = [0] + cycle[1:]
         with pytest.raises(ValueError, match="^a start graph has a cycle$"):
-            bn.climb_batch(table, constraints, [path, cycle], [0, 1])
-        bn.climb_batch(table, constraints, [path], [0])
+            bn.climb_batch(table, constraints, [path, cycle], seeding.keys([0, 1]))
+        bn.climb_batch(table, constraints, [path], seeding.keys([0]))
+
+    def test_one_key_per_start(self):
+        data = profile_table(np.random.default_rng(3), tie_heavy=False)
+        constraints = bn.default_layer_constraints()
+        table = bn.score_table(data, constraints, CFG)
+        with pytest.raises(ValueError, match="one key per start"):
+            bn.climb_batch(table, constraints, [[0] * 9] * 2, seeding.keys([0]))
+        with pytest.raises(ValueError, match="one key per start"):
+            bn.climb_batch(np.stack([table] * 2), constraints, [[[0] * 9]] * 2, seeding.keys([0]))
 
     def test_start_breaking_its_layers_still_climbs(self):
         data = profile_table(np.random.default_rng(4), tie_heavy=False)
@@ -786,6 +858,43 @@ def family_score(values, arities, child, parents, ess):
     row_terms = gammaln(a_j) - gammaln(a_j + n_j)
     cell_terms = gammaln(a_jk + counts) - gammaln(a_jk)
     return float(np.sum(row_terms) + np.sum(cell_terms))
+
+
+@st.composite
+def climb_stacks(draw):
+    """(constraints, tables, starts, keys): 1-4 integer-valued score tables
+    over 2-5 binary variables, so that ties are common, each with 1-6 legal
+    starts and their keys."""
+    n = draw(st.integers(2, 5))
+    constraints = bn.LayerConstraints(bn.VariableSet.binary(bn.PROFILE_VARIABLE_NAMES[:n]),
+                                      draw(st.tuples(*[st.integers(1, 3)] * n)))
+    n_tables, restarts = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tables = rng.integers(-3, 4, size=(n_tables, n, 1 << n)).astype(np.float64)
+    for v in range(n):
+        most = sum(1 << u for u in range(n) if constraints.allows(u, v))
+        tables[:, v, np.arange(1 << n) & ~most != 0] = np.nan
+    seed = draw(st.integers(0, 2**64 - 1))
+    keys = seeding.keys([[seed, k] for k in range(n_tables * restarts)])
+    starts = bn.random_start_masks(constraints, draw(st.sampled_from([0.0, 0.3, 0.8])), keys)
+    return (constraints, tables, starts.reshape(n_tables, restarts, n),
+            keys.reshape(n_tables, restarts))
+
+
+class TestStackedClimbsMatchSeparateCalls:
+    @settings(max_examples=200, deadline=None)
+    @given(climb_stacks(), st.sampled_from([1, 3, None]))
+    def test_same_masks_and_scores(self, case, climb_slice):
+        # slices of 1 and 3 climbs split a table's restarts across lockstep loops
+        constraints, tables, starts, keys = case
+        with mock.patch.object(bn, "CLIMB_SLICE", climb_slice or bn.CLIMB_SLICE):
+            masks, scores = bn.climb_batch(tables, constraints, starts, keys)
+        assert masks.shape == starts.shape and masks.dtype == np.int64
+        assert scores.shape == keys.shape and scores.dtype == np.float64
+        for t, table in enumerate(tables):
+            want_masks, want_scores = bn.climb_batch(table, constraints, starts[t], keys[t])
+            assert np.array_equal(masks[t], want_masks)
+            assert scores[t].tobytes() == want_scores.tobytes()
 
 
 class FamilyScoreCache:

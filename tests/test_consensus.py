@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from stayup import bayesnet as bn
 from stayup import consensus as cons
-from stayup import synth
+from stayup import seeding, synth
 
 import reference
 
@@ -32,6 +32,42 @@ def small_data(seed=0, n=400):
     truth = synth.structure_recovery_truth()
     table, _ = synth.generate_profiles(truth, synth.GeneratorConfig(n, 1, seed=seed))
     return table, bn.default_layer_constraints()
+
+
+class TestStackedSearchMatchesOneAtATime:
+    """learn_ensembles climbs a job's ensembles as one stack with keys extended
+    from each seed's key; the reference climbs each on its own from whole seed
+    lists."""
+
+    @pytest.mark.parametrize("rows, restarts, seed", [(30, 1, 0), (30, 17, [4, 2**40]),
+                                                      (400, 9, 2**64 - 1)])
+    def test_learn_ensemble(self, rows, restarts, seed):
+        data, constraints = small_data(seed=5, n=rows)
+        for c in (constraints, bn.LayerConstraints.unconstrained(data.variables)):
+            got = cons.learn_ensemble(data, c, CFG, n_restarts=restarts, seed=seed)
+            want = reference.learn_ensemble(data, c, CFG, restarts, seed)
+            assert np.array_equal(got.masks, want.masks)
+            assert np.array_equal(got.scores, want.scores)
+            assert got.seed == want.seed
+
+    @pytest.mark.parametrize("replicas, restarts, seed, fraction, climb_slice", [
+        (1, 1, 0, 1.0, None), (3, 7, [4, 2**40], 1 / 3, None), (5, 12, 9, 0.5, 4),
+        (2, 30, [1, 3, 0], 1 / 3, 7)])
+    def test_null_threshold(self, replicas, restarts, seed, fraction, climb_slice):
+        data, constraints = small_data(seed=6, n=120)
+        with mock.patch.object(bn, "CLIMB_SLICE", climb_slice or bn.CLIMB_SLICE):
+            got = cons.null_threshold(data, constraints, CFG, replicas=replicas, seed=seed,
+                                      n_restarts=restarts, fraction=fraction,
+                                      edge_probability=0.3)
+        want = reference.null_threshold(data, constraints, CFG, replicas, seed, restarts,
+                                        fraction, 0.3)
+        assert np.array_equal(got.replicate_tables, want.replicate_tables)
+        assert (got.mean, got.std, got.threshold) == (want.mean, want.std, want.threshold)
+
+    def test_one_seed_per_dataset(self):
+        data, constraints = small_data(n=30)
+        with pytest.raises(ValueError, match="one seed per dataset"):
+            cons.learn_ensembles([data, data], constraints, CFG, 3, [0])
 
 
 class TestLearnEnsemble:
@@ -345,7 +381,7 @@ def mask_ensembles(draw):
     for _ in range(draw(st.integers(1, 4))):
         seed = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=2))
         masks = bn.random_start_masks(constraints, draw(st.sampled_from([0.05, 0.2, 0.5, 0.9])),
-                                      [seed + [r] for r in range(size)])
+                                      seeding.keys([seed + [r] for r in range(size)]))
         scores = draw(st.lists(st.sampled_from([-7.5, -7.25, -3.0, -1.0]),
                                min_size=size, max_size=size))
         ensembles.append(cons.EnsembleResult(masks, np.array(scores), seed))
@@ -380,10 +416,11 @@ class TestMaskEnsemblesMatchDagReference:
             d for d, _ in reference.top_fraction(as_members(e, var), fraction, base + [17, rep]))
             for rep, e in enumerate(ensembles)]
         table = bn.DatasetTable(var, np.zeros((4, var.n)))
-        with mock.patch.object(cons, "learn_ensemble", side_effect=ensembles):
+        with mock.patch.object(cons, "learn_ensembles", return_value=ensembles) as learn:
             null = cons.null_threshold(table, constraints, CFG, replicas=len(ensembles),
                                        seed=base, n_restarts=len(ensembles[0].scores),
                                        fraction=fraction)
+        assert learn.call_args.args[4] == [base + [13, rep] for rep in range(len(ensembles))]
         pool = reference.null_pool(replicas, constraints)
         assert (null.mean, null.std) == (float(pool.mean()), float(pool.std()))
         assert null.threshold == null.mean + 2.0 * null.std

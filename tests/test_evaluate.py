@@ -12,6 +12,8 @@ from stayup import bayesnet as bn
 from stayup import evaluate as ev
 from stayup import synth
 
+import reference
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 CFG = bn.BdeuConfig()
@@ -251,6 +253,43 @@ class TestPredictSleepExperiment:
         a = ev.predict_sleep_experiment(table, constraints, CFG, experiment, seed=7)
         b = ev.predict_sleep_experiment(table, constraints, CFG, experiment, seed=7)
         assert a.auc_per_fold == b.auc_per_fold
+
+
+class TestStackedFoldsMatchOneAtATime:
+    """predict_sleep_experiment climbs every fold's ensemble as one stack; the
+    reference climbs each fold on its own from whole seed lists."""
+
+    @pytest.mark.parametrize("experiment, seed", [
+        (ev.PredictionExperiment(folds=4, restarts=8), 1),
+        (ev.PredictionExperiment(folds=2, restarts=1), [3, 2**40]),
+        (ev.PredictionExperiment(in_sample=True, restarts=6), 4),
+        (ev.PredictionExperiment(folds=5, restarts=20, edge_probability=0.4), 0)])
+    def test_same_result(self, experiment, seed):
+        truth = synth.default_ground_truth()
+        table, _ = synth.generate_profiles(truth, synth.GeneratorConfig(300, 1, seed=21))
+        self.check(table, experiment, seed)
+
+    def test_degraded_folds(self):
+        var = bn.profile_variables()
+        values = np.random.default_rng(8).integers(0, 2, size=(40, 9)).astype(np.uint8)
+        values[:, var.index("S")] = 0
+        values[[4, 17, 30], var.index("S")] = 1
+        for seed in range(4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # a blanket may be empty
+                self.check(bn.DatasetTable(var, values), ev.PredictionExperiment(restarts=4), seed)
+
+    @staticmethod
+    def check(table, experiment, seed):
+        constraints = bn.default_layer_constraints()
+        got = ev.predict_sleep_experiment(table, constraints, CFG, experiment, seed=seed)
+        want = reference.predict_sleep_experiment(table, constraints, CFG, experiment, seed)
+        assert got.auc_per_fold == want.auc_per_fold
+        assert got.auc_mean == want.auc_mean
+        assert got.degenerate_blanket == want.degenerate_blanket
+        assert got.degraded_folds == want.degraded_folds
+        for a, b in zip(got.curves, want.curves, strict=True):
+            assert np.array_equal(a.fpr, b.fpr) and np.array_equal(a.tpr, b.tpr)
 
 
 def test_roc_csv(tmp_path):

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import functools
+import json
 import math
 import os
 import sys
@@ -846,6 +847,30 @@ class TestIngestFixes:
         assert feats["s1"]["mean_daily_spend"] == 2.0
         with pytest.raises(ingest.IngestError, match=r"transactions\.csv:2: non-finite amount"):
             ingest.parse_logs(paths, strict=True)
+
+    def test_a_sum_past_the_float_range_fails_ingest(self, tmp_path, capsys):
+        from stayup import cli
+
+        # each amount is finite, so parse_logs keeps both; their sum is not
+        paths = write_logs(
+            tmp_path,
+            transactions="s1,2018-11-05 12:00,other,1e308\ns1,2018-11-05 13:00,other,1e308",
+            grades="s1,3.0\ns2,2.5",
+            demographics=BASE_DEMO,
+        )
+        store = ingest.parse_logs(paths)
+        assert store.report.loaded["transactions"] == 2
+        message = "student s1: mean_daily_spend is inf, a sum past the float range"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ingest.compute_raw_features(store, 2)
+        out = tmp_path / "out"
+        assert cli.main(["ingest", "--data", str(tmp_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "features.csv").exists()
+        run = tmp_path / "run"
+        assert cli.main(["run", "--data", str(tmp_path), "--out", str(run)]) == 1
+        assert f"stage 'ingest' failed: {message}" in capsys.readouterr().err
+        assert json.loads((run / "MANIFEST.json").read_text())["incomplete"] == ["ingest"]
 
     def test_duration_too_large_for_a_float(self, tmp_path):
         huge = "1" + "0" * 400
