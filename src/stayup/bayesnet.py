@@ -268,14 +268,16 @@ def _lattice_counts(stack: Sequence[np.ndarray], arities: Sequence[int]) -> np.n
     size = math.prod(shape)
     cells = np.concatenate([np.ravel_multi_index(tuple(values.T), shape) + t * size
                             for t, values in enumerate(stack)])
-    cube = np.bincount(cells, minlength=len(stack) * size).reshape((len(stack),) + shape)
-    for axis, a in enumerate(arities, 1):
-        head = (slice(None),) * axis
-        np.sum(cube[head + (slice(0, a),)], axis=axis, keepdims=True,
-               out=cube[head + (slice(a, a + 1),)])
+    flat = np.bincount(cells, minlength=len(stack) * size)
+    for axis, a in enumerate(arities):   # each axis's extra cell sums its a >= 2 values
+        view = flat.reshape(-1, a + 1, math.prod(shape[axis + 1:]))   # flat is contiguous
+        # adds of whole slices, as numpy's sum over a short middle axis is slow
+        np.add(view[:, 0], view[:, 1], out=view[:, a])
+        for value in range(2, a):
+            view[:, a] += view[:, value]
     # in the narrowest type that holds the largest count, the largest row count,
     # which cuts the bytes that score_tables' gathers move and hold
-    return cube.reshape(len(stack), size).astype(np.min_scalar_type(cube.max(initial=0)))
+    return flat.reshape(len(stack), size).astype(np.min_scalar_type(flat.max(initial=0)))
 
 
 @dataclass(frozen=True)

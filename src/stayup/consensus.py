@@ -44,19 +44,13 @@ DEFAULT_EDGE_PROBABILITY = 0.15
 SeedLike = int | Sequence[int]
 
 
-def _seed_list(seed: SeedLike) -> list[int]:
-    if isinstance(seed, (int, np.integer)):
-        return [int(seed)]
-    return [int(s) for s in seed]
-
-
 @dataclass
 class EnsembleResult:
     """Restart r's network as parent bitmasks masks[r], its score as scores[r]."""
 
     masks: np.ndarray    # (R, n) int64
     scores: np.ndarray   # (R,) float64
-    seed: SeedLike
+    key: np.uint64       # the seeding key its restarts extend
 
     @property
     def members(self) -> list[tuple[np.ndarray, float]]:
@@ -106,42 +100,42 @@ def learn_ensemble(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuC
                    n_restarts: int = DEFAULT_RESTARTS, seed: SeedLike = 0,
                    edge_probability: float = DEFAULT_EDGE_PROBABILITY) -> EnsembleResult:
     """Independent hill climbs from random starts: learn_ensembles of one dataset."""
-    return learn_ensembles([data], constraints, cfg, n_restarts, [seed], edge_probability)[0]
+    return learn_ensembles([data], constraints, cfg, n_restarts, seeding.keys([seed]),
+                           edge_probability)[0]
 
 
 def learn_ensembles(datasets: Sequence[DatasetTable], constraints: LayerConstraints,
-                    cfg: BdeuConfig, n_restarts: int, seeds: Sequence[SeedLike],
+                    cfg: BdeuConfig, n_restarts: int, keys,
                     edge_probability: float = DEFAULT_EDGE_PROBABILITY) -> list[EnsembleResult]:
-    """An ensemble of n_restarts hill climbs on each dataset, with its seed.
+    """An ensemble of n_restarts hill climbs on each dataset, with its seeding key.
 
     The datasets are scored into one stack of tables (score_tables), and all
     len(datasets) * n_restarts restarts climb it together in one climb_batch
-    call. Restart r of seed s starts from random_start_masks with the key of
-    s + [r, 0] and breaks ties with the key of s + [r, 1]; both are the key
-    of s extended by r and then by the role (seeding.bits), so no seed list
-    is built per restart.
+    call. Restart r of key k starts from random_start_masks with k extended
+    by r and then by 0, and breaks ties with k extended by r and then by 1.
     """
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
-    if len(seeds) != len(datasets):
-        raise ValueError("one seed per dataset required")
-    restart = seeding.bits(seeding.keys(seeds)[:, None], np.arange(n_restarts))
+    keys = np.asarray(keys, dtype=np.uint64)
+    if keys.shape != (len(datasets),):
+        raise ValueError("one key per dataset required")
+    restart = seeding.bits(keys[:, None], np.arange(n_restarts))
     starts = random_start_masks(constraints, edge_probability, seeding.bits(restart, 0).ravel())
     masks, scores = climb_batch(score_tables(datasets, constraints, cfg), constraints,
                                 starts.reshape(restart.shape + (-1,)), seeding.bits(restart, 1))
-    return [EnsembleResult(m, s, seed) for m, s, seed in zip(masks, scores, seeds)]
+    return [EnsembleResult(m, s, key) for m, s, key in zip(masks, scores, keys)]
 
 
 def top_fraction(ensemble: EnsembleResult, fraction: float = DEFAULT_TOP_FRACTION,
-                 seed: SeedLike | None = None) -> np.ndarray:
+                 key=None) -> np.ndarray:
     """Rows of the highest-scoring ceil(fraction * size) networks, best
-    first, equal scores in the order of a seeded permutation."""
+    first, equal scores in the order of the permutation drawn by the key
+    (the ensemble's by default) extended by 97."""
     if not 0 < fraction <= 1:
         raise ValueError("fraction must be in (0, 1]")
     size = len(ensemble.scores)
     k = math.ceil(fraction * size)
-    tiebreak_seed = ensemble.seed if seed is None else seed
-    perm = seeding.Stream(_seed_list(tiebreak_seed) + [97]).permutation(size)
+    perm = seeding.permutations(seeding.bits(ensemble.key if key is None else key, 97), size)[0]
     return np.lexsort((perm, -ensemble.scores))[:k]
 
 
@@ -152,13 +146,14 @@ def edge_frequencies(masks: np.ndarray, variables: VariableSet) -> EdgeFrequency
     return EdgeFrequencyTable(variables, counts, len(masks))
 
 
-def permute_columns(data: DatasetTable, rng) -> DatasetTable:
-    """Shuffle every column independently: dependencies die, marginals stay. `rng` is
-    anything with a numpy Generator's `permutation`, such as a seeding.Stream."""
-    values = data.values.copy()
-    for j in range(values.shape[1]):
-        values[:, j] = values[rng.permutation(values.shape[0]), j]
-    return DatasetTable(data.variables, values)
+def permute_columns(data: DatasetTable, key) -> DatasetTable:
+    """Shuffle every column independently: dependencies die, marginals stay.
+    Column j of N rows moves by the permutation that the key's uniforms
+    j * N .. (j + 1) * N - 1, stably argsorted, draw."""
+    n_rows, n_cols = data.values.shape
+    draws = seeding.uniforms(key, np.arange(n_rows * n_cols).reshape(n_cols, n_rows))
+    perm = np.argsort(draws, axis=1, kind="stable")
+    return DatasetTable(data.variables, np.take_along_axis(data.values, perm.T, axis=0))
 
 
 def null_threshold(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuConfig,
@@ -170,20 +165,21 @@ def null_threshold(data: DatasetTable, constraints: LayerConstraints, cfg: BdeuC
 
     Each replica rebuilds an ensemble of the same size on column-permuted
     data and takes its top fraction; the replicas' ensembles climb as one
-    stack (learn_ensembles).
+    stack (learn_ensembles). Replica r shuffles, searches and orders its
+    ties with the seed's key extended by 11, 13 and 17, each then by r.
     Frequencies over every layer-legal directed edge are pooled across
     replicas; the threshold is their mean plus two standard deviations.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    base = _seed_list(seed)
-    permuted = [permute_columns(data, seeding.Stream(base + [11, rep])) for rep in range(replicas)]
-    ensembles = learn_ensembles(permuted, constraints, cfg, n_restarts,
-                                [base + [13, rep] for rep in range(replicas)], edge_probability)
+    roles = seeding.bits(seeding.keys([seed]), [11, 13, 17])
+    shuffles, searches, ties = seeding.bits(roles[:, None], np.arange(replicas))
+    permuted = [permute_columns(data, key) for key in shuffles]
+    ensembles = learn_ensembles(permuted, constraints, cfg, n_restarts, searches, edge_probability)
     n = constraints.variables.n
     tables = np.empty((replicas, n, n), dtype=np.int64)
-    for rep, ensemble in enumerate(ensembles):
-        selected = top_fraction(ensemble, fraction, seed=base + [17, rep])
+    for rep, (ensemble, key) in enumerate(zip(ensembles, ties)):
+        selected = top_fraction(ensemble, fraction, key)
         tables[rep] = edge_frequencies(ensemble.masks[selected], constraints.variables).counts
     # one flat array, replica by replica, each in row-major order of the
     # allowed edges: mean and std sum it pairwise, so the layout fixes their bits

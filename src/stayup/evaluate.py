@@ -24,7 +24,7 @@ from .bayesnet import (
     joint_table,
     markov_blanket,
 )
-from .consensus import DEFAULT_EDGE_PROBABILITY, SeedLike, _seed_list, learn_ensembles
+from .consensus import DEFAULT_EDGE_PROBABILITY, SeedLike, learn_ensembles
 
 TARGET = "S"
 
@@ -95,10 +95,11 @@ class PredictionResult:
 
 def _learn_structures(trains: list[DatasetTable], constraints: LayerConstraints,
                       cfg: BdeuConfig, experiment: PredictionExperiment,
-                      seeds: list[list[int]]) -> list[Dag]:
+                      keys: np.ndarray) -> list[Dag]:
     """The best-scoring network of a restart ensemble on each split's
-    training rows; the ensembles climb as one stack (learn_ensembles)."""
-    ensembles = learn_ensembles(trains, constraints, cfg, experiment.restarts, seeds,
+    training rows, searched with its seeding key; the ensembles climb as
+    one stack (learn_ensembles)."""
+    ensembles = learn_ensembles(trains, constraints, cfg, experiment.restarts, keys,
                                 experiment.edge_probability)
     # the first of equal best scores
     return [Dag.from_parents(train.variables, ensemble.masks[ensemble.scores.argmax()].tolist())
@@ -141,10 +142,14 @@ def _blanket_scores(train: DatasetTable, test: DatasetTable, dag: Dag) -> tuple[
     return score_by_cfg[test_cfg], False
 
 
+def _fold_order(n_rows: int, seed: SeedLike) -> np.ndarray:
+    """The rows in the order of the permutation that the seed's key extended by 23 draws."""
+    return seeding.permutations(seeding.bits(seeding.keys([seed]), 23), n_rows)[0]
+
+
 def fold_indices(n_rows: int, folds: int, seed: SeedLike) -> list[np.ndarray]:
     """Seeded disjoint cover of all rows in `folds` near-equal parts."""
-    perm = seeding.Stream(_seed_list(seed) + [23]).permutation(n_rows)
-    return [np.sort(part) for part in np.array_split(perm, folds)]
+    return [np.sort(part) for part in np.array_split(_fold_order(n_rows, seed), folds)]
 
 
 def stratified_fold_indices(y: np.ndarray, folds: int, seed: SeedLike) -> list[np.ndarray]:
@@ -152,7 +157,7 @@ def stratified_fold_indices(y: np.ndarray, folds: int, seed: SeedLike) -> list[n
     class near-evenly: the class's rows, in the order of fold_indices'
     permutation, cut into `folds` runs. The classes come from np.bincount,
     as plain np.unique imports numpy.ma on its first call."""
-    perm = seeding.Stream(_seed_list(seed) + [23]).permutation(len(y))
+    perm = _fold_order(len(y), seed)
     classes = np.flatnonzero(np.bincount(y))
     per_class = [np.array_split(perm[y[perm] == c], folds) for c in classes]
     return [np.sort(np.concatenate(parts)) for parts in zip(*per_class)]
@@ -204,14 +209,14 @@ def cv_plan(y: np.ndarray, experiment: PredictionExperiment,
 def predict_sleep_experiment(profiles: DatasetTable, constraints: LayerConstraints,
                              cfg: BdeuConfig, experiment: PredictionExperiment,
                              seed: SeedLike = 0) -> PredictionResult:
-    """Cross-validated (or in-sample) predictability of the sleep status S."""
-    base = _seed_list(seed)
+    """Cross-validated (or in-sample) predictability of the sleep status S.
+    Split f's search takes the seed's key extended by 29 and then by f."""
     y = profiles.column(TARGET).astype(np.int64)
     splits, degraded = cv_plan(y, experiment, seed)
 
     trains = [profiles.subset(train_rows) for train_rows, _ in splits]
-    dags = _learn_structures(trains, constraints, cfg, experiment,
-                             [base + [29, f] for f in range(len(splits))])
+    keys = seeding.bits(seeding.bits(seeding.keys([seed]), 29), np.arange(len(splits)))
+    dags = _learn_structures(trains, constraints, cfg, experiment, keys)
     curves, aucs = [], []
     degenerate = False
     for (_, test_rows), train, dag in zip(splits, trains, dags):

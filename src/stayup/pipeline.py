@@ -417,6 +417,7 @@ def _stage_consensus(cfg: PipelineConfig, tables: dict[str, bayesnet.DatasetTabl
     network and high-score edge frequencies, and the (error, result) of each
     task for _stage_predict."""
     constraints = bayesnet.default_layer_constraints()
+    constraints.score_plan   # a cached property: built here once, not in each process below
     jobs = [functools.partial(consensus.consensus_pipeline, table, constraints, cfg.bdeu,
                               n_restarts=cfg.restarts, fraction=cfg.top_fraction,
                               replicas=cfg.null_replicas, edge_probability=cfg.edge_probability,

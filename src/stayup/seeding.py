@@ -36,9 +36,9 @@ def uniforms(keys, counters) -> np.ndarray:
     return (bits(keys, counters) >> np.uint64(11)) * 2.0**-53
 
 
-def permutations(keys, n: int, start: int = 0) -> np.ndarray:
-    """(len(keys), n): each key's uniforms start .. start + n - 1, stably argsorted."""
-    return np.argsort(uniforms(np.asarray(keys)[:, None], np.arange(start, start + n)), axis=1, kind="stable")
+def permutations(keys, n: int) -> np.ndarray:
+    """(len(keys), n): each key's uniforms 0 .. n - 1, stably argsorted."""
+    return np.argsort(uniforms(np.asarray(keys)[:, None], np.arange(n)), axis=1, kind="stable")
 
 
 def below(keys, counters, bounds) -> np.ndarray:
@@ -50,13 +50,3 @@ def below(keys, counters, bounds) -> np.ndarray:
         return below(keys, np.asarray(counters, np.uint64) + rejected * np.uint64(2**32), bounds)
     return (product >> np.uint64(32)).astype(np.int64)
 
-
-class Stream:
-    """A seed's successive permutations, for code that takes a numpy Generator."""
-
-    def __init__(self, seed):
-        self.key, self.drawn = keys([seed]), 0
-
-    def permutation(self, n: int) -> np.ndarray:
-        self.drawn += n
-        return permutations(self.key, n, self.drawn - n)[0]

@@ -39,6 +39,7 @@ MASS_FLOOR = 1e-12
 ALPHA = 1.1        # shape and rate of the Gamma prior on every rate; ALPHA > 1 so
 BETA = 0.1         # the prior vanishes at rate 0
 TOLERANCE = 1e-8   # EM stops once the relative change of the objective is below this
+MAX_ITERATIONS = 500   # or after this many iterations, unconverged
 
 STAY_UP = "stay_up"
 NON_STAY_UP = "non_stay_up"
@@ -52,7 +53,6 @@ class MixtureError(RuntimeError):
 @dataclass(frozen=True)
 class MixtureConfig:
     components: int = 2
-    max_iterations: int = 500
     restarts: int = 10
     variant: str = "standard"
     seed: int = 0
@@ -62,8 +62,8 @@ class MixtureConfig:
             raise ValueError("components must be >= 1")
         if self.variant not in VARIANT_STEPS:
             raise ValueError(f"variant must be one of {tuple(VARIANT_STEPS)}")
-        if self.restarts < 1 or self.max_iterations < 1:
-            raise ValueError("restarts and max_iterations must be >= 1")
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
 
 
 @dataclass
@@ -169,12 +169,12 @@ def _row_entropy_seeds(counts: np.ndarray) -> np.ndarray:
 def initial_responsibilities(counts: np.ndarray, cfg: MixtureConfig) -> np.ndarray:
     """(restarts, N, M) symmetric Dirichlet starts, one per restart and student.
 
-    Row i's start in restart r is drawn from the stream key of
-    [cfg.seed, r, h], where h is a hash of the row's counts: the spacings
+    Row i's start in restart r is drawn from the key of cfg.seed extended
+    by r and then by h, where h is a hash of the row's counts: the spacings
     that its uniforms 0 .. M-2, sorted, cut into [0, 1] (Devroye 1986,
     ch. V), which are Dirichlet(1, ..., 1).
     """
-    restarts = seeding.keys([[cfg.seed, r] for r in range(cfg.restarts)])
+    restarts = seeding.bits(seeding.keys([cfg.seed]), np.arange(cfg.restarts))
     keys = seeding.bits(restarts[:, None], _row_entropy_seeds(counts))   # (restarts, N)
     cuts = np.sort(seeding.uniforms(keys[..., None], np.arange(cfg.components - 1)), axis=-1)
     return np.diff(cuts, axis=-1, prepend=0.0, append=1.0)
@@ -194,7 +194,7 @@ def _em_run(counts: np.ndarray, row_lgamma: np.ndarray, init: np.ndarray, cfg: M
     norm = logsumexp(scores, axis=1)
     trace = [_objective(norm, model)]
     converged = False
-    for it in range(1, cfg.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         resp = _responsibilities(scores, norm, model, cfg, ids)
         model = m_step(counts, resp, cfg)
         scores = _scores(counts, model, row_lgamma)
@@ -215,9 +215,10 @@ def fit(counts: np.ndarray, cfg: MixtureConfig, ids: tuple[str, ...] | None = No
     student ids[i] when ids are given.
 
     Each restart starts from per-student Dirichlet responsibilities, each
-    student's drawn from the stream key of [seed, restart, h] with h a hash
-    of the student's counts as float64 (see initial_responsibilities), and
-    iterates E/M until the relative objective change drops below TOLERANCE.
+    student's drawn from the key of seed extended by restart and then by a
+    hash of the student's counts as float64 (see initial_responsibilities),
+    and iterates E/M until the relative objective change drops below
+    TOLERANCE, for at most MAX_ITERATIONS iterations.
     """
     counts = np.asarray(counts, dtype=np.float64)   # the start hashes float64 rows
     if counts.ndim != 2:

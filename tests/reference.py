@@ -97,6 +97,28 @@ def stream_below(key: int, counter: int, bound: int) -> int:
         counter += 2**32
 
 
+def seed_list(seed) -> list[int]:
+    """An int seed as the list of it; a list as itself."""
+    return [seed] if isinstance(seed, int) else list(seed)
+
+
+def stream_permute_columns(values: np.ndarray, key: int) -> np.ndarray:
+    """Column j of N rows reordered by stream_permutation(key, N, j * N)."""
+    out = values.copy()
+    for j in range(values.shape[1]):
+        out[:, j] = values[stream_permutation(key, len(values), j * len(values)), j]
+    return out
+
+
+def generator_permute_columns(data: bn.DatasetTable, rng: np.random.Generator) -> bn.DatasetTable:
+    """Column j reordered by the Generator's j-th permutation: the column
+    shuffle of tests whose data come from a numpy Generator."""
+    values = data.values.copy()
+    for j in range(values.shape[1]):
+        values[:, j] = values[rng.permutation(len(values)), j]
+    return bn.DatasetTable(data.variables, values)
+
+
 def stream_spacings(key: int, m: int) -> list[float]:
     """The m gaps that the key's first m - 1 uniforms, sorted, cut into [0, 1]."""
     edges = [0.0] + sorted(stream_uniform(key, i) for i in range(m - 1)) + [1.0]
@@ -394,7 +416,7 @@ def top_fraction(members: Sequence[tuple[bn.Dag, float]], fraction: float,
     """The ceil(fraction * size) members first by (-score, place in the
     seeded permutation)."""
     size = len(members)
-    perm = stream_permutation(stream_key(cons._seed_list(seed) + [97]), size)
+    perm = stream_permutation(stream_key(seed_list(seed) + [97]), size)
     order = sorted(range(size), key=lambda i: (-members[i][1], perm[i]))
     return [members[i] for i in order[:math.ceil(fraction * size)]]
 
@@ -552,36 +574,37 @@ def merge_total_network(consensus_dags: Sequence[cons.ConsensusDag],
 
 # --- searches one at a time ----------------------------------------------------
 #
-# consensus.learn_ensembles climbs the ensembles of a job as one stack and
-# derives each restart's keys by extending its seed's key. Here each restart's
-# keys come from its whole seed list, and each ensemble has a table and a
-# climb_batch call of its own: the oracles of learn_ensemble, of the null
-# replicas of null_threshold and of the CV folds of predict_sleep_experiment.
+# consensus.learn_ensembles climbs the ensembles of a job as one stack, and
+# the program names every sub-stream by extending a key. Here each restart,
+# shuffle and tie order takes the key of its whole seed list, and each
+# ensemble has a table and a climb_batch call of its own: the oracles of
+# learn_ensemble, of the null replicas of null_threshold and of the CV folds
+# of predict_sleep_experiment.
 
 def learn_ensemble(data: bn.DatasetTable, constraints: bn.LayerConstraints, cfg: bn.BdeuConfig,
                    n_restarts: int, seed,
                    edge_probability: float = cons.DEFAULT_EDGE_PROBABILITY) -> cons.EnsembleResult:
     """Restart r starts from the key of seed + [r, 0] and breaks ties with that of seed + [r, 1]."""
-    base = cons._seed_list(seed)
+    base = seed_list(seed)
     starts = bn.random_start_masks(constraints, edge_probability,
                                    seeding.keys([base + [r, 0] for r in range(n_restarts)]))
     masks, scores = bn.climb_batch(bn.score_table(data, constraints, cfg), constraints, starts,
                                    seeding.keys([base + [r, 1] for r in range(n_restarts)]))
-    return cons.EnsembleResult(masks, scores, seed)
+    return cons.EnsembleResult(masks, scores, np.uint64(stream_key(base)))
 
 
 def null_threshold(data: bn.DatasetTable, constraints: bn.LayerConstraints, cfg: bn.BdeuConfig,
                    replicas: int, seed, n_restarts: int, fraction: float,
                    edge_probability: float) -> cons.NullModelResult:
     """One replica at a time: permute, climb its ensemble, count its top fraction."""
-    base = cons._seed_list(seed)
+    base = seed_list(seed)
     n = constraints.variables.n
     tables = np.empty((replicas, n, n), dtype=np.int64)
     for rep in range(replicas):
-        permuted = cons.permute_columns(data, seeding.Stream(base + [11, rep]))
+        permuted = cons.permute_columns(data, stream_key(base + [11, rep]))
         ensemble = learn_ensemble(permuted, constraints, cfg, n_restarts, base + [13, rep],
                                   edge_probability)
-        selected = cons.top_fraction(ensemble, fraction, seed=base + [17, rep])
+        selected = cons.top_fraction(ensemble, fraction, stream_key(base + [17, rep]))
         tables[rep] = cons.edge_frequencies(ensemble.masks[selected], constraints.variables).counts
     pooled = tables[:, constraints.allowed].astype(np.float64).ravel()
     mean, std = float(pooled.mean()), float(pooled.std())
@@ -592,7 +615,7 @@ def predict_sleep_experiment(profiles: bn.DatasetTable, constraints: bn.LayerCon
                              cfg: bn.BdeuConfig, experiment: ev.PredictionExperiment,
                              seed) -> ev.PredictionResult:
     """One fold at a time: climb its ensemble, then score its test rows."""
-    base = cons._seed_list(seed)
+    base = seed_list(seed)
     y = profiles.column(ev.TARGET).astype(np.int64)
     splits, degraded = ev.cv_plan(y, experiment, seed)
     curves, degenerate = [], False

@@ -48,7 +48,7 @@ class TestStackedSearchMatchesOneAtATime:
             want = reference.learn_ensemble(data, c, CFG, restarts, seed)
             assert np.array_equal(got.masks, want.masks)
             assert np.array_equal(got.scores, want.scores)
-            assert got.seed == want.seed
+            assert got.key == want.key
 
     @pytest.mark.parametrize("replicas, restarts, seed, fraction, climb_slice", [
         (1, 1, 0, 1.0, None), (3, 7, [4, 2**40], 1 / 3, None), (5, 12, 9, 0.5, 4),
@@ -64,10 +64,10 @@ class TestStackedSearchMatchesOneAtATime:
         assert np.array_equal(got.replicate_tables, want.replicate_tables)
         assert (got.mean, got.std, got.threshold) == (want.mean, want.std, want.threshold)
 
-    def test_one_seed_per_dataset(self):
+    def test_one_key_per_dataset(self):
         data, constraints = small_data(n=30)
-        with pytest.raises(ValueError, match="one seed per dataset"):
-            cons.learn_ensembles([data, data], constraints, CFG, 3, [0])
+        with pytest.raises(ValueError, match="one key per dataset"):
+            cons.learn_ensembles([data, data], constraints, CFG, 3, seeding.keys([0]))
 
 
 class TestLearnEnsemble:
@@ -97,7 +97,7 @@ class TestLearnEnsemble:
 class TestTopFraction:
     def _ensemble(self, scores, seed=0):
         return cons.EnsembleResult(np.zeros((len(scores), 2), dtype=np.int64),
-                                   np.asarray(scores, dtype=np.float64), seed)
+                                   np.asarray(scores, dtype=np.float64), seeding.keys([seed])[0])
 
     def test_two_hundred_networks_keep_67(self):
         ensemble = self._ensemble(np.arange(200))
@@ -113,7 +113,8 @@ class TestTopFraction:
         assert ensemble.scores[kept].tolist() == [9, 8]
 
     def test_all_ties_deterministic_under_seed(self):
-        ensemble = cons.EnsembleResult(np.arange(6 * 3).reshape(6, 3), np.ones(6), seed=5)
+        ensemble = cons.EnsembleResult(np.arange(6 * 3).reshape(6, 3), np.ones(6),
+                                       key=seeding.keys([5])[0])
         a = cons.top_fraction(ensemble, 1 / 3).tolist()
         b = cons.top_fraction(ensemble, 1 / 3).tolist()
         assert a == b and len(a) == 2
@@ -163,9 +164,8 @@ class TestNullThreshold:
         assert null.replicate_tables.shape == (3, 9, 9)
 
     def test_permute_columns_preserves_marginals(self):
-        rng = np.random.default_rng(5)
         data, _ = small_data(n=500)
-        permuted = cons.permute_columns(data, rng)
+        permuted = cons.permute_columns(data, seeding.keys([5])[0])
         np.testing.assert_array_equal(
             permuted.values.sum(axis=0), data.values.sum(axis=0)
         )
@@ -369,23 +369,25 @@ def test_edge_frequency_csv_lists_edges_by_name(tmp_path):
 
 @st.composite
 def mask_ensembles(draw):
-    """(constraints, ensembles): a few ensembles of random legal DAGs of one
-    size, each with scores from a small set, so that ties are common."""
+    """(constraints, ensembles, seeds): a few ensembles of random legal DAGs of
+    one size, each with scores from a small set, so that ties are common, and
+    with the key of its seed list."""
     constraints = draw(st.sampled_from([
         bn.default_layer_constraints(),
         bn.LayerConstraints.unconstrained(bn.profile_variables()),
         bn.LayerConstraints.unconstrained(bn.VariableSet.binary(("b", "a", "C", "B"))),
     ]))
     size = draw(st.integers(1, 24))
-    ensembles = []
+    ensembles, seeds = [], []
     for _ in range(draw(st.integers(1, 4))):
         seed = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=2))
         masks = bn.random_start_masks(constraints, draw(st.sampled_from([0.05, 0.2, 0.5, 0.9])),
                                       seeding.keys([seed + [r] for r in range(size)]))
         scores = draw(st.lists(st.sampled_from([-7.5, -7.25, -3.0, -1.0]),
                                min_size=size, max_size=size))
-        ensembles.append(cons.EnsembleResult(masks, np.array(scores), seed))
-    return constraints, ensembles
+        ensembles.append(cons.EnsembleResult(masks, np.array(scores), seeding.keys([seed])[0]))
+        seeds.append(seed)
+    return constraints, ensembles, seeds
 
 
 def as_members(ensemble, variables):
@@ -397,13 +399,13 @@ class TestMaskEnsemblesMatchDagReference:
     @settings(max_examples=80, deadline=None)
     @given(mask_ensembles(), st.sampled_from([0.1, 1 / 3, 0.5, 1.0]), st.data())
     def test_picks_counts_pool_and_networks(self, case, fraction, data):
-        constraints, ensembles = case
+        constraints, ensembles, seeds = case
         var = constraints.variables
         freqs, want_counts = [], []
-        for ensemble in ensembles:
+        for ensemble, seed in zip(ensembles, seeds):
             members = as_members(ensemble, var)
             picks = cons.top_fraction(ensemble, fraction)
-            want = reference.top_fraction(members, fraction, ensemble.seed)
+            want = reference.top_fraction(members, fraction, seed)
             assert [id(members[i]) for i in picks] == [id(m) for m in want]
             freqs.append(cons.edge_frequencies(ensemble.masks[picks], var))
             want_counts.append(reference.edge_frequencies(d for d, _ in want))
@@ -420,7 +422,8 @@ class TestMaskEnsemblesMatchDagReference:
             null = cons.null_threshold(table, constraints, CFG, replicas=len(ensembles),
                                        seed=base, n_restarts=len(ensembles[0].scores),
                                        fraction=fraction)
-        assert learn.call_args.args[4] == [base + [13, rep] for rep in range(len(ensembles))]
+        assert learn.call_args.args[4].tolist() == [reference.stream_key(base + [13, rep])
+                                                    for rep in range(len(ensembles))]
         pool = reference.null_pool(replicas, constraints)
         assert (null.mean, null.std) == (float(pool.mean()), float(pool.std()))
         assert null.threshold == null.mean + 2.0 * null.std

@@ -55,11 +55,11 @@ class TestMatchesScalarReference:
                                                     for b in counters] for a in keys]
 
     @settings(max_examples=100)
-    @given(st.lists(words, min_size=0, max_size=6), st.integers(0, 40), st.integers(0, 2**40))
-    def test_permutations(self, keys, n, start):
-        got = seeding.permutations(np.array(keys, np.uint64), n, start)
+    @given(st.lists(words, min_size=0, max_size=6), st.integers(0, 40))
+    def test_permutations(self, keys, n):
+        got = seeding.permutations(np.array(keys, np.uint64), n)
         assert got.shape == (len(keys), n)
-        assert got.tolist() == [reference.stream_permutation(k, n, start) for k in keys]
+        assert got.tolist() == [reference.stream_permutation(k, n) for k in keys]
 
     @settings(max_examples=150)
     @given(st.lists(st.tuples(words, words, st.integers(1, 2**32 - 1)), min_size=1, max_size=10))
@@ -70,12 +70,12 @@ class TestMatchesScalarReference:
         assert got.tolist() == [reference.stream_below(*d) for d in draws]
 
     @settings(max_examples=60)
-    @given(seeds, st.lists(st.integers(0, 30), min_size=1, max_size=5))
-    def test_stream_permutations_in_turn(self, seed, sizes):
-        stream, key, start = seeding.Stream(seed), reference.stream_key(seed), 0
-        for n in sizes:
-            assert stream.permutation(n).tolist() == reference.stream_permutation(key, n, start)
-            start += n
+    @given(words, st.integers(0, 30), st.integers(1, 5))
+    def test_column_permutations_in_turn(self, key, rows, columns):
+        values = np.arange(rows * columns, dtype=np.uint8).reshape(rows, columns)   # all distinct
+        table = bn.DatasetTable(bn.VariableSet(tuple("ABCDE"[:columns]), (150,) * columns), values)
+        got = cons.permute_columns(table, np.uint64(key)).values
+        assert got.tolist() == reference.stream_permute_columns(values, key).tolist()
 
     def test_a_key_extends_by_its_own_draw(self):
         prefix = seeding.keys([[5, 2**64 - 1]])
@@ -100,7 +100,7 @@ class TestMatchesScalarReference:
             seeding.bits(key[0], 2**64 - 1)
             seeding.uniforms(key, np.uint64(2**64 - 1))
             seeding.below(key, 2**64 - 1, 2**32 - 1)
-            seeding.Stream(2**64 - 1).permutation(5)
+            seeding.permutations(key, 5)
 
 
 class TestStatistics:
@@ -155,7 +155,8 @@ class TestStatistics:
 
 
 class TestCallSitesDrawTheirStreams:
-    """Each place the pipeline draws reads the stream of its seed list."""
+    """Each place the pipeline draws reads the stream of its seed list, which the
+    program names by extending the key of a shorter one."""
 
     def test_derive_seed(self):
         assert pipeline.derive_seed(7, 3, 1) == reference.stream_key([7, 3, 1])
@@ -169,7 +170,7 @@ class TestCallSitesDrawTheirStreams:
 
     def test_top_fraction_tie_order(self):
         ensemble = cons.EnsembleResult(np.zeros((12, 9), dtype=np.int64), np.full(12, -1.0),
-                                       [9, 2**40])
+                                       seeding.keys([[9, 2**40]])[0])
         perm = reference.stream_permutation(reference.stream_key([9, 2**40, 97]), 12)
         got = cons.top_fraction(ensemble, 0.5)
         assert got.tolist() == np.argsort(perm)[:6].tolist()
@@ -178,10 +179,12 @@ class TestCallSitesDrawTheirStreams:
         keys = []
         permute = cons.permute_columns
 
-        def spy(data, rng):
-            keys.extend(rng.key.tolist())
-            out = permute(data, rng)
-            assert rng.drawn == data.values.size   # one permutation per column
+        def spy(data, key):
+            keys.append(int(key))
+            out = permute(data, key)
+            # one permutation per column, in turn from the key's first draw
+            assert out.values.tolist() == \
+                reference.stream_permute_columns(data.values, int(key)).tolist()
             return out
 
         monkeypatch.setattr(cons, "permute_columns", spy)
@@ -194,7 +197,7 @@ class TestCallSitesDrawTheirStreams:
     def test_permute_columns_reads_successive_permutations(self):
         values = np.arange(60, dtype=np.uint8).reshape(20, 3) % 7
         table = bn.DatasetTable(bn.VariableSet(("A", "B", "C"), (7, 7, 7)), values)
-        got = cons.permute_columns(table, seeding.Stream([5, 11, 0]))
+        got = cons.permute_columns(table, seeding.keys([[5, 11, 0]])[0])
         key = reference.stream_key([5, 11, 0])
         for j in range(3):
             perm = reference.stream_permutation(key, 20, 20 * j)

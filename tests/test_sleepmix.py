@@ -138,12 +138,13 @@ class TestFit:
             errs.append(np.max(np.abs(model.rates[list(perm)] - truth_rates) / truth_rates))
         assert min(errs) < 0.10
 
-    def test_objective_ascends(self):
+    def test_objective_ascends(self, monkeypatch):
+        monkeypatch.setattr(sm, "MAX_ITERATIONS", 100)
         rng = np.random.default_rng(8)
         for trial in range(15):
             base = rng.uniform(0.3, 5.0, size=16)
             counts = rng.poisson(base, size=(60, 16))
-            cfg = sm.MixtureConfig(restarts=1, seed=trial, max_iterations=100)
+            cfg = sm.MixtureConfig(restarts=1, seed=trial)
             _, _, diag = sm.fit(counts, cfg)
             assert np.min(np.diff(diag.objective_trace)) >= -1e-9
 
@@ -240,7 +241,7 @@ def _ref_em_run(counts, init, cfg, ids):
     model = sm.m_step(counts, resp, cfg)
     trace = [_ref_log_joint(counts, model)]
     converged = False
-    for _ in range(1, cfg.max_iterations + 1):
+    for _ in range(1, sm.MAX_ITERATIONS + 1):
         resp = _ref_responsibilities(_ref_log_weights(counts, model, cfg, row_lgamma), ids)
         model = sm.m_step(counts, resp, cfg)
         objective = _ref_log_joint(counts, model)
@@ -321,10 +322,10 @@ def _ref_fit(counts, cfg, ids):
 class TestFitMatchesReferenceLoop:
     @pytest.mark.parametrize("variant", ["standard", "paper"])
     @pytest.mark.parametrize("seed,max_iterations", [(21, 500), (22, 500), (23, 12)])
-    def test_bit_identical(self, variant, seed, max_iterations):
+    def test_bit_identical(self, monkeypatch, variant, seed, max_iterations):
+        monkeypatch.setattr(sm, "MAX_ITERATIONS", max_iterations)
         _, ids, counts, _ = two_peak_data(120, 40, seed=seed)
-        cfg = sm.MixtureConfig(seed=seed, restarts=3, max_iterations=max_iterations,
-                               variant=variant)
+        cfg = sm.MixtureConfig(seed=seed, restarts=3, variant=variant)
         model, resp, diag = sm.fit(counts, cfg, ids)
         ref_model, ref_resp, ref_trace, ref_restart, ref_converged = _ref_fit(counts, cfg, ids)
         np.testing.assert_array_equal(model.rates, ref_model.rates)
